@@ -16,6 +16,7 @@ from .blocks import (
     in_critical_set,
     lattice_blocks,
     peierls_ring,
+    ring_stack,
     square_blocks,
     square_ring,
     union_eigenvalues,
@@ -111,6 +112,7 @@ __all__ = [
     "midgap_perturbation",
     "omega_factor",
     "peierls_ring",
+    "ring_stack",
     "run_validation",
     "scaling_scan",
     "scaling_to_json_dict",

@@ -100,6 +100,41 @@ def square_ring(lam2k: float, N: int, eta: float, phi: float, t: float = 1.0) ->
     return H
 
 
+# Largest number of complex entries ring_stack puts in one chunk (256 KiB).
+CHUNK_ENTRIES = 2**14
+
+
+def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
+    """Yield the rings of every (eta, lambda) pair, in chunks.
+
+    The full stack has shape (len(etas), len(lams), N, N); it is yielded
+    flattened over its first two axes (eta-major, lambda in the given
+    order) in chunks of shape (n, N, N) holding at most CHUNK_ENTRIES
+    complex entries (one ring when a single ring is larger).
+
+    Each open ring (eta = 0) is built once per lambda by peierls_ring
+    (honeycomb) or square_ring (any other kind). Only the two corner
+    entries depend on eta, so every chunk copies open rings and adds the
+    boundary bond -eta*t*e^{i phi} at (N,1) and its conjugate at (1,N).
+    An open ring's corner is exactly +0.0 (-t for a two-site square
+    ring), so every entry equals the scalar builder's bit for bit.
+    """
+    build = peierls_ring if kind == "honeycomb" else square_ring
+    rings = np.stack([build(lam, N, 0.0, phi, t) for lam in lams])
+    phase = cmath.exp(1j * phi)
+    bonds = np.array([-eta * t * phase for eta in etas], dtype=np.complex128)
+    n_lams = len(rings)
+    pairs = len(bonds) * n_lams
+    size = max(1, CHUNK_ENTRIES // (N * N))
+    for start in range(0, pairs, size):
+        index = np.arange(start, min(start + size, pairs))
+        chunk = rings[index % n_lams]
+        bond = bonds[index // n_lams]
+        chunk[:, N - 1, 0] += bond
+        chunk[:, 0, N - 1] += bond.conj()
+        yield chunk
+
+
 def honeycomb_blocks(spec: ModelSpec) -> list[BlochBlock]:
     """All M momentum blocks of the honeycomb torus, m = 1..M ascending."""
     if spec.kind != "honeycomb":

@@ -11,7 +11,10 @@ midgap fidelity from exact eigenvectors.
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
 property, validated to 1e-10*t); `ground_energy_exact` itself
-diagonalizes the full lattice.
+diagonalizes the full lattice. Sweeps build each open ring once, stamp
+the boundary bond per eta (`ring_stack`) and call eigvalsh once per
+chunk of at most 2^14 complex entries of the (eta, mode) stack; the
+energies equal the one-ring-at-a-time sums bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import critical_modes, peierls_ring, square_ring
+from .blocks import critical_modes, peierls_ring, ring_stack
 from .models import ModelSpec, build_lattice
 from .output import csv_text
 from .ssh import (
@@ -128,24 +131,30 @@ class FidelityCurve:
 # ground-state energy
 
 
-def _ring_lams(spec: ModelSpec) -> list[float]:
+def _ring_lams(spec: ModelSpec, modes=None) -> list[float]:
+    """Ring couplings of `modes` (default: all, m = 1..M ascending)."""
+    modes = range(1, spec.M + 1) if modes is None else modes
     if spec.kind == "honeycomb":
-        return [2.0 * math.cos(math.pi * m / spec.M) for m in range(1, spec.M + 1)]
-    return [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in range(1, spec.M + 1)]
+        return [2.0 * math.cos(math.pi * m / spec.M) for m in modes]
+    return [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in modes]
 
 
-def _block_matrix(spec: ModelSpec, lam: float, eta: float) -> np.ndarray:
-    if spec.kind == "honeycomb":
-        return peierls_ring(lam, spec.N, eta, spec.phi, spec.t)
-    return square_ring(lam, spec.N, eta, spec.phi, spec.t)
-
-
-def _block_ground_energy(spec: ModelSpec, eta: float, lams: list[float] | None = None) -> float:
-    lams = _ring_lams(spec) if lams is None else lams
-    total = 0.0
-    for lam in lams:
-        evals = np.linalg.eigvalsh(_block_matrix(spec, lam, eta))
-        total += float(evals[evals < 0.0].sum())
+def _ground_energies(spec: ModelSpec, etas) -> np.ndarray:
+    """E_g at each eta: each block's negative levels summed, then the blocks
+    added in ascending mode order; one eigvalsh call per ring_stack chunk."""
+    lams = _ring_lams(spec)
+    sums = []
+    for chunk in ring_stack(spec.kind, lams, spec.N, etas, spec.phi, spec.t):
+        evals = np.linalg.eigvalsh(chunk)
+        negative = np.count_nonzero(evals < 0.0, axis=-1)
+        part = np.empty(len(evals))
+        for k in set(negative.tolist()):  # np.unique would import numpy.ma (+1.7 MB)
+            rows = negative == k
+            part[rows] = evals[rows, :k].sum(axis=-1)
+        sums.append(part)
+    total = np.zeros(len(etas))
+    for column in np.concatenate(sums).reshape(len(etas), len(lams)).T:
+        total += column
     return total
 
 
@@ -168,8 +177,7 @@ def ground_energy_exact(spec: ModelSpec) -> GroundStateResult:
     occupied = int(np.count_nonzero(evals < 0.0))
     e_m = 0.0
     if spec.kind == "honeycomb":
-        for m in critical_modes(spec.M):
-            lam = 2.0 * math.cos(math.pi * m / spec.M)
+        for lam in _ring_lams(spec, critical_modes(spec.M)):
             block_evals = np.linalg.eigvalsh(peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t))
             e_m += float(block_evals[spec.N // 2 - 1])
     return GroundStateResult(e_g=e_g, e_m=e_m, e_b=e_g - e_m, occupied_count=occupied, method="exact")
@@ -185,17 +193,16 @@ def ground_energy_perturbative(spec: ModelSpec, convention: str = "cells") -> Gr
     """
     if spec.kind != "honeycomb":
         raise ValueError("the perturbative-midgap split is defined for honeycomb specs only")
-    lams = _ring_lams(spec)
-    crit = critical_modes(spec.M)
-    e_g0 = _block_ground_energy(spec, 0.0, lams)
+    lams = _ring_lams(spec, critical_modes(spec.M))
+    e_g0 = float(_ground_energies(spec, [0.0])[0])
     e_m0 = 0.0
-    for m in crit:
-        block_evals = np.linalg.eigvalsh(peierls_ring(lams[m - 1], spec.N, 0.0, spec.phi, spec.t))
+    for lam in lams:
+        block_evals = np.linalg.eigvalsh(peierls_ring(lam, spec.N, 0.0, spec.phi, spec.t))
         e_m0 += float(block_evals[spec.N // 2 - 1])
     e_b = e_g0 - e_m0
     e_m = 0.0
-    for m in crit:
-        sol = midgap_perturbation(lams[m - 1], spec.N, spec.eta, spec.phi, spec.t, convention, warn=False)
+    for lam in lams:
+        sol = midgap_perturbation(lam, spec.N, spec.eta, spec.phi, spec.t, convention, warn=False)
         e_m += sol.eps_minus
     return GroundStateResult(
         e_g=e_b + e_m,
@@ -221,27 +228,34 @@ def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes: l
     (the peak degenerates into a delta spike there). Restricting `modes`
     isolates single-momentum contributions.
     """
+    return _d2_sum(spec, _d2_terms(spec, convention, modes), eta)
+
+
+def _d2_terms(spec: ModelSpec, convention: str, modes: list[int] | None = None) -> list[tuple[float, float]]:
+    """(c_k, Omega_k) of each mode (default: the critical window) with c_k != 0."""
     if spec.kind != "honeycomb":
         raise ValueError("analytic curvature is defined for honeycomb specs only")
-    if modes is None:
-        modes = critical_modes(spec.M)
-    t = spec.t
+    terms = []
+    for lam in _ring_lams(spec, critical_modes(spec.M) if modes is None else modes):
+        c = corner_coupling(lam, spec.N, convention)
+        if c != 0.0:
+            terms.append((c, omega_factor(lam, spec.N, convention)))
+    return terms
+
+
+def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> float:
+    # Scalar math on purpose: NumPy's vectorized ** rounds differently from Python's.
     sin_phi = math.sin(spec.phi)
     s2 = sin_phi * sin_phi
     total = 0.0
-    for m in modes:
-        lam = 2.0 * math.cos(math.pi * m / spec.M)
-        c = corner_coupling(lam, spec.N, convention)
-        if c == 0.0:
-            continue
-        om = omega_factor(lam, spec.N, convention)
+    for c, om in terms:
         absz2 = (eta - c * math.cos(spec.phi)) ** 2 + c * c * s2
         if s2 == 0.0:
             if absz2 == 0.0:
                 return float("-inf")
             continue
-        eps_minus = -t * math.sqrt(absz2) / om
-        total += (t ** 4) * c * c * s2 / (om ** 4 * eps_minus ** 3)
+        eps_minus = -spec.t * math.sqrt(absz2) / om
+        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * eps_minus ** 3)
     return total
 
 
@@ -271,19 +285,6 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int 
     return 0.5 * (a + b)
 
 
-def _default_eta_range(spec: ModelSpec, convention: str) -> tuple[float, float]:
-    if spec.kind == "honeycomb":
-        corners = [
-            abs(corner_coupling(2.0 * math.cos(math.pi * m / spec.M), spec.N, convention))
-            for m in critical_modes(spec.M)
-        ]
-        if corners:
-            hi = 3.0 * max(corners) * math.cos(spec.phi)
-            if hi > 0.0:
-                return 0.0, min(hi, 1.0)
-    return 0.0, 1.0
-
-
 def sweep(
     spec: ModelSpec,
     eta_min: float | None = None,
@@ -304,11 +305,19 @@ def sweep(
     is a level crossing, not a smooth peak) and also skips refinement.
     When the analytic curve applies, its golden-section extremum is
     reported alongside as (eta_m_analytic, peak_analytic).
+
+    E_g comes from stacked solves (see the module docstring) and the
+    analytic curve from per-mode constants computed once, both bit for
+    bit equal to evaluating one ring and one d2_analytic call at a time.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    lo, hi = _default_eta_range(spec, convention)
+    terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
+    lo, hi = 0.0, 1.0
+    if terms:
+        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi)
+        hi = min(hi, 1.0) if hi > 0.0 else 1.0
     if eta_min is not None:
         lo = float(eta_min)
     if eta_max is not None:
@@ -318,17 +327,12 @@ def sweep(
 
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
-    lams = _ring_lams(spec)
-
-    def energy(x: float) -> float:
-        return _block_ground_energy(spec, x, lams)
-
-    e_curve = np.array([energy(x) for x in grid])
+    e_curve = _ground_energies(spec, grid)
     d2_num = np.full(steps + 1, np.nan)
     d2_num[1:-1] = (e_curve[2:] - 2.0 * e_curve[1:-1] + e_curve[:-2]) / (h * h)
 
     if spec.kind == "honeycomb":
-        d2_ana = np.array([d2_analytic(spec, x, convention) for x in grid])
+        d2_ana = np.array([_d2_sum(spec, terms, x) for x in grid])
     else:
         d2_ana = np.full(steps + 1, np.nan)
 
@@ -350,21 +354,17 @@ def sweep(
         dx = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
         dx = min(1.0, max(-1.0, dx))
         eta_m = float(grid[i_star] + dx * h)
-        e_c = energy(eta_m)
-        d_h = (energy(eta_m + h) - 2.0 * e_c + energy(eta_m - h)) / (h * h)
         h2 = 0.5 * h
-        d_h2 = (energy(eta_m + h2) - 2.0 * e_c + energy(eta_m - h2)) / (h2 * h2)
+        points = [eta_m, eta_m + h, eta_m - h, eta_m + h2, eta_m - h2]
+        e_c, e_up, e_down, e_up2, e_down2 = _ground_energies(spec, points).tolist()
+        d_h = (e_up - 2.0 * e_c + e_down) / (h * h)
+        d_h2 = (e_up2 - 2.0 * e_c + e_down2) / (h2 * h2)
         peak = float((4.0 * d_h2 - d_h) / 3.0)
 
-    eta_m_analytic = None
-    peak_analytic = None
+    eta_m_analytic = peak_analytic = None
     if spec.kind == "honeycomb" and not first_order and critical_modes(spec.M):
-
-        def ana(x: float) -> float:
-            return d2_analytic(spec, x, convention)
-
-        eta_m_analytic = float(golden_section_min(ana, lo, hi, tol=1e-12))
-        peak_analytic = float(ana(eta_m_analytic))
+        eta_m_analytic = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=1e-12))
+        peak_analytic = float(_d2_sum(spec, terms, eta_m_analytic))
 
     return SweepResult(
         eta_grid=grid,

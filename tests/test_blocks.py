@@ -12,10 +12,12 @@ from torus_qpt import (
     in_critical_set,
     lattice_blocks,
     peierls_ring,
+    ring_stack,
     square_blocks,
     square_ring,
     union_eigenvalues,
 )
+from torus_qpt.blocks import CHUNK_ENTRIES
 
 # 2*cos(3*pi/7), the critical-window lambda of the M=7 block m=3
 LAM_3_7 = 0.4450418679126289
@@ -49,6 +51,44 @@ def test_square_ring_entries():
 def test_square_ring_n2_accumulation():
     H = square_ring(0.0, 2, 1.0, 0.0)
     assert H[0, 1] == -2.0
+
+
+def _same_bits(a, b):
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi / 4, 3 * math.pi / 4])
+@pytest.mark.parametrize("kind,N", [("honeycomb", 4), ("honeycomb", 20), ("square", 2), ("square", 12)])
+def test_ring_stack_matches_scalar_builders(kind, N, phi):
+    M, t = 7, 1.3
+    if kind == "honeycomb":
+        builder, lams = peierls_ring, [2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
+    else:
+        builder, lams = square_ring, [2.0 * math.cos(2.0 * math.pi * m / M) for m in range(1, M + 1)]
+    # grid values arrive as NumPy floats, refinement points as Python floats
+    etas = list(np.linspace(0.0, 1.0, 11)) + [0.0, 2.155e-4, 0.3]
+    chunks = list(ring_stack(kind, lams, N, etas, phi, t))
+    assert all(c.size <= CHUNK_ENTRIES or len(c) == 1 for c in chunks)
+    stack = np.concatenate(chunks).reshape(len(etas), M, N, N)
+    for i, eta in enumerate(etas):
+        for j, lam in enumerate(lams):
+            assert _same_bits(stack[i, j], builder(lam, N, eta, phi, t)), (i, j)
+
+
+def test_ring_stack_chunks_split_eta_rows():
+    # 40 rings of 20 sites fill a chunk; 13 etas x 7 lambdas = 91 rings,
+    # so chunk edges fall inside an eta's row of lambdas
+    lams = [0.5, -0.5, 0.2, 1.5, -1.9, 0.0, 0.9]
+    etas = np.linspace(0.0, 0.4, 13)
+    chunks = list(ring_stack("honeycomb", lams, 20, etas, math.pi / 3))
+    assert [len(c) for c in chunks] == [40, 40, 11]
+    stack = np.concatenate(chunks).reshape(13, 7, 20, 20)
+    assert _same_bits(stack[5, 5], peierls_ring(0.0, 20, etas[5], math.pi / 3))
+    assert _same_bits(stack[12, 6], peierls_ring(0.9, 20, etas[12], math.pi / 3))
 
 
 def test_honeycomb_block_lambdas():

@@ -17,11 +17,14 @@ from torus_qpt import (
     ground_energy_exact,
     ground_energy_perturbative,
     linear_fit,
+    peierls_ring,
     scaling_scan,
     scaling_to_json_dict,
+    square_ring,
     sweep,
     sweep_to_csv,
 )
+from torus_qpt.criticality import _ground_energies
 
 PHI = math.pi / 4
 LAM_3_7 = 2.0 * math.cos(3.0 * math.pi / 7.0)
@@ -114,6 +117,60 @@ def test_d2_analytic_first_order_branches():
     c3 = corner_coupling(LAM_3_7, 12)
     assert d2_analytic(spec, 0.5 * c3) == 0.0
     assert d2_analytic(spec, c3) == -math.inf
+
+
+def _per_ring_energies(spec, etas):
+    """Reference E_g: one eigvalsh call per ring, negative levels summed
+    block by block in ascending mode order; also the negative counts."""
+    if spec.kind == "honeycomb":
+        builder, lams = peierls_ring, [2.0 * math.cos(math.pi * m / spec.M) for m in range(1, spec.M + 1)]
+    else:
+        builder, lams = square_ring, [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in range(1, spec.M + 1)]
+    energies, counts = [], set()
+    for eta in etas:
+        total = 0.0
+        for lam in lams:
+            evals = np.linalg.eigvalsh(builder(lam, spec.N, eta, spec.phi, spec.t))
+            total += float(evals[evals < 0.0].sum())
+            counts.add(int(np.count_nonzero(evals < 0.0)))
+        energies.append(total)
+    return np.array(energies), counts
+
+
+def _c3_7(N):
+    return corner_coupling(LAM_3_7, N)
+
+
+@pytest.mark.parametrize(
+    "spec,etas",
+    [
+        # 13 etas x 7 modes = 91 rings in chunks of 40: the last chunk is partial
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), np.linspace(0.0, 3 * _c3_7(20), 13)),
+        (ModelSpec("honeycomb", 7, 20, t=0.7, phi=PHI), [2.155e-4, 2.155e-4 + 1e-6, 2.155e-4 - 1e-6, 0.0, 1.0]),
+        # at phi = 0 and eta = c_k the midgap doublet crosses zero
+        (ModelSpec("honeycomb", 7, 12, phi=0.0), [_c3_7(12), 0.5 * _c3_7(12), _c3_7(12), 0.0, 0.2]),
+        (ModelSpec("square", 5, 12, phi=0.3 * math.pi), np.linspace(0.0, 1.0, 29)),
+        (ModelSpec("square", 4, 2, phi=PHI), np.linspace(0.0, 1.0, 9)),
+    ],
+)
+def test_ground_energies_equal_per_ring_reference(spec, etas):
+    expected, counts = _per_ring_energies(spec, etas)
+    assert np.array_equal(_ground_energies(spec, etas), expected)
+    if spec.phi == 0.0 or spec.kind == "square":
+        assert counts != {spec.N // 2}
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_sweep_curves_equal_per_eta_reference(N):
+    # on these grids NumPy's vectorized ** would round some d2_analytic terms differently
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    res = sweep(spec, steps=200)
+    assert np.array_equal(res.e_g_curve, _per_ring_energies(spec, res.eta_grid)[0])
+    assert np.array_equal(res.d2_analytic, np.array([d2_analytic(spec, x) for x in res.eta_grid]))
+    lo, hi = res.eta_grid[0], res.eta_grid[-1]
+    eta_a = golden_section_min(lambda x: d2_analytic(spec, x), float(lo), float(hi), tol=1e-12)
+    assert res.eta_m_analytic == eta_a
+    assert res.peak_analytic == d2_analytic(spec, eta_a)
 
 
 def test_golden_section_min():
