@@ -110,7 +110,10 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
     The full stack has shape (len(etas), len(lams), N, N); it is yielded
     flattened over its first two axes (eta-major, lambda in the given
     order) in chunks of shape (n, N, N) holding at most CHUNK_ENTRIES
-    complex entries (one ring when a single ring is larger).
+    complex entries (one ring when a single ring is larger). The generator
+    drops each chunk before it builds the next, so a consumer that keeps
+    no reference (map(np.linalg.eigvalsh, ...)) has one chunk alive at a
+    time.
 
     Each open ring (eta = 0) is built once per lambda by peierls_ring
     (honeycomb) or square_ring (any other kind). Only the two corner
@@ -133,6 +136,7 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
         chunk[:, N - 1, 0] += bond
         chunk[:, 0, N - 1] += bond.conj()
         yield chunk
+        del chunk  # freed before the next chunk is built, unless the consumer holds it
 
 
 def honeycomb_blocks(spec: ModelSpec) -> list[BlochBlock]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import blocks_to_csv, lattice_blocks, peierls_ring, square_ring
+from .blocks import blocks_to_csv, lattice_blocks, ring_stack
 from .criticality import (
     fidelity_exact,
     fidelity_to_csv,
@@ -219,12 +219,9 @@ def cmd_spectrum(config: RunConfig) -> int:
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
     rows = []
-    for eta in grid:
-        if kind == "honeycomb":
-            matrix = peierls_ring(lam, N, float(eta), phi, t)
-        else:
-            matrix = square_ring(lam, N, float(eta), phi, t)
-        rows.append([float(eta)] + list(np.linalg.eigvalsh(matrix)))
+    # one eigvalsh call per chunk; map keeps no chunk alive once it is solved
+    for levels in map(np.linalg.eigvalsh, ring_stack(kind, [lam], N, grid, phi, t)):
+        rows.extend([float(eta)] + list(row) for eta, row in zip(grid[len(rows) :], levels))
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     path = _out_path(config, "spectrum.csv")
     atomic_write_text(path, csv_text(header, rows))

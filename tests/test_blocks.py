@@ -1,4 +1,6 @@
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,17 @@ def test_ring_stack_chunks_split_eta_rows():
     stack = np.concatenate(chunks).reshape(13, 7, 20, 20)
     assert _same_bits(stack[5, 5], peierls_ring(0.0, 20, etas[5], math.pi / 3))
     assert _same_bits(stack[12, 6], peierls_ring(0.9, 20, etas[12], math.pi / 3))
+
+
+def test_ring_stack_drops_each_chunk_before_building_the_next():
+    # a consumer that keeps no chunk sees one chunk of memory, not two
+    tracemalloc.start()
+    try:
+        collections.deque(ring_stack("honeycomb", [0.5, -0.5], 20, np.linspace(0.0, 0.4, 200), math.pi / 3), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * CHUNK_ENTRIES * np.dtype(np.complex128).itemsize
 
 
 def test_honeycomb_block_lambdas():

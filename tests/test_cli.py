@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from torus_qpt import peierls_ring, square_ring
 from torus_qpt.cli import ConfigError, main, parse_config, serialize_config
 from torus_qpt.output import atomic_write_text, csv_text, fmt_float, json_text
 
@@ -111,6 +112,19 @@ def test_spectrum_mode_selection_matches_lambda(tmp_path):
     lam = 2.0 * math.cos(3.0 * math.pi / 7.0)
     run_cli(["spectrum", "--lam", str(lam), "--N", "8", "--steps", "64", "--out", str(tmp_path / "b")])
     assert (tmp_path / "a" / "spectrum.csv").read_bytes() == (tmp_path / "b" / "spectrum.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind,lam,N,phi",
+    [("honeycomb", 0.5, 20, 0.0), ("honeycomb", 0.5, 20, math.pi / 4), ("square", 0.3, 12, math.pi / 4), ("square", 0.3, 2, 0.0)],
+)
+def test_spectrum_rows_equal_per_ring_solves(tmp_path, kind, lam, N, phi):
+    run_cli(["spectrum", "--kind", kind, "--lam", str(lam), "--N", str(N), "--phi", repr(phi), "--out", str(tmp_path)])
+    builder = peierls_ring if kind == "honeycomb" else square_ring
+    grid = np.linspace(0.0, 1.0, 201)
+    rows = [[float(eta)] + list(np.linalg.eigvalsh(builder(lam, N, float(eta), phi))) for eta in grid]
+    header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
+    assert (tmp_path / "spectrum.csv").read_text() == csv_text(header, rows)
 
 
 def test_spectrum_rejects_lam_and_mode_together(tmp_path, capsys):

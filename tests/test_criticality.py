@@ -24,7 +24,7 @@ from torus_qpt import (
     sweep,
     sweep_to_csv,
 )
-from torus_qpt.criticality import _ground_energies
+from torus_qpt.criticality import _ground_energies, _mode_shift, _mode_terms, _shift_table, _shifted_energies
 
 PHI = math.pi / 4
 LAM_3_7 = 2.0 * math.cos(3.0 * math.pi / 7.0)
@@ -121,20 +121,23 @@ def test_d2_analytic_first_order_branches():
 
 def _per_ring_energies(spec, etas):
     """Reference E_g: one eigvalsh call per ring, negative levels summed
-    block by block in ascending mode order; also the negative counts."""
+    block by block in ascending mode order; also the negative counts and
+    sum |eps| over every level, the roundoff scale of E_g."""
     if spec.kind == "honeycomb":
         builder, lams = peierls_ring, [2.0 * math.cos(math.pi * m / spec.M) for m in range(1, spec.M + 1)]
     else:
         builder, lams = square_ring, [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in range(1, spec.M + 1)]
-    energies, counts = [], set()
+    energies, counts, scales = [], set(), []
     for eta in etas:
-        total = 0.0
+        total = scale = 0.0
         for lam in lams:
             evals = np.linalg.eigvalsh(builder(lam, spec.N, eta, spec.phi, spec.t))
             total += float(evals[evals < 0.0].sum())
+            scale += float(np.abs(evals).sum())
             counts.add(int(np.count_nonzero(evals < 0.0)))
         energies.append(total)
-    return np.array(energies), counts
+        scales.append(scale)
+    return np.array(energies), counts, np.array(scales)
 
 
 def _c3_7(N):
@@ -154,10 +157,80 @@ def _c3_7(N):
     ],
 )
 def test_ground_energies_equal_per_ring_reference(spec, etas):
-    expected, counts = _per_ring_energies(spec, etas)
+    expected, counts, _ = _per_ring_energies(spec, etas)
     assert np.array_equal(_ground_energies(spec, etas), expected)
     if spec.phi == 0.0 or spec.kind == "square":
         assert counts != {spec.N // 2}
+
+
+def _assert_dense_close(spec, etas, e_g):
+    """|E_g - dense E_g| <= 1e-14 * sum|eps| at every eta."""
+    err = np.abs(np.asarray(e_g) - _ground_energies(spec, etas))
+    assert np.all(err <= 1e-14 * _per_ring_energies(spec, etas)[2]), err.max()
+
+
+@pytest.mark.parametrize(
+    "spec,etas",
+    [
+        *[
+            (ModelSpec("honeycomb", 7, N, phi=PHI), np.concatenate([np.linspace(0.0, 3 * _c3_7(N), 25), [0.1, 0.5, 1.0]]))
+            for N in (8, 20, 32)
+        ],
+        # at phi = 0 and eta = c_k the midgap doublet crosses zero
+        (ModelSpec("honeycomb", 7, 12, phi=0.0), [_c3_7(12), 0.5 * _c3_7(12), 0.0, 0.2, 2 * _c3_7(12)]),
+        # M = 9 has the |lambda| = 1 modes m = 3 and 6
+        (ModelSpec("honeycomb", 9, 16, phi=0.0), np.linspace(0.0, 1.0, 41)),
+        (ModelSpec("honeycomb", 5, 8, t=2.0, phi=math.pi / 2), np.linspace(0.0, 1.0, 21)),
+        (ModelSpec("honeycomb", 3, 4, phi=PHI), np.linspace(0.0, 3.0, 31)),
+        (ModelSpec("honeycomb", 31, 64, phi=PHI), [0.0, 1e-4, 0.003, 0.02, 0.1, 1.0]),
+        (ModelSpec("honeycomb", 7, 56, phi=PHI), np.linspace(0.0, 1e-9, 11)),
+        (ModelSpec("honeycomb", 7, 80, phi=PHI), np.linspace(0.0, 1e-9, 11)),
+        # the upper quadrature cut grows with the largest eta
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), [0.0, 0.5, 3.0, 10.0, 100.0, 1e3]),
+        # at N = 2 the boundary bond stacks on the -t bond
+        *[
+            (ModelSpec("square", 5, N, phi=phi), np.linspace(0.0, 1.0, 21))
+            for N in (2, 3, 12)
+            for phi in (0.0, PHI)
+        ],
+    ],
+)
+def test_shift_engine_matches_dense_energies(spec, etas):
+    table = _shift_table(spec, float(np.max(etas)))
+    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas))
+
+
+@pytest.mark.parametrize(
+    "kind,a,b",
+    [
+        # real A and B > A^2/4, as on the bipartite honeycomb ring
+        ("honeycomb", [0.01, 0.3, -0.3, -2.0, 5.0], [0.01, 0.5, 0.5, 1.5, 7.0]),
+        # B = 0 with A of either sign, and A = B = 0 (q = 1)
+        ("square", [0.01j, 1.0, -0.7, 0.3 + 0.4j, -2.0 - 1.0j, 0.0], [0.01, 0.0, 0.0, 0.2 - 0.1j, 1.5 + 0.5j, 0.0]),
+    ],
+)
+def test_mode_shift_is_ln_abs_q(kind, a, b):
+    # each node alone: the first is near (log1p), the others far (factored q)
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    etas = np.linspace(0.0, 2.0, 9)
+    for i in range(len(a)):
+        terms = _mode_terms(kind, a[i : i + 1], b[i : i + 1], 0.25 * a[i : i + 1] ** 2 - b[i : i + 1], np.ones(1), 2.0)
+        assert len(terms[0]) == (i == 0 or a[i] == b[i] == 0)
+        expected = np.log(np.abs(1.0 + a[i] * etas + b[i] * etas**2))
+        assert np.allclose(_mode_shift(kind, terms, etas[:, None]), expected, rtol=0.0, atol=1e-14)
+
+
+def test_shift_engine_is_deterministic():
+    # an eta's energy depends on that eta and the table only, and repeats bit for bit
+    for spec in (ModelSpec("honeycomb", 7, 20, phi=PHI), ModelSpec("square", 5, 3, phi=PHI)):
+        etas = np.linspace(0.0, 0.7, 57)
+        table = _shift_table(spec, 0.7)
+        curve = _shifted_energies(spec, table, etas)
+        assert np.array_equal(curve, _shifted_energies(spec, _shift_table(spec, 0.7), etas))
+        assert np.array_equal(curve, [_shifted_energies(spec, table, [eta])[0] for eta in etas])
+    first, second = sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)), sweep(ModelSpec("honeycomb", 7, 20, phi=PHI))
+    assert np.array_equal(first.e_g_curve, second.e_g_curve)
+    assert (first.eta_m, first.peak) == (second.eta_m, second.peak)
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -165,7 +238,7 @@ def test_sweep_curves_equal_per_eta_reference(N):
     # on these grids NumPy's vectorized ** would round some d2_analytic terms differently
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
     res = sweep(spec, steps=200)
-    assert np.array_equal(res.e_g_curve, _per_ring_energies(spec, res.eta_grid)[0])
+    _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
     assert np.array_equal(res.d2_analytic, np.array([d2_analytic(spec, x) for x in res.eta_grid]))
     lo, hi = res.eta_grid[0], res.eta_grid[-1]
     eta_a = golden_section_min(lambda x: d2_analytic(spec, x), float(lo), float(hi), tol=1e-12)
@@ -203,6 +276,14 @@ def test_sweep_honeycomb_pinpoints_known_peak():
     assert res.peak == pytest.approx(-7444.37, rel=1e-3)
     assert res.eta_m_analytic == pytest.approx(res.eta_m, rel=1e-2)
     assert res.peak_analytic == pytest.approx(res.peak, rel=1e-2)
+
+
+@pytest.mark.parametrize("N", [56, 72, 80])
+def test_sweep_flags_precision_floor(N):
+    # the second differences of E_g drown in roundoff: at N = 56 the numeric
+    # peak is 15x the analytic one, at N = 72 and 80 it is garbage
+    res = sweep(ModelSpec("honeycomb", 7, N, phi=PHI))
+    assert "precision-floor" in res.flags
 
 
 def test_sweep_grid_structure():
