@@ -9,15 +9,11 @@ fidelity-susceptibility curves, plus a self-check suite and a CLI.
 """
 
 from .blocks import (
-    BlochBlock,
     blocks_to_csv,
     critical_modes,
-    honeycomb_blocks,
-    in_critical_set,
-    lattice_blocks,
     peierls_ring,
+    ring_lams,
     ring_stack,
-    square_blocks,
     square_ring,
     union_eigenvalues,
 )
@@ -40,21 +36,8 @@ from .criticality import (
     sweep,
     sweep_to_csv,
 )
-from .eigensolve import (
-    Spectrum,
-    degenerate_clusters,
-    eigh,
-    matrix_fingerprint,
-    square_ring_closed_form,
-)
-from .models import (
-    HermitianOperator,
-    ModelSpec,
-    build_honeycomb_torus,
-    build_lattice,
-    build_square_torus,
-    site_basis,
-)
+from .eigensolve import square_ring_closed_form
+from .models import HermitianOperator, ModelSpec, build_lattice
 from .ssh import (
     CONVENTIONS,
     MidgapSolution,
@@ -72,7 +55,6 @@ from .validate import DEFAULT_TOLERANCES, run_validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochBlock",
     "CONVENTIONS",
     "DEFAULT_TOLERANCES",
     "FidelityCurve",
@@ -82,20 +64,15 @@ __all__ = [
     "MidgapSolution",
     "ModelSpec",
     "ScalingReport",
-    "Spectrum",
     "SweepResult",
     "ZeroModePair",
     "__version__",
     "blocks_to_csv",
     "build_h0_hprime",
-    "build_honeycomb_torus",
     "build_lattice",
-    "build_square_torus",
     "corner_coupling",
     "critical_modes",
     "d2_analytic",
-    "degenerate_clusters",
-    "eigh",
     "exact_midgap_gap",
     "fidelity_at_minimum",
     "fidelity_exact",
@@ -104,20 +81,15 @@ __all__ = [
     "golden_section_min",
     "ground_energy_exact",
     "ground_energy_perturbative",
-    "honeycomb_blocks",
-    "in_critical_set",
-    "lattice_blocks",
     "linear_fit",
-    "matrix_fingerprint",
     "midgap_perturbation",
     "omega_factor",
     "peierls_ring",
+    "ring_lams",
     "ring_stack",
     "run_validation",
     "scaling_scan",
     "scaling_to_json_dict",
-    "site_basis",
-    "square_blocks",
     "square_ring",
     "square_ring_closed_form",
     "sweep",

@@ -10,9 +10,16 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 * square: a uniform ring with constant on-site shift -lambda_{2k}*t,
   lambda_{2k} = 2*cos(k).
 
+`ring_lams` is the one place the coupling lambda of mode m is written
+down. `peierls_ring` and `square_ring` are the only ring builders;
+`ring_stack` stacks their rings for batched solves and serves every
+multi-ring consumer (`cmd_spectrum`, the dense ground energies,
+`union_eigenvalues`, `blocks_to_csv`).
+
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
-property (concatenated block spectra = full lattice spectrum).
+property (concatenated block spectra = full lattice spectrum of the
+independent builder `models.build_lattice`).
 
 Sign convention for the honeycomb block: within-cell bonds carry
 +lambda_k*t and between-cell bonds -t. Flipping the within-cell sign is
@@ -26,44 +33,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import ModelSpec
-from .output import fmt_float
+from .output import csv_text
 
 logger = logging.getLogger(__name__)
-
-_LOWER_EDGE = 2.0 * math.pi / 3.0
-_UPPER_EDGE = 4.0 * math.pi / 3.0
-
-
-@dataclass(frozen=True)
-class BlochBlock:
-    """One momentum sector of a torus model.
-
-    Fields: momentum k = 2*pi*mode/n_modes, the ring coupling lam
-    (lambda_k for honeycomb, lambda_{2k} for square), the N x N Hermitian
-    block matrix, the lattice kind, and the integer mode bookkeeping.
-    """
-
-    k: float
-    lam: float
-    matrix: np.ndarray = field(repr=False)
-    kind: str
-    mode: int
-    n_modes: int
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0]
-
 
 def peierls_ring(lam: float, N: int, eta: float, phi: float, t: float = 1.0) -> np.ndarray:
     """Alternating (dimerized) N-site ring with a flux-carrying boundary bond.
@@ -139,45 +115,14 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
         del chunk  # freed before the next chunk is built, unless the consumer holds it
 
 
-def honeycomb_blocks(spec: ModelSpec) -> list[BlochBlock]:
-    """All M momentum blocks of the honeycomb torus, m = 1..M ascending."""
-    if spec.kind != "honeycomb":
-        raise ValueError(f"expected a honeycomb spec, got kind={spec.kind!r}")
-    out = []
-    for m in range(1, spec.M + 1):
-        k = 2.0 * math.pi * m / spec.M
-        lam = 2.0 * math.cos(math.pi * m / spec.M)
-        matrix = peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t)
-        out.append(BlochBlock(k, lam, matrix, "honeycomb", m, spec.M))
-    return out
-
-
-def square_blocks(spec: ModelSpec) -> list[BlochBlock]:
-    """All M momentum blocks of the square torus, m = 1..M ascending."""
-    if spec.kind != "square":
-        raise ValueError(f"expected a square spec, got kind={spec.kind!r}")
-    out = []
-    for m in range(1, spec.M + 1):
-        k = 2.0 * math.pi * m / spec.M
-        lam2k = 2.0 * math.cos(k)
-        matrix = square_ring(lam2k, spec.N, spec.eta, spec.phi, spec.t)
-        out.append(BlochBlock(k, lam2k, matrix, "square", m, spec.M))
-    return out
-
-
-def lattice_blocks(spec: ModelSpec) -> list[BlochBlock]:
-    """Dispatch to the block constructor matching spec.kind."""
-    if spec.kind == "honeycomb":
-        return honeycomb_blocks(spec)
-    return square_blocks(spec)
-
-
-def in_critical_set(k: float) -> bool:
-    """True iff 2*pi/3 < k < 4*pi/3 (strict), i.e. |2*cos(k/2)| < 1.
-
-    The edges (|lambda_k| exactly 1) are excluded.
-    """
-    return _LOWER_EDGE < k < _UPPER_EDGE
+def ring_lams(kind: str, M: int, modes=None) -> list[float]:
+    """Ring couplings of `modes` (default: all, m = 1..M ascending):
+    lambda_k = 2*cos(k/2) for honeycomb, lambda_{2k} = 2*cos(k) for square,
+    with k = 2*pi*m/M."""
+    modes = range(1, M + 1) if modes is None else modes
+    if kind == "honeycomb":
+        return [2.0 * math.cos(math.pi * m / M) for m in modes]
+    return [2.0 * math.cos(2.0 * math.pi * m / M) for m in modes]
 
 
 def critical_modes(M: int) -> list[int]:
@@ -197,25 +142,25 @@ def critical_modes(M: int) -> list[int]:
     return out
 
 
-def union_eigenvalues(blocks: list[BlochBlock]) -> np.ndarray:
+def union_eigenvalues(spec: ModelSpec) -> np.ndarray:
     """Sorted concatenation of all block eigenvalues (full-lattice multiset)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix) for b in blocks]))
+    stack = ring_stack(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t)
+    return np.sort(np.concatenate([levels.ravel() for levels in map(np.linalg.eigvalsh, stack)]))
 
 
-def blocks_to_csv(blocks: list[BlochBlock]) -> str:
-    """Debug CSV: one row per block with k, lambda, then Re/Im of all entries."""
-    if not blocks:
-        return "k,lambda\n"
-    n = blocks[0].n_sites
+def blocks_to_csv(spec: ModelSpec) -> str:
+    """Debug CSV: one row per block m = 1..M with k = 2*pi*m/M, lambda, then
+    Re/Im of all entries in row-major order."""
+    M, N = spec.M, spec.N
     header = ["k", "lambda"]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    lines = [",".join(header)]
-    for b in blocks:
-        cells = [fmt_float(b.k), fmt_float(b.lam)]
-        for i in range(n):
-            for j in range(n):
-                cells += [fmt_float(b.matrix[i, j].real), fmt_float(b.matrix[i, j].imag)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lams = ring_lams(spec.kind, M)
+    rings = np.concatenate(list(ring_stack(spec.kind, lams, N, [spec.eta], spec.phi, spec.t)))
+    # a complex ring viewed as float64 lists Re, Im of each entry in row-major order
+    rows = [
+        [2.0 * math.pi * m / M, lam, *ring.view(np.float64).ravel()]
+        for m, lam, ring in zip(range(1, M + 1), lams, rings)
+    ]
+    return csv_text(header, rows)

@@ -11,10 +11,12 @@ validate  Self-check suite -> validate.json, exit 1 on any failure
 
 Configuration comes from an optional JSON file (--config) plus flags
 that mirror the JSON keys one-to-one and take precedence over the file.
-Outputs are written atomically into --out (default: current directory)
-with fixed float formatting, so identical configurations produce
-byte-identical files. Exit codes: 0 success, 1 check/computation
-failure, 2 configuration error.
+OPTIONS lists every key once, with its flag settings and the commands
+that accept it. Outputs are written atomically into --out (default:
+current directory) with fixed float formatting, so identical
+configurations produce byte-identical files. Exit codes: 0 success,
+1 check/computation failure, 2 configuration error (including a sweep
+grid with fewer than criticality.MIN_STEPS steps or an empty eta range).
 """
 
 from __future__ import annotations
@@ -28,16 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import blocks_to_csv, lattice_blocks, ring_stack
+from .blocks import blocks_to_csv, ring_lams, ring_stack
 from .criticality import (
+    DEFAULT_STEPS,
+    MIN_STEPS,
     fidelity_exact,
     fidelity_to_csv,
     scaling_scan,
     scaling_to_json_dict,
     sweep,
+    sweep_range,
     sweep_to_csv,
 )
-from .models import ModelSpec
+from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
 from .ssh import CONVENTIONS, corner_coupling
 from .validate import run_validation
@@ -49,18 +54,36 @@ class ConfigError(Exception):
     """Invalid run configuration (maps to exit code 2)."""
 
 
-_MODEL_KEYS = {"kind", "M", "N", "t", "eta", "phi", "phi_over_pi"}
-_COMMON_KEYS = {"command", "convention", "out"}
-
-ALLOWED_KEYS = {
-    "spectrum": _COMMON_KEYS | _MODEL_KEYS | {"lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
-    "sweep": _COMMON_KEYS | _MODEL_KEYS | {"eta_min", "eta_max", "steps", "dump_blocks"},
-    "scaling": _COMMON_KEYS | {"M", "t", "phi", "phi_over_pi", "n_list", "steps"},
-    "fidelity": _COMMON_KEYS
-    | {"lam", "N", "t", "phi", "phi_over_pi", "eta_center", "delta_min", "delta_max", "delta_steps"},
-    "square": _COMMON_KEYS | {"M", "t", "phi", "phi_over_pi", "n_list", "eta_min", "eta_max", "steps"},
-    "validate": _COMMON_KEYS | {"tolerances"},
-}
+# The option table: config key, argparse settings (None: config file only),
+# help text, and the commands that accept the key. Every command parses every
+# flag; parse_config rejects a key that its command does not accept.
+_MODEL = ("spectrum", "sweep")
+_FLUX = ("spectrum", "sweep", "scaling", "fidelity", "square")
+_GRID = ("spectrum", "sweep", "square")
+OPTIONS = (
+    ("out", {}, "output directory (default: current directory)", COMMANDS),
+    ("kind", {"choices": KINDS}, "lattice kind", _MODEL),
+    ("M", {"type": int}, "number of rows", ("spectrum", "sweep", "scaling", "square")),
+    ("N", {"type": int}, "ring length", ("spectrum", "sweep", "fidelity")),
+    ("t", {"type": float}, "hopping energy unit", _FLUX),
+    ("eta", {"type": float}, "boundary coupling", _MODEL),
+    ("phi", {"type": float}, "flux phase in radians", _FLUX),
+    ("phi_over_pi", {"type": float}, "flux phase as a fraction of pi", _FLUX),
+    ("eta_min", {"type": float}, "sweep grid start", _GRID),
+    ("eta_max", {"type": float}, "sweep grid end", _GRID),
+    ("steps", {"type": int}, "number of grid steps", ("spectrum", "sweep", "scaling", "square")),
+    ("convention", {"choices": CONVENTIONS}, "corner exponent convention", COMMANDS),
+    ("lam", {"type": float}, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
+    ("mode", {"type": int}, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
+    ("n_list", {}, "comma-separated ring lengths", ("scaling", "square")),
+    ("eta_center", {"type": float}, "fidelity center eta", ("fidelity",)),
+    ("delta_min", {"type": float}, "smallest delta", ("fidelity",)),
+    ("delta_max", {"type": float}, "largest delta", ("fidelity",)),
+    ("delta_steps", {"type": int}, "number of delta points", ("fidelity",)),
+    ("dump_blocks", {"action": "store_const", "const": True}, "also write blocks.csv with all momentum blocks",
+     _MODEL),
+    ("tolerances", None, "check name -> tolerance overrides", ("validate",)),
+)
 
 
 @dataclass(frozen=True)
@@ -88,11 +111,7 @@ def parse_config(command: str, file_data: dict | None = None, overrides: dict | 
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    merged: dict = {}
-    if file_data:
-        if not isinstance(file_data, dict):
-            raise ConfigError("config file must contain a JSON object")
-        merged.update(file_data)
+    merged = dict(file_data or {})
     if overrides:
         if ("phi" in overrides or "phi_over_pi" in overrides):
             merged.pop("phi", None)
@@ -102,8 +121,7 @@ def parse_config(command: str, file_data: dict | None = None, overrides: dict | 
         if merged["command"] != command:
             raise ConfigError(f"config file is for command {merged['command']!r}, not {command!r}")
         del merged["command"]
-    allowed = ALLOWED_KEYS[command]
-    unknown = set(merged) - allowed
+    unknown = set(merged) - {key for key, _, _, commands in OPTIONS if command in commands}
     if unknown:
         raise ConfigError(f"keys not used by command {command!r}: {sorted(unknown)}")
     if "phi" in merged and "phi_over_pi" in merged:
@@ -112,11 +130,6 @@ def parse_config(command: str, file_data: dict | None = None, overrides: dict | 
     if convention not in CONVENTIONS:
         raise ConfigError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return RunConfig(command, merged)
-
-
-def serialize_config(config: RunConfig) -> dict:
-    """Inverse of parse_config for round-trip checks."""
-    return config.to_json_dict()
 
 
 def _resolve_phi(config: RunConfig, default: float) -> float:
@@ -158,6 +171,20 @@ def _n_list_value(config: RunConfig, default: list[int]) -> list[int]:
     return list(value)
 
 
+def _steps_value(config: RunConfig, default: int) -> int:
+    steps = _int_value(config, "steps", default)
+    if steps < MIN_STEPS:
+        raise ConfigError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    return steps
+
+
+def _sweep_range(spec: ModelSpec, eta_min, eta_max, convention: str) -> tuple[float, float]:
+    try:
+        return sweep_range(spec, eta_min, eta_max, convention)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _out_path(config: RunConfig, filename: str) -> str:
     return os.path.join(config.get("out", "."), filename)
 
@@ -179,7 +206,7 @@ def _build_model(config: RunConfig, kind: str, M: int, N: int, eta: float, phi_d
 def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
     if config.get("dump_blocks"):
         path = _out_path(config, "blocks.csv")
-        atomic_write_text(path, blocks_to_csv(lattice_blocks(spec)))
+        atomic_write_text(path, blocks_to_csv(spec))
         print(f"wrote {path}")
 
 
@@ -189,7 +216,7 @@ def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
 
 def cmd_spectrum(config: RunConfig) -> int:
     kind = config.get("kind", "honeycomb")
-    if kind not in ("honeycomb", "square"):
+    if kind not in KINDS:
         raise ConfigError(f"unknown lattice kind {kind!r}")
     N = _int_value(config, "N", 20)
     t = _float_value(config, "t", 1.0)
@@ -205,10 +232,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         mode = _int_value(config, "mode", 0)
         if not 1 <= mode <= M:
             raise ConfigError(f"invalid mode index {mode} for M={M}")
-        if kind == "honeycomb":
-            lam = 2.0 * math.cos(math.pi * mode / M)
-        else:
-            lam = 2.0 * math.cos(2.0 * math.pi * mode / M)
+        lam = ring_lams(kind, M, [mode])[0]
     else:
         lam = _float_value(config, "lam", 0.5)
     eta_min = _float_value(config, "eta_min", 0.0)
@@ -237,16 +261,12 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
-    eta_min = config.get("eta_min")
-    eta_max = config.get("eta_max")
-    steps = config.get("steps")
-    result = sweep(
-        spec,
-        None if eta_min is None else float(eta_min),
-        None if eta_max is None else float(eta_max),
-        None if steps is None else int(steps),
-        config.get("convention", "cells"),
+    convention = config.get("convention", "cells")
+    eta_min, eta_max = (
+        _float_value(config, key, 0.0) if key in config.data else None for key in ("eta_min", "eta_max")
     )
+    lo, hi = _sweep_range(spec, eta_min, eta_max, convention)
+    result = sweep(spec, lo, hi, _steps_value(config, DEFAULT_STEPS), convention)
     path = _out_path(config, "sweep.csv")
     atomic_write_text(path, sweep_to_csv(result))
     print(f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}")
@@ -276,7 +296,7 @@ def cmd_scaling(config: RunConfig) -> int:
         phi=phi,
         t=_float_value(config, "t", 1.0),
         n_list=n_list,
-        steps=_int_value(config, "steps", 128),
+        steps=_steps_value(config, 128),
         convention=config.get("convention", "cells"),
     )
     path = _out_path(config, "scaling.json")
@@ -321,26 +341,26 @@ def cmd_square(config: RunConfig) -> int:
     M = _int_value(config, "M", 3)
     t = _float_value(config, "t", 1.0)
     phi = _resolve_phi(config, math.pi / 4)
-    n_values = _n_list_value(config, [8, 16, 32])
-    eta_min = _float_value(config, "eta_min", 0.0)
-    eta_max = _float_value(config, "eta_max", 1.0)
-    steps = _int_value(config, "steps", 128)
+    n_sorted = sorted(set(_n_list_value(config, [8, 16, 32])))
+    steps = _steps_value(config, 128)
     convention = config.get("convention", "cells")
+    try:
+        specs = [ModelSpec("square", M, n, t, 0.0, phi) for n in n_sorted]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    eta_min, eta_max = _sweep_range(
+        specs[0], _float_value(config, "eta_min", 0.0), _float_value(config, "eta_max", 1.0), convention
+    )
 
     peaks = []
     flags = {}
-    for n in sorted(set(n_values)):
-        try:
-            spec = ModelSpec("square", M, n, t, 0.0, phi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    for spec in specs:
         result = sweep(spec, eta_min, eta_max, steps, convention)
         peaks.append(abs(result.peak))
-        flags[str(n)] = list(result.flags)
-        path = _out_path(config, f"sweep_square_N{n}.csv")
+        flags[str(spec.N)] = list(result.flags)
+        path = _out_path(config, f"sweep_square_N{spec.N}.csv")
         atomic_write_text(path, sweep_to_csv(result))
         print(f"wrote {path}")
-    n_sorted = sorted(set(n_values))
     ratio = max(peaks) / min(peaks) if min(peaks) > 0 else None
     report = {
         "m": M,
@@ -411,58 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=descriptions[name])
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output directory (default: current directory)")
-        p.add_argument("--kind", choices=["honeycomb", "square"], help="lattice kind")
-        p.add_argument("--M", type=int, dest="M", help="number of rows")
-        p.add_argument("--N", type=int, dest="N", help="ring length")
-        p.add_argument("--t", type=float, help="hopping energy unit")
-        p.add_argument("--eta", type=float, help="boundary coupling")
-        p.add_argument("--phi", type=float, help="flux phase in radians")
-        p.add_argument("--phi-over-pi", type=float, dest="phi_over_pi", help="flux phase as a fraction of pi")
-        p.add_argument("--eta-min", type=float, dest="eta_min", help="sweep grid start")
-        p.add_argument("--eta-max", type=float, dest="eta_max", help="sweep grid end")
-        p.add_argument("--steps", type=int, help="number of grid steps")
-        p.add_argument("--convention", choices=list(CONVENTIONS), help="corner exponent convention")
-        p.add_argument("--lam", type=float, help="ring coupling lambda (block selection)")
-        p.add_argument("--mode", type=int, help="momentum mode index m (block selection, needs --M)")
-        p.add_argument("--n-list", dest="n_list", help="comma-separated ring lengths")
-        p.add_argument("--eta-center", type=float, dest="eta_center", help="fidelity center eta")
-        p.add_argument("--delta-min", type=float, dest="delta_min", help="smallest delta")
-        p.add_argument("--delta-max", type=float, dest="delta_max", help="largest delta")
-        p.add_argument("--delta-steps", type=int, dest="delta_steps", help="number of delta points")
-        p.add_argument(
-            "--dump-blocks",
-            action="store_const",
-            const=True,
-            default=None,
-            dest="dump_blocks",
-            help="also write blocks.csv with all momentum blocks",
-        )
+        for key, settings, help_text, _ in OPTIONS:
+            if settings is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
     return parser
-
-
-_FLAG_KEYS = (
-    "out",
-    "kind",
-    "M",
-    "N",
-    "t",
-    "eta",
-    "phi",
-    "phi_over_pi",
-    "eta_min",
-    "eta_max",
-    "steps",
-    "convention",
-    "lam",
-    "mode",
-    "n_list",
-    "eta_center",
-    "delta_min",
-    "delta_max",
-    "delta_steps",
-    "dump_blocks",
-)
 
 
 def main(argv=None) -> int:
@@ -478,7 +450,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        overrides = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None}
+            if not isinstance(file_data, dict):
+                raise ConfigError("config file must contain a JSON object")
+        overrides = {key: getattr(args, key) for key, *_ in OPTIONS if getattr(args, key, None) is not None}
         config = parse_config(args.command, file_data, overrides)
         return _RUNNERS[args.command](config)
     except ConfigError as exc:

@@ -11,7 +11,10 @@ midgap fidelity from exact eigenvectors.
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
 property, validated to 1e-10*t); `ground_energy_exact` itself
-diagonalizes the full lattice.
+diagonalizes the full lattice. Every ring coupling comes from
+`blocks.ring_lams` and every stack of rings from `blocks.ring_stack`.
+`sweep_range` holds the rule for a sweep's eta range, so the CLI can
+reject an empty range before any work starts.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import critical_modes, peierls_ring, ring_stack, square_ring
+from .blocks import critical_modes, peierls_ring, ring_lams, ring_stack, square_ring
 from .models import ModelSpec, build_lattice
 from .output import csv_text
 from .ssh import (
@@ -164,21 +167,13 @@ class FidelityCurve:
 # ground-state energy
 
 
-def _ring_lams(spec: ModelSpec, modes=None) -> list[float]:
-    """Ring couplings of `modes` (default: all, m = 1..M ascending)."""
-    modes = range(1, spec.M + 1) if modes is None else modes
-    if spec.kind == "honeycomb":
-        return [2.0 * math.cos(math.pi * m / spec.M) for m in modes]
-    return [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in modes]
-
-
 def _ground_energies(spec: ModelSpec, etas) -> np.ndarray:
     """E_g at each eta: each block's negative levels summed, then the blocks
     added in ascending mode order; one eigvalsh call per ring_stack chunk.
 
     Sweeps take only the eta = 0 term from here; the dense sums at other
     etas are the oracle of the spectral-shift engine."""
-    lams = _ring_lams(spec)
+    lams = ring_lams(spec.kind, spec.M)
     sums = []
     # map drops each chunk once it is solved, so one chunk is alive at a time
     for evals in map(np.linalg.eigvalsh, ring_stack(spec.kind, lams, spec.N, etas, spec.phi, spec.t)):
@@ -213,7 +208,7 @@ def ground_energy_exact(spec: ModelSpec) -> GroundStateResult:
     occupied = int(np.count_nonzero(evals < 0.0))
     e_m = 0.0
     if spec.kind == "honeycomb":
-        for lam in _ring_lams(spec, critical_modes(spec.M)):
+        for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
             block_evals = np.linalg.eigvalsh(peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t))
             e_m += float(block_evals[spec.N // 2 - 1])
     return GroundStateResult(e_g=e_g, e_m=e_m, e_b=e_g - e_m, occupied_count=occupied, method="exact")
@@ -229,7 +224,7 @@ def ground_energy_perturbative(spec: ModelSpec, convention: str = "cells") -> Gr
     """
     if spec.kind != "honeycomb":
         raise ValueError("the perturbative-midgap split is defined for honeycomb specs only")
-    lams = _ring_lams(spec, critical_modes(spec.M))
+    lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
     e_g0 = float(_ground_energies(spec, [0.0])[0])
     e_m0 = 0.0
     for lam in lams:
@@ -272,7 +267,7 @@ def _d2_terms(spec: ModelSpec, convention: str, modes: list[int] | None = None) 
     if spec.kind != "honeycomb":
         raise ValueError("analytic curvature is defined for honeycomb specs only")
     terms = []
-    for lam in _ring_lams(spec, critical_modes(spec.M) if modes is None else modes):
+    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M) if modes is None else modes):
         c = corner_coupling(lam, spec.N, convention)
         if c != 0.0:
             terms.append((c, omega_factor(lam, spec.N, convention)))
@@ -353,7 +348,7 @@ def _shift_table(spec: ModelSpec, eta_max: float):
     t, cos_phi, s2 = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2
     build = peierls_ring if spec.kind == "honeycomb" else square_ring
     modes = []
-    for lam in _ring_lams(spec):
+    for lam in ring_lams(spec.kind, spec.M):
         g11, gnn, g1n = _boundary_green(build(lam, spec.N, 0.0, spec.phi, t), 1j * y)
         a = 2.0 * t * cos_phi * g1n
         b = t * t * (g1n * g1n - g11 * gnn)
@@ -440,6 +435,26 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int 
     return 0.5 * (a + b)
 
 
+def sweep_range(
+    spec: ModelSpec, eta_min: float | None = None, eta_max: float | None = None, convention: str = "cells"
+) -> tuple[float, float]:
+    """The eta range [lo, hi] a sweep covers; ValueError unless 0 <= lo < hi.
+
+    A bound left as None takes its default: lo = 0 and hi = 3*max_k c_k*cos(phi)
+    clipped to [0, 1] on the honeycomb lattice (1 when that is empty or
+    on the square lattice)."""
+    lo = 0.0 if eta_min is None else float(eta_min)
+    if eta_max is not None:
+        hi = float(eta_max)
+    else:
+        terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
+        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi) if terms else 1.0
+        hi = min(hi, 1.0) if hi > 0.0 else 1.0
+    if not (hi > lo >= 0.0):
+        raise ValueError(f"need 0 <= eta_min < eta_max, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def sweep(
     spec: ModelSpec,
     eta_min: float | None = None,
@@ -449,9 +464,8 @@ def sweep(
 ) -> SweepResult:
     """Sweep E_g over a uniform eta grid and locate the curvature peak.
 
-    The default range is [0, 3*max_k c_k*cos(phi)] clipped to [0, 1]
-    (falling back to [0, 1] when that is empty), with `steps` + 1 grid
-    points. The peak is the interior grid argmax of |d2_numeric|,
+    The range is `sweep_range(spec, eta_min, eta_max, convention)`, with
+    `steps` + 1 grid points. The peak is the interior grid argmax of |d2_numeric|,
     refined by a 3-point parabola; the reported peak value is a
     Richardson extrapolation over steps h and h/2 at the refined point.
     An argmax on the first or last interior point is flagged
@@ -475,17 +489,8 @@ def sweep(
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    lo, hi = sweep_range(spec, eta_min, eta_max, convention)
     terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
-    lo, hi = 0.0, 1.0
-    if terms:
-        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi)
-        hi = min(hi, 1.0) if hi > 0.0 else 1.0
-    if eta_min is not None:
-        lo = float(eta_min)
-    if eta_max is not None:
-        hi = float(eta_max)
-    if not (hi > lo >= 0.0):
-        raise ValueError(f"need 0 <= eta_min < eta_max, got [{lo}, {hi}]")
 
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps

@@ -1,112 +1,22 @@
-"""Dense Hermitian eigendecomposition and closed-form ring spectra.
-
-`eigh` wraps LAPACK's Hermitian solver (via numpy) behind the contract
-used everywhere else: validated Hermitian input, ascending eigenvalues,
-orthonormal column eigenvectors, and a deterministic failure report
-carrying a fingerprint of the offending matrix.
+"""Closed-form spectra of the uniform square ring.
 
 `square_ring_closed_form` evaluates the analytic spectra of the uniform
 ring at the two boundary endpoints eta = 1 (plane waves picking up the
-flux phase) and eta = 0 (open-chain standing waves).
+flux phase) and eta = 0 (open-chain standing waves); the validate suite
+and the acceptance tests hold dense solves of `blocks.square_ring`
+against them. Every dense solve in the package calls NumPy's
+`eigvalsh`/`eigh` directly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlochBlock
-from .models import HermitianOperator
-from .output import fmt_float
 
-MAX_DIM = 8192
-
-DEGENERACY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues and (optionally) matching column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        if self.eigenvectors is not None:
-            vecs = np.asarray(self.eigenvectors)
-            vecs.setflags(write=False)
-            object.__setattr__(self, "eigenvectors", vecs)
-
-    def to_csv(self) -> str:
-        lines = ["index,eigenvalue"]
-        for i, ev in enumerate(self.eigenvalues):
-            lines.append(f"{i},{fmt_float(ev)}")
-        return "\n".join(lines) + "\n"
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, HermitianOperator):
-        return op.entries
-    if isinstance(op, BlochBlock):
-        return op.matrix
-    return np.asarray(op)
-
-
-def matrix_fingerprint(matrix: np.ndarray) -> str:
-    """Short stable hash of a matrix's bytes, for failure diagnostics."""
-    data = np.ascontiguousarray(matrix)
-    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
-
-
-def eigh(op, want_vectors: bool = False) -> Spectrum:
-    """Eigendecomposition of a Hermitian operator, block, or ndarray.
-
-    Parameters
-    ----------
-    op : HermitianOperator, BlochBlock, or array_like
-        The matrix to decompose. Must be Hermitian.
-    want_vectors : bool
-        When True, the returned Spectrum carries the orthonormal column
-        eigenvectors aligned with the ascending eigenvalues.
-
-    Raises
-    ------
-    ValueError
-        If the matrix is not square, exceeds the dimension bound, or is
-        not Hermitian.
-    RuntimeError
-        If the underlying solver fails to converge; the message carries
-        a fingerprint of the offending matrix.
-    """
-    A = _as_matrix(op)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"matrix dimension {n} exceeds the supported bound {MAX_DIM}")
-    scale = max(1.0, float(np.max(np.abs(A)))) if n else 1.0
-    defect = float(np.max(np.abs(A - A.conj().T))) if n else 0.0
-    if defect > 1e-12 * scale:
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}")
-    try:
-        if want_vectors:
-            evals, vecs = np.linalg.eigh(A)
-            return Spectrum(evals, vecs)
-        return Spectrum(np.linalg.eigvalsh(A))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigensolver failed to converge (matrix fingerprint {matrix_fingerprint(A)})"
-        ) from exc
-
-
-def square_ring_closed_form(N: int, phi: float, lam2k: float, eta, t: float = 1.0) -> Spectrum:
-    """Analytic spectrum of the uniform flux ring at eta = 0 or 1.
+def square_ring_closed_form(N: int, phi: float, lam2k: float, eta, t: float = 1.0) -> np.ndarray:
+    """Analytic spectrum of the uniform flux ring at eta = 0 or 1, sorted.
 
     eta = 1: eps_n = -2t*cos((2*pi*n + phi)/N) - lam2k*t, n = 1..N.
     eta = 0: eps_n = -2t*cos(pi*n/(N+1)) - lam2k*t, n = 1..N.
@@ -120,24 +30,4 @@ def square_ring_closed_form(N: int, phi: float, lam2k: float, eta, t: float = 1.
         evals = [-2.0 * t * math.cos(math.pi * n / (N + 1)) - lam2k * t for n in range(1, N + 1)]
     else:
         raise ValueError(f"closed forms exist only for eta in {{0, 1}}, got eta={eta!r}")
-    return Spectrum(np.sort(np.asarray(evals)))
-
-
-def degenerate_clusters(eigenvalues: np.ndarray, tol: float | None = None, t: float = 1.0) -> list[list[int]]:
-    """Group indices of eigenvalues lying within tol (default 1e-9*t) of
-    their neighbour; downstream code must treat vectors inside a cluster
-    as an arbitrary orthonormal basis of the degenerate subspace."""
-    if tol is None:
-        tol = DEGENERACY_TOL * t
-    ev = np.asarray(eigenvalues)
-    clusters: list[list[int]] = []
-    current = [0] if len(ev) else []
-    for i in range(1, len(ev)):
-        if ev[i] - ev[i - 1] <= tol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if current:
-        clusters.append(current)
-    return clusters
+    return np.sort(np.asarray(evals))

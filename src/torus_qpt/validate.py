@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .blocks import lattice_blocks, peierls_ring, square_ring, union_eigenvalues
+from .blocks import peierls_ring, square_ring, union_eigenvalues
 from .criticality import exact_midgap_gap, fidelity_exact, golden_section_min
 from .eigensolve import square_ring_closed_form
 from .models import ModelSpec, build_lattice
@@ -46,7 +46,7 @@ def _union_deviation(specs: list[ModelSpec]) -> float:
     worst = 0.0
     for spec in specs:
         full = np.linalg.eigvalsh(build_lattice(spec).entries)
-        union = union_eigenvalues(lattice_blocks(spec))
+        union = union_eigenvalues(spec)
         worst = max(worst, float(np.max(np.abs(full - union))) / spec.t)
     return worst
 
@@ -90,7 +90,7 @@ def check_square_closed_form(convention: str) -> float:
         for phi in (0.0, math.pi / 4, math.pi / 2):
             for lam2k in (-2.0, 0.0, 1.0):
                 for eta in (0, 1):
-                    closed = square_ring_closed_form(n, phi, lam2k, eta, 1.0).eigenvalues
+                    closed = square_ring_closed_form(n, phi, lam2k, eta, 1.0)
                     dense = np.linalg.eigvalsh(square_ring(lam2k, n, float(eta), phi, 1.0))
                     worst = max(worst, float(np.max(np.abs(closed - dense))))
     return worst

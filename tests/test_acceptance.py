@@ -21,7 +21,6 @@ from torus_qpt import (
     fidelity_exact,
     fidelity_perturbative,
     golden_section_min,
-    lattice_blocks,
     midgap_perturbation,
     omega_factor,
     peierls_ring,
@@ -51,7 +50,7 @@ def test_criterion_01_block_union_equivalence():
                     for phi in (0.0, PHI):
                         spec = ModelSpec(kind, M, N, 1.0, eta, phi)
                         full = np.linalg.eigvalsh(build_lattice(spec).entries)
-                        union = union_eigenvalues(lattice_blocks(spec))
+                        union = union_eigenvalues(spec)
                         worst = max(worst, float(np.max(np.abs(full - union))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -157,7 +156,7 @@ def test_criterion_05_square_closed_forms():
         for phi in (0.0, PHI, math.pi / 2):
             for lam2k in (-2.0, 0.0, 1.0):
                 for eta in (0, 1):
-                    analytic = square_ring_closed_form(N, phi, lam2k, eta).eigenvalues
+                    analytic = square_ring_closed_form(N, phi, lam2k, eta)
                     dense = np.linalg.eigvalsh(square_ring(lam2k, N, float(eta), phi))
                     worst = max(worst, float(np.max(np.abs(analytic - dense))))
     ok = worst <= 1e-10

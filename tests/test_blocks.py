@@ -10,12 +10,9 @@ from torus_qpt import (
     blocks_to_csv,
     build_lattice,
     critical_modes,
-    honeycomb_blocks,
-    in_critical_set,
-    lattice_blocks,
     peierls_ring,
+    ring_lams,
     ring_stack,
-    square_blocks,
     square_ring,
     union_eigenvalues,
 )
@@ -105,33 +102,17 @@ def test_ring_stack_drops_each_chunk_before_building_the_next():
 
 
 def test_honeycomb_block_lambdas():
-    spec = ModelSpec("honeycomb", 7, 8)
-    blocks = honeycomb_blocks(spec)
-    assert [b.mode for b in blocks] == list(range(1, 8))
-    lams = [2.0 * math.cos(math.pi * m / 7) for m in range(1, 8)]
-    assert [b.lam for b in blocks] == pytest.approx(lams)
-    assert blocks[2].lam == pytest.approx(LAM_3_7, abs=1e-15)
-    assert blocks[-1].lam == pytest.approx(-2.0)
-    assert all(b.k == pytest.approx(2 * math.pi * b.mode / 7) for b in blocks)
+    lams = ring_lams("honeycomb", 7)
+    assert lams == pytest.approx([2.0 * math.cos(math.pi * m / 7) for m in range(1, 8)])
+    assert lams[2] == pytest.approx(LAM_3_7, abs=1e-15)
+    assert lams[-1] == pytest.approx(-2.0)
+    assert ring_lams("honeycomb", 7, [3, 4]) == lams[2:4]
 
 
 def test_square_block_lambdas():
-    blocks = square_blocks(ModelSpec("square", 4, 4))
-    lams = [2.0 * math.cos(2 * math.pi * m / 4) for m in range(1, 5)]
-    assert [b.lam for b in blocks] == pytest.approx(lams)
-
-
-def test_block_dispatch_checks_kind():
-    with pytest.raises(ValueError):
-        honeycomb_blocks(ModelSpec("square", 3, 4))
-    with pytest.raises(ValueError):
-        square_blocks(ModelSpec("honeycomb", 3, 8))
-
-
-def test_block_matrix_read_only():
-    block = lattice_blocks(ModelSpec("honeycomb", 3, 8))[0]
-    with pytest.raises(ValueError):
-        block.matrix[0, 0] = 1.0
+    lams = ring_lams("square", 4)
+    assert lams == pytest.approx([2.0 * math.cos(2 * math.pi * m / 4) for m in range(1, 5)])
+    assert ring_lams("square", 4, [2]) == [lams[1]]
 
 
 @pytest.mark.parametrize("kind", ["honeycomb", "square"])
@@ -141,16 +122,8 @@ def test_block_union_matches_full_lattice(kind, M, eta, phi):
     N = 8 if kind == "honeycomb" else 6
     spec = ModelSpec(kind, M, N, t=1.0, eta=eta, phi=phi)
     full = np.linalg.eigvalsh(build_lattice(spec).entries)
-    union = union_eigenvalues(lattice_blocks(spec))
+    union = union_eigenvalues(spec)
     assert np.max(np.abs(full - union)) <= 1e-10
-
-
-def test_in_critical_set_strict():
-    assert not in_critical_set(2 * math.pi / 3)
-    assert not in_critical_set(4 * math.pi / 3)
-    assert in_critical_set(math.pi)
-    assert not in_critical_set(0.5)
-    assert in_critical_set(2 * math.pi / 3 + 1e-9)
 
 
 def test_critical_modes_m7():
@@ -180,12 +153,9 @@ def test_critical_modes_logs_edge_exclusion(caplog):
 
 def test_blocks_to_csv_shape():
     spec = ModelSpec("square", 2, 3, eta=1.0, phi=0.5)
-    text = blocks_to_csv(lattice_blocks(spec))
+    text = blocks_to_csv(spec)
     lines = text.strip().split("\n")
     assert len(lines) == 3  # header + 2 blocks
     assert lines[0].startswith("k,lambda,re_1_1,im_1_1")
     assert len(lines[0].split(",")) == 2 + 2 * 9
 
-
-def test_blocks_to_csv_empty():
-    assert blocks_to_csv([]) == "k,lambda\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torus_qpt import peierls_ring, square_ring
-from torus_qpt.cli import ConfigError, main, parse_config, serialize_config
+from torus_qpt.cli import COMMANDS, ConfigError, build_parser, main, parse_config
 from torus_qpt.output import atomic_write_text, csv_text, fmt_float, json_text
 
 
@@ -88,7 +88,7 @@ def test_parse_config_rejects_bad_convention():
 
 def test_serialize_config_round_trip():
     cfg = parse_config("scaling", {"M": 7, "n_list": [8, 12]}, {"steps": 96})
-    data = serialize_config(cfg)
+    data = cfg.to_json_dict()
     assert data["command"] == "scaling"
     again = parse_config(data.pop("command"), data, None)
     assert again == cfg
@@ -273,6 +273,107 @@ def test_validate_tolerance_override(tmp_path):
 def test_unknown_flag_for_command(tmp_path, capsys):
     assert run_cli(["validate", "--M", "7", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+# The config keys each command accepted when the CLI kept one key set per
+# command; the option table must reproduce them exactly.
+ACCEPTED_KEYS = {
+    "spectrum": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+                 "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
+    "sweep": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+              "eta_min", "eta_max", "steps", "dump_blocks"},
+    "scaling": {"command", "convention", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
+    "fidelity": {"command", "convention", "out", "lam", "N", "t", "phi", "phi_over_pi", "eta_center",
+                 "delta_min", "delta_max", "delta_steps"},
+    "square": {"command", "convention", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
+               "eta_max", "steps"},
+    "validate": {"command", "convention", "out", "tolerances"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_accepted_config_keys_per_command(command):
+    accepted = set()
+    for key in sorted(set().union(*ACCEPTED_KEYS.values()) | {"config", "bogus"}):
+        value = {"command": command, "convention": "cells"}.get(key, 1)
+        try:
+            parse_config(command, {key: value})
+        except ConfigError as exc:
+            assert "keys not used" in str(exc), (key, str(exc))
+        else:
+            accepted.add(key)
+    assert accepted == ACCEPTED_KEYS[command]
+
+
+def test_every_command_parses_every_flag():
+    flags = ["--config", "c.json", "--out", "o", "--kind", "square", "--M", "3", "--N", "4", "--t", "2",
+             "--eta", "0.5", "--phi", "0.1", "--phi-over-pi", "0.25", "--eta-min", "0", "--eta-max", "1",
+             "--steps", "64", "--convention", "sites", "--lam", "0.5", "--mode", "1", "--n-list", "8,12",
+             "--eta-center", "0.2", "--delta-min", "0.1", "--delta-max", "1", "--delta-steps", "3",
+             "--dump-blocks"]
+    parser = build_parser()
+    for command in COMMANDS:
+        args = vars(parser.parse_args([command] + flags))
+        assert args == {
+            "command": command, "config": "c.json", "out": "o", "kind": "square", "M": 3, "N": 4, "t": 2.0,
+            "eta": 0.5, "phi": 0.1, "phi_over_pi": 0.25, "eta_min": 0.0, "eta_max": 1.0, "steps": 64,
+            "convention": "sites", "lam": 0.5, "mode": 1, "n_list": "8,12", "eta_center": 0.2,
+            "delta_min": 0.1, "delta_max": 1.0, "delta_steps": 3, "dump_blocks": True,
+        }
+
+
+@pytest.mark.parametrize("payload", ["[]", "null", "0", '""', "[1, 2]"])
+def test_config_file_must_be_an_object(tmp_path, capsys, payload):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(payload)
+    assert run_cli(["fidelity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config file must contain a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "fidelity.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--steps", "10"],
+        ["scaling", "--steps", "10"],
+        ["square", "--steps", "63"],
+        ["sweep", "--eta-min", "2", "--eta-max", "1"],
+        ["sweep", "--eta-min", "0.5", "--eta-max", "0.5"],
+        ["sweep", "--eta-min", "2"],
+        ["sweep", "--eta-min", "-0.5"],
+        ["square", "--eta-min", "1", "--eta-max", "0"],
+    ],
+)
+def test_sweep_grid_errors_are_config_errors(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _parse_blocks_csv(path):
+    lines = path.read_text().strip().split("\n")
+    return lines[0].split(","), np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+@pytest.mark.parametrize(
+    "kind,M,N,eta,phi", [("honeycomb", 7, 8, 0.0, math.pi / 4), ("square", 4, 3, 1.0, 0.5)]
+)
+def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
+    argv = ["sweep", "--kind", kind, "--M", str(M), "--N", str(N), "--eta", repr(eta), "--phi", repr(phi)]
+    assert run_cli(argv + ["--steps", "64", "--dump-blocks", "--out", str(tmp_path)]) == 0
+    header, table = _parse_blocks_csv(tmp_path / "blocks.csv")
+    assert header[:4] == ["k", "lambda", "re_1_1", "im_1_1"] and header[-1] == f"im_{N}_{N}"
+    assert table.shape == (M, 2 + 2 * N * N)
+    for m, row in enumerate(table, start=1):
+        if kind == "honeycomb":
+            lam = 2.0 * math.cos(math.pi * m / M)
+            ring = peierls_ring(lam, N, eta, phi)
+        else:
+            lam = 2.0 * math.cos(2.0 * math.pi * m / M)
+            ring = square_ring(lam, N, eta, phi)
+        want = np.array([2.0 * math.pi * m / M, lam, *np.stack([ring.real, ring.imag], axis=-1).ravel()])
+        assert np.array_equal(row, want), m
+        assert np.array_equal(np.signbit(row), np.signbit(want)), m
 
 
 def _central_levels(path, n):

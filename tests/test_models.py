@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torus_qpt import (
-    HermitianOperator,
-    ModelSpec,
-    build_honeycomb_torus,
-    build_lattice,
-    build_square_torus,
-    site_basis,
-)
+from torus_qpt import HermitianOperator, ModelSpec, build_lattice
 
 
 def test_spec_defaults_and_dim():
@@ -40,45 +33,10 @@ def test_spec_rejects_bad_parameters(kwargs):
         ModelSpec(**kwargs)
 
 
-def test_spec_phi_reduced():
-    spec = ModelSpec("square", 2, 2, phi=-math.pi / 2)
-    assert math.isclose(spec.phi_reduced, 3 * math.pi / 2)
-
-
-def test_spec_json_round_trip():
-    spec = ModelSpec("honeycomb", 5, 12, t=2.0, eta=0.3, phi=0.7)
-    again = ModelSpec.from_json_dict(spec.to_json_dict())
-    assert again == spec
-
-
-def test_spec_from_json_phi_over_pi():
-    spec = ModelSpec.from_json_dict({"kind": "square", "M": 3, "N": 4, "phi_over_pi": 0.25})
-    assert math.isclose(spec.phi, math.pi / 4)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"kind": "square", "M": 3, "N": 4},
-        {"kind": "square", "M": 3, "N": 4, "phi": 0.1, "phi_over_pi": 0.5},
-        {"kind": "square", "M": 3, "N": 4, "phi": 0.1, "bogus": 1},
-        {"kind": "square", "M": 3, "phi": 0.1},
-    ],
-)
-def test_spec_from_json_rejects(data):
-    with pytest.raises(ValueError):
-        ModelSpec.from_json_dict(data)
-
-
-def test_site_basis_row_major():
-    basis = site_basis(2, 3)
-    assert basis == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
-
-
 def test_operator_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
-        HermitianOperator(2, bad, ((1, 1), (1, 2)))
+        HermitianOperator(2, bad)
 
 
 def test_operator_entries_read_only():
@@ -86,13 +44,6 @@ def test_operator_entries_read_only():
     op = build_lattice(spec)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 1.0
-
-
-def test_builders_check_kind():
-    with pytest.raises(ValueError):
-        build_honeycomb_torus(ModelSpec("square", 3, 4))
-    with pytest.raises(ValueError):
-        build_square_torus(ModelSpec("honeycomb", 3, 8))
 
 
 def test_honeycomb_bond_pattern():
