@@ -1,22 +1,23 @@
 """Command-line surface: configuration, dispatch, and file emission.
 
-Commands
---------
-spectrum  Band levels of one momentum block over an eta grid -> spectrum.csv
-sweep     Ground-state curvature sweep -> sweep.csv
-scaling   Finite-size scaling fits -> scaling.json
-fidelity  Midgap fidelity curve -> fidelity.csv
-square    Square-lattice flatness report -> square_report.json + per-N CSVs
-validate  Self-check suite -> validate.json, exit 1 on any failure
+`torus-qpt --help` lists the commands and the files each writes
+(build_parser's descriptions). Configuration comes from an optional JSON
+file (--config) plus flags that mirror the JSON keys one-to-one and take
+precedence over the file. OPTIONS lists every key once, with its
+converter, its flag settings and the commands that accept it. The
+converter is the only place a value is typed and checked: argparse uses
+it as the flag's type, parse_config applies it to every merged value,
+and a command reads typed values with config.get(key, default). Outputs
+are written atomically into --out (default: current directory) with
+fixed float formatting, so identical configurations produce
+byte-identical files.
 
-Configuration comes from an optional JSON file (--config) plus flags
-that mirror the JSON keys one-to-one and take precedence over the file.
-OPTIONS lists every key once, with its flag settings and the commands
-that accept it. Outputs are written atomically into --out (default:
-current directory) with fixed float formatting, so identical
-configurations produce byte-identical files. Exit codes: 0 success,
-1 check/computation failure, 2 configuration error (including a sweep
-grid with fewer than criticality.MIN_STEPS steps or an empty eta range).
+Exit codes: 0 success. 2 the input was rejected before any work: any
+ValueError, ConfigError included, from a converter (a non-integral
+count, NaN or +-inf, an unknown choice) or from the library's own
+domain checks (ModelSpec, sweep's grid, scaling_scan's ring lengths).
+1 a computation or check failed: RuntimeError, LinAlgError, or a
+failing validate check.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ import numpy as np
 from .blocks import blocks_to_csv, ring_lams, ring_stack
 from .criticality import (
     DEFAULT_STEPS,
-    MIN_STEPS,
     fidelity_exact,
     fidelity_to_csv,
     scaling_scan,
     scaling_to_json_dict,
     sweep,
-    sweep_range,
     sweep_to_csv,
 )
 from .models import KINDS, ModelSpec
@@ -50,45 +49,110 @@ from .validate import run_validation
 COMMANDS = ("spectrum", "sweep", "scaling", "fidelity", "square", "validate")
 
 
-class ConfigError(Exception):
-    """Invalid run configuration (maps to exit code 2)."""
+class ConfigError(ValueError):
+    """Invalid run configuration (maps to exit code 2, like every ValueError)."""
 
 
-# The option table: config key, argparse settings (None: config file only),
+# Converters: each types and checks one key's value, from a flag's text
+# (argparse calls it with the text alone) or a config file's JSON value, and
+# returns an already-converted value unchanged.
+
+
+def integer(value, key: str = "value") -> int:
+    if isinstance(value, str):
+        digits = value.strip().lstrip("+-")
+        if digits.isdecimal() and len(value.strip()) - len(digits) <= 1:
+            return int(value)
+    elif isinstance(value, float) and value.is_integer() or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+
+
+def number(value, key: str = "value") -> float:
+    try:
+        x = math.nan if isinstance(value, bool) or not isinstance(value, (int, float, str)) else float(value)
+    except (ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return x
+
+
+def _one_of(name: str, choices: tuple[str, ...]):
+    def convert(value, key: str = name) -> str:
+        if value not in choices:
+            raise ConfigError(f"{key!r} must be one of {choices}, got {value!r}")
+        return value
+
+    convert.__name__ = name  # argparse names the converter in its error message
+    return convert
+
+
+def _instance_of(cls: type, what: str):
+    def convert(value, key: str = "value"):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+def ring_lengths(value, key: str = "value") -> list[int]:
+    """A comma-separated list ("8,12,") or a JSON list of integers, not empty."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty list of integers, got {value!r}")
+    return [integer(n, key) for n in value]
+
+
+def tolerances(value, key: str = "value") -> dict:
+    """Check name -> finite tolerance; run_validation rejects unknown names."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must map check names to numbers, got {value!r}")
+    return {name: number(tol, f"{key}.{name}") for name, tol in value.items()}
+
+
+# The option table: config key, converter, flag (None: config file only;
+# True: argparse converts with the converter; otherwise the argparse settings),
 # help text, and the commands that accept the key. Every command parses every
-# flag; parse_config rejects a key that its command does not accept.
+# flag; parse_config rejects a key that its command does not accept and
+# converts every value it keeps.
 _MODEL = ("spectrum", "sweep")
 _FLUX = ("spectrum", "sweep", "scaling", "fidelity", "square")
 _GRID = ("spectrum", "sweep", "square")
+_STEPS = ("spectrum", "sweep", "scaling", "square")
 OPTIONS = (
-    ("out", {}, "output directory (default: current directory)", COMMANDS),
-    ("kind", {"choices": KINDS}, "lattice kind", _MODEL),
-    ("M", {"type": int}, "number of rows", ("spectrum", "sweep", "scaling", "square")),
-    ("N", {"type": int}, "ring length", ("spectrum", "sweep", "fidelity")),
-    ("t", {"type": float}, "hopping energy unit", _FLUX),
-    ("eta", {"type": float}, "boundary coupling", _MODEL),
-    ("phi", {"type": float}, "flux phase in radians", _FLUX),
-    ("phi_over_pi", {"type": float}, "flux phase as a fraction of pi", _FLUX),
-    ("eta_min", {"type": float}, "sweep grid start", _GRID),
-    ("eta_max", {"type": float}, "sweep grid end", _GRID),
-    ("steps", {"type": int}, "number of grid steps", ("spectrum", "sweep", "scaling", "square")),
-    ("convention", {"choices": CONVENTIONS}, "corner exponent convention", COMMANDS),
-    ("lam", {"type": float}, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
-    ("mode", {"type": int}, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
-    ("n_list", {}, "comma-separated ring lengths", ("scaling", "square")),
-    ("eta_center", {"type": float}, "fidelity center eta", ("fidelity",)),
-    ("delta_min", {"type": float}, "smallest delta", ("fidelity",)),
-    ("delta_max", {"type": float}, "largest delta", ("fidelity",)),
-    ("delta_steps", {"type": int}, "number of delta points", ("fidelity",)),
-    ("dump_blocks", {"action": "store_const", "const": True}, "also write blocks.csv with all momentum blocks",
-     _MODEL),
-    ("tolerances", None, "check name -> tolerance overrides", ("validate",)),
+    ("out", _instance_of(str, "a string"), True, "output directory (default: current directory)", COMMANDS),
+    ("kind", _one_of("kind", KINDS), True, f"lattice kind: {' or '.join(KINDS)}", _MODEL),
+    ("M", integer, True, "number of rows", _STEPS),
+    ("N", integer, True, "ring length", ("spectrum", "sweep", "fidelity")),
+    ("t", number, True, "hopping energy unit", _FLUX),
+    ("eta", number, True, "boundary coupling", _MODEL),
+    ("phi", number, True, "flux phase in radians", _FLUX),
+    ("phi_over_pi", number, True, "flux phase as a fraction of pi", _FLUX),
+    ("eta_min", number, True, "sweep grid start", _GRID),
+    ("eta_max", number, True, "sweep grid end", _GRID),
+    ("steps", integer, True, "number of grid steps", _STEPS),
+    ("convention", _one_of("convention", CONVENTIONS), True,
+     f"corner exponent convention: {' or '.join(CONVENTIONS)}", COMMANDS),
+    ("lam", number, True, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
+    ("mode", integer, True, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
+    ("n_list", ring_lengths, {}, "comma-separated ring lengths", ("scaling", "square")),
+    ("eta_center", number, True, "fidelity center eta", ("fidelity",)),
+    ("delta_min", number, True, "smallest delta", ("fidelity",)),
+    ("delta_max", number, True, "largest delta", ("fidelity",)),
+    ("delta_steps", integer, True, "number of delta points", ("fidelity",)),
+    ("dump_blocks", _instance_of(bool, "true or false"), {"action": "store_const", "const": True},
+     "also write blocks.csv with all momentum blocks", _MODEL),
+    ("tolerances", tolerances, None, "check name -> tolerance overrides", ("validate",)),
 )
+_CONVERTERS = {key: convert for key, convert, *_ in OPTIONS}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated run: the command plus its merged key-value block."""
+    """One validated run: the command plus its merged, converted key-value block."""
 
     command: str
     data: dict
@@ -103,11 +167,12 @@ class RunConfig:
 
 
 def parse_config(command: str, file_data: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge config-file values with flag overrides and validate keys.
+    """Merge config-file values with flag overrides, check keys, convert values.
 
     Flags win over file values. A flux given by flag (either 'phi' or
     'phi_over_pi') replaces any flux key from the file. Unknown keys,
-    a command mismatch, or both flux forms at once raise ConfigError.
+    a command mismatch, both flux forms at once, or a value its
+    converter rejects raise ConfigError.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -121,68 +186,18 @@ def parse_config(command: str, file_data: dict | None = None, overrides: dict | 
         if merged["command"] != command:
             raise ConfigError(f"config file is for command {merged['command']!r}, not {command!r}")
         del merged["command"]
-    unknown = set(merged) - {key for key, _, _, commands in OPTIONS if command in commands}
+    unknown = set(merged) - {key for key, *_, commands in OPTIONS if command in commands}
     if unknown:
         raise ConfigError(f"keys not used by command {command!r}: {sorted(unknown)}")
     if "phi" in merged and "phi_over_pi" in merged:
         raise ConfigError("provide exactly one of 'phi' and 'phi_over_pi'")
-    convention = merged.get("convention", "cells")
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return RunConfig(command, merged)
+    return RunConfig(command, {key: _CONVERTERS[key](value, key) for key, value in merged.items()})
 
 
 def _resolve_phi(config: RunConfig, default: float) -> float:
-    if "phi" in config.data:
-        return float(config.data["phi"])
     if "phi_over_pi" in config.data:
-        return float(config.data["phi_over_pi"]) * math.pi
-    return default
-
-
-def _int_value(config: RunConfig, key: str, default: int) -> int:
-    value = config.get(key, default)
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}") from None
-
-
-def _float_value(config: RunConfig, key: str, default: float) -> float:
-    value = config.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} must be a number, got {value!r}") from None
-
-
-def _n_list_value(config: RunConfig, default: list[int]) -> list[int]:
-    value = config.get("n_list", default)
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            value = [int(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"n_list must be a comma-separated integer list, got {value!r}") from None
-    if not isinstance(value, (list, tuple)) or not value or not all(isinstance(n, int) for n in value):
-        raise ConfigError(f"n_list must be a non-empty list of integers, got {value!r}")
-    return list(value)
-
-
-def _steps_value(config: RunConfig, default: int) -> int:
-    steps = _int_value(config, "steps", default)
-    if steps < MIN_STEPS:
-        raise ConfigError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    return steps
-
-
-def _sweep_range(spec: ModelSpec, eta_min, eta_max, convention: str) -> tuple[float, float]:
-    try:
-        return sweep_range(spec, eta_min, eta_max, convention)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return config.data["phi_over_pi"] * math.pi
+    return config.get("phi", default)
 
 
 def _out_path(config: RunConfig, filename: str) -> str:
@@ -190,17 +205,14 @@ def _out_path(config: RunConfig, filename: str) -> str:
 
 
 def _build_model(config: RunConfig, kind: str, M: int, N: int, eta: float, phi_default: float) -> ModelSpec:
-    try:
-        return ModelSpec(
-            kind=config.get("kind", kind),
-            M=_int_value(config, "M", M),
-            N=_int_value(config, "N", N),
-            t=_float_value(config, "t", 1.0),
-            eta=_float_value(config, "eta", eta),
-            phi=_resolve_phi(config, phi_default),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ModelSpec(
+        kind=config.get("kind", kind),
+        M=config.get("M", M),
+        N=config.get("N", N),
+        t=config.get("t", 1.0),
+        eta=config.get("eta", eta),
+        phi=_resolve_phi(config, phi_default),
+    )
 
 
 def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
@@ -216,57 +228,46 @@ def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
 
 def cmd_spectrum(config: RunConfig) -> int:
     kind = config.get("kind", "honeycomb")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown lattice kind {kind!r}")
-    N = _int_value(config, "N", 20)
-    t = _float_value(config, "t", 1.0)
+    N = config.get("N", 20)
     phi = _resolve_phi(config, 0.0)
-    has_lam = "lam" in config.data
-    has_mode = "mode" in config.data
-    if has_lam and has_mode:
+    if "lam" in config.data and "mode" in config.data:
         raise ConfigError("select the block via either 'lam' or 'mode', not both")
-    if has_mode:
-        M = _int_value(config, "M", 0)
+    if "mode" in config.data:
+        M, mode = config.get("M", 0), config.get("mode")
         if M < 1:
             raise ConfigError("'mode' selection needs 'M'")
-        mode = _int_value(config, "mode", 0)
         if not 1 <= mode <= M:
             raise ConfigError(f"invalid mode index {mode} for M={M}")
         lam = ring_lams(kind, M, [mode])[0]
     else:
-        lam = _float_value(config, "lam", 0.5)
-    eta_min = _float_value(config, "eta_min", 0.0)
-    eta_max = _float_value(config, "eta_max", 1.0)
-    steps = _int_value(config, "steps", 200)
+        lam = config.get("lam", 0.5)
+    eta_min, eta_max, steps = config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 200)
     if steps < 1 or not eta_max > eta_min:
         raise ConfigError("need steps >= 1 and eta_max > eta_min")
+    if config.get("dump_blocks") and "M" not in config.data:
+        raise ConfigError("'dump_blocks' needs a full model; provide 'M'")
+    spec = _build_model(config, kind, 0, N, 1.0, phi) if config.get("dump_blocks") else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
     rows = []
     # one eigvalsh call per chunk; map keeps no chunk alive once it is solved
-    for levels in map(np.linalg.eigvalsh, ring_stack(kind, [lam], N, grid, phi, t)):
+    for levels in map(np.linalg.eigvalsh, ring_stack(kind, [lam], N, grid, phi, config.get("t", 1.0))):
         rows.extend([float(eta)] + list(row) for eta, row in zip(grid[len(rows) :], levels))
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     path = _out_path(config, "spectrum.csv")
     atomic_write_text(path, csv_text(header, rows))
     print(f"spectrum: lambda={fmt_float(lam)} N={N} rows={steps + 1}")
     print(f"wrote {path}")
-    if config.get("dump_blocks"):
-        if "M" not in config.data:
-            raise ConfigError("'dump_blocks' needs a full model; provide 'M'")
-        spec = _build_model(config, kind, _int_value(config, "M", 0), N, 1.0, phi)
-        _maybe_dump_blocks(config, spec)
+    _maybe_dump_blocks(config, spec)
     return 0
 
 
 def cmd_sweep(config: RunConfig) -> int:
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
-    convention = config.get("convention", "cells")
-    eta_min, eta_max = (
-        _float_value(config, key, 0.0) if key in config.data else None for key in ("eta_min", "eta_max")
+    result = sweep(
+        spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS),
+        config.get("convention", "cells"),
     )
-    lo, hi = _sweep_range(spec, eta_min, eta_max, convention)
-    result = sweep(spec, lo, hi, _steps_value(config, DEFAULT_STEPS), convention)
     path = _out_path(config, "sweep.csv")
     atomic_write_text(path, sweep_to_csv(result))
     print(f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}")
@@ -281,22 +282,12 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_scaling(config: RunConfig) -> int:
-    M = _int_value(config, "M", 7)
-    phi = _resolve_phi(config, math.pi / 4)
-    n_list = _n_list_value(config, [8, 12, 16, 20, 24])
-    if M < 3:
-        raise ConfigError(f"need M >= 3, got {M}")
-    if math.sin(phi) == 0.0:
-        raise ConfigError("scaling needs sin(phi) != 0 (otherwise the transition is first order)")
-    bad = [n for n in n_list if n % 4 != 0 or n < 4]
-    if bad:
-        raise ConfigError(f"ring lengths must be positive multiples of 4, got {bad}")
     report = scaling_scan(
-        M=M,
-        phi=phi,
-        t=_float_value(config, "t", 1.0),
-        n_list=n_list,
-        steps=_steps_value(config, 128),
+        M=config.get("M", 7),
+        phi=_resolve_phi(config, math.pi / 4),
+        t=config.get("t", 1.0),
+        n_list=config.get("n_list", [8, 12, 16, 20, 24]),
+        steps=config.get("steps", 128),
         convention=config.get("convention", "cells"),
     )
     path = _out_path(config, "scaling.json")
@@ -310,26 +301,18 @@ def cmd_scaling(config: RunConfig) -> int:
 
 
 def cmd_fidelity(config: RunConfig) -> int:
-    lam = _float_value(config, "lam", 0.5)
-    N = _int_value(config, "N", 20)
-    t = _float_value(config, "t", 1.0)
-    phi = _resolve_phi(config, math.pi / 4)
+    lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
     convention = config.get("convention", "cells")
-    try:
-        c = corner_coupling(lam, N, convention)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    eta_center = _float_value(config, "eta_center", c * math.cos(phi))
-    need_defaults = "delta_min" not in config.data or "delta_max" not in config.data
-    if need_defaults and c == 0.0:
+    c = corner_coupling(lam, N, convention)
+    if c == 0.0 and not ("delta_min" in config.data and "delta_max" in config.data):
         raise ConfigError("lambda = 0 has no natural delta scale; give delta_min and delta_max")
-    delta_min = _float_value(config, "delta_min", abs(c) / 100.0)
-    delta_max = _float_value(config, "delta_max", 10.0 * abs(c))
-    delta_steps = _int_value(config, "delta_steps", 25)
+    delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
+    delta_steps = config.get("delta_steps", 25)
     if not (0.0 < delta_min < delta_max) or delta_steps < 2:
         raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
-    curve = fidelity_exact(lam, N, phi, t, eta_center, deltas, convention)
+    eta_center = config.get("eta_center", c * math.cos(phi))
+    curve = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas, convention)
     path = _out_path(config, "fidelity.csv")
     atomic_write_text(path, fidelity_to_csv(curve))
     print(f"fidelity: eta_center={fmt_float(curve.eta_center)} deltas={delta_steps}")
@@ -338,24 +321,17 @@ def cmd_fidelity(config: RunConfig) -> int:
 
 
 def cmd_square(config: RunConfig) -> int:
-    M = _int_value(config, "M", 3)
-    t = _float_value(config, "t", 1.0)
+    M = config.get("M", 3)
+    n_sorted = sorted(set(config.get("n_list", [8, 16, 32])))
     phi = _resolve_phi(config, math.pi / 4)
-    n_sorted = sorted(set(_n_list_value(config, [8, 16, 32])))
-    steps = _steps_value(config, 128)
-    convention = config.get("convention", "cells")
-    try:
-        specs = [ModelSpec("square", M, n, t, 0.0, phi) for n in n_sorted]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    eta_min, eta_max = _sweep_range(
-        specs[0], _float_value(config, "eta_min", 0.0), _float_value(config, "eta_max", 1.0), convention
-    )
+    specs = [ModelSpec("square", M, n, config.get("t", 1.0), 0.0, phi) for n in n_sorted]
+    # the first sweep checks the grid, shared by every N, before any file is written
+    grid = (config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 128))
 
     peaks = []
     flags = {}
     for spec in specs:
-        result = sweep(spec, eta_min, eta_max, steps, convention)
+        result = sweep(spec, *grid, config.get("convention", "cells"))
         peaks.append(abs(result.peak))
         flags[str(spec.N)] = list(result.flags)
         path = _out_path(config, f"sweep_square_N{spec.N}.csv")
@@ -379,13 +355,7 @@ def cmd_square(config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    tolerances = config.get("tolerances")
-    if tolerances is not None and not isinstance(tolerances, dict):
-        raise ConfigError("'tolerances' must be an object mapping check names to numbers")
-    try:
-        report = run_validation(config.get("convention", "cells"), tolerances)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = run_validation(config.get("convention", "cells"), config.get("tolerances"))
     path = _out_path(config, "validate.json")
     atomic_write_text(path, json_text(report))
     for entry in report["checks"]:
@@ -421,25 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     descriptions = {
-        "spectrum": "band levels of one momentum block over an eta grid",
-        "sweep": "ground-state curvature sweep over eta",
-        "scaling": "finite-size scaling fits of the curvature peak",
-        "fidelity": "midgap fidelity versus delta",
-        "square": "square-lattice flatness report",
-        "validate": "run the self-check suite",
+        "spectrum": "band levels of one momentum block over an eta grid -> spectrum.csv",
+        "sweep": "ground-state curvature sweep over eta -> sweep.csv",
+        "scaling": "finite-size scaling fits of the curvature peak -> scaling.json",
+        "fidelity": "midgap fidelity versus delta -> fidelity.csv",
+        "square": "square-lattice flatness report -> square_report.json and sweep_square_N*.csv",
+        "validate": "run the self-check suite -> validate.json; exit 1 on any failure",
     }
     for name in COMMANDS:
         p = sub.add_parser(name, help=descriptions[name])
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for key, settings, help_text, _ in OPTIONS:
-            if settings is not None:
+        for key, convert, flag, help_text, _ in OPTIONS:
+            if flag is not None:
+                settings = {"type": convert} if flag is True else flag
                 p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Exit 2 when the input is rejected (any ValueError,
+    ConfigError included, or an unreadable file), 1 when a computation or
+    check fails (RuntimeError, LinAlgError)."""
+    args = build_parser().parse_args(argv)
     try:
         file_data = None
         if args.config:
@@ -453,17 +426,13 @@ def main(argv=None) -> int:
             if not isinstance(file_data, dict):
                 raise ConfigError("config file must contain a JSON object")
         overrides = {key: getattr(args, key) for key, *_ in OPTIONS if getattr(args, key, None) is not None}
-        config = parse_config(args.command, file_data, overrides)
-        return _RUNNERS[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+        return _RUNNERS[args.command](parse_config(args.command, file_data, overrides))
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError: test it first
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

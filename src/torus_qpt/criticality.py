@@ -13,8 +13,6 @@ carry the same multiset spectrum as the full lattice (block-union
 property, validated to 1e-10*t); `ground_energy_exact` itself
 diagonalizes the full lattice. Every ring coupling comes from
 `blocks.ring_lams` and every stack of rings from `blocks.ring_stack`.
-`sweep_range` holds the rule for a sweep's eta range, so the CLI can
-reject an empty range before any work starts.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -435,26 +433,6 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int 
     return 0.5 * (a + b)
 
 
-def sweep_range(
-    spec: ModelSpec, eta_min: float | None = None, eta_max: float | None = None, convention: str = "cells"
-) -> tuple[float, float]:
-    """The eta range [lo, hi] a sweep covers; ValueError unless 0 <= lo < hi.
-
-    A bound left as None takes its default: lo = 0 and hi = 3*max_k c_k*cos(phi)
-    clipped to [0, 1] on the honeycomb lattice (1 when that is empty or
-    on the square lattice)."""
-    lo = 0.0 if eta_min is None else float(eta_min)
-    if eta_max is not None:
-        hi = float(eta_max)
-    else:
-        terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
-        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi) if terms else 1.0
-        hi = min(hi, 1.0) if hi > 0.0 else 1.0
-    if not (hi > lo >= 0.0):
-        raise ValueError(f"need 0 <= eta_min < eta_max, got [{lo}, {hi}]")
-    return lo, hi
-
-
 def sweep(
     spec: ModelSpec,
     eta_min: float | None = None,
@@ -464,16 +442,21 @@ def sweep(
 ) -> SweepResult:
     """Sweep E_g over a uniform eta grid and locate the curvature peak.
 
-    The range is `sweep_range(spec, eta_min, eta_max, convention)`, with
-    `steps` + 1 grid points. The peak is the interior grid argmax of |d2_numeric|,
-    refined by a 3-point parabola; the reported peak value is a
-    Richardson extrapolation over steps h and h/2 at the refined point.
-    An argmax on the first or last interior point is flagged
-    'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the
-    honeycomb lattice marks the sweep 'first-order-crossing' (the spike
-    is a level crossing, not a smooth peak) and also skips refinement.
-    When the analytic curve applies, its golden-section extremum is
-    reported alongside as (eta_m_analytic, peak_analytic).
+    The grid has `steps` + 1 points on [eta_min, eta_max]. A bound left as
+    None takes its default: eta_min = 0, and eta_max = 3*max_k c_k*cos(phi)
+    clipped to [0, 1] on the honeycomb lattice (1 when that is empty or on
+    the square lattice). ValueError, before any work, unless steps >=
+    MIN_STEPS and 0 <= eta_min < eta_max are finite.
+
+    The peak is the interior grid argmax of |d2_numeric|, refined by a
+    3-point parabola; the reported peak value is a Richardson
+    extrapolation over steps h and h/2 at the refined point. An argmax on
+    the first or last interior point is flagged 'peak-not-bracketed' and
+    left unrefined; sin(phi) = 0 on the honeycomb lattice marks the sweep
+    'first-order-crossing' (the spike is a level crossing, not a smooth
+    peak) and also skips refinement. When the analytic curve applies, its
+    golden-section extremum (to 1e-12 of the range) is reported alongside
+    as (eta_m_analytic, peak_analytic).
 
     After the peak is found, 'precision-floor' is added when the
     roundoff of the second differences, 16*eps*max|e_g|/h^2, exceeds 1% of
@@ -489,8 +472,15 @@ def sweep(
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    lo, hi = sweep_range(spec, eta_min, eta_max, convention)
     terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
+    lo = 0.0 if eta_min is None else float(eta_min)
+    if eta_max is not None:
+        hi = float(eta_max)
+    else:
+        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi) if terms else 1.0
+        hi = min(hi, 1.0) if hi > 0.0 else 1.0
+    if not (math.isfinite(hi) and hi > lo >= 0.0):
+        raise ValueError(f"need finite 0 <= eta_min < eta_max, got [{lo}, {hi}]")
 
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
@@ -534,7 +524,8 @@ def sweep(
 
     eta_m_analytic = peak_analytic = None
     if spec.kind == "honeycomb" and not first_order and critical_modes(spec.M):
-        eta_m_analytic = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=1e-12))
+        tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
+        eta_m_analytic = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=tol))
         peak_analytic = float(_d2_sum(spec, terms, eta_m_analytic))
 
     return SweepResult(
@@ -591,25 +582,25 @@ def scaling_scan(
     fits ln(eta_m) and ln|peak| against N by ordinary least squares.
     External reference constants are attached for comparison only; they
     are not a pass/fail gate.
+
+    ValueError rejects the input before any sweep: sin(phi) = 0, fewer
+    than two distinct ring lengths, or an (M, N) that ModelSpec rejects
+    (every spec is built first). RuntimeError reports a sweep whose
+    curvature peak is not bracketed by its grid (M = 11 at N = 8, say).
     """
-    if not isinstance(M, int) or M < 3:
-        raise ValueError(f"need integer M >= 3, got {M!r}")
     if math.sin(phi) == 0.0:
         raise ValueError("scaling scan needs sin(phi) != 0 (otherwise the transition is first order)")
     n_values = sorted(set(int(n) for n in n_list))
-    if not n_values:
-        raise ValueError("n_list must not be empty")
-    bad = [n for n in n_values if n % 4 != 0 or n < 4]
-    if bad:
-        raise ValueError(f"ring lengths must be positive multiples of 4, got {bad}")
+    if len(n_values) < 2:
+        raise ValueError(f"a scaling fit needs at least two distinct ring lengths, got {n_values}")
+    specs = [ModelSpec("honeycomb", M, n, t, 0.0, phi) for n in n_values]
 
     eta_ms = []
     peaks = []
-    for n in n_values:
-        spec = ModelSpec("honeycomb", M, n, t, 0.0, phi)
+    for spec in specs:
         result = sweep(spec, steps=steps, convention=convention)
         if "peak-not-bracketed" in result.flags:
-            raise ValueError(f"curvature peak not bracketed for N={n}; widen the eta range")
+            raise RuntimeError(f"curvature peak not bracketed for N={spec.N}; widen the eta range")
         eta_ms.append(result.eta_m)
         peaks.append(result.peak)
 
@@ -657,7 +648,7 @@ def fidelity_exact(
 
     The midgap doublet must be separated from the bands by at least 10x
     the avoided-crossing gap at eta_center; otherwise the upper midgap
-    vector is not a meaningful object and a ValueError reports the
+    vector is not a meaningful object and a RuntimeError reports the
     separation-to-gap ratio. When the doublet at either displaced point
     is degenerate within 1e-9*t, the overlap falls back to the principal
     angle between the two-dimensional midgap subspaces.
@@ -671,7 +662,7 @@ def fidelity_exact(
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
         ratio = band_sep / center.gap_min if center.gap_min > 0 else math.inf
-        raise ValueError(
+        raise RuntimeError(
             "midgap doublet not isolable from the bands: "
             f"separation {band_sep:.6g} < 10*gap_min {center.gap_min:.6g} "
             f"(separation/gap_min = {ratio:.3g})"

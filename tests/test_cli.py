@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from torus_qpt import peierls_ring, square_ring
-from torus_qpt.cli import COMMANDS, ConfigError, build_parser, main, parse_config
+from torus_qpt.cli import (
+    COMMANDS,
+    ConfigError,
+    build_parser,
+    integer,
+    main,
+    number,
+    parse_config,
+    ring_lengths,
+    tolerances,
+)
 from torus_qpt.output import atomic_write_text, csv_text, fmt_float, json_text
 
 
@@ -291,11 +301,16 @@ ACCEPTED_KEYS = {
 }
 
 
+# One value per key that its converter accepts (1 for every number and count).
+SAMPLE_VALUES = {"convention": "cells", "out": "o", "kind": "square", "n_list": [8, 12], "tolerances": {},
+                 "dump_blocks": True}
+
+
 @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
 def test_accepted_config_keys_per_command(command):
     accepted = set()
     for key in sorted(set().union(*ACCEPTED_KEYS.values()) | {"config", "bogus"}):
-        value = {"command": command, "convention": "cells"}.get(key, 1)
+        value = {"command": command, **SAMPLE_VALUES}.get(key, 1)
         try:
             parse_config(command, {key: value})
         except ConfigError as exc:
@@ -348,6 +363,109 @@ def test_sweep_grid_errors_are_config_errors(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# Every line exits 2 before any work: a converter rejects the value (argparse
+# for a flag, parse_config for a file key) or the library rejects the domain.
+REJECTED = [
+    ["sweep", "--eta-max", "inf"],
+    ["square", "--M", "3", "--n-list", "8", "--eta-max", "inf"],
+    ["spectrum", "--N", "3"],
+    ["spectrum", "--kind", "square", "--N", "1"],
+    ["spectrum", "--lam", "nan"],
+    ["spectrum", "--eta-max", "inf"],
+    ["fidelity", "--N", "3"],
+    ["fidelity", "--lam", "1.5"],
+    ["fidelity", "--delta-max", "inf"],
+    ["scaling", "--n-list", "8"],
+    ["spectrum", "--dump-blocks"],
+    ["spectrum", "--dump-blocks", "--M", "2"],
+    ["sweep", "--config", "{\"M\": 7.5}"],
+    ["sweep", "--config", "{\"eta_max\": Infinity}"],
+    ["validate", "--config", "{\"tolerances\": {\"zero-mode-residual\": [1]}}"],
+]
+
+
+def _run_collecting_exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value with exit 2
+        return exc.code
+
+
+def _with_config_file(tmp_path, argv):
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        (tmp_path / "c.json").write_text(argv[i])
+        argv = argv[:i] + [str(tmp_path / "c.json")] + argv[i + 1 :]
+    return argv
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _run_collecting_exit(_with_config_file(tmp_path, argv) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [REJECTED[0], REJECTED[-2], REJECTED[-1]], ids=" ".join)
+def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torus_qpt", *_with_config_file(tmp_path, argv), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_unbracketed_scaling_peak_exits_1(tmp_path, capsys):
+    assert run_cli(["scaling", "--M", "11", "--n-list", "8,12", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "not bracketed" in err and "Traceback" not in err
+    assert not (tmp_path / "scaling.json").exists()
+
+
+@pytest.mark.parametrize(
+    "convert,value,want",
+    [(integer, "7", 7), (integer, " -3 ", -3), (integer, 8.0, 8), (integer, 5, 5),
+     (number, "1e-3", 1e-3), (number, 2, 2.0), (number, 0.25, 0.25),
+     (ring_lengths, "8,12,", [8, 12]), (ring_lengths, [8, 12.0], [8, 12]),
+     (tolerances, {"zero-mode-residual": 1}, {"zero-mode-residual": 1.0})],
+)
+def test_converters_accept_and_are_idempotent(convert, value, want):
+    assert convert(value) == want and type(convert(value)) is type(want)
+    assert convert(convert(value)) == want
+
+
+@pytest.mark.parametrize(
+    "convert,value",
+    [(integer, 3.5), (integer, "3.5"), (integer, "+-3"), (integer, ""), (integer, True), (integer, None),
+     (integer, math.inf), (number, math.nan), (number, -math.inf), (number, "inf"), (number, "abc"),
+     (number, 10**400), (number, True), (number, [1]), (ring_lengths, []), (ring_lengths, "8,x"),
+     (ring_lengths, 8), (ring_lengths, [8, 8.5]), (tolerances, [1]), (tolerances, {"a": math.nan})],
+)
+def test_converters_reject(convert, value):
+    with pytest.raises(ConfigError):
+        convert(value)
+
+
+def test_option_table_checks_choices_once(capsys):
+    with pytest.raises(ConfigError, match="'kind' must be one of"):
+        parse_config("sweep", {"kind": "hex"})
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sweep", "--convention", "bonds"])
+    assert "invalid convention value: 'bonds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("out", 5), ("dump_blocks", 1), ("steps", 64.5), ("eta", "nan")])
+def test_parse_config_converts_file_values(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        parse_config("sweep", {key: value})
 
 
 def _parse_blocks_csv(path):

@@ -24,6 +24,7 @@ from torus_qpt import (
     sweep,
     sweep_to_csv,
 )
+from torus_qpt import criticality
 from torus_qpt.criticality import _ground_energies, _mode_shift, _mode_terms, _shift_table, _shifted_energies
 
 PHI = math.pi / 4
@@ -241,7 +242,7 @@ def test_sweep_curves_equal_per_eta_reference(N):
     _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
     assert np.array_equal(res.d2_analytic, np.array([d2_analytic(spec, x) for x in res.eta_grid]))
     lo, hi = res.eta_grid[0], res.eta_grid[-1]
-    eta_a = golden_section_min(lambda x: d2_analytic(spec, x), float(lo), float(hi), tol=1e-12)
+    eta_a = golden_section_min(lambda x: d2_analytic(spec, x), float(lo), float(hi), tol=1e-12 * float(hi - lo))
     assert res.eta_m_analytic == eta_a
     assert res.peak_analytic == d2_analytic(spec, eta_a)
 
@@ -279,6 +280,20 @@ def test_sweep_honeycomb_pinpoints_known_peak():
 
 
 @pytest.mark.parametrize("N", [56, 72, 80])
+def test_sweep_analytic_extremum_below_1e_minus_12(N):
+    # eta* = c*cos(phi) is 1.01e-10, 1.56e-13 and 6.10e-15: an absolute
+    # golden-section tolerance of 1e-12 stopped 50 % off at N = 72 and 80.
+    # A minimizer that compares values places a smooth extremum only to about
+    # sqrt(eps) of its width c*|sin(phi)| (measured 1.5e-8 relative here).
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    res = sweep(spec)
+    eta_star = corner_coupling(LAM_3_7, N) * math.cos(PHI)
+    assert res.eta_m_analytic == pytest.approx(eta_star, rel=1e-7)
+    assert res.peak_analytic == d2_analytic(spec, res.eta_m_analytic)
+    assert res.peak_analytic == pytest.approx(d2_analytic(spec, eta_star), rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [56, 72, 80])
 def test_sweep_flags_precision_floor(N):
     # the second differences of E_g drown in roundoff: at N = 56 the numeric
     # peak is 15x the analytic one, at N = 72 and 80 it is garbage
@@ -310,6 +325,19 @@ def test_sweep_explicit_range_and_validation():
         sweep(spec, eta_min=0.4, eta_max=0.2)
     with pytest.raises(ValueError):
         sweep(spec, eta_min=-0.1, eta_max=0.5)
+
+
+@pytest.mark.parametrize(
+    "bounds", [dict(eta_max=math.inf), dict(eta_min=math.nan), dict(eta_min=0.1, eta_max=math.nan),
+               dict(eta_min=-math.inf, eta_max=0.5), dict(eta_min=math.inf)],
+)
+def test_sweep_rejects_non_finite_bounds_before_any_work(monkeypatch, bounds):
+    def no_table(*args):
+        raise AssertionError("the shift table was built")
+
+    monkeypatch.setattr(criticality, "_shift_table", no_table)
+    with pytest.raises(ValueError, match="finite"):
+        sweep(ModelSpec("honeycomb", 7, 8, phi=PHI), steps=64, **bounds)
 
 
 def test_sweep_first_order_flag():
@@ -357,16 +385,27 @@ def test_scaling_scan_dedupes_and_sorts():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(M=2, phi=PHI, t=1.0, n_list=[8]),
-        dict(M=7.0, phi=PHI, t=1.0, n_list=[8]),
+        dict(M=2, phi=PHI, t=1.0, n_list=[8, 12]),
+        dict(M=7.0, phi=PHI, t=1.0, n_list=[8, 12]),
         dict(M=7, phi=0.0, t=1.0, n_list=[8]),
         dict(M=7, phi=PHI, t=1.0, n_list=[]),
+        dict(M=7, phi=PHI, t=1.0, n_list=[8, 8]),
         dict(M=7, phi=PHI, t=1.0, n_list=[8, 10]),
     ],
 )
-def test_scaling_scan_validation(kwargs):
+def test_scaling_scan_validation(monkeypatch, kwargs):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(criticality, "sweep", no_sweep)
     with pytest.raises(ValueError):
         scaling_scan(**kwargs)
+
+
+def test_scaling_scan_unbracketed_peak_is_a_runtime_error():
+    # M = 11, N = 8: the grid argmax sits on the grid edge, so no fit is possible
+    with pytest.raises(RuntimeError, match="not bracketed for N=8"):
+        scaling_scan(M=11, phi=PHI, t=1.0, n_list=[8, 12])
 
 
 def test_fidelity_exact_matches_perturbative():
@@ -400,7 +439,7 @@ def test_fidelity_exact_rejects_bad_grid():
 
 def test_fidelity_exact_requires_isolated_doublet():
     # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap
-    with pytest.raises(ValueError, match="isolable"):
+    with pytest.raises(RuntimeError, match="isolable"):
         fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01])
 
 
