@@ -14,7 +14,7 @@ byte-identical files.
 
 Exit codes: 0 success. 2 the input was rejected before any work: any
 ValueError, ConfigError included, from a converter (a non-integral
-count, NaN or +-inf, an unknown choice) or from the library's own
+count, NaN or +-inf, t <= 0, an unknown choice) or from the library's own
 domain checks (ModelSpec, sweep's grid, scaling_scan's ring lengths).
 1 a computation or check failed: RuntimeError, LinAlgError, or a
 failing validate check.
@@ -78,6 +78,13 @@ def number(value, key: str = "value") -> float:
     return x
 
 
+def positive(value, key: str = "value") -> float:
+    x = number(value, key)
+    if not x > 0.0:
+        raise ConfigError(f"{key!r} must be a positive number, got {value!r}")
+    return x
+
+
 def _one_of(name: str, choices: tuple[str, ...]):
     def convert(value, key: str = name) -> str:
         if value not in choices:
@@ -127,7 +134,7 @@ OPTIONS = (
     ("kind", _one_of("kind", KINDS), True, f"lattice kind: {' or '.join(KINDS)}", _MODEL),
     ("M", integer, True, "number of rows", _STEPS),
     ("N", integer, True, "ring length", ("spectrum", "sweep", "fidelity")),
-    ("t", number, True, "hopping energy unit", _FLUX),
+    ("t", positive, True, "hopping energy unit (> 0)", _FLUX),
     ("eta", number, True, "boundary coupling", _MODEL),
     ("phi", number, True, "flux phase in radians", _FLUX),
     ("phi_over_pi", number, True, "flux phase as a fraction of pi", _FLUX),

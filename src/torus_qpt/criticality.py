@@ -22,22 +22,23 @@ Proc. Phys. Soc. 90, 207 (1967); Krein's spectral shift) each block adds
     q = det(1 - G0(iy) V) = 1 + A*eta + B*eta^2,
 
 with A = 2t*cos(phi)*G_1N and B = t^2*(G_1N^2 - G_11*G_NN) from the
-boundary entries of G0(iy) = (iy - H0)^-1. E_g(eta) = E_g(0) + sum_k
-dE_k(eta), where E_g(0) is one dense eigvalsh per open ring. The three
-G0 entries come from O(N) continued fractions, once per mode on a fixed
-node set, and serve every eta of the sweep; an eta then costs O(nodes)
-per mode instead of an O(N^3) eigensolve. The quadrature is 10-point
-Gauss-Legendre on unit panels of s = ln(y/t) over [ln 1e-14,
-ln(1e5*(4 + max eta))], plus the end terms y*f(y) at both cuts (the
-tail falls like 1/y^2). ln|q| is log1p(q - 1) on nodes where
-|A|*max eta + |B|*(max eta)^2 <= 1/4, so that |q - 1| <= 1/4 for every
-eta of the range, and comes from the factored q elsewhere: neither large
-y nor a level crossing zero loses digits. Against the
-dense sums, |E_g - dense| <= 1e-14 * sum|eps| on every tested case
-(honeycomb and square, N = 2..80, eta up to 1e3, exact crossings at
-phi = 0). `_ground_energies`, the dense per-chunk path over `ring_stack`,
-now serves the eta = 0 term, `ground_energy_perturbative` and the tests
-as their oracle; no sweep can select it.
+boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
+the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
+with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
+E_g(0) is one dense eigvalsh per open ring. The three G0 entries come
+from O(N) continued fractions, once per distinct mode (m and M - m share
+them) on one node set, and serve every eta of the sweep; an eta costs
+O(nodes) instead of an O(N^3) eigensolve. The quadrature is 10-point
+Gauss-Legendre on unit panels of s = ln(y/t) over [ln y_lo,
+ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap gap, plus the
+end terms y*f(y) at both cuts (the tail falls like 1/y^2). ln|q| is
+log1p(q - 1) on nodes where |A|*max eta + |B|*(max eta)^2 <= 1/4, so
+that |q - 1| <= 1/4 for every eta of the range, and comes from the
+factored q elsewhere: neither large y nor a level crossing zero loses
+digits. Against the dense sums, |E_g - dense| <= 1e-14 * sum|eps| on
+every tested case (honeycomb and square, M = 2..31, N = 2..80, eta up to
+MAX_ETA = 100, exact crossings at phi = 0). `_ground_energies`, the dense
+path over `ring_stack`, serves the eta = 0 term and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ DEFAULT_STEPS = 200
 
 MIN_STEPS = 64
 
+MAX_ETA = 100.0  # largest eta a sweep accepts: the engine's error bound is verified up to it
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
@@ -69,8 +72,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GAUSS_POINTS = 10
 _Y_LO = 1e-14
 _Y_HI = 1e5
-# Largest number of entries in one (eta, node) temporary (64 KiB complex).
-_BLOCK_ENTRIES = 2**12
+# Largest number of entries in one (eta, node) temporary (128 KiB complex).
+_BLOCK_ENTRIES = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +100,12 @@ class GroundStateResult:
 class SweepResult:
     """Curvature sweep over a uniform eta grid.
 
-    d2_numeric holds second central differences of e_g_curve (NaN at the
-    grid endpoints); d2_analytic the closed-form curvature sum (NaN for
-    square lattices). eta_m/peak locate the refined numeric extremum;
+    d2_numeric holds the exact curvature d2E_g/deta2 from the spectral-shift
+    table (NaN at the grid endpoints; the kink of a level crossing zero is
+    not in it); d2_analytic the closed-form curvature sum (NaN for square
+    lattices). eta_m/peak locate the refined numeric extremum;
     eta_m_analytic/peak_analytic locate the analytic one when defined.
-    flags may contain 'first-order-crossing', 'peak-not-bracketed' and
-    'precision-floor' (roundoff in the finite differences of e_g is more
-    than 1% of |peak|, or peak is 0; eta_m and peak are then unreliable).
+    flags may contain 'first-order-crossing' and 'peak-not-bracketed'.
     """
 
     eta_grid: np.ndarray = field(repr=False)
@@ -311,14 +313,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _boundary_green(ring: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G_11, G_NN and G_1N of (z - ring)^-1 at every z, for a real
-    tridiagonal (open) ring, by continued fractions over its sites.
+def _boundary_green(rings: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G_11, G_NN and G_1N of (z - ring)^-1, one row per ring of a stack of
+    real tridiagonal (open) rings and one column per z, by continued
+    fractions over the sites.
 
     Each running value is a resolvent entry of a sub-chain, so at z = iy
     none exceeds 1/y in size."""
-    a = ring.diagonal().real.tolist()
-    b = ring.diagonal(1).real.tolist()
+    a = rings.diagonal(0, 1, 2).real.T[:, :, None]
+    b = rings.diagonal(1, 1, 2).real.T[:, :, None]
     g = 1.0 / (z - a[0])
     g1n = g
     for j in range(1, len(a)):
@@ -331,33 +334,36 @@ def _boundary_green(ring: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return g, gnn, g1n
 
 
-def _shift_table(spec: ModelSpec, eta_max: float):
-    """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) at
-    0 <= eta <= eta_max: E_g(0) and, per mode, the quadrature terms of
+def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
+    """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) and its
+    curvature at 0 <= eta <= eta_max: E_g(0) and the quadrature terms of
     ln|q(y, eta)|, where q = 1 + A*eta + B*eta^2 = det(1 - G0(iy) V) on the
-    boundary sites {1, N}."""
-    s_lo = math.log(_Y_LO)
+    boundary sites {1, N}, on the nodes of modes m <= M/2 and m = M. Mode
+    M - m has mode m's entries (square: equal lambdas; honeycomb: lambda ->
+    -lambda is the gauge diag(+1,-1,-1,+1,...), which fixes both boundary
+    sites as N % 4 == 0), so the weights count each other mode twice."""
+    s_lo = math.log(y_lo)
     panels = math.ceil(math.log(_Y_HI * (4.0 + eta_max)) - s_lo)
     x, w = _gauss_legendre()
     s = np.concatenate(([s_lo], (s_lo + np.arange(panels)[:, None] + x).ravel(), [s_lo + panels]))
     y = spec.t * np.exp(s)
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
-    t, cos_phi, s2 = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2
+    t, cos_phi, s2, M = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2, spec.M
+    modes = [*range(1, M // 2 + 1), M]
     build = peierls_ring if spec.kind == "honeycomb" else square_ring
-    modes = []
-    for lam in ring_lams(spec.kind, spec.M):
-        g11, gnn, g1n = _boundary_green(build(lam, spec.N, 0.0, spec.phi, t), 1j * y)
-        a = 2.0 * t * cos_phi * g1n
-        b = t * t * (g1n * g1n - g11 * gnn)
-        d4 = t * t * (g11 * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
-        modes.append(_mode_terms(spec.kind, a, b, d4, weights, eta_max))
-    return float(_ground_energies(spec, [0.0])[0]), modes
+    rings = np.stack([build(lam, spec.N, 0.0, spec.phi, t) for lam in ring_lams(spec.kind, M, modes)])
+    g11, gnn, g1n = (g.ravel() for g in _boundary_green(rings, 1j * y))
+    a = 2.0 * t * cos_phi * g1n
+    b = t * t * (g1n * g1n - g11 * gnn)
+    d4 = t * t * (g11 * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
+    weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
+    return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max)
 
 
 def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float):
-    """Split one mode's nodes in two. Where |A|*eta_max + |B|*eta_max^2 <=
-    1/4, |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
+    """Split the nodes in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
+    |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
     elsewhere it comes from a factored q, which keeps its relative accuracy
     where q nears 0 (a level crossing zero)."""
     near = np.abs(a) * eta_max + np.abs(b) * (eta_max * eta_max) <= 0.25
@@ -378,33 +384,40 @@ def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights
     return weights[near], a[near], b[near], weights[far], factored
 
 
-def _mode_shift(kind: str, terms, eta: np.ndarray) -> np.ndarray:
-    """Quadrature sum of ln|q(y, eta)| over one mode's nodes, for a column of etas."""
+def _mode_shift(kind: str, terms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature sums of ln|q(y, eta)| and of its exact second eta-derivative
+    Re[(2B*q - (A + 2B*eta)^2)/q^2] over the table's nodes, for a column of
+    etas. The far nodes take the derivative of their factored q."""
     w_near, a, b, w_far, (f0, f1, f2) = terms
+    p = eta * (a + b * eta)  # q - 1
+    q, slope = 1.0 + p, a + 2.0 * b * eta
+    near_d2 = (2.0 * b * q - slope * slope) / (q * q)
     if kind == "honeycomb":
-        near = np.log1p(eta * (a + b * eta))
+        near = np.log1p(p)
         d = eta - f0
-        far = np.log(f1 * (d * d) + f2)
+        bd2 = f1 * (d * d)  # q = bd2 + J
+        far, far_d2 = np.log(bd2 + f2), 2.0 * f1 * (f2 - bd2) / (bd2 + f2) ** 2
     else:
-        w = eta * (a + b * eta)
-        near = 0.5 * np.log1p(2.0 * w.real + (w.real * w.real + w.imag * w.imag))
-        far = np.log(np.abs((f0 * eta - f1) * (f1 * eta - 1.0))) - f2
-    return (near * w_near).sum(axis=1) + (far * w_far).sum(axis=1)
+        near, near_d2 = 0.5 * np.log1p(2.0 * p.real + (p.real * p.real + p.imag * p.imag)), near_d2.real
+        x1, x2 = f0 * eta - f1, f1 * eta - 1.0
+        u, v = f0 / x1, f1 / x2
+        far, far_d2 = np.log(np.abs(x1 * x2)) - f2, -(u * u + v * v).real
+    return ((near * w_near).sum(axis=1) + (far * w_far).sum(axis=1),
+            (near_d2 * w_near).sum(axis=1) + (far_d2 * w_far).sum(axis=1))
 
 
-def _shifted_energies(spec: ModelSpec, table, etas) -> np.ndarray:
-    """E_g(eta) = E_g(0) - (1/pi) * sum_k int_0^inf ln|q_k(y, eta)| dy.
-
-    An eta's value depends on that eta and the table alone: every node sum
-    is a row sum, and the modes are added in ascending order."""
-    e0, modes = table
+def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndarray]:
+    """E_g(eta) = E_g(0) - (1/pi) * sum_k int_0^inf ln|q_k(y, eta)| dy and
+    its exact curvature, the same integral over d^2/deta^2 ln|q_k|. An
+    eta's values depend on that eta and the table alone (row sums)."""
+    e0, terms = table
     etas = np.asarray(etas, dtype=np.float64)
-    shift = np.zeros(len(etas))
-    for terms in modes:
-        rows = max(1, _BLOCK_ENTRIES // (len(terms[0]) + len(terms[3])))
-        for start in range(0, len(etas), rows):
-            shift[start : start + rows] += _mode_shift(spec.kind, terms, etas[start : start + rows, None])
-    return e0 - shift / math.pi
+    shift, curvature = np.zeros(len(etas)), np.zeros(len(etas))
+    rows = max(1, _BLOCK_ENTRIES // (len(terms[0]) + len(terms[3])))
+    for start in range(0, len(etas), rows):
+        part = slice(start, start + rows)
+        shift[part], curvature[part] = _mode_shift(spec.kind, terms, etas[part, None])
+    return e0 - shift / math.pi, -curvature / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -440,34 +453,28 @@ def sweep(
     steps: int | None = None,
     convention: str = "cells",
 ) -> SweepResult:
-    """Sweep E_g over a uniform eta grid and locate the curvature peak.
+    """Sweep E_g and its exact curvature over a uniform eta grid and locate
+    the curvature peak.
 
     The grid has `steps` + 1 points on [eta_min, eta_max]. A bound left as
     None takes its default: eta_min = 0, and eta_max = 3*max_k c_k*cos(phi)
     clipped to [0, 1] on the honeycomb lattice (1 when that is empty or on
     the square lattice). ValueError, before any work, unless steps >=
-    MIN_STEPS and 0 <= eta_min < eta_max are finite.
+    MIN_STEPS and 0 <= eta_min < eta_max <= MAX_ETA.
 
-    The peak is the interior grid argmax of |d2_numeric|, refined by a
-    3-point parabola; the reported peak value is a Richardson
-    extrapolation over steps h and h/2 at the refined point. An argmax on
-    the first or last interior point is flagged 'peak-not-bracketed' and
-    left unrefined; sin(phi) = 0 on the honeycomb lattice marks the sweep
-    'first-order-crossing' (the spike is a level crossing, not a smooth
-    peak) and also skips refinement. When the analytic curve applies, its
-    golden-section extremum (to 1e-12 of the range) is reported alongside
-    as (eta_m_analytic, peak_analytic).
-
-    After the peak is found, 'precision-floor' is added when the
-    roundoff of the second differences, 16*eps*max|e_g|/h^2, exceeds 1% of
-    |peak| (or peak is 0): eta_m and peak are kept but cannot be trusted.
-
-    Every E_g, on the grid and at the five refinement points, is
-    E_g(0) + dE(eta) from one spectral-shift table (see the module
-    docstring): the Green's-function entries are computed once per mode
-    and reused for every eta. The analytic curve comes from per-mode
-    constants computed once, bit for bit equal to one d2_analytic call
-    per eta.
+    E_g and d2E_g/deta2 come from one spectral-shift table (see the module
+    docstring), whose lower cut y_lo*t, y_lo = min(1e-14, 1e-4*min_k
+    |c_k*sin(phi)|/Omega_k) over the critical modes, is below every midgap
+    gap. The peak is the interior grid argmax of |d2_numeric|, refined by
+    golden-section search on |d2| within one step (to 1e-6 of a step). An
+    argmax on the first or last interior point is flagged
+    'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the honeycomb
+    lattice marks the sweep 'first-order-crossing' (the spike is a level
+    crossing, a kink of E_g) and also skips refinement. When the analytic
+    curve applies, its golden-section extremum (to 1e-12 of the range) is
+    reported alongside as (eta_m_analytic, peak_analytic); it comes from
+    per-mode constants computed once, bit for bit equal to one d2_analytic
+    call per eta.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -479,15 +486,15 @@ def sweep(
     else:
         hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi) if terms else 1.0
         hi = min(hi, 1.0) if hi > 0.0 else 1.0
-    if not (math.isfinite(hi) and hi > lo >= 0.0):
-        raise ValueError(f"need finite 0 <= eta_min < eta_max, got [{lo}, {hi}]")
+    if not 0.0 <= lo < hi <= MAX_ETA:
+        raise ValueError(f"need finite 0 <= eta_min < eta_max <= {MAX_ETA:g}, got [{lo}, {hi}]")
 
+    gaps = [abs(c * math.sin(spec.phi)) / om for c, om in terms]
+    table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
-    table = _shift_table(spec, hi)
-    e_curve = _shifted_energies(spec, table, grid)
-    d2_num = np.full(steps + 1, np.nan)
-    d2_num[1:-1] = (e_curve[2:] - 2.0 * e_curve[1:-1] + e_curve[:-2]) / (h * h)
+    e_curve, d2_num = _shifted_energies(spec, table, grid)
+    d2_num[[0, -1]] = np.nan  # at eta = 0 a square ring's zero level puts ~ -1/y_lo here
 
     if spec.kind == "honeycomb":
         d2_ana = np.array([_d2_sum(spec, terms, x) for x in grid])
@@ -503,24 +510,13 @@ def sweep(
     if i_star == 1 or i_star == steps - 1:
         flags.append("peak-not-bracketed")
 
-    if flags:
-        eta_m = float(grid[i_star])
-        peak = float(d2_num[i_star])
-    else:
-        y0, y1, y2 = np.abs(d2_num[i_star - 1 : i_star + 2])
-        denom = y0 - 2.0 * y1 + y2
-        dx = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-        dx = min(1.0, max(-1.0, dx))
-        eta_m = float(grid[i_star] + dx * h)
-        h2 = 0.5 * h
-        points = [eta_m, eta_m + h, eta_m - h, eta_m + h2, eta_m - h2]
-        e_c, e_up, e_down, e_up2, e_down2 = _shifted_energies(spec, table, points).tolist()
-        d_h = (e_up - 2.0 * e_c + e_down) / (h * h)
-        d_h2 = (e_up2 - 2.0 * e_c + e_down2) / (h2 * h2)
-        peak = float((4.0 * d_h2 - d_h) / 3.0)
-    # second differences of E_g carry roundoff up to ~16*eps*max|E_g|/h^2
-    if peak == 0.0 or 16.0 * math.ulp(1.0) * float(np.max(np.abs(e_curve))) / (h * h) > 0.01 * abs(peak):
-        flags.append("precision-floor")
+    def curvature(x: float) -> float:
+        return float(_shifted_energies(spec, table, [x])[1][0])
+
+    eta_m = float(grid[i_star])
+    if not flags:
+        eta_m = golden_section_min(lambda x: -abs(curvature(x)), eta_m - h, eta_m + h, tol=1e-6 * h)
+    peak = curvature(eta_m)
 
     eta_m_analytic = peak_analytic = None
     if spec.kind == "honeycomb" and not first_order and critical_modes(spec.M):
@@ -668,15 +664,11 @@ def fidelity_exact(
             f"(separation/gap_min = {ratio:.3g})"
         )
 
-    def midgap_vectors(eta_val: float):
-        w, v = np.linalg.eigh(peierls_ring(lam, N, eta_val, phi, t))
-        return w, v
-
     f_exact = np.empty(deltas.size)
     f_pert = np.empty(deltas.size)
     for i, delta in enumerate(deltas):
-        w1, v1 = midgap_vectors(eta_center - delta)
-        w2, v2 = midgap_vectors(eta_center + delta)
+        w1, v1 = np.linalg.eigh(peierls_ring(lam, N, eta_center - delta, phi, t))
+        w2, v2 = np.linalg.eigh(peierls_ring(lam, N, eta_center + delta, phi, t))
         degenerate = (w1[N // 2] - w1[N // 2 - 1] <= 1e-9 * t) or (w2[N // 2] - w2[N // 2 - 1] <= 1e-9 * t)
         if degenerate:
             u1 = v1[:, N // 2 - 1 : N // 2 + 1]

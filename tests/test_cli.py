@@ -15,6 +15,7 @@ from torus_qpt.cli import (
     main,
     number,
     parse_config,
+    positive,
     ring_lengths,
     tolerances,
 )
@@ -378,6 +379,11 @@ REJECTED = [
     ["fidelity", "--lam", "1.5"],
     ["fidelity", "--delta-max", "inf"],
     ["scaling", "--n-list", "8"],
+    ["sweep", "--eta-max", "1e200"],
+    ["square", "--M", "3", "--n-list", "8,16", "--eta-max", "1e308"],
+    ["spectrum", "--t", "0"],
+    ["spectrum", "--t", "-1"],
+    ["fidelity", "--t", "0"],
     ["spectrum", "--dump-blocks"],
     ["spectrum", "--dump-blocks", "--M", "2"],
     ["sweep", "--config", "{\"M\": 7.5}"],
@@ -435,7 +441,8 @@ def test_unbracketed_scaling_peak_exits_1(tmp_path, capsys):
     [(integer, "7", 7), (integer, " -3 ", -3), (integer, 8.0, 8), (integer, 5, 5),
      (number, "1e-3", 1e-3), (number, 2, 2.0), (number, 0.25, 0.25),
      (ring_lengths, "8,12,", [8, 12]), (ring_lengths, [8, 12.0], [8, 12]),
-     (tolerances, {"zero-mode-residual": 1}, {"zero-mode-residual": 1.0})],
+     (tolerances, {"zero-mode-residual": 1}, {"zero-mode-residual": 1.0}), (positive, "1e-3", 1e-3),
+     (positive, 2, 2.0)],
 )
 def test_converters_accept_and_are_idempotent(convert, value, want):
     assert convert(value) == want and type(convert(value)) is type(want)
@@ -447,7 +454,8 @@ def test_converters_accept_and_are_idempotent(convert, value, want):
     [(integer, 3.5), (integer, "3.5"), (integer, "+-3"), (integer, ""), (integer, True), (integer, None),
      (integer, math.inf), (number, math.nan), (number, -math.inf), (number, "inf"), (number, "abc"),
      (number, 10**400), (number, True), (number, [1]), (ring_lengths, []), (ring_lengths, "8,x"),
-     (ring_lengths, 8), (ring_lengths, [8, 8.5]), (tolerances, [1]), (tolerances, {"a": math.nan})],
+     (ring_lengths, 8), (ring_lengths, [8, 8.5]), (tolerances, [1]), (tolerances, {"a": math.nan}),
+     (positive, 0), (positive, "-1"), (positive, -0.0), (positive, math.nan), (positive, "inf")],
 )
 def test_converters_reject(convert, value):
     with pytest.raises(ConfigError):

@@ -25,7 +25,14 @@ from torus_qpt import (
     sweep_to_csv,
 )
 from torus_qpt import criticality
-from torus_qpt.criticality import _ground_energies, _mode_shift, _mode_terms, _shift_table, _shifted_energies
+from torus_qpt.criticality import (
+    MAX_ETA,
+    _ground_energies,
+    _mode_shift,
+    _mode_terms,
+    _shift_table,
+    _shifted_energies,
+)
 
 PHI = math.pi / 4
 LAM_3_7 = 2.0 * math.cos(3.0 * math.pi / 7.0)
@@ -194,11 +201,17 @@ def _assert_dense_close(spec, etas, e_g):
             for N in (2, 3, 12)
             for phi in (0.0, PHI)
         ],
+        # even M: the folded table counts modes M/2 and M once, the others twice
+        *[(ModelSpec("honeycomb", M, 12, phi=PHI), np.linspace(0.0, 1.0, 21)) for M in (4, 6, 8)],
+        *[(ModelSpec("square", M, 5, phi=PHI), np.linspace(0.0, 1.0, 21)) for M in (2, 4, 6)],
+        # the largest eta a sweep accepts, on the specs whose error grows fastest with eta
+        (ModelSpec("square", 2, 2, phi=2.0), np.linspace(0.0, MAX_ETA, 41)),
+        (ModelSpec("square", 5, 2, phi=0.0), np.linspace(0.0, MAX_ETA, 41)),
     ],
 )
 def test_shift_engine_matches_dense_energies(spec, etas):
     table = _shift_table(spec, float(np.max(etas)))
-    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas))
+    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas)[0])
 
 
 @pytest.mark.parametrize(
@@ -211,14 +224,18 @@ def test_shift_engine_matches_dense_energies(spec, etas):
     ],
 )
 def test_mode_shift_is_ln_abs_q(kind, a, b):
-    # each node alone: the first is near (log1p), the others far (factored q)
+    # each node alone: the first is near (log1p), the others far (factored q);
+    # the second sum is d^2/deta^2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2]
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     etas = np.linspace(0.0, 2.0, 9)
     for i in range(len(a)):
         terms = _mode_terms(kind, a[i : i + 1], b[i : i + 1], 0.25 * a[i : i + 1] ** 2 - b[i : i + 1], np.ones(1), 2.0)
         assert len(terms[0]) == (i == 0 or a[i] == b[i] == 0)
-        expected = np.log(np.abs(1.0 + a[i] * etas + b[i] * etas**2))
-        assert np.allclose(_mode_shift(kind, terms, etas[:, None]), expected, rtol=0.0, atol=1e-14)
+        q = 1.0 + a[i] * etas + b[i] * etas**2
+        ln_q, d2_ln_q = _mode_shift(kind, terms, etas[:, None])
+        assert np.allclose(ln_q, np.log(np.abs(q)), rtol=0.0, atol=1e-14)
+        expected = ((2.0 * b[i] * q - (a[i] + 2.0 * b[i] * etas) ** 2) / q**2).real
+        assert np.allclose(d2_ln_q, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_shift_engine_is_deterministic():
@@ -226,9 +243,10 @@ def test_shift_engine_is_deterministic():
     for spec in (ModelSpec("honeycomb", 7, 20, phi=PHI), ModelSpec("square", 5, 3, phi=PHI)):
         etas = np.linspace(0.0, 0.7, 57)
         table = _shift_table(spec, 0.7)
-        curve = _shifted_energies(spec, table, etas)
-        assert np.array_equal(curve, _shifted_energies(spec, _shift_table(spec, 0.7), etas))
-        assert np.array_equal(curve, [_shifted_energies(spec, table, [eta])[0] for eta in etas])
+        curve, d2 = _shifted_energies(spec, table, etas)
+        assert np.array_equal(curve, _shifted_energies(spec, _shift_table(spec, 0.7), etas)[0])
+        assert np.array_equal(curve, [_shifted_energies(spec, table, [eta])[0][0] for eta in etas])
+        assert np.array_equal(d2, [_shifted_energies(spec, table, [eta])[1][0] for eta in etas])
     first, second = sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)), sweep(ModelSpec("honeycomb", 7, 20, phi=PHI))
     assert np.array_equal(first.e_g_curve, second.e_g_curve)
     assert (first.eta_m, first.peak) == (second.eta_m, second.peak)
@@ -294,11 +312,36 @@ def test_sweep_analytic_extremum_below_1e_minus_12(N):
 
 
 @pytest.mark.parametrize("N", [56, 72, 80])
-def test_sweep_flags_precision_floor(N):
-    # the second differences of E_g drown in roundoff: at N = 56 the numeric
-    # peak is 15x the analytic one, at N = 72 and 80 it is garbage
+def test_sweep_exact_peak_far_below_roundoff_of_e_g(N):
+    # here the roundoff of E_g over any grid step squared exceeds |peak|, so
+    # only an exact curvature resolves the peak; it agrees with perturbation
+    # theory, whose error falls with the midgap scale c_k
     res = sweep(ModelSpec("honeycomb", 7, N, phi=PHI))
-    assert "precision-floor" in res.flags
+    assert res.flags == ()
+    assert res.eta_m == pytest.approx(res.eta_m_analytic, rel=1e-6)
+    assert res.peak == pytest.approx(res.peak_analytic, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec,lo,hi",
+    [
+        (ModelSpec("honeycomb", 7, 8, phi=PHI), 0.0, 0.08),
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), 0.0, 1e-3),
+        (ModelSpec("square", 3, 16, phi=PHI), 0.2, 1.0),
+    ],
+)
+def test_sweep_curvature_matches_dense_second_differences(spec, lo, hi):
+    # Richardson over steps h and h/2 of dense second differences, on ranges
+    # where no level crosses zero (a crossing is a kink of E_g, which the
+    # pointwise curvature omits)
+    res = sweep(spec, eta_min=lo, eta_max=hi, steps=64)
+    etas, h = res.eta_grid[2:-2:4], (hi - lo) / 64
+    energies = _ground_energies(spec, np.concatenate([etas + k * h for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]))
+    down, down2, center, up2, up = energies.reshape(5, -1)
+    d_h = (up - 2.0 * center + down) / h**2
+    d_h2 = (up2 - 2.0 * center + down2) / (h / 2) ** 2
+    richardson = (4.0 * d_h2 - d_h) / 3.0
+    assert np.max(np.abs(res.d2_numeric[2:-2:4] - richardson)) <= 1e-5 * abs(res.peak)
 
 
 def test_sweep_grid_structure():
@@ -329,7 +372,9 @@ def test_sweep_explicit_range_and_validation():
 
 @pytest.mark.parametrize(
     "bounds", [dict(eta_max=math.inf), dict(eta_min=math.nan), dict(eta_min=0.1, eta_max=math.nan),
-               dict(eta_min=-math.inf, eta_max=0.5), dict(eta_min=math.inf)],
+               dict(eta_min=-math.inf, eta_max=0.5), dict(eta_min=math.inf),
+               # finite but past MAX_ETA, where the engine is not verified
+               dict(eta_max=100.5), dict(eta_max=1e200), dict(eta_max=1e308)],
 )
 def test_sweep_rejects_non_finite_bounds_before_any_work(monkeypatch, bounds):
     def no_table(*args):
@@ -375,6 +420,12 @@ def test_scaling_scan_small():
     assert comp["slope_ref2"] == 0.16 and comp["intercept_ref2"] == -1.2
     assert set(comp["deviations"]) == {"eta_slope", "eta_intercept", "peak_slope", "peak_intercept"}
     assert comp["deviations"]["eta_slope"] == pytest.approx(report.fit_eta.slope + 0.2, rel=1e-12)
+
+
+def test_scaling_scan_reaches_n_80():
+    # from N = 40 on, second differences of E_g would drown in roundoff
+    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[24, 32, 40, 48, 56, 64, 72, 80], steps=128)
+    assert report.fit_eta.slope == pytest.approx(math.log(abs(LAM_3_7)) / 2.0, abs=1e-8)
 
 
 def test_scaling_scan_dedupes_and_sorts():
