@@ -8,6 +8,15 @@ energy curvature sweeps, finite-size scaling of the curvature peak, and
 fidelity-susceptibility curves, plus a self-check suite and a CLI.
 """
 
+import os
+import sys
+
+# Every dense solve here is a ring or lattice of a few hundred rows at most, where a second
+# BLAS thread only spins; OpenBLAS sizes its pool when NumPy loads, so set it before that.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .blocks import (
     blocks_to_csv,
     critical_modes,

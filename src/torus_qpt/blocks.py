@@ -14,7 +14,7 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 down. `peierls_ring` and `square_ring` are the only ring builders;
 `ring_stack` stacks their rings for batched solves and serves every
 multi-ring consumer (`cmd_spectrum`, the dense ground energies,
-`union_eigenvalues`, `blocks_to_csv`).
+`union_eigenvalues`, `blocks_to_csv`, the `validate` ring checks).
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
