@@ -118,11 +118,13 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
 def ring_lams(kind: str, M: int, modes=None) -> list[float]:
     """Ring couplings of `modes` (default: all, m = 1..M ascending):
     lambda_k = 2*cos(k/2) for honeycomb, lambda_{2k} = 2*cos(k) for square,
-    with k = 2*pi*m/M."""
+    with k = 2*pi*m/M. Where the cosine's argument is an odd multiple of
+    pi/2 (honeycomb 2m = M, square 4m = M or 3M) lambda is exactly 0.0,
+    not the 1.2e-16 of the rounded cosine."""
     modes = range(1, M + 1) if modes is None else modes
     if kind == "honeycomb":
-        return [2.0 * math.cos(math.pi * m / M) for m in modes]
-    return [2.0 * math.cos(2.0 * math.pi * m / M) for m in modes]
+        return [0.0 if 2 * m == M else 2.0 * math.cos(math.pi * m / M) for m in modes]
+    return [0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M) for m in modes]
 
 
 def critical_modes(M: int) -> list[int]:

@@ -27,18 +27,26 @@ the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
 E_g(0) is one dense eigvalsh per open ring. The three G0 entries come
 from O(N) continued fractions, once per distinct mode (m and M - m share
-them) on one node set, and serve every eta of the sweep; an eta costs
-O(nodes) instead of an O(N^3) eigensolve. The quadrature is 10-point
-Gauss-Legendre on unit panels of s = ln(y/t) over [ln y_lo,
+them) on one node set, and serve every eta of the sweep. The quadrature
+is 10-point Gauss-Legendre on unit panels of s = ln(y/t) over [ln y_lo,
 ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap gap, plus the
-end terms y*f(y) at both cuts (the tail falls like 1/y^2). ln|q| is
-log1p(q - 1) on nodes where |A|*max eta + |B|*(max eta)^2 <= 1/4, so
-that |q - 1| <= 1/4 for every eta of the range, and comes from the
-factored q elsewhere: neither large y nor a level crossing zero loses
-digits. Against the dense sums, |E_g - dense| <= 1e-14 * sum|eps| on
-every tested case (honeycomb and square, M = 2..31, N = 2..80, eta up to
-MAX_ETA = 100, exact crossings at phi = 0). `_ground_energies`, the dense
-path over `ring_stack`, serves the eta = 0 term and the tests' oracle.
+end terms y*f(y) at both cuts (the tail falls like 1/y^2).
+
+The nodes come in two kinds. A near node has |A|*max eta + |B|*(max
+eta)^2 <= 1/4, so |q - 1| <= 1/4 for every eta of the range, and ln|q| is
+log1p(q - 1). Near nodes are most of the table (85 % at M = 7, N = 8..32),
+and their summed ln|q| and curvature are analytic in eta on |eta| < 2*max
+eta. So the table keeps those two sums only at 33 Chebyshev points of
+[0, max eta], each computed exactly, and an eta reads them back by
+barycentric interpolation (relative error below 1e-15). A far node's
+ln|q| comes from the factored q, so neither large y nor a level crossing
+zero loses digits, and it is evaluated at every eta. A sweep therefore
+costs O(near nodes * 33 + far nodes * etas) instead of one O(N^3)
+eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
+sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
+2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
+`_ground_energies`, the dense path over `ring_stack`, serves the eta = 0
+term and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +79,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
 # panels of s = ln(y/t), from y = _Y_LO*t to at least _Y_HI*(4 + max eta)*t.
 _GAUSS_POINTS = 10
+# Chebyshev samples of the near-node sums on [0, eta_max]; error O(rho^-K), rho = 3 + sqrt(8).
+_CHEB_POINTS = 33
 _Y_LO = 1e-14
 _Y_HI = 1e5
 # Largest number of entries in one (eta, node) temporary (128 KiB complex).
@@ -105,7 +116,8 @@ class SweepResult:
     not in it); d2_analytic the closed-form curvature sum (NaN for square
     lattices). eta_m/peak locate the refined numeric extremum;
     eta_m_analytic/peak_analytic locate the analytic one when defined.
-    flags may contain 'first-order-crossing' and 'peak-not-bracketed'.
+    flags may contain 'first-order-crossing', 'peak-not-bracketed' and
+    'level-crossing'.
     """
 
     eta_grid: np.ndarray = field(repr=False)
@@ -290,6 +302,24 @@ def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> fl
     return total
 
 
+def _d2_column(spec: ModelSpec, terms: list[tuple[float, float]], etas: np.ndarray) -> np.ndarray:
+    """_d2_sum at every eta of a grid, bit for bit: the same operations in
+    the same order, each power taken per element by Python's float ** (C
+    pow, which differs in the last bit from NumPy's x*x and x*x*x for about
+    1 in 1,000 squares and 1 in 40 cubes)."""
+    sin_phi = math.sin(spec.phi)
+    s2 = sin_phi * sin_phi
+    total = np.zeros(len(etas))
+    for c, om in terms:
+        absz2 = np.array([x ** 2 for x in (etas - c * math.cos(spec.phi)).tolist()]) + c * c * s2
+        if s2 == 0.0:
+            total[absz2 == 0.0] = -np.inf
+            continue
+        eps_minus = -spec.t * np.sqrt(absz2) / om
+        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * np.array([x ** 3 for x in eps_minus.tolist()]))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # spectral-shift sweep engine
 
@@ -358,52 +388,110 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     b = t * t * (g1n * g1n - g11 * gnn)
     d4 = t * t * (g11 * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
-    return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max)
+    lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo*t
+    return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
 
 
-def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float):
+class _ShiftTerms(NamedTuple):
+    """The quadrature terms of a shift table (see _mode_terms)."""
+
+    points: np.ndarray  # _CHEB_POINTS Chebyshev points of the second kind on [0, eta_max]
+    bary: np.ndarray  # their barycentric weights
+    near: np.ndarray  # (2, _CHEB_POINTS): near-node sums of ln|q| and of d2 ln|q| at the points
+    w_far: np.ndarray  # far-node quadrature weights
+    far: tuple  # factored far q, as _far_nodes reads it
+    lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo*t
+
+
+def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float,
+                lowest: np.ndarray) -> _ShiftTerms:
     """Split the nodes in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
     |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
     elsewhere it comes from a factored q, which keeps its relative accuracy
-    where q nears 0 (a level crossing zero)."""
+    where q nears 0 (a level crossing zero). The near nodes' weighted sums
+    are analytic in eta for |eta| < 2*eta_max, so they are kept only at
+    _CHEB_POINTS Chebyshev points and interpolated; `lowest` marks the
+    nodes whose sign of Re q the level-crossing check reads."""
     near = np.abs(a) * eta_max + np.abs(b) * (eta_max * eta_max) <= 0.25
     far = ~near
-    a_far, b_far, d4_far = a[far], b[far], d4[far]
+    if kind == "honeycomb":
+        a, b = a.real, b.real
+    j = np.arange(_CHEB_POINTS)
+    points = eta_max * (0.5 - 0.5 * np.cos(np.pi * j / (_CHEB_POINTS - 1)))  # 0 and eta_max exactly
+    bary = np.where(j % 2 == 0, 1.0, -1.0)
+    bary[[0, -1]] *= 0.5
+    w_near, a_near, b_near = weights[near], a[near], b[near]
+    sums = np.empty((2, _CHEB_POINTS))
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(w_near)))
+    for start in range(0, _CHEB_POINTS, rows):
+        part = slice(start, start + rows)
+        for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
+            sums[i, part] = (value * w_near).sum(axis=1)
+    factored = _factor(kind, a[far], b[far], d4[far])
+    return _ShiftTerms(points, bary, sums, weights[far], factored, np.flatnonzero(lowest[far]))
+
+
+def _factor(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray) -> tuple:
+    """The factored q of far nodes, as _far_nodes reads it."""
     if kind == "honeycomb":
         # bipartite ring at imaginary energy: A, B > 0 and d4 < 0 are real
         # and q = B*(eta - R)^2 + J with R = -A/(2B), J = -d4/B > 0
-        a, b, a_far, b_far = a.real, b.real, a_far.real, b_far.real
-        factored = (-0.5 * a_far / b_far, b_far, -d4_far.real / b_far)
-    else:
-        # q = (B*eta - Q)(Q*eta - 1)/Q with Q the larger root of Q^2 + A*Q + B;
-        # Q = 0 only where A = B = 0, and such nodes are near
-        root = np.sqrt(d4_far)
-        root[(a_far.conj() * root).real < 0.0] *= -1.0
-        big = -(0.5 * a_far + root)
-        factored = (b_far, big, np.log(np.abs(big)))
-    return weights[near], a[near], b[near], weights[far], factored
+        return -0.5 * a / b, b, -d4.real / b
+    # q = (B*eta - Q)(Q*eta - 1)/Q with Q the larger root of Q^2 + A*Q + B;
+    # Q = 0 only where A = B = 0, and such nodes are near
+    root = np.sqrt(d4)
+    root[(a.conj() * root).real < 0.0] *= -1.0
+    big = -(0.5 * a + root)
+    return b, big, np.log(np.abs(big))
 
 
-def _mode_shift(kind: str, terms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature sums of ln|q(y, eta)| and of its exact second eta-derivative
-    Re[(2B*q - (A + 2B*eta)^2)/q^2] over the table's nodes, for a column of
-    etas. The far nodes take the derivative of their factored q."""
-    w_near, a, b, w_far, (f0, f1, f2) = terms
+def _near_nodes(kind: str, a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln|q| = log1p(q - 1) and its exact second eta-derivative
+    Re[(2B*q - (A + 2B*eta)^2)/q^2] at each node, for a column of etas."""
     p = eta * (a + b * eta)  # q - 1
     q, slope = 1.0 + p, a + 2.0 * b * eta
-    near_d2 = (2.0 * b * q - slope * slope) / (q * q)
+    d2 = (2.0 * b * q - slope * slope) / (q * q)
     if kind == "honeycomb":
-        near = np.log1p(p)
+        return np.log1p(p), d2
+    return 0.5 * np.log1p(2.0 * p.real + (p.real * p.real + p.imag * p.imag)), d2.real
+
+
+def _far_nodes(kind: str, factored: tuple, eta: np.ndarray, logs: bool = True):
+    """ln|q| (None unless `logs`) and its exact second eta-derivative at each
+    node from the factored q, for a column of etas."""
+    f0, f1, f2 = factored
+    if kind == "honeycomb":
         d = eta - f0
-        bd2 = f1 * (d * d)  # q = bd2 + J
-        far, far_d2 = np.log(bd2 + f2), 2.0 * f1 * (f2 - bd2) / (bd2 + f2) ** 2
-    else:
-        near, near_d2 = 0.5 * np.log1p(2.0 * p.real + (p.real * p.real + p.imag * p.imag)), near_d2.real
-        x1, x2 = f0 * eta - f1, f1 * eta - 1.0
-        u, v = f0 / x1, f1 / x2
-        far, far_d2 = np.log(np.abs(x1 * x2)) - f2, -(u * u + v * v).real
-    return ((near * w_near).sum(axis=1) + (far * w_far).sum(axis=1),
-            (near_d2 * w_near).sum(axis=1) + (far_d2 * w_far).sum(axis=1))
+        bd2 = f1 * (d * d)
+        q = bd2 + f2
+        return np.log(q) if logs else None, 2.0 * f1 * (f2 - bd2) / q**2
+    x1, x2 = f0 * eta - f1, f1 * eta - 1.0
+    u, v = f0 / x1, f1 / x2
+    return np.log(np.abs(x1 * x2)) - f2 if logs else None, -(u * u + v * v).real
+
+
+def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The near nodes' sums of ln|q| and of its curvature for a column of
+    etas, by barycentric interpolation in the Chebyshev samples (the sample
+    itself where eta is a point)."""
+    d = eta - terms.points
+    row, col = np.nonzero(d == 0.0)
+    d[row, col] = 1.0
+    c = terms.bary / d
+    scale = c.sum(axis=1)
+    ln, d2 = ((c * values).sum(axis=1) / scale for values in terms.near)
+    ln[row], d2[row] = terms.near[:, col]
+    return ln, d2
+
+
+def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray, logs: bool = True):
+    """Quadrature sums of ln|q(y, eta)| (None unless `logs`) and of its exact
+    second eta-derivative over the table's nodes, for a column of etas: the
+    near sums interpolated, the far nodes summed."""
+    near_ln, near_d2 = _near_sums(terms, eta)
+    far_ln, far_d2 = _far_nodes(kind, terms.far, eta, logs)
+    d2 = near_d2 + (far_d2 * terms.w_far).sum(axis=1)
+    return (near_ln + (far_ln * terms.w_far).sum(axis=1) if logs else None), d2
 
 
 def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndarray]:
@@ -413,11 +501,28 @@ def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndar
     e0, terms = table
     etas = np.asarray(etas, dtype=np.float64)
     shift, curvature = np.zeros(len(etas)), np.zeros(len(etas))
-    rows = max(1, _BLOCK_ENTRIES // (len(terms[0]) + len(terms[3])))
+    rows = max(1, _BLOCK_ENTRIES // (len(terms.w_far) + _CHEB_POINTS))
     for start in range(0, len(etas), rows):
         part = slice(start, start + rows)
         shift[part], curvature[part] = _mode_shift(spec.kind, terms, etas[part, None])
     return e0 - shift / math.pi, -curvature / math.pi
+
+
+def _shifted_curvature(spec: ModelSpec, table, eta: float) -> float:
+    """_shifted_energies(spec, table, [eta])[1][0], without the logarithms."""
+    return float(-_mode_shift(spec.kind, table[1], np.array([[eta]]), logs=False)[1][0] / math.pi)
+
+
+def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
+    """Whether Re q at some mode's node y = y_lo*t changes sign between
+    adjacent etas of the grid: a ring level crossing zero there. A near node
+    keeps Re q >= 3/4, and a honeycomb ring's q = B*(eta - R)^2 + J stays
+    positive, so only the square lattice's far nodes are read."""
+    if kind == "honeycomb":
+        return False
+    f0, f1, _ = (f[terms.lowest] for f in terms.far)
+    negative = ((f0 * grid[:, None] - f1) * (f1 * grid[:, None] - 1.0) / f1).real < 0.0
+    return bool((negative[1:] != negative[:-1]).any())
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +575,14 @@ def sweep(
     argmax on the first or last interior point is flagged
     'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the honeycomb
     lattice marks the sweep 'first-order-crossing' (the spike is a level
-    crossing, a kink of E_g) and also skips refinement. When the analytic
-    curve applies, its golden-section extremum (to 1e-12 of the range) is
-    reported alongside as (eta_m_analytic, peak_analytic); it comes from
+    crossing, a kink of E_g) and also skips refinement. 'level-crossing'
+    reports that some ring level crosses zero between two grid points (Re q
+    changes sign at a mode's node y = y_lo*t): E_g has a kink there, whose
+    delta-function curvature d2_numeric does not hold. It does not change
+    the refinement. When the analytic curve applies (honeycomb, sin(phi) !=
+    0, some critical mode with c_k != 0), its golden-section extremum (to
+    1e-12 of the range) is reported alongside as (eta_m_analytic,
+    peak_analytic); else both are None. The d2_analytic column comes from
     per-mode constants computed once, bit for bit equal to one d2_analytic
     call per eta.
     """
@@ -496,10 +606,7 @@ def sweep(
     e_curve, d2_num = _shifted_energies(spec, table, grid)
     d2_num[[0, -1]] = np.nan  # at eta = 0 a square ring's zero level puts ~ -1/y_lo here
 
-    if spec.kind == "honeycomb":
-        d2_ana = np.array([_d2_sum(spec, terms, x) for x in grid])
-    else:
-        d2_ana = np.full(steps + 1, np.nan)
+    d2_ana = _d2_column(spec, terms, grid) if spec.kind == "honeycomb" else np.full(steps + 1, np.nan)
 
     flags: list[str] = []
     first_order = spec.kind == "honeycomb" and math.sin(spec.phi) == 0.0
@@ -510,16 +617,16 @@ def sweep(
     if i_star == 1 or i_star == steps - 1:
         flags.append("peak-not-bracketed")
 
-    def curvature(x: float) -> float:
-        return float(_shifted_energies(spec, table, [x])[1][0])
-
     eta_m = float(grid[i_star])
     if not flags:
-        eta_m = golden_section_min(lambda x: -abs(curvature(x)), eta_m - h, eta_m + h, tol=1e-6 * h)
-    peak = curvature(eta_m)
+        eta_m = golden_section_min(lambda x: -abs(_shifted_curvature(spec, table, x)), eta_m - h, eta_m + h,
+                                   tol=1e-6 * h)
+    peak = _shifted_curvature(spec, table, eta_m)
+    if _level_crossing(spec.kind, table[1], grid):
+        flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
     eta_m_analytic = peak_analytic = None
-    if spec.kind == "honeycomb" and not first_order and critical_modes(spec.M):
+    if spec.kind == "honeycomb" and not first_order and terms:
         tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
         eta_m_analytic = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=tol))
         peak_analytic = float(_d2_sum(spec, terms, eta_m_analytic))

@@ -109,6 +109,13 @@ def test_honeycomb_block_lambdas():
     assert ring_lams("honeycomb", 7, [3, 4]) == lams[2:4]
 
 
+def test_ring_lams_are_exactly_zero_at_odd_multiples_of_half_pi():
+    assert ring_lams("honeycomb", 10, [5]) == [0.0]
+    assert ring_lams("square", 4, [1, 3]) == [0.0, 0.0]
+    assert ring_lams("square", 8, [2, 6]) == [0.0, 0.0]
+    assert 0.0 not in ring_lams("honeycomb", 7) + ring_lams("honeycomb", 12, range(1, 6)) + ring_lams("square", 6)
+
+
 def test_square_block_lambdas():
     lams = ring_lams("square", 4)
     assert lams == pytest.approx([2.0 * math.cos(2 * math.pi * m / 4) for m in range(1, 5)])

@@ -249,6 +249,13 @@ def test_square_report(tmp_path):
     assert (tmp_path / "sweep_square_N16.csv").exists()
 
 
+def test_square_report_flags_a_level_crossing(tmp_path):
+    argv = ["square", "--M", "5", "--n-list", "4,8,12", "--phi", "0.7", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    flags = json.loads((tmp_path / "square_report.json").read_text())["flags"]
+    assert flags["12"] == ["level-crossing"]
+
+
 def test_validate_passes_and_prints_checks(tmp_path, capsys):
     code = run_cli(["validate", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -495,7 +502,8 @@ def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
             lam = 2.0 * math.cos(math.pi * m / M)
             ring = peierls_ring(lam, N, eta, phi)
         else:
-            lam = 2.0 * math.cos(2.0 * math.pi * m / M)
+            # cos(k) at k = pi/2 and 3pi/2 is exactly 0 (4m = M, 3M), not the rounded 6e-17
+            lam = 0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M)
             ring = square_ring(lam, N, eta, phi)
         want = np.array([2.0 * math.pi * m / M, lam, *np.stack([ring.real, ring.imag], axis=-1).ravel()])
         assert np.array_equal(row, want), m

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from torus_qpt import (
     ground_energy_perturbative,
     linear_fit,
     peierls_ring,
+    ring_lams,
+    ring_stack,
     scaling_scan,
     scaling_to_json_dict,
     square_ring,
@@ -27,10 +30,15 @@ from torus_qpt import (
 from torus_qpt import criticality
 from torus_qpt.criticality import (
     MAX_ETA,
+    _factor,
+    _far_nodes,
     _ground_energies,
-    _mode_shift,
+    _level_crossing,
     _mode_terms,
+    _near_nodes,
+    _near_sums,
     _shift_table,
+    _shifted_curvature,
     _shifted_energies,
 )
 
@@ -131,10 +139,13 @@ def _per_ring_energies(spec, etas):
     """Reference E_g: one eigvalsh call per ring, negative levels summed
     block by block in ascending mode order; also the negative counts and
     sum |eps| over every level, the roundoff scale of E_g."""
+    # lambda is exactly 0 where the cosine's argument is an odd multiple of pi/2
+    M = spec.M
     if spec.kind == "honeycomb":
-        builder, lams = peierls_ring, [2.0 * math.cos(math.pi * m / spec.M) for m in range(1, spec.M + 1)]
+        builder, lams = peierls_ring, [0.0 if 2 * m == M else 2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
     else:
-        builder, lams = square_ring, [2.0 * math.cos(2.0 * math.pi * m / spec.M) for m in range(1, spec.M + 1)]
+        builder, lams = square_ring, [0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M)
+                                      for m in range(1, M + 1)]
     energies, counts, scales = [], set(), []
     for eta in etas:
         total = scale = 0.0
@@ -224,18 +235,79 @@ def test_shift_engine_matches_dense_energies(spec, etas):
     ],
 )
 def test_mode_shift_is_ln_abs_q(kind, a, b):
-    # each node alone: the first is near (log1p), the others far (factored q);
-    # the second sum is d^2/deta^2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2]
+    # the per-node forms the table sums: log1p(q - 1) where |q - 1| <= 1/4
+    # (near), and the factored q (far) wherever Q != 0, against ln|q| and
+    # d^2/deta^2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2]
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    etas = np.linspace(0.0, 2.0, 9)
-    for i in range(len(a)):
-        terms = _mode_terms(kind, a[i : i + 1], b[i : i + 1], 0.25 * a[i : i + 1] ** 2 - b[i : i + 1], np.ones(1), 2.0)
-        assert len(terms[0]) == (i == 0 or a[i] == b[i] == 0)
-        q = 1.0 + a[i] * etas + b[i] * etas**2
-        ln_q, d2_ln_q = _mode_shift(kind, terms, etas[:, None])
-        assert np.allclose(ln_q, np.log(np.abs(q)), rtol=0.0, atol=1e-14)
-        expected = ((2.0 * b[i] * q - (a[i] + 2.0 * b[i] * etas) ** 2) / q**2).real
-        assert np.allclose(d2_ln_q, expected, rtol=1e-13, atol=1e-13)
+    etas = np.linspace(0.0, 2.0, 9)[:, None]
+    q = 1.0 + a * etas + b * etas**2
+    ln_q, d2_ln_q = np.log(np.abs(q)), ((2.0 * b * q - (a + 2.0 * b * etas) ** 2) / q**2).real
+    if kind == "honeycomb":  # the engine keeps the real parts of a bipartite ring's A and B
+        a, b = a.real, b.real
+    near = np.abs(q - 1.0) <= 0.25
+    assert near.any() and not near.all()
+    ln, d2 = _near_nodes(kind, a, b, etas)
+    assert np.allclose(ln[near], ln_q[near], rtol=0.0, atol=1e-14)
+    assert np.allclose(d2[near], d2_ln_q[near], rtol=1e-13, atol=1e-13)
+    far = (a != 0.0) | (b != 0.0)
+    d4 = 0.25 * a[far] ** 2 - b[far] + 0j  # (A^2 - 4B)/4
+    ln, d2 = _far_nodes(kind, _factor(kind, a[far], b[far], d4), etas)
+    assert np.allclose(ln, ln_q[:, far], rtol=0.0, atol=1e-14)
+    assert np.allclose(d2, d2_ln_q[:, far], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec,eta_max",
+    [
+        *[
+            (ModelSpec("honeycomb", 7, N, phi=PHI), eta_max)
+            for N in (8, 32, 80)
+            for eta_max in (1e-6, 0.1, 1.0, 100.0)
+        ],
+        (ModelSpec("honeycomb", 31, 64, phi=PHI), 0.1),
+        (ModelSpec("honeycomb", 7, 12, phi=0.0), 1.0),
+        *[
+            (ModelSpec("square", M, N, phi=0.7), eta_max)
+            for M, N in ((5, 12), (2, 2), (5, 2))
+            for eta_max in (1.0, 100.0)
+        ],
+    ],
+)
+def test_near_sums_interpolate_the_exact_sums(monkeypatch, spec, eta_max):
+    # the table keeps the near nodes' sums at the Chebyshev points only; read
+    # back between them they match the sums over every near node
+    nodes = {}
+
+    def keep_nodes(kind, a, b, d4, weights, eta_max, lowest):
+        nodes.update(a=a, b=b, weights=weights)
+        return _mode_terms(kind, a, b, d4, weights, eta_max, lowest)
+
+    monkeypatch.setattr(criticality, "_mode_terms", keep_nodes)
+    terms = _shift_table(spec, eta_max)[1]
+    a, b, weights = nodes["a"], nodes["b"], nodes["weights"]
+    near = np.abs(a) * eta_max + np.abs(b) * eta_max**2 <= 0.25
+    if spec.kind == "honeycomb":
+        a, b = a.real, b.real
+    etas = np.linspace(0.0, eta_max, 97)[:, None]
+    exact = [(value * weights[near]).sum(axis=1) for value in _near_nodes(spec.kind, a[near], b[near], etas)]
+    for got, want in zip(_near_sums(terms, etas), exact):
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec,eta_max",
+    [
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), 3 * _c3_7(20)),
+        (ModelSpec("honeycomb", 31, 64, phi=PHI), 0.1),
+        (ModelSpec("square", 5, 12, phi=0.7), 1.0),
+    ],
+)
+def test_curvature_only_evaluator_matches_shifted_energies(spec, eta_max):
+    table = _shift_table(spec, eta_max)
+    etas = np.linspace(0.0, eta_max, 41)
+    want = _shifted_energies(spec, table, etas)[1]
+    got = np.array([_shifted_curvature(spec, table, eta) for eta in etas])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_shift_engine_is_deterministic():
@@ -390,6 +462,43 @@ def test_sweep_first_order_flag():
     res = sweep(spec, steps=64)
     assert "first-order-crossing" in res.flags
     assert res.eta_m_analytic is None and res.peak_analytic is None
+
+
+def test_level_crossing_flag_marks_the_dense_count_change():
+    # the lambda = -1.618 rings of the M = 5 square torus change their number
+    # of negative levels near eta = 0.72; Re q at the lowest node changes
+    # sign on the same grid interval, and only there
+    spec = ModelSpec("square", 5, 12, phi=0.7)
+    res = sweep(spec, eta_min=0.0, eta_max=1.0, steps=128)
+    assert "level-crossing" in res.flags
+    lams = ring_lams("square", 5)
+    counts = np.concatenate([np.count_nonzero(np.linalg.eigvalsh(chunk) < 0.0, axis=-1)
+                             for chunk in ring_stack("square", lams, 12, res.eta_grid, 0.7)]).reshape(-1, 5)
+    changes = np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)).tolist()
+    terms = _shift_table(spec, 1.0)[1]
+    flagged = [i for i in range(128) if _level_crossing("square", terms, res.eta_grid[i : i + 2])]
+    assert flagged == changes and len(changes) == 1
+    assert 0.71 < res.eta_grid[changes[0]] < 0.73
+    assert "level-crossing" not in sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)).flags
+
+
+@pytest.mark.parametrize("M", [4, 10, 12])
+def test_sweep_even_m_zero_coupling_mode(M):
+    # mode m = M/2 has lambda = 2cos(pi/2) = 0 exactly and so c = 0; rounded
+    # to 1.2e-16 it gave c ~ 1e-192, a lower cut that overflowed the Green's
+    # functions, and a ZeroDivisionError in the analytic curve
+    spec = ModelSpec("honeycomb", M, 24, phi=PHI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sweep(spec)
+    _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
+    if M == 4:  # the one critical mode is m = 2, so there is no analytic extremum
+        assert res.eta_m_analytic is None and res.peak_analytic is None
+        assert np.array_equal(res.d2_analytic, np.zeros(len(res.eta_grid)))
+    else:
+        assert res.flags == ()
+        assert res.eta_m == pytest.approx(res.eta_m_analytic, rel=1e-4)
+        assert res.peak == pytest.approx(res.peak_analytic, rel=1e-2)
 
 
 def test_sweep_square_lattice_is_tame():
