@@ -28,7 +28,6 @@ from .blocks import (
 )
 from .criticality import (
     FidelityCurve,
-    GroundStateResult,
     LinearFit,
     ScalingReport,
     SweepResult,
@@ -38,7 +37,6 @@ from .criticality import (
     fidelity_to_csv,
     golden_section_min,
     ground_energy_exact,
-    ground_energy_perturbative,
     linear_fit,
     scaling_scan,
     scaling_to_json_dict,
@@ -67,7 +65,6 @@ __all__ = [
     "CONVENTIONS",
     "DEFAULT_TOLERANCES",
     "FidelityCurve",
-    "GroundStateResult",
     "HermitianOperator",
     "LinearFit",
     "MidgapSolution",
@@ -89,7 +86,6 @@ __all__ = [
     "fidelity_to_csv",
     "golden_section_min",
     "ground_energy_exact",
-    "ground_energy_perturbative",
     "linear_fit",
     "midgap_perturbation",
     "omega_factor",

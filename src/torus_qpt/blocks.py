@@ -13,8 +13,8 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 `ring_lams` is the one place the coupling lambda of mode m is written
 down. `peierls_ring` and `square_ring` are the only ring builders;
 `ring_stack` stacks their rings for batched solves and serves every
-multi-ring consumer (`cmd_spectrum`, the dense ground energies,
-`union_eigenvalues`, `blocks_to_csv`, the `validate` ring checks).
+multi-ring consumer (`cmd_spectrum`, the dense ground energies, the
+sweeps' shift table, `union_eigenvalues`, `blocks_to_csv`, `validate`).
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union

@@ -142,7 +142,7 @@ OPTIONS = (
     ("eta_max", number, True, "sweep grid end", _GRID),
     ("steps", integer, True, "number of grid steps", _STEPS),
     ("convention", _one_of("convention", CONVENTIONS), True,
-     f"corner exponent convention: {' or '.join(CONVENTIONS)}", COMMANDS),
+     f"corner exponent convention: {' or '.join(CONVENTIONS)}", ("sweep", "scaling", "fidelity", "validate")),
     ("lam", number, True, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
     ("mode", integer, True, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
     ("n_list", ring_lengths, {}, "comma-separated ring lengths", ("scaling", "square")),
@@ -166,11 +166,6 @@ class RunConfig:
 
     def get(self, key, default=None):
         return self.data.get(key, default)
-
-    def to_json_dict(self) -> dict:
-        out = {"command": self.command}
-        out.update(self.data)
-        return out
 
 
 def parse_config(command: str, file_data: dict | None = None, overrides: dict | None = None) -> RunConfig:
@@ -338,7 +333,7 @@ def cmd_square(config: RunConfig) -> int:
     peaks = []
     flags = {}
     for spec in specs:
-        result = sweep(spec, *grid, config.get("convention", "cells"))
+        result = sweep(spec, *grid)
         peaks.append(abs(result.peak))
         flags[str(spec.N)] = list(result.flags)
         path = _out_path(config, f"sweep_square_N{spec.N}.csv")

@@ -10,8 +10,8 @@ midgap fidelity from exact eigenvectors.
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
-property, validated to 1e-10*t); `ground_energy_exact` itself
-diagonalizes the full lattice. Every ring coupling comes from
+property, validated to 1e-10*t); `ground_energy_exact`, the tests'
+oracle, diagonalizes the full lattice. Every ring coupling comes from
 `blocks.ring_lams` and every stack of rings from `blocks.ring_stack`.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import critical_modes, peierls_ring, ring_lams, ring_stack, square_ring
+from .blocks import critical_modes, peierls_ring, ring_lams, ring_stack
 from .models import ModelSpec, build_lattice
 from .output import csv_text
 from .ssh import (
@@ -89,22 +89,6 @@ _BLOCK_ENTRIES = 2**13
 
 # ---------------------------------------------------------------------------
 # result records
-
-
-@dataclass(frozen=True)
-class GroundStateResult:
-    """Half-filling energy split E_g = E_b + E_m.
-
-    e_m collects the lower midgap level of every critical-window block
-    (zero for the square lattice, which has no critical window); e_b is
-    the band remainder. method records how e_g was assembled.
-    """
-
-    e_g: float
-    e_m: float
-    e_b: float
-    occupied_count: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -207,53 +191,12 @@ def exact_midgap_gap(lam: float, N: int, eta: float, phi: float, t: float = 1.0)
     return float(evals[N // 2] - evals[N // 2 - 1])
 
 
-def ground_energy_exact(spec: ModelSpec) -> GroundStateResult:
-    """Half-filling ground state from the full-lattice spectrum.
-
-    E_g sums all negative eigenvalues (exact zero modes contribute
-    nothing). E_m sums the lower midgap level of each critical-window
-    block; E_b = E_g - E_m.
-    """
-    op = build_lattice(spec)
-    evals = np.linalg.eigvalsh(op.entries)
-    e_g = float(evals[evals < 0.0].sum())
-    occupied = int(np.count_nonzero(evals < 0.0))
-    e_m = 0.0
-    if spec.kind == "honeycomb":
-        for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
-            block_evals = np.linalg.eigvalsh(peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t))
-            e_m += float(block_evals[spec.N // 2 - 1])
-    return GroundStateResult(e_g=e_g, e_m=e_m, e_b=e_g - e_m, occupied_count=occupied, method="exact")
-
-
-def ground_energy_perturbative(spec: ModelSpec, convention: str = "cells") -> GroundStateResult:
-    """Half-filling energy with the midgap part replaced by perturbation
-    theory: E_g(eta) = E_b(0) + sum of perturbative lower midgap levels.
-
-    The band part is frozen at eta = 0, where it is computed exactly
-    from the blocks; its residual eta-dependence is part of the method's
-    error budget. Honeycomb only.
-    """
-    if spec.kind != "honeycomb":
-        raise ValueError("the perturbative-midgap split is defined for honeycomb specs only")
-    lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
-    e_g0 = float(_ground_energies(spec, [0.0])[0])
-    e_m0 = 0.0
-    for lam in lams:
-        block_evals = np.linalg.eigvalsh(peierls_ring(lam, spec.N, 0.0, spec.phi, spec.t))
-        e_m0 += float(block_evals[spec.N // 2 - 1])
-    e_b = e_g0 - e_m0
-    e_m = 0.0
-    for lam in lams:
-        sol = midgap_perturbation(lam, spec.N, spec.eta, spec.phi, spec.t, convention, warn=False)
-        e_m += sol.eps_minus
-    return GroundStateResult(
-        e_g=e_b + e_m,
-        e_m=e_m,
-        e_b=e_b,
-        occupied_count=spec.M * spec.N // 2,
-        method="perturbative-midgap",
-    )
+def ground_energy_exact(spec: ModelSpec) -> float:
+    """E_g at spec.eta: the sum of all negative levels of the full lattice
+    (exact zero modes contribute nothing). Its callers are test_criticality's
+    block-union and band/midgap-split checks, which need a full-lattice E_g."""
+    evals = np.linalg.eigvalsh(build_lattice(spec).entries)
+    return float(evals[evals < 0.0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +240,11 @@ def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> fl
             if absz2 == 0.0:
                 return float("-inf")
             continue
-        eps_minus = -spec.t * math.sqrt(absz2) / om
-        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * eps_minus ** 3)
-    return total
-
-
-def _d2_column(spec: ModelSpec, terms: list[tuple[float, float]], etas: np.ndarray) -> np.ndarray:
-    """_d2_sum at every eta of a grid, bit for bit: the same operations in
-    the same order, each power taken per element by Python's float ** (C
-    pow, which differs in the last bit from NumPy's x*x and x*x*x for about
-    1 in 1,000 squares and 1 in 40 cubes)."""
-    sin_phi = math.sin(spec.phi)
-    s2 = sin_phi * sin_phi
-    total = np.zeros(len(etas))
-    for c, om in terms:
-        absz2 = np.array([x ** 2 for x in (etas - c * math.cos(spec.phi)).tolist()]) + c * c * s2
-        if s2 == 0.0:
-            total[absz2 == 0.0] = -np.inf
-            continue
-        eps_minus = -spec.t * np.sqrt(absz2) / om
-        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * np.array([x ** 3 for x in eps_minus.tolist()]))
+        cube = (-spec.t * math.sqrt(absz2) / om) ** 3  # (eps^-)^3
+        if cube == 0.0:
+            raise RuntimeError(f"analytic curvature out of double range: (eps^-)^3 underflows to 0 at eta={eta:.6g} "
+                               f"for the mode with c_k={c:.3g}")
+        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * cube)
     return total
 
 
@@ -381,8 +309,7 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
     t, cos_phi, s2, M = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
-    build = peierls_ring if spec.kind == "honeycomb" else square_ring
-    rings = np.stack([build(lam, spec.N, 0.0, spec.phi, t) for lam in ring_lams(spec.kind, M, modes)])
+    rings = np.concatenate(list(ring_stack(spec.kind, ring_lams(spec.kind, M, modes), spec.N, [0.0], spec.phi, t)))
     g11, gnn, g1n = (g.ravel() for g in _boundary_green(rings, 1j * y))
     a = 2.0 * t * cos_phi * g1n
     b = t * t * (g1n * g1n - g11 * gnn)
@@ -582,9 +509,13 @@ def sweep(
     the refinement. When the analytic curve applies (honeycomb, sin(phi) !=
     0, some critical mode with c_k != 0), its golden-section extremum (to
     1e-12 of the range) is reported alongside as (eta_m_analytic,
-    peak_analytic); else both are None. The d2_analytic column comes from
+    peak_analytic); else both are None. The d2_analytic column sums
     per-mode constants computed once, bit for bit equal to one d2_analytic
     call per eta.
+
+    RuntimeError when the engine leaves double range (M = 7, N = 800, say):
+    E_g, an interior d2_numeric value or the peak is not finite, or a mode's
+    (eps^-)^3 in the analytic curve underflows to 0.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -605,8 +536,14 @@ def sweep(
     h = (hi - lo) / steps
     e_curve, d2_num = _shifted_energies(spec, table, grid)
     d2_num[[0, -1]] = np.nan  # at eta = 0 a square ring's zero level puts ~ -1/y_lo here
+    if not (np.isfinite(e_curve).all() and np.isfinite(d2_num[1:steps]).all()):
+        raise RuntimeError(f"E_g or its curvature is not finite on the grid at M={spec.M}, N={spec.N}: "
+                           "the spectral-shift engine is out of double range")
 
-    d2_ana = _d2_column(spec, terms, grid) if spec.kind == "honeycomb" else np.full(steps + 1, np.nan)
+    if spec.kind == "honeycomb":
+        d2_ana = np.array([_d2_sum(spec, terms, x) for x in grid.tolist()])
+    else:
+        d2_ana = np.full(steps + 1, np.nan)
 
     flags: list[str] = []
     first_order = spec.kind == "honeycomb" and math.sin(spec.phi) == 0.0
@@ -622,6 +559,8 @@ def sweep(
         eta_m = golden_section_min(lambda x: -abs(_shifted_curvature(spec, table, x)), eta_m - h, eta_m + h,
                                    tol=1e-6 * h)
     peak = _shifted_curvature(spec, table, eta_m)
+    if not math.isfinite(peak):
+        raise RuntimeError(f"curvature peak is not finite at eta={eta_m:.6g} (M={spec.M}, N={spec.N})")
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 

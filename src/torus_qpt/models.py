@@ -99,9 +99,6 @@ class HermitianOperator:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
 
 def build_lattice(spec: ModelSpec) -> HermitianOperator:
     """Assemble the torus Hamiltonian from its bond list.

@@ -267,7 +267,8 @@ def fidelity_at_minimum(
 ) -> float:
     """Closed-form fidelity at eta = eta_star: b/sqrt(delta^2 + b^2)
     with b = |c*sin(phi)|; equals 1 at delta = 0 and 0 across an exact
-    crossing (sin(phi) = 0, delta > 0)."""
+    crossing (sin(phi) = 0, delta > 0). The oracle that test_ssh and
+    test_acceptance compare fidelity_perturbative against."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:

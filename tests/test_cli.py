@@ -97,14 +97,6 @@ def test_parse_config_rejects_bad_convention():
         parse_config("sweep", {"convention": "bonds"}, None)
 
 
-def test_serialize_config_round_trip():
-    cfg = parse_config("scaling", {"M": 7, "n_list": [8, 12]}, {"steps": 96})
-    data = cfg.to_json_dict()
-    assert data["command"] == "scaling"
-    again = parse_config(data.pop("command"), data, None)
-    assert again == cfg
-
-
 # ---------------------------------------------------------------------------
 # commands (in-process)
 
@@ -293,17 +285,17 @@ def test_unknown_flag_for_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-# The config keys each command accepted when the CLI kept one key set per
-# command; the option table must reproduce them exactly.
+# The config keys each command accepts; the option table must reproduce them
+# exactly. 'convention' goes only to the commands that read it.
 ACCEPTED_KEYS = {
-    "spectrum": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+    "spectrum": {"command", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
                  "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
     "sweep": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
               "eta_min", "eta_max", "steps", "dump_blocks"},
     "scaling": {"command", "convention", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
     "fidelity": {"command", "convention", "out", "lam", "N", "t", "phi", "phi_over_pi", "eta_center",
                  "delta_min", "delta_max", "delta_steps"},
-    "square": {"command", "convention", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
+    "square": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
                "eta_max", "steps"},
     "validate": {"command", "convention", "out", "tolerances"},
 }
@@ -393,6 +385,8 @@ REJECTED = [
     ["fidelity", "--t", "0"],
     ["spectrum", "--dump-blocks"],
     ["spectrum", "--dump-blocks", "--M", "2"],
+    ["square", "--convention", "cells"],
+    ["spectrum", "--convention", "cells"],
     ["sweep", "--config", "{\"M\": 7.5}"],
     ["sweep", "--config", "{\"eta_max\": Infinity}"],
     ["validate", "--config", "{\"tolerances\": {\"zero-mode-residual\": [1]}}"],
@@ -433,6 +427,21 @@ def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--M", "7", "--N", "800"], ["--M", "31", "--N", "256", "--phi-over-pi", "0.25", "--steps", "400"],
+     ["--M", "61", "--N", "128", "--phi-over-pi", "0.25"]],
+    ids=" ".join,
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy reports the overflow before the sweep raises
+def test_sweep_out_of_double_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(["sweep", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "out of double range" in err and "Traceback" not in err
     assert not out.exists()
 
 

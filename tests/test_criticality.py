@@ -9,6 +9,7 @@ from torus_qpt import (
     ModelSpec,
     build_lattice,
     corner_coupling,
+    critical_modes,
     d2_analytic,
     exact_midgap_gap,
     fidelity_exact,
@@ -16,8 +17,8 @@ from torus_qpt import (
     fidelity_to_csv,
     golden_section_min,
     ground_energy_exact,
-    ground_energy_perturbative,
     linear_fit,
+    midgap_perturbation,
     peierls_ring,
     ring_lams,
     ring_stack,
@@ -26,6 +27,7 @@ from torus_qpt import (
     square_ring,
     sweep,
     sweep_to_csv,
+    union_eigenvalues,
 )
 from torus_qpt import criticality
 from torus_qpt.criticality import (
@@ -53,37 +55,31 @@ def test_exact_midgap_gap_positive_and_small():
     assert 0 < gap < 0.01
 
 
+def _midgap_part(spec):
+    """E_m: the lower midgap level of each critical-window ring, summed."""
+    lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
+    return sum(float(np.linalg.eigvalsh(peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t))[spec.N // 2 - 1])
+               for lam in lams)
+
+
 def test_ground_energy_exact_split():
     spec = ModelSpec("honeycomb", 7, 8, eta=0.02, phi=PHI)
-    res = ground_energy_exact(spec)
-    assert res.method == "exact"
-    assert res.e_g == pytest.approx(res.e_b + res.e_m, rel=1e-14)
-    assert res.e_g < 0 and res.e_m < 0
-    # E_g is the sum of negative full-lattice levels
+    e_g = ground_energy_exact(spec)
+    # E_g is the sum of negative full-lattice levels, and so of negative block levels
     evals = np.linalg.eigvalsh(build_lattice(spec).entries)
-    assert res.e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
-    assert res.occupied_count == int((evals < 0).sum())
+    assert e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
+    union = union_eigenvalues(spec)
+    assert e_g == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
+    # the midgap part is negative, and so is the band remainder
+    e_m = _midgap_part(spec)
+    assert e_m < 0 and e_g - e_m < 0
 
 
 def test_ground_energy_square_has_no_midgap_part():
-    res = ground_energy_exact(ModelSpec("square", 3, 8, eta=0.5, phi=PHI))
-    assert res.e_m == 0.0
-    assert res.e_g == res.e_b
-
-
-def test_ground_energy_perturbative_tracks_exact():
-    spec = ModelSpec("honeycomb", 7, 20, eta=2.155e-4, phi=PHI)
-    exact = ground_energy_exact(spec)
-    pert = ground_energy_perturbative(spec)
-    assert pert.method == "perturbative-midgap"
-    assert pert.occupied_count == spec.M * spec.N // 2
-    assert abs(pert.e_g - exact.e_g) < 1e-4
-    assert abs(pert.e_m - exact.e_m) < 1e-7
-
-
-def test_ground_energy_perturbative_rejects_square():
-    with pytest.raises(ValueError):
-        ground_energy_perturbative(ModelSpec("square", 3, 8))
+    # the square lattice has no critical window, so E_g is the negative block levels alone
+    spec = ModelSpec("square", 3, 8, eta=0.5, phi=PHI)
+    union = union_eigenvalues(spec)
+    assert ground_energy_exact(spec) == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
 
 
 def test_band_part_curvature_is_negligible_at_peak():
@@ -94,8 +90,9 @@ def test_band_part_curvature_is_negligible_at_peak():
     h = eta_m / 4
 
     def parts(eta):
-        res = ground_energy_exact(dataclasses.replace(spec, eta=eta))
-        return res.e_b, res.e_m
+        at = dataclasses.replace(spec, eta=eta)
+        e_m = _midgap_part(at)
+        return ground_energy_exact(at) - e_m, e_m
 
     (b_hi, m_hi), (b_0, m_0), (b_lo, m_lo) = parts(eta_m + h), parts(eta_m), parts(eta_m - h)
     d2_band = abs((b_hi - 2 * b_0 + b_lo) / h**2)
@@ -112,8 +109,10 @@ def test_d2_analytic_is_second_derivative_of_midgap_energy():
     spec = ModelSpec("honeycomb", 7, 12, phi=PHI)
     eta0, h = 0.01, 1e-4
 
+    lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
+
     def e_m(eta):
-        return ground_energy_perturbative(dataclasses.replace(spec, eta=eta)).e_m
+        return sum(midgap_perturbation(lam, spec.N, eta, spec.phi, spec.t, warn=False).eps_minus for lam in lams)
 
     fd = (e_m(eta0 + h) - 2 * e_m(eta0) + e_m(eta0 - h)) / h**2
     ana = d2_analytic(spec, eta0)
