@@ -22,14 +22,13 @@ from .blocks import (
     critical_modes,
     peierls_ring,
     ring_lams,
+    ring_levels,
     ring_stack,
     square_ring,
     union_eigenvalues,
 )
 from .criticality import (
     FidelityCurve,
-    LinearFit,
-    ScalingReport,
     SweepResult,
     d2_analytic,
     exact_midgap_gap,
@@ -39,7 +38,6 @@ from .criticality import (
     ground_energy_exact,
     linear_fit,
     scaling_scan,
-    scaling_to_json_dict,
     sweep,
     sweep_to_csv,
 )
@@ -66,10 +64,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "FidelityCurve",
     "HermitianOperator",
-    "LinearFit",
     "MidgapSolution",
     "ModelSpec",
-    "ScalingReport",
     "SweepResult",
     "ZeroModePair",
     "__version__",
@@ -91,10 +87,10 @@ __all__ = [
     "omega_factor",
     "peierls_ring",
     "ring_lams",
+    "ring_levels",
     "ring_stack",
     "run_validation",
     "scaling_scan",
-    "scaling_to_json_dict",
     "square_ring",
     "square_ring_closed_form",
     "sweep",

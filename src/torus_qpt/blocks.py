@@ -11,10 +11,11 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
   lambda_{2k} = 2*cos(k).
 
 `ring_lams` is the one place the coupling lambda of mode m is written
-down. `peierls_ring` and `square_ring` are the only ring builders;
-`ring_stack` stacks their rings for batched solves and serves every
-multi-ring consumer (`cmd_spectrum`, the dense ground energies, the
-sweeps' shift table, `union_eigenvalues`, `blocks_to_csv`, `validate`).
+down. `peierls_ring` and `square_ring` are the only ring builders, and
+only `ring_stack` calls them, stacking their rings in chunks. The one
+dense ring-solve path, `ring_levels`, solves those chunks for every ring
+level of the package (spectrum, ground energies, block union, midgap
+gap, validate); the shift table and `blocks_to_csv` read rings directly.
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
@@ -88,8 +89,7 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
     order) in chunks of shape (n, N, N) holding at most CHUNK_ENTRIES
     complex entries (one ring when a single ring is larger). The generator
     drops each chunk before it builds the next, so a consumer that keeps
-    no reference (map(np.linalg.eigvalsh, ...)) has one chunk alive at a
-    time.
+    no reference (ring_levels) has one chunk alive at a time.
 
     Each open ring (eta = 0) is built once per lambda by peierls_ring
     (honeycomb) or square_ring (any other kind). Only the two corner
@@ -113,6 +113,13 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
         chunk[:, 0, N - 1] += bond.conj()
         yield chunk
         del chunk  # freed before the next chunk is built, unless the consumer holds it
+
+
+def ring_levels(kind: str, lams, N: int, etas, phi: float, t: float = 1.0) -> np.ndarray:
+    """Sorted levels of every ring of ring_stack, shape (len(etas), len(lams), N):
+    one eigvalsh call per chunk, and map keeps no chunk once it is solved."""
+    levels = map(np.linalg.eigvalsh, ring_stack(kind, lams, N, etas, phi, t))
+    return np.concatenate(list(levels)).reshape(len(etas), -1, N)
 
 
 def ring_lams(kind: str, M: int, modes=None) -> list[float]:
@@ -146,8 +153,7 @@ def critical_modes(M: int) -> list[int]:
 
 def union_eigenvalues(spec: ModelSpec) -> np.ndarray:
     """Sorted concatenation of all block eigenvalues (full-lattice multiset)."""
-    stack = ring_stack(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t)
-    return np.sort(np.concatenate([levels.ravel() for levels in map(np.linalg.eigvalsh, stack)]))
+    return np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
 
 
 def blocks_to_csv(spec: ModelSpec) -> str:

@@ -7,10 +7,10 @@ precedence over the file. OPTIONS lists every key once, with its
 converter, its flag settings and the commands that accept it. The
 converter is the only place a value is typed and checked: argparse uses
 it as the flag's type, parse_config applies it to every merged value,
-and a command reads typed values with config.get(key, default). Outputs
-are written atomically into --out (default: current directory) with
-fixed float formatting, so identical configurations produce
-byte-identical files.
+and a command reads the typed values from parse_config's dict. A command
+rejects a value that nothing would read (`_needs`). Outputs are written
+atomically into --out (default: current directory) with fixed float
+formatting, so identical configurations produce byte-identical files.
 
 Exit codes: 0 success. 2 the input was rejected before any work: any
 ValueError, ConfigError included, from a converter (a non-integral
@@ -27,20 +27,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import blocks_to_csv, ring_lams, ring_stack
-from .criticality import (
-    DEFAULT_STEPS,
-    fidelity_exact,
-    fidelity_to_csv,
-    scaling_scan,
-    scaling_to_json_dict,
-    sweep,
-    sweep_to_csv,
-)
+from .blocks import blocks_to_csv, ring_lams, ring_levels
+from .criticality import DEFAULT_STEPS, fidelity_exact, fidelity_to_csv, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
 from .ssh import CONVENTIONS, corner_coupling
@@ -157,19 +148,9 @@ OPTIONS = (
 _CONVERTERS = {key: convert for key, convert, *_ in OPTIONS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated run: the command plus its merged, converted key-value block."""
-
-    command: str
-    data: dict
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-
-def parse_config(command: str, file_data: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge config-file values with flag overrides, check keys, convert values.
+def parse_config(command: str, file_data: dict | None = None, overrides: dict | None = None) -> dict:
+    """Merge config-file values with flag overrides, check keys, convert values;
+    return the converted key-value dict.
 
     Flags win over file values. A flux given by flag (either 'phi' or
     'phi_over_pi') replaces any flux key from the file. Unknown keys,
@@ -193,20 +174,20 @@ def parse_config(command: str, file_data: dict | None = None, overrides: dict | 
         raise ConfigError(f"keys not used by command {command!r}: {sorted(unknown)}")
     if "phi" in merged and "phi_over_pi" in merged:
         raise ConfigError("provide exactly one of 'phi' and 'phi_over_pi'")
-    return RunConfig(command, {key: _CONVERTERS[key](value, key) for key, value in merged.items()})
+    return {key: _CONVERTERS[key](value, key) for key, value in merged.items()}
 
 
-def _resolve_phi(config: RunConfig, default: float) -> float:
-    if "phi_over_pi" in config.data:
-        return config.data["phi_over_pi"] * math.pi
+def _resolve_phi(config: dict, default: float) -> float:
+    if "phi_over_pi" in config:
+        return config["phi_over_pi"] * math.pi
     return config.get("phi", default)
 
 
-def _out_path(config: RunConfig, filename: str) -> str:
+def _out_path(config: dict, filename: str) -> str:
     return os.path.join(config.get("out", "."), filename)
 
 
-def _build_model(config: RunConfig, kind: str, M: int, N: int, eta: float, phi_default: float) -> ModelSpec:
+def _build_model(config: dict, kind: str, M: int, N: int, eta: float, phi_default: float) -> ModelSpec:
     return ModelSpec(
         kind=config.get("kind", kind),
         M=config.get("M", M),
@@ -217,7 +198,13 @@ def _build_model(config: RunConfig, kind: str, M: int, N: int, eta: float, phi_d
     )
 
 
-def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
+def _needs(config: dict, key: str, *keys: str) -> None:
+    """ConfigError when `key` is given (and not false) but none of `keys` is."""
+    if config.get(key, False) is not False and all(config.get(other, False) is False for other in keys):
+        raise ConfigError(f"{key!r} needs {' or '.join(map(repr, keys))}")
+
+
+def _maybe_dump_blocks(config: dict, spec: ModelSpec) -> None:
     if config.get("dump_blocks"):
         path = _out_path(config, "blocks.csv")
         atomic_write_text(path, blocks_to_csv(spec))
@@ -228,16 +215,18 @@ def _maybe_dump_blocks(config: RunConfig, spec: ModelSpec) -> None:
 # commands
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: dict) -> int:
     kind = config.get("kind", "honeycomb")
     N = config.get("N", 20)
     phi = _resolve_phi(config, 0.0)
-    if "lam" in config.data and "mode" in config.data:
+    if "lam" in config and "mode" in config:
         raise ConfigError("select the block via either 'lam' or 'mode', not both")
-    if "mode" in config.data:
-        M, mode = config.get("M", 0), config.get("mode")
-        if M < 1:
-            raise ConfigError("'mode' selection needs 'M'")
+    _needs(config, "mode", "M")
+    _needs(config, "M", "mode", "dump_blocks")  # the one ring reads M only through 'mode'
+    _needs(config, "eta", "dump_blocks")  # and eta not at all: the grid replaces it
+    _needs(config, "dump_blocks", "M")
+    if "mode" in config:
+        M, mode = config["M"], config["mode"]
         if not 1 <= mode <= M:
             raise ConfigError(f"invalid mode index {mode} for M={M}")
         lam = ring_lams(kind, M, [mode])[0]
@@ -246,15 +235,11 @@ def cmd_spectrum(config: RunConfig) -> int:
     eta_min, eta_max, steps = config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 200)
     if steps < 1 or not eta_max > eta_min:
         raise ConfigError("need steps >= 1 and eta_max > eta_min")
-    if config.get("dump_blocks") and "M" not in config.data:
-        raise ConfigError("'dump_blocks' needs a full model; provide 'M'")
     spec = _build_model(config, kind, 0, N, 1.0, phi) if config.get("dump_blocks") else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
-    rows = []
-    # one eigvalsh call per chunk; map keeps no chunk alive once it is solved
-    for levels in map(np.linalg.eigvalsh, ring_stack(kind, [lam], N, grid, phi, config.get("t", 1.0))):
-        rows.extend([float(eta)] + list(row) for eta, row in zip(grid[len(rows) :], levels))
+    levels = ring_levels(kind, [lam], N, grid, phi, config.get("t", 1.0))[:, 0]
+    rows = [[float(eta)] + list(row) for eta, row in zip(grid, levels)]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     path = _out_path(config, "spectrum.csv")
     atomic_write_text(path, csv_text(header, rows))
@@ -264,7 +249,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: dict) -> int:
+    _needs(config, "eta", "dump_blocks")  # the sweep's grid does not read eta
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
     result = sweep(
         spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS),
@@ -283,7 +269,7 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def cmd_scaling(config: RunConfig) -> int:
+def cmd_scaling(config: dict) -> int:
     report = scaling_scan(
         M=config.get("M", 7),
         phi=_resolve_phi(config, math.pi / 4),
@@ -293,20 +279,21 @@ def cmd_scaling(config: RunConfig) -> int:
         convention=config.get("convention", "cells"),
     )
     path = _out_path(config, "scaling.json")
-    atomic_write_text(path, json_text(scaling_to_json_dict(report)))
+    atomic_write_text(path, json_text(report))
+    fit_eta, fit_peak = report["fit_eta"], report["fit_peak"]
     print(
-        f"scaling: eta_m fit slope={fmt_float(report.fit_eta.slope)} r2={fmt_float(report.fit_eta.r2)}; "
-        f"peak fit slope={fmt_float(report.fit_peak.slope)} r2={fmt_float(report.fit_peak.r2)}"
+        f"scaling: eta_m fit slope={fmt_float(fit_eta['slope'])} r2={fmt_float(fit_eta['r2'])}; "
+        f"peak fit slope={fmt_float(fit_peak['slope'])} r2={fmt_float(fit_peak['r2'])}"
     )
     print(f"wrote {path}")
     return 0
 
 
-def cmd_fidelity(config: RunConfig) -> int:
+def cmd_fidelity(config: dict) -> int:
     lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
     convention = config.get("convention", "cells")
     c = corner_coupling(lam, N, convention)
-    if c == 0.0 and not ("delta_min" in config.data and "delta_max" in config.data):
+    if c == 0.0 and not ("delta_min" in config and "delta_max" in config):
         raise ConfigError("lambda = 0 has no natural delta scale; give delta_min and delta_max")
     delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
     delta_steps = config.get("delta_steps", 25)
@@ -322,7 +309,7 @@ def cmd_fidelity(config: RunConfig) -> int:
     return 0
 
 
-def cmd_square(config: RunConfig) -> int:
+def cmd_square(config: dict) -> int:
     M = config.get("M", 3)
     n_sorted = sorted(set(config.get("n_list", [8, 16, 32])))
     phi = _resolve_phi(config, math.pi / 4)
@@ -356,7 +343,7 @@ def cmd_square(config: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: dict) -> int:
     report = run_validation(config.get("convention", "cells"), config.get("tolerances"))
     path = _out_path(config, "validate.json")
     atomic_write_text(path, json_text(report))

@@ -12,7 +12,9 @@ Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
 property, validated to 1e-10*t); `ground_energy_exact`, the tests'
 oracle, diagonalizes the full lattice. Every ring coupling comes from
-`blocks.ring_lams` and every stack of rings from `blocks.ring_stack`.
+`blocks.ring_lams`, every stack of rings from `blocks.ring_stack`, and
+every dense ring level from `blocks.ring_levels`, the one dense
+ring-solve path.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -25,7 +27,7 @@ with A = 2t*cos(phi)*G_1N and B = t^2*(G_1N^2 - G_11*G_NN) from the
 boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
 the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
-E_g(0) is one dense eigvalsh per open ring. The three G0 entries come
+E_g(0) sums the dense levels of the open rings. The three G0 entries come
 from O(N) continued fractions, once per distinct mode (m and M - m share
 them) on one node set, and serve every eta of the sweep. The quadrature
 is 10-point Gauss-Legendre on unit panels of s = ln(y/t) over [ln y_lo,
@@ -45,7 +47,7 @@ costs O(near nodes * 33 + far nodes * etas) instead of one O(N^3)
 eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
 sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
 2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
-`_ground_energies`, the dense path over `ring_stack`, serves the eta = 0
+`_ground_energies`, the dense path over `ring_levels`, serves the eta = 0
 term and the tests' oracle.
 """
 
@@ -58,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import critical_modes, peierls_ring, ring_lams, ring_stack
+from .blocks import critical_modes, ring_lams, ring_levels, ring_stack
 from .models import ModelSpec, build_lattice
 from .output import csv_text
 from .ssh import (
@@ -122,28 +124,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class LinearFit:
-    slope: float
-    intercept: float
-    r2: float
-
-    def as_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2}
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Finite-size scaling of the pseudo-critical point and peak height."""
-
-    n_values: tuple[int, ...]
-    ln_eta_m: tuple[float, ...]
-    ln_abs_peak: tuple[float, ...]
-    fit_eta: LinearFit
-    fit_peak: LinearFit
-    paper_comparison: dict
-
-
-@dataclass(frozen=True)
 class FidelityCurve:
     """Midgap fidelity versus half-separation delta at fixed center."""
 
@@ -165,29 +145,25 @@ class FidelityCurve:
 
 def _ground_energies(spec: ModelSpec, etas) -> np.ndarray:
     """E_g at each eta: each block's negative levels summed, then the blocks
-    added in ascending mode order; one eigvalsh call per ring_stack chunk.
+    added in ascending mode order.
 
     Sweeps take only the eta = 0 term from here; the dense sums at other
     etas are the oracle of the spectral-shift engine."""
-    lams = ring_lams(spec.kind, spec.M)
-    sums = []
-    # map drops each chunk once it is solved, so one chunk is alive at a time
-    for evals in map(np.linalg.eigvalsh, ring_stack(spec.kind, lams, spec.N, etas, spec.phi, spec.t)):
-        negative = np.count_nonzero(evals < 0.0, axis=-1)
-        part = np.empty(len(evals))
-        for k in set(negative.tolist()):  # np.unique would import numpy.ma (+1.7 MB)
-            rows = negative == k
-            part[rows] = evals[rows, :k].sum(axis=-1)
-        sums.append(part)
+    levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, etas, spec.phi, spec.t)
+    negative = np.count_nonzero(levels < 0.0, axis=-1)
+    sums = np.empty(negative.shape)
+    for k in set(negative.ravel().tolist()):  # np.unique would import numpy.ma (+1.7 MB)
+        rings = negative == k
+        sums[rings] = levels[rings, :k].sum(axis=-1)
     total = np.zeros(len(etas))
-    for column in np.concatenate(sums).reshape(len(etas), len(lams)).T:
+    for column in sums.T:
         total += column
     return total
 
 
 def exact_midgap_gap(lam: float, N: int, eta: float, phi: float, t: float = 1.0) -> float:
     """Gap between the two levels closest to zero in the exact ring block."""
-    evals = np.linalg.eigvalsh(peierls_ring(lam, N, eta, phi, t))
+    evals = ring_levels("honeycomb", [lam], N, [eta], phi, t)[0, 0]
     return float(evals[N // 2] - evals[N // 2 - 1])
 
 
@@ -319,6 +295,18 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
 
 
+def _in_double_range(step):
+    """Run a step of the engine with NumPy raising on overflow, invalid values
+    and division by zero, and report those as a sweep out of double range."""
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return step(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise RuntimeError(f"the spectral-shift engine is out of double range ({exc})") from None
+    return functools.wraps(step)(run)
+
+
 class _ShiftTerms(NamedTuple):
     """The quadrature terms of a shift table (see _mode_terms)."""
 
@@ -330,6 +318,7 @@ class _ShiftTerms(NamedTuple):
     lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo*t
 
 
+@_in_double_range
 def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float,
                 lowest: np.ndarray) -> _ShiftTerms:
     """Split the nodes in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
@@ -411,6 +400,7 @@ def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ln, d2
 
 
+@_in_double_range
 def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray, logs: bool = True):
     """Quadrature sums of ln|q(y, eta)| (None unless `logs`) and of its exact
     second eta-derivative over the table's nodes, for a column of etas: the
@@ -514,8 +504,9 @@ def sweep(
     call per eta.
 
     RuntimeError when the engine leaves double range (M = 7, N = 800, say):
-    E_g, an interior d2_numeric value or the peak is not finite, or a mode's
-    (eps^-)^3 in the analytic curve underflows to 0.
+    its array arithmetic overflows, divides by zero or turns invalid (NumPy
+    raises there instead of warning), E_g, an interior d2_numeric value or
+    the peak is not finite, or a mode's (eps^-)^3 underflows to 0.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -587,8 +578,9 @@ def sweep(
 # scaling
 
 
-def linear_fit(x, y) -> LinearFit:
-    """Ordinary least-squares line y = slope*x + intercept with R^2."""
+def linear_fit(x, y) -> dict:
+    """Ordinary least-squares line y = slope*x + intercept with R^2, as
+    {"slope", "intercept", "r2"}."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
@@ -601,7 +593,7 @@ def linear_fit(x, y) -> LinearFit:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return LinearFit(float(slope), float(intercept), float(r2))
+    return {"slope": float(slope), "intercept": float(intercept), "r2": float(r2)}
 
 
 REFERENCE_SLOPE_ETA = -1.0 / 5.0
@@ -617,13 +609,15 @@ def scaling_scan(
     n_list,
     steps: int = 128,
     convention: str = "cells",
-) -> ScalingReport:
+) -> dict:
     """Finite-size scaling of the curvature peak on the honeycomb torus.
 
     Runs one sweep per ring length N (eta = 0 spec, auto range), then
     fits ln(eta_m) and ln|peak| against N by ordinary least squares.
-    External reference constants are attached for comparison only; they
-    are not a pass/fail gate.
+    Returns the scaling.json document: n_values, ln_eta_m, ln_abs_peak,
+    the fits fit_eta and fit_peak (linear_fit's), and paper_comparison,
+    external reference constants attached for comparison only (they are
+    not a pass/fail gate).
 
     ValueError rejects the input before any sweep: sin(phi) = 0, fewer
     than two distinct ring lengths, or an (M, N) that ModelSpec rejects
@@ -656,20 +650,20 @@ def scaling_scan(
         "slope_ref2": REFERENCE_SLOPE_PEAK,
         "intercept_ref2": REFERENCE_INTERCEPT_PEAK,
         "deviations": {
-            "eta_slope": fit_eta.slope - REFERENCE_SLOPE_ETA,
-            "eta_intercept": fit_eta.intercept - REFERENCE_INTERCEPT_ETA,
-            "peak_slope": fit_peak.slope - REFERENCE_SLOPE_PEAK,
-            "peak_intercept": fit_peak.intercept - REFERENCE_INTERCEPT_PEAK,
+            "eta_slope": fit_eta["slope"] - REFERENCE_SLOPE_ETA,
+            "eta_intercept": fit_eta["intercept"] - REFERENCE_INTERCEPT_ETA,
+            "peak_slope": fit_peak["slope"] - REFERENCE_SLOPE_PEAK,
+            "peak_intercept": fit_peak["intercept"] - REFERENCE_INTERCEPT_PEAK,
         },
     }
-    return ScalingReport(
-        n_values=tuple(n_values),
-        ln_eta_m=tuple(ln_eta),
-        ln_abs_peak=tuple(ln_peak),
-        fit_eta=fit_eta,
-        fit_peak=fit_peak,
-        paper_comparison=comparison,
-    )
+    return {
+        "n_values": n_values,
+        "ln_eta_m": ln_eta,
+        "ln_abs_peak": ln_peak,
+        "fit_eta": fit_eta,
+        "fit_peak": fit_peak,
+        "paper_comparison": comparison,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +694,7 @@ def fidelity_exact(
         raise ValueError("delta_grid must contain positive values only")
 
     center = midgap_perturbation(lam, N, eta_center, phi, t, convention, warn=False)
-    evals = np.linalg.eigvalsh(peierls_ring(lam, N, eta_center, phi, t))
+    evals = ring_levels("honeycomb", [lam], N, [eta_center], phi, t)[0, 0]
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
         ratio = band_sep / center.gap_min if center.gap_min > 0 else math.inf
@@ -713,8 +707,8 @@ def fidelity_exact(
     f_exact = np.empty(deltas.size)
     f_pert = np.empty(deltas.size)
     for i, delta in enumerate(deltas):
-        w1, v1 = np.linalg.eigh(peierls_ring(lam, N, eta_center - delta, phi, t))
-        w2, v2 = np.linalg.eigh(peierls_ring(lam, N, eta_center + delta, phi, t))
+        pair = ring_stack("honeycomb", [lam], N, [eta_center - delta, eta_center + delta], phi, t)
+        (w1, w2), (v1, v2) = np.linalg.eigh(np.concatenate(list(pair)))
         degenerate = (w1[N // 2] - w1[N // 2 - 1] <= 1e-9 * t) or (w2[N // 2] - w2[N // 2 - 1] <= 1e-9 * t)
         if degenerate:
             u1 = v1[:, N // 2 - 1 : N // 2 + 1]
@@ -742,14 +736,3 @@ def fidelity_to_csv(curve: FidelityCurve) -> str:
     header = ["delta", "f_exact", "f_perturbative"]
     rows = zip(curve.delta_grid, curve.f_exact, curve.f_perturbative)
     return csv_text(header, rows)
-
-
-def scaling_to_json_dict(report: ScalingReport) -> dict:
-    return {
-        "n_values": list(report.n_values),
-        "ln_eta_m": list(report.ln_eta_m),
-        "ln_abs_peak": list(report.ln_abs_peak),
-        "fit_eta": report.fit_eta.as_dict(),
-        "fit_peak": report.fit_peak.as_dict(),
-        "paper_comparison": report.paper_comparison,
-    }

@@ -4,8 +4,8 @@
 ring at the two boundary endpoints eta = 1 (plane waves picking up the
 flux phase) and eta = 0 (open-chain standing waves); the validate suite
 and the acceptance tests hold dense solves of `blocks.square_ring`
-against them. Every dense solve in the package calls NumPy's
-`eigvalsh`/`eigh` directly.
+against them. Every dense solve for ring levels goes through
+`blocks.ring_levels`.
 """
 
 from __future__ import annotations

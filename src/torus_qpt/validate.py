@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .blocks import ring_stack, union_eigenvalues
+from .blocks import ring_levels, union_eigenvalues
 from .criticality import exact_midgap_gap, fidelity_exact, golden_section_min
 from .eigensolve import square_ring_closed_form
 from .models import ModelSpec, build_lattice
@@ -28,18 +28,6 @@ from .ssh import (
     midgap_perturbation,
     zero_modes,
 )
-
-DEFAULT_TOLERANCES = {
-    "block-union-honeycomb": 1e-10,
-    "block-union-square": 1e-10,
-    "zero-mode-residual": 1e-13,
-    "square-closed-form": 1e-10,
-    "perturbation-vs-oracle": 1e-5,
-    "gap-minimum-location": 1e-6,
-    "curvature-consistency": 2e-2,
-    "fidelity-closed-form": 1e-8,
-    "fidelity-exact-vs-perturbative": 1e-3,
-}
 
 
 def _union_deviation(specs: list[ModelSpec]) -> float:
@@ -91,7 +79,7 @@ def check_square_closed_form(convention: str) -> float:
     worst = 0.0
     for n in range(2, 65):
         for eta, phi in [(0.0, 0.0)] + [(1.0, phi) for phi in phis]:
-            dense = np.concatenate(list(map(np.linalg.eigvalsh, ring_stack("square", lams, n, [eta], phi))))
+            dense = ring_levels("square", lams, n, [eta], phi)[0]
             closed = np.array([square_ring_closed_form(n, phi, lam2k, eta, 1.0) for lam2k in lams])
             worst = max(worst, float(np.max(np.abs(closed - dense))))
     return worst
@@ -100,15 +88,10 @@ def check_square_closed_form(convention: str) -> float:
 _LAM, _N, _PHI = 0.5, 20, math.pi / 4
 
 
-def _ring_levels(etas: list[float]) -> np.ndarray:
-    """Sorted levels of the honeycomb ring (_LAM, _N, _PHI) at each eta, one row per eta."""
-    return np.linalg.eigvalsh(np.concatenate(list(ring_stack("honeycomb", [_LAM], _N, etas, _PHI))))
-
-
 def check_perturbation_vs_oracle(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
     etas = np.linspace(0.0, 5.0 * c, 21).tolist()
-    pairs = _ring_levels(etas)[:, _N // 2 - 1 : _N // 2 + 1]
+    pairs = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1 : _N // 2 + 1]
     worst = 0.0
     for eta, (lower, upper) in zip(etas, pairs.tolist()):
         sol = midgap_perturbation(_LAM, _N, eta, _PHI, 1.0, convention, warn=False)
@@ -130,7 +113,8 @@ def check_curvature_consistency(convention: str) -> float:
     eta_star = sol.eta_star
     step = corner_coupling(_LAM, _N, "cells") * abs(math.sin(_PHI)) / 100.0
 
-    up, mid, down = _ring_levels([eta_star + step, eta_star, eta_star - step])[:, _N // 2 - 1].tolist()
+    etas = [eta_star + step, eta_star, eta_star - step]
+    up, mid, down = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1].tolist()
     fd = (up - 2.0 * mid + down) / (step * step)
     return abs((fd - sol.curvature_max) / sol.curvature_max)
 
@@ -151,17 +135,19 @@ def check_fidelity_exact_vs_perturbative(convention: str) -> float:
     return float(np.max(np.abs(curve.f_exact - curve.f_perturbative)))
 
 
+# (name, check, default tolerance), in report order
 CHECKS = (
-    ("block-union-honeycomb", check_block_union_honeycomb),
-    ("block-union-square", check_block_union_square),
-    ("zero-mode-residual", check_zero_mode_residual),
-    ("square-closed-form", check_square_closed_form),
-    ("perturbation-vs-oracle", check_perturbation_vs_oracle),
-    ("gap-minimum-location", check_gap_minimum_location),
-    ("curvature-consistency", check_curvature_consistency),
-    ("fidelity-closed-form", check_fidelity_closed_form),
-    ("fidelity-exact-vs-perturbative", check_fidelity_exact_vs_perturbative),
+    ("block-union-honeycomb", check_block_union_honeycomb, 1e-10),
+    ("block-union-square", check_block_union_square, 1e-10),
+    ("zero-mode-residual", check_zero_mode_residual, 1e-13),
+    ("square-closed-form", check_square_closed_form, 1e-10),
+    ("perturbation-vs-oracle", check_perturbation_vs_oracle, 1e-5),
+    ("gap-minimum-location", check_gap_minimum_location, 1e-6),
+    ("curvature-consistency", check_curvature_consistency, 2e-2),
+    ("fidelity-closed-form", check_fidelity_closed_form, 1e-8),
+    ("fidelity-exact-vs-perturbative", check_fidelity_exact_vs_perturbative, 1e-3),
 )
+DEFAULT_TOLERANCES = {name: tol for name, _, tol in CHECKS}
 
 
 def run_validation(convention: str = "cells", tolerances: dict | None = None) -> dict:
@@ -170,25 +156,15 @@ def run_validation(convention: str = "cells", tolerances: dict | None = None) ->
     `tolerances` overrides individual check tolerances by name; unknown
     names raise ValueError.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
-        for name, value in tolerances.items():
-            tol[name] = float(value)
+    tolerances = tolerances or {}
+    unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
     start = time.perf_counter()
     checks = []
-    for name, fn in CHECKS:
-        measured = float(fn(convention))
-        checks.append(
-            {
-                "name": name,
-                "pass": bool(measured <= tol[name]),
-                "measured": measured,
-                "tolerance": tol[name],
-            }
-        )
+    for name, check, default in CHECKS:
+        measured, tol = float(check(convention)), float(tolerances.get(name, default))
+        checks.append({"name": name, "pass": bool(measured <= tol), "measured": measured, "tolerance": tol})
     return {
         "checks": checks,
         "pass": all(entry["pass"] for entry in checks),

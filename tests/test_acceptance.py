@@ -173,16 +173,18 @@ def test_criterion_06_second_order_scaling():
     start = time.perf_counter()
     report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[8, 12, 16, 20, 24], steps=128)
     elapsed = time.perf_counter() - start
-    eta_decreasing = all(a > b for a, b in zip(report.ln_eta_m, report.ln_eta_m[1:]))
-    peak_increasing = all(a < b for a, b in zip(report.ln_abs_peak, report.ln_abs_peak[1:]))
+    fit_eta, fit_peak = report["fit_eta"], report["fit_peak"]
+    ln_eta_m, ln_abs_peak = report["ln_eta_m"], report["ln_abs_peak"]
+    eta_decreasing = all(a > b for a, b in zip(ln_eta_m, ln_eta_m[1:]))
+    peak_increasing = all(a < b for a, b in zip(ln_abs_peak, ln_abs_peak[1:]))
     target = math.log(abs(LAM_3_7)) / 2.0
-    slope_dev = abs(report.fit_eta.slope - target) / abs(target)
+    slope_dev = abs(fit_eta["slope"] - target) / abs(target)
     comparison_present = {"slope_ref", "intercept_ref", "slope_ref2", "intercept_ref2"} <= set(
-        report.paper_comparison
+        report["paper_comparison"]
     )
     ok = (
-        report.fit_eta.r2 >= 0.99
-        and report.fit_peak.r2 >= 0.99
+        fit_eta["r2"] >= 0.99
+        and fit_peak["r2"] >= 0.99
         and eta_decreasing
         and peak_increasing
         and slope_dev <= 0.05
@@ -193,7 +195,7 @@ def test_criterion_06_second_order_scaling():
         6,
         "second-order scaling",
         ok,
-        f"R2(eta) = {report.fit_eta.r2:.6f}, R2(peak) = {report.fit_peak.r2:.6f} >= 0.99; "
+        f"R2(eta) = {fit_eta['r2']:.6f}, R2(peak) = {fit_peak['r2']:.6f} >= 0.99; "
         f"eta_m decreasing = {eta_decreasing}, |peak| increasing = {peak_increasing}; "
         f"slope dev = {slope_dev:.3e} <= 5% of ln|2cos(3pi/7)|/2; "
         f"reference constants in report = {comparison_present}; runtime {elapsed:.1f}s < 30s",

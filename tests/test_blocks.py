@@ -12,6 +12,7 @@ from torus_qpt import (
     critical_modes,
     peierls_ring,
     ring_lams,
+    ring_levels,
     ring_stack,
     square_ring,
     union_eigenvalues,
@@ -99,6 +100,34 @@ def test_ring_stack_drops_each_chunk_before_building_the_next():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * CHUNK_ENTRIES * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize(
+    "kind,N,n_etas,chunks", [("honeycomb", 20, 13, 3), ("square", 12, 20, 2), ("square", 2, 3, 1)]
+)
+def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, chunks):
+    # 7 lambdas per eta; a chunk holds 40 honeycomb rings of 20 sites or 113 square rings of 12
+    builder = peierls_ring if kind == "honeycomb" else square_ring
+    lams, etas, phi, t = ring_lams(kind, 7), np.linspace(0.0, 0.4, n_etas), math.pi / 3, 1.3
+    assert len(list(ring_stack(kind, lams, N, etas, phi, t))) == chunks
+    levels = ring_levels(kind, lams, N, etas, phi, t)
+    assert levels.shape == (n_etas, 7, N)
+    for i, eta in enumerate(etas):
+        for j, lam in enumerate(lams):
+            assert np.array_equal(levels[i, j], np.linalg.eigvalsh(builder(lam, N, eta, phi, t))), (i, j)
+
+
+def test_ring_levels_solves_one_chunk_at_a_time():
+    # 400 rings of 20 sites fill 10 chunks; only one of them, and the levels, may be alive at once
+    etas = np.linspace(0.0, 0.4, 200)
+    tracemalloc.start()
+    try:
+        levels = ring_levels("honeycomb", [0.5, -0.5], 20, etas, math.pi / 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the solved parts and their concatenation are two copies of the levels
+    assert peak < 1.5 * CHUNK_ENTRIES * np.dtype(np.complex128).itemsize + 2 * levels.nbytes
 
 
 def test_honeycomb_block_lambdas():

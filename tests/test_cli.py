@@ -64,15 +64,14 @@ def test_atomic_write_replaces_existing(tmp_path):
 
 
 def test_parse_config_flag_overrides_file():
-    cfg = parse_config("sweep", {"M": 5, "N": 8}, {"N": 12})
-    assert cfg.get("M") == 5 and cfg.get("N") == 12
+    assert parse_config("sweep", {"M": 5, "N": 8}, {"N": 12}) == {"M": 5, "N": 12}
 
 
 def test_parse_config_flag_phi_replaces_file_phi_form():
     cfg = parse_config("sweep", {"phi_over_pi": 0.5}, {"phi": 0.1})
-    assert cfg.get("phi") == 0.1 and "phi_over_pi" not in cfg.data
+    assert cfg == {"phi": 0.1}
     cfg = parse_config("sweep", {"phi": 0.1}, {"phi_over_pi": 0.5})
-    assert cfg.get("phi_over_pi") == 0.5 and "phi" not in cfg.data
+    assert cfg == {"phi_over_pi": 0.5}
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -385,6 +384,7 @@ REJECTED = [
     ["fidelity", "--t", "0"],
     ["spectrum", "--dump-blocks"],
     ["spectrum", "--dump-blocks", "--M", "2"],
+    ["sweep", "--config", "{\"eta\": 0.3, \"dump_blocks\": false}"],
     ["square", "--convention", "cells"],
     ["spectrum", "--convention", "cells"],
     ["sweep", "--config", "{\"M\": 7.5}"],
@@ -431,17 +431,43 @@ def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--M", "7", "--N", "800"], ["--M", "31", "--N", "256", "--phi-over-pi", "0.25", "--steps", "400"],
-     ["--M", "61", "--N", "128", "--phi-over-pi", "0.25"]],
-    ids=" ".join,
+    "argv,needs",
+    [(["spectrum", "--lam", "0.5", "--N", "20", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
+     (["sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
+     (["spectrum", "--lam", "0.5", "--N", "20", "--M", "9"], "'M' needs 'mode' or 'dump_blocks'")],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy reports the overflow before the sweep raises
+def test_options_nothing_reads_are_rejected(tmp_path, capsys, argv, needs):
+    # nothing reads these values: the output would be byte-identical without them
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert needs in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+OUT_OF_DOUBLE_RANGE = [
+    ["--M", "7", "--N", "800"],
+    ["--M", "31", "--N", "256", "--phi-over-pi", "0.25", "--steps", "400"],
+    ["--M", "61", "--N", "128", "--phi-over-pi", "0.25"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_DOUBLE_RANGE, ids=" ".join)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the engine raises instead of letting NumPy warn
 def test_sweep_out_of_double_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run_cli(["sweep", *argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "out of double range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", OUT_OF_DOUBLE_RANGE[1:], ids=" ".join)
+def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path, argv):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torus_qpt", "sweep", *argv, "--out", str(out)], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
 
