@@ -133,7 +133,8 @@ OPTIONS = (
     ("eta_max", number, True, "sweep grid end", _GRID),
     ("steps", integer, True, "number of grid steps", _STEPS),
     ("convention", _one_of("convention", CONVENTIONS), True,
-     f"corner exponent convention: {' or '.join(CONVENTIONS)}", ("sweep", "scaling", "fidelity", "validate")),
+     f"corner exponent convention of the perturbative comparison: {' or '.join(CONVENTIONS)}",
+     ("sweep", "fidelity", "validate")),
     ("lam", number, True, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
     ("mode", integer, True, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
     ("n_list", ring_lengths, {}, "comma-separated ring lengths", ("scaling", "square")),
@@ -276,7 +277,6 @@ def cmd_scaling(config: dict) -> int:
         t=config.get("t", 1.0),
         n_list=config.get("n_list", [8, 12, 16, 20, 24]),
         steps=config.get("steps", 128),
-        convention=config.get("convention", "cells"),
     )
     path = _out_path(config, "scaling.json")
     atomic_write_text(path, json_text(report))
@@ -291,8 +291,7 @@ def cmd_scaling(config: dict) -> int:
 
 def cmd_fidelity(config: dict) -> int:
     lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
-    convention = config.get("convention", "cells")
-    c = corner_coupling(lam, N, convention)
+    c = corner_coupling(lam, N)  # the physical corner: convention selects only f_perturbative
     if c == 0.0 and not ("delta_min" in config and "delta_max" in config):
         raise ConfigError("lambda = 0 has no natural delta scale; give delta_min and delta_max")
     delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
@@ -301,7 +300,7 @@ def cmd_fidelity(config: dict) -> int:
         raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * math.cos(phi))
-    curve = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas, convention)
+    curve = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas, config.get("convention", "cells"))
     path = _out_path(config, "fidelity.csv")
     atomic_write_text(path, fidelity_to_csv(curve))
     print(f"fidelity: eta_center={fmt_float(curve.eta_center)} deltas={delta_steps}")

@@ -478,6 +478,10 @@ def sweep(
     """Sweep E_g and its exact curvature over a uniform eta grid and locate
     the curvature peak.
 
+    The exact outputs read the physical corners c_k = lambda_k^(N/2) of
+    the critical modes; `convention` selects only the perturbative terms
+    behind the d2_analytic column and (eta_m_analytic, peak_analytic).
+
     The grid has `steps` + 1 points on [eta_min, eta_max]. A bound left as
     None takes its default: eta_min = 0, and eta_max = 3*max_k c_k*cos(phi)
     clipped to [0, 1] on the honeycomb lattice (1 when that is empty or on
@@ -486,22 +490,22 @@ def sweep(
 
     E_g and d2E_g/deta2 come from one spectral-shift table (see the module
     docstring), whose lower cut y_lo*t, y_lo = min(1e-14, 1e-4*min_k
-    |c_k*sin(phi)|/Omega_k) over the critical modes, is below every midgap
-    gap. The peak is the interior grid argmax of |d2_numeric|, refined by
-    golden-section search on |d2| within one step (to 1e-6 of a step). An
-    argmax on the first or last interior point is flagged
-    'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the honeycomb
-    lattice marks the sweep 'first-order-crossing' (the spike is a level
-    crossing, a kink of E_g) and also skips refinement. 'level-crossing'
+    |c_k*sin(phi)|/Omega_k), is below every midgap gap. The peak is the
+    interior grid argmax of |d2_numeric|, refined by golden-section search
+    on |d2| within one step (to 1e-6 of a step). An argmax on the first or
+    last interior point is flagged 'peak-not-bracketed' and left
+    unrefined; sin(phi) = 0 on the honeycomb lattice marks the sweep
+    'first-order-crossing' (the spike is a level crossing, a kink of E_g)
+    and also skips refinement. 'level-crossing'
     reports that some ring level crosses zero between two grid points (Re q
     changes sign at a mode's node y = y_lo*t): E_g has a kink there, whose
     delta-function curvature d2_numeric does not hold. It does not change
     the refinement. When the analytic curve applies (honeycomb, sin(phi) !=
-    0, some critical mode with c_k != 0), its golden-section extremum (to
-    1e-12 of the range) is reported alongside as (eta_m_analytic,
-    peak_analytic); else both are None. The d2_analytic column sums
-    per-mode constants computed once, bit for bit equal to one d2_analytic
-    call per eta.
+    0, some critical mode whose corner under `convention` is nonzero), its
+    golden-section extremum (to 1e-12 of the range) is reported alongside
+    as (eta_m_analytic, peak_analytic); else both are None. The
+    d2_analytic column sums per-mode constants computed once, bit for bit
+    equal to one d2_analytic call per eta.
 
     RuntimeError when the engine leaves double range (M = 7, N = 800, say):
     its array arithmetic overflows, divides by zero or turns invalid (NumPy
@@ -511,17 +515,20 @@ def sweep(
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    terms = _d2_terms(spec, convention) if spec.kind == "honeycomb" else []
+    # the physical corners c_k = lam_k^(N/2) set the range and the cut; `convention` picks the analytic terms
+    physical = terms = _d2_terms(spec, "cells") if spec.kind == "honeycomb" else []
+    if spec.kind == "honeycomb" and convention != "cells":
+        terms = _d2_terms(spec, convention)
     lo = 0.0 if eta_min is None else float(eta_min)
     if eta_max is not None:
         hi = float(eta_max)
     else:
-        hi = 3.0 * max(abs(c) for c, _ in terms) * math.cos(spec.phi) if terms else 1.0
+        hi = 3.0 * max(abs(c) for c, _ in physical) * math.cos(spec.phi) if physical else 1.0
         hi = min(hi, 1.0) if hi > 0.0 else 1.0
     if not 0.0 <= lo < hi <= MAX_ETA:
         raise ValueError(f"need finite 0 <= eta_min < eta_max <= {MAX_ETA:g}, got [{lo}, {hi}]")
 
-    gaps = [abs(c * math.sin(spec.phi)) / om for c, om in terms]
+    gaps = [abs(c * math.sin(spec.phi)) / om for c, om in physical]
     table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
@@ -608,12 +615,12 @@ def scaling_scan(
     t: float,
     n_list,
     steps: int = 128,
-    convention: str = "cells",
 ) -> dict:
     """Finite-size scaling of the curvature peak on the honeycomb torus.
 
     Runs one sweep per ring length N (eta = 0 spec, auto range), then
-    fits ln(eta_m) and ln|peak| against N by ordinary least squares.
+    fits ln(eta_m) and ln|peak| against N by ordinary least squares. It
+    reads only the sweeps' exact outputs, so no corner convention enters.
     Returns the scaling.json document: n_values, ln_eta_m, ln_abs_peak,
     the fits fit_eta and fit_peak (linear_fit's), and paper_comparison,
     external reference constants attached for comparison only (they are
@@ -634,7 +641,7 @@ def scaling_scan(
     eta_ms = []
     peaks = []
     for spec in specs:
-        result = sweep(spec, steps=steps, convention=convention)
+        result = sweep(spec, steps=steps)
         if "peak-not-bracketed" in result.flags:
             raise RuntimeError(f"curvature peak not bracketed for N={spec.N}; widen the eta range")
         eta_ms.append(result.eta_m)
@@ -680,20 +687,34 @@ def fidelity_exact(
     convention: str = "cells",
 ) -> FidelityCurve:
     """Midgap fidelity |<v(eta-delta), v(eta+delta)>| from exact ring
-    eigenvectors (upper midgap level), next to its perturbative twin.
+    eigenvectors (upper midgap level), next to its perturbative twin
+    f_perturbative, the one output that `convention` selects.
 
-    The midgap doublet must be separated from the bands by at least 10x
-    the avoided-crossing gap at eta_center; otherwise the upper midgap
-    vector is not a meaningful object and a RuntimeError reports the
-    separation-to-gap ratio. When the doublet at either displaced point
-    is degenerate within 1e-9*t, the overlap falls back to the principal
-    angle between the two-dimensional midgap subspaces.
+    The guards read the physical corner c = lambda^(N/2) and its Omega,
+    whatever the convention. The floor of the dense solve is
+    eps*(1 + |lambda|)*t, the roundoff of a ring level. For lambda != 0 a
+    RuntimeError reports the ratio when the doublet's splitting scale
+    2*(t/Omega)*|c| is below 1e3 floors (a midgap doublet below double
+    resolution: at lambda = 0.5 from N = 86 on). The doublet must also be
+    separated from the bands by at least 10x the avoided-crossing gap at
+    eta_center; otherwise the upper midgap vector is not a meaningful
+    object and a RuntimeError reports the separation-to-gap ratio. When
+    the doublet at either displaced point splits by at most 64 floors, the
+    overlap falls back to the principal angle between the two-dimensional
+    midgap subspaces.
     """
     deltas = np.sort(np.asarray(delta_grid, dtype=np.float64))
     if deltas.size == 0 or deltas[0] <= 0.0:
         raise ValueError("delta_grid must contain positive values only")
 
-    center = midgap_perturbation(lam, N, eta_center, phi, t, convention, warn=False)
+    center = midgap_perturbation(lam, N, eta_center, phi, t, warn=False)  # checks lam and N first
+    floor = np.finfo(np.float64).eps * (1.0 + abs(lam)) * t
+    split = 2.0 * t * abs(corner_coupling(lam, N)) / omega_factor(lam, N)
+    if lam != 0.0 and split < 1e3 * floor:  # at lambda = 0 the zero modes sit on single sites, exactly
+        raise RuntimeError(
+            f"midgap doublet below double resolution: its splitting scale 2(t/Omega)|c| = {split:.3g} "
+            f"is {split / floor:.3g} x eps*(1 + |lambda|)*t, below 1e3 (lambda={lam:g}, N={N})"
+        )
     evals = ring_levels("honeycomb", [lam], N, [eta_center], phi, t)[0, 0]
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
@@ -709,7 +730,7 @@ def fidelity_exact(
     for i, delta in enumerate(deltas):
         pair = ring_stack("honeycomb", [lam], N, [eta_center - delta, eta_center + delta], phi, t)
         (w1, w2), (v1, v2) = np.linalg.eigh(np.concatenate(list(pair)))
-        degenerate = (w1[N // 2] - w1[N // 2 - 1] <= 1e-9 * t) or (w2[N // 2] - w2[N // 2 - 1] <= 1e-9 * t)
+        degenerate = min(w1[N // 2] - w1[N // 2 - 1], w2[N // 2] - w2[N // 2 - 1]) <= 64.0 * floor
         if degenerate:
             u1 = v1[:, N // 2 - 1 : N // 2 + 1]
             u2 = v2[:, N // 2 - 1 : N // 2 + 1]

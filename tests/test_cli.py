@@ -221,9 +221,25 @@ def test_fidelity_lambda_zero_needs_explicit_deltas(tmp_path, capsys):
 
 
 def test_fidelity_isolation_failure_exits_1(tmp_path, capsys):
-    code = run_cli(["fidelity", "--N", "4", "--phi-over-pi", "0.5", "--out", str(tmp_path)])
-    assert code == 1
-    assert "isolable" in capsys.readouterr().err
+    for argv, message in ((["--N", "4", "--phi-over-pi", "0.5"], "isolable"),
+                          (["--lam", "0.5", "--N", "100", "--phi-over-pi", "0.25"], "below double resolution")):
+        code = run_cli(["fidelity", *argv, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_fidelity_convention_moves_only_the_perturbative_column(tmp_path):
+    args = ["fidelity", "--lam", "0.5", "--N", "20", "--phi-over-pi", "0.25"]
+    columns = {}
+    for convention in ("cells", "sites"):
+        out = tmp_path / convention
+        assert run_cli([*args, "--convention", convention, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "fidelity.csv").read_text().splitlines()]
+        columns[convention] = list(zip(*rows))  # delta, f_exact, f_perturbative
+    assert columns["sites"][:2] == columns["cells"][:2]
+    assert columns["sites"][2] != columns["cells"][2]
 
 
 def test_square_report(tmp_path):
@@ -285,13 +301,13 @@ def test_unknown_flag_for_command(tmp_path, capsys):
 
 
 # The config keys each command accepts; the option table must reproduce them
-# exactly. 'convention' goes only to the commands that read it.
+# exactly. 'convention' goes only to the commands with a perturbative output.
 ACCEPTED_KEYS = {
     "spectrum": {"command", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
                  "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
     "sweep": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
               "eta_min", "eta_max", "steps", "dump_blocks"},
-    "scaling": {"command", "convention", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
+    "scaling": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
     "fidelity": {"command", "convention", "out", "lam", "N", "t", "phi", "phi_over_pi", "eta_center",
                  "delta_min", "delta_max", "delta_steps"},
     "square": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
@@ -387,6 +403,7 @@ REJECTED = [
     ["sweep", "--config", "{\"eta\": 0.3, \"dump_blocks\": false}"],
     ["square", "--convention", "cells"],
     ["spectrum", "--convention", "cells"],
+    ["scaling", "--convention", "cells"],
     ["sweep", "--config", "{\"M\": 7.5}"],
     ["sweep", "--config", "{\"eta_max\": Infinity}"],
     ["validate", "--config", "{\"tolerances\": {\"zero-mode-residual\": [1]}}"],

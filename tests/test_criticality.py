@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torus_qpt import (
+    CONVENTIONS,
     ModelSpec,
     build_lattice,
     corner_coupling,
@@ -368,6 +369,18 @@ def test_sweep_honeycomb_pinpoints_known_peak():
     assert res.peak_analytic == pytest.approx(res.peak, rel=1e-2)
 
 
+@pytest.mark.parametrize("M,N", [(7, 20), (31, 64)])
+def test_sweep_exact_outputs_do_not_read_the_convention(M, N):
+    # the physical corners lambda_k^(N/2) set the range and the cut; 'sites' moves only the analytic comparison
+    spec = ModelSpec("honeycomb", M, N, phi=PHI)
+    cells, sites = sweep(spec), sweep(spec, convention="sites")
+    for name in ("eta_grid", "e_g_curve", "d2_numeric"):
+        np.testing.assert_array_equal(getattr(sites, name), getattr(cells, name))
+    assert (sites.eta_m, sites.peak, sites.flags) == (cells.eta_m, cells.peak, cells.flags)
+    assert not np.array_equal(sites.d2_analytic, cells.d2_analytic)
+    assert sites.eta_m_analytic != cells.eta_m_analytic
+
+
 @pytest.mark.parametrize("N", [56, 72, 80])
 def test_sweep_analytic_extremum_below_1e_minus_12(N):
     # eta* = c*cos(phi) is 1.01e-10, 1.56e-13 and 6.10e-15: an absolute
@@ -569,12 +582,14 @@ def test_scaling_scan_unbracketed_peak_is_a_runtime_error():
 
 
 def test_fidelity_exact_matches_perturbative():
-    lam, N = 0.5, 20
-    c = corner_coupling(lam, N)
-    curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), np.geomspace(c / 10, 10 * c, 7))
-    assert np.max(np.abs(curve.f_exact - curve.f_perturbative)) <= 1e-3
-    assert np.all(np.diff(curve.delta_grid) > 0)
-    assert np.all((curve.f_exact >= 0) & (curve.f_exact <= 1 + 1e-12))
+    # N = 60 and 80: the doublet splits by 1e-9*t to 1e-12*t, above the degenerate fallback's 64 roundoffs
+    lam = 0.5
+    for N, tol in ((20, 1e-3), (60, 1e-6), (80, 1e-6)):
+        c = corner_coupling(lam, N)
+        curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), np.geomspace(c / 10, 10 * c, 7))
+        assert np.max(np.abs(curve.f_exact - curve.f_perturbative)) <= tol, N
+        assert np.all(np.diff(curve.delta_grid) > 0)
+        assert np.all((curve.f_exact >= 0) & (curve.f_exact <= 1 + 1e-12))
 
 
 def test_fidelity_exact_asymptote():
@@ -598,9 +613,14 @@ def test_fidelity_exact_rejects_bad_grid():
 
 
 def test_fidelity_exact_requires_isolated_doublet():
-    # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap
-    with pytest.raises(RuntimeError, match="isolable"):
-        fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01])
+    # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap, under either convention
+    for convention in CONVENTIONS:
+        with pytest.raises(RuntimeError, match="isolable"):
+            fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01], convention)
+    # N = 100: the splitting scale 2(t/Omega)c = 1.3e-15 is 4 roundoffs of a ring level
+    c = corner_coupling(0.5, 100)
+    with pytest.raises(RuntimeError, match="below double resolution"):
+        fidelity_exact(0.5, 100, PHI, 1.0, c * math.cos(PHI), [c])
 
 
 def test_fidelity_exact_crossing_drop():
