@@ -42,7 +42,7 @@ from .criticality import (
     sweep_to_csv,
 )
 from .eigensolve import square_ring_closed_form
-from .models import HermitianOperator, ModelSpec, build_lattice
+from .models import ModelSpec, build_lattice
 from .ssh import (
     CONVENTIONS,
     MidgapSolution,
@@ -63,7 +63,6 @@ __all__ = [
     "CONVENTIONS",
     "DEFAULT_TOLERANCES",
     "FidelityCurve",
-    "HermitianOperator",
     "MidgapSolution",
     "ModelSpec",
     "SweepResult",

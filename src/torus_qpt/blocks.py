@@ -11,11 +11,15 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
   lambda_{2k} = 2*cos(k).
 
 `ring_lams` is the one place the coupling lambda of mode m is written
-down. `peierls_ring` and `square_ring` are the only ring builders, and
-only `ring_stack` calls them, stacking their rings in chunks. The one
-dense ring-solve path, `ring_levels`, solves those chunks for every ring
-level of the package (spectrum, ground energies, block union, midgap
-gap, validate); the shift table and `blocks_to_csv` read rings directly.
+down. Every momentum block is an open real tridiagonal chain closed by
+one boundary bond: `peierls_ring` and `square_ring` return that chain's
+bands (diagonal, bonds), and `ring_bands` stacks them, one builder call
+per lambda. The shift engine and the reference split h = h0 + h' read
+the bands; `ring_stack` alone puts them into dense complex rings and adds
+the boundary bond, in chunks. The one dense ring-solve path,
+`ring_levels`, solves those chunks for every ring level of the package
+(spectrum, ground energies, block union, midgap gap, validate), and
+`blocks_to_csv` writes them out.
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
@@ -42,39 +46,32 @@ from .output import csv_text
 
 logger = logging.getLogger(__name__)
 
-def peierls_ring(lam: float, N: int, eta: float, phi: float, t: float = 1.0) -> np.ndarray:
-    """Alternating (dimerized) N-site ring with a flux-carrying boundary bond.
-
-    Entries: +lam*t on bonds (1,2), (3,4), ... (within-cell),
-    -t on bonds (2,3), (4,5), ... (between-cell), and
-    -eta*t*e^{i phi} at (N,1) with its conjugate at (1,N). Zero diagonal.
-    """
+def peierls_ring(lam: float, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diagonal, bonds) of the open alternating (dimerized) N-site
+    chain: a zero diagonal, +lam*t on bonds (1,2), (3,4), ... (within-cell)
+    and -t on bonds (2,3), (4,5), ... (between-cell)."""
     if N < 4 or N % 2 != 0:
         raise ValueError(f"ring length must be even and >= 4, got N={N}")
-    H = np.zeros((N, N), dtype=np.complex128)
-    for l in range(N - 1):
-        amp = lam * t if l % 2 == 0 else -t
-        H[l, l + 1] = amp
-        H[l + 1, l] = amp
-    boundary = -eta * t * cmath.exp(1j * phi)
-    H[N - 1, 0] += boundary
-    H[0, N - 1] += boundary.conjugate()
-    return H
+    bonds = np.full(N - 1, -t, dtype=np.float64)
+    bonds[::2] = lam * t
+    return np.zeros(N), bonds
 
 
-def square_ring(lam2k: float, N: int, eta: float, phi: float, t: float = 1.0) -> np.ndarray:
-    """Uniform N-site ring: -t bonds, -lam2k*t diagonal, flux boundary bond."""
+def square_ring(lam2k: float, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diagonal, bonds) of the open uniform N-site chain: -lam2k*t
+    on the diagonal, -t on every bond."""
     if N < 2:
         raise ValueError(f"ring length must be >= 2, got N={N}")
-    H = np.zeros((N, N), dtype=np.complex128)
-    for l in range(N - 1):
-        H[l, l + 1] += -t
-        H[l + 1, l] += -t
-    boundary = -eta * t * cmath.exp(1j * phi)
-    H[N - 1, 0] += boundary
-    H[0, N - 1] += boundary.conjugate()
-    H[np.diag_indices(N)] = -lam2k * t
-    return H
+    return np.full(N, -lam2k * t, dtype=np.float64), np.full(N - 1, -t, dtype=np.float64)
+
+
+def ring_bands(kind: str, lams, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The open rings' bands stacked over `lams`, shapes (len(lams), N) and
+    (len(lams), N - 1): one peierls_ring (honeycomb) or square_ring (any
+    other kind) call per lambda."""
+    build = peierls_ring if kind == "honeycomb" else square_ring
+    diagonals, bonds = zip(*(build(lam, N, t) for lam in lams))
+    return np.stack(diagonals), np.stack(bonds)
 
 
 # Largest number of complex entries ring_stack puts in one chunk (256 KiB).
@@ -91,24 +88,27 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
     drops each chunk before it builds the next, so a consumer that keeps
     no reference (ring_levels) has one chunk alive at a time.
 
-    Each open ring (eta = 0) is built once per lambda by peierls_ring
-    (honeycomb) or square_ring (any other kind). Only the two corner
-    entries depend on eta, so every chunk copies open rings and adds the
-    boundary bond -eta*t*e^{i phi} at (N,1) and its conjugate at (1,N).
-    An open ring's corner is exactly +0.0 (-t for a two-site square
-    ring), so every entry equals the scalar builder's bit for bit.
+    Each lambda's bands (ring_bands) go into its dense open ring once, with
+    a corner of exactly +0.0 (the bond -t for a two-site square ring).
+    Every chunk copies open rings and adds the boundary bond
+    -eta*t*e^{i phi} at (N,1) and its conjugate at (1,N); this is the one
+    place a ring gets its boundary bond.
     """
-    build = peierls_ring if kind == "honeycomb" else square_ring
-    rings = np.stack([build(lam, N, 0.0, phi, t) for lam in lams])
+    diagonals, bonds = ring_bands(kind, lams, N, t)
+    n_lams = len(diagonals)
+    rings = np.zeros((n_lams, N * N), dtype=np.complex128)
+    # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
+    rings[:, :: N + 1] = diagonals
+    rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
+    rings = rings.reshape(n_lams, N, N)
     phase = cmath.exp(1j * phi)
-    bonds = np.array([-eta * t * phase for eta in etas], dtype=np.complex128)
-    n_lams = len(rings)
-    pairs = len(bonds) * n_lams
+    boundary = np.array([-eta * t * phase for eta in etas], dtype=np.complex128)
+    pairs = len(boundary) * n_lams
     size = max(1, CHUNK_ENTRIES // (N * N))
     for start in range(0, pairs, size):
         index = np.arange(start, min(start + size, pairs))
         chunk = rings[index % n_lams]
-        bond = bonds[index // n_lams]
+        bond = boundary[index // n_lams]
         chunk[:, N - 1, 0] += bond
         chunk[:, 0, N - 1] += bond.conj()
         yield chunk

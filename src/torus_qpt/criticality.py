@@ -12,7 +12,8 @@ Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
 property, validated to 1e-10*t); `ground_energy_exact`, the tests'
 oracle, diagonalizes the full lattice. Every ring coupling comes from
-`blocks.ring_lams`, every stack of rings from `blocks.ring_stack`, and
+`blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
+every dense ring (boundary bond included) from `blocks.ring_stack`, and
 every dense ring level from `blocks.ring_levels`, the one dense
 ring-solve path.
 
@@ -28,11 +29,11 @@ boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
 the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
 E_g(0) sums the dense levels of the open rings. The three G0 entries come
-from O(N) continued fractions, once per distinct mode (m and M - m share
-them) on one node set, and serve every eta of the sweep. The quadrature
-is 10-point Gauss-Legendre on unit panels of s = ln(y/t) over [ln y_lo,
-ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap gap, plus the
-end terms y*f(y) at both cuts (the tail falls like 1/y^2).
+from O(N) continued fractions over H0's bands, once per distinct mode (m
+and M - m share them) on one node set, and serve every eta of the sweep.
+The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y/t)
+over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
+gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
 
 The nodes come in two kinds. A near node has |A|*max eta + |B|*(max
 eta)^2 <= 1/4, so |q - 1| <= 1/4 for every eta of the range, and ln|q| is
@@ -53,6 +54,7 @@ term and the tests' oracle.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -60,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import critical_modes, ring_lams, ring_levels, ring_stack
+from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack
 from .models import ModelSpec, build_lattice
 from .output import csv_text
 from .ssh import (
@@ -171,7 +173,7 @@ def ground_energy_exact(spec: ModelSpec) -> float:
     """E_g at spec.eta: the sum of all negative levels of the full lattice
     (exact zero modes contribute nothing). Its callers are test_criticality's
     block-union and band/midgap-split checks, which need a full-lattice E_g."""
-    evals = np.linalg.eigvalsh(build_lattice(spec).entries)
+    evals = np.linalg.eigvalsh(build_lattice(spec))
     return float(evals[evals < 0.0].sum())
 
 
@@ -247,15 +249,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _boundary_green(rings: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G_11, G_NN and G_1N of (z - ring)^-1, one row per ring of a stack of
-    real tridiagonal (open) rings and one column per z, by continued
-    fractions over the sites.
+def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G_11, G_NN and G_1N of (z - H0)^-1, one row per open ring of a stack
+    of bands (blocks.ring_bands: diag (rings, N), bonds (rings, N - 1)) and
+    one column per z, by continued fractions over the sites.
 
     Each running value is a resolvent entry of a sub-chain, so at z = iy
     none exceeds 1/y in size."""
-    a = rings.diagonal(0, 1, 2).real.T[:, :, None]
-    b = rings.diagonal(1, 1, 2).real.T[:, :, None]
+    a = diag.T[:, :, None]
+    b = bonds.T[:, :, None]
     g = 1.0 / (z - a[0])
     g1n = g
     for j in range(1, len(a)):
@@ -285,8 +287,8 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
     t, cos_phi, s2, M = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
-    rings = np.concatenate(list(ring_stack(spec.kind, ring_lams(spec.kind, M, modes), spec.N, [0.0], spec.phi, t)))
-    g11, gnn, g1n = (g.ravel() for g in _boundary_green(rings, 1j * y))
+    bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N, t)
+    g11, gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
     a = 2.0 * t * cos_phi * g1n
     b = t * t * (g1n * g1n - g11 * gnn)
     d4 = t * t * (g11 * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
@@ -692,10 +694,13 @@ def fidelity_exact(
 
     The guards read the physical corner c = lambda^(N/2) and its Omega,
     whatever the convention. The floor of the dense solve is
-    eps*(1 + |lambda|)*t, the roundoff of a ring level. For lambda != 0 a
-    RuntimeError reports the ratio when the doublet's splitting scale
-    2*(t/Omega)*|c| is below 1e3 floors (a midgap doublet below double
-    resolution: at lambda = 0.5 from N = 86 on). The doublet must also be
+    eps*(1 + |lambda|)*t, the roundoff of a ring level. A RuntimeError
+    reports the ratio when the doublet's splitting scale
+    2*(t/Omega)*|eta*e^{i phi} - c| at some displaced point eta =
+    eta_center -+ delta is above 0 but below 1e3 floors (a midgap doublet
+    below double resolution: at lambda = 0.5 and the default deltas around
+    c*cos(phi), from N = 86 on); a scale of exactly 0 is an exact crossing,
+    which the subspace fallback below handles. The doublet must also be
     separated from the bands by at least 10x the avoided-crossing gap at
     eta_center; otherwise the upper midgap vector is not a meaningful
     object and a RuntimeError reports the separation-to-gap ratio. When
@@ -707,14 +712,17 @@ def fidelity_exact(
     if deltas.size == 0 or deltas[0] <= 0.0:
         raise ValueError("delta_grid must contain positive values only")
 
-    center = midgap_perturbation(lam, N, eta_center, phi, t, warn=False)  # checks lam and N first
+    center = midgap_perturbation(lam, N, eta_center, phi, t)  # checks lam and N first
     floor = np.finfo(np.float64).eps * (1.0 + abs(lam)) * t
-    split = 2.0 * t * abs(corner_coupling(lam, N)) / omega_factor(lam, N)
-    if lam != 0.0 and split < 1e3 * floor:  # at lambda = 0 the zero modes sit on single sites, exactly
-        raise RuntimeError(
-            f"midgap doublet below double resolution: its splitting scale 2(t/Omega)|c| = {split:.3g} "
-            f"is {split / floor:.3g} x eps*(1 + |lambda|)*t, below 1e3 (lambda={lam:g}, N={N})"
-        )
+    phase, c, omega = cmath.exp(1j * phi), corner_coupling(lam, N), omega_factor(lam, N)
+    for eta in [eta_center + sign * delta for sign in (-1.0, 1.0) for delta in deltas.tolist()]:
+        split = 2.0 * t * abs(eta * phase - c) / omega
+        if 0.0 < split < 1e3 * floor:
+            raise RuntimeError(
+                f"midgap doublet below double resolution at eta={eta:.6g}: its splitting scale "
+                f"2(t/Omega)|eta*e^(i phi) - c| = {split:.3g} is {split / floor:.3g} x eps*(1 + |lambda|)*t, "
+                f"below 1e3 (lambda={lam:g}, N={N})"
+            )
     evals = ring_levels("honeycomb", [lam], N, [eta_center], phi, t)[0, 0]
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
@@ -738,7 +746,7 @@ def fidelity_exact(
             f_exact[i] = float(singvals[-1])
         else:
             f_exact[i] = float(abs(np.vdot(v1[:, N // 2], v2[:, N // 2])))
-        f_pert[i] = fidelity_perturbative(lam, N, eta_center, float(delta), phi, t, convention, warn=False)
+        f_pert[i] = fidelity_perturbative(lam, N, eta_center, float(delta), phi, t, convention)
 
     return FidelityCurve(delta_grid=deltas, f_perturbative=f_pert, f_exact=f_exact, eta_center=float(eta_center))
 

@@ -3,7 +3,7 @@
 `square_ring_closed_form` evaluates the analytic spectra of the uniform
 ring at the two boundary endpoints eta = 1 (plane waves picking up the
 flux phase) and eta = 0 (open-chain standing waves); the validate suite
-and the acceptance tests hold dense solves of `blocks.square_ring`
+and the acceptance tests hold dense solves of the square ring blocks
 against them. Every dense solve for ring levels goes through
 `blocks.ring_levels`.
 """

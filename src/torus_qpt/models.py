@@ -81,27 +81,9 @@ class ModelSpec:
         return self.M * self.N
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A dense Hermitian matrix, checked on construction and read-only."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries shape {entries.shape} does not match dim {self.dim}")
-        scale = max(1.0, float(np.max(np.abs(entries))) if self.dim else 1.0)
-        dev = float(np.max(np.abs(entries - entries.conj().T))) if self.dim else 0.0
-        if dev > 1e-12 * scale:
-            raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-def build_lattice(spec: ModelSpec) -> HermitianOperator:
-    """Assemble the torus Hamiltonian from its bond list.
+def build_lattice(spec: ModelSpec) -> np.ndarray:
+    """Assemble the torus Hamiltonian from its bond list, as a read-only
+    dense complex (M*N, M*N) array.
 
     Site (m, n), 1-based, has index (m-1)*N + (n-1); the row index wraps
     mod M. Bonds carry -t: intra-row (m,n)-(m,n+1) for n = 1..N-1, and
@@ -133,4 +115,5 @@ def build_lattice(spec: ModelSpec) -> HermitianOperator:
     boundary = -spec.eta * t * cmath.exp(1j * spec.phi)
     np.add.at(H, (sites[:, -1], sites[:, 0]), boundary)
     np.add.at(H, (sites[:, 0], sites[:, -1]), boundary.conjugate())
-    return HermitianOperator(M * N, H)
+    H.setflags(write=False)
+    return H

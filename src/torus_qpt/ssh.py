@@ -8,29 +8,28 @@ gives the doublet energies, the avoided-crossing minimum, the curvature
 of the lower branch, and the overlap (fidelity) between doublet states
 at neighbouring couplings.
 
-Conventions. The dimensionless reference matrix h0 is the alternating
-ring (bonds -lambda within cells, +1 between cells) plus a corner
-compensation entry c at (1,N)/(N,1); the physical ring block equals
--t*(h0 + h'), where h' holds only the corner remainders
-eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). The corner
-exponent is switchable: 'cells' uses c = lambda^(N/2), which makes h0
-annihilate the zero-mode vectors exactly; 'sites' uses c = lambda^N and
-is kept for comparison runs (its residual is the measured difference
-|lambda^N - lambda^(N/2)|).
+Conventions. The dimensionless reference matrix h0 is the open
+alternating ring (bonds -lambda within cells, +1 between cells: minus
+the bands of `blocks.peierls_ring` at t = 1) plus a corner compensation
+entry c at (1,N)/(N,1); the physical ring block equals -t*(h0 + h'),
+where h' holds only the corner remainders eta*e^{i phi} - c at (N,1)
+and eta*e^{-i phi} - c at (1,N). The corner exponent is switchable:
+'cells' uses c = lambda^(N/2), which makes h0 annihilate the zero-mode
+vectors exactly; 'sites' uses c = lambda^N and is kept for comparison
+runs (its residual is the measured difference |lambda^N - lambda^(N/2)|).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-CONVENTIONS = ("cells", "sites")
+from .blocks import peierls_ring
 
-SOFT_WINDOW_FACTOR = 0.2
+CONVENTIONS = ("cells", "sites")
 
 
 def _check_convention(convention: str) -> None:
@@ -130,20 +129,16 @@ def build_h0_hprime(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the dimensionless ring matrix into h0 + h'.
 
-    h0 carries the alternating bonds (-lam within cells, +1 between
-    cells) and the corner compensation c at (1,N) and (N,1); h' carries
-    only the corner remainders eta*e^{i phi} - c at (N,1) and its
-    conjugate at (1,N), so it has rank <= 2. By construction
-    -t*(h0 + h') is the physical ring block.
+    h0 carries the open ring's bonds -peierls_ring(lam, N) at t = 1 (-lam
+    within cells, +1 between cells) and the corner compensation c at
+    (1,N) and (N,1); h' carries only the corner remainders
+    eta*e^{i phi} - c at (N,1) and its conjugate at (1,N), so it has
+    rank <= 2. By construction -t*(h0 + h') is the physical ring block.
     """
-    if N < 4 or N % 2 != 0:
-        raise ValueError(f"chain length must be even and >= 4, got N={N}")
+    h0 = np.zeros(N * N)  # row-major: (i, i + 1) is entry 1 + i*(N + 1), (i + 1, i) is N + i*(N + 1)
+    h0[1 :: N + 1] = h0[N :: N + 1] = -peierls_ring(lam, N)[1]  # checks N
+    h0 = h0.reshape(N, N)
     c = corner_coupling(lam, N, convention)
-    h0 = np.zeros((N, N))
-    for l in range(N - 1):
-        amp = -lam if l % 2 == 0 else 1.0
-        h0[l, l + 1] = amp
-        h0[l + 1, l] = amp
     h0[0, N - 1] = c
     h0[N - 1, 0] = c
     h1 = np.zeros((N, N), dtype=np.complex128)
@@ -187,7 +182,6 @@ def midgap_perturbation(
     phi: float,
     t: float = 1.0,
     convention: str = "cells",
-    warn: bool = True,
 ) -> MidgapSolution:
     """Degenerate perturbation theory for the midgap doublet.
 
@@ -198,21 +192,8 @@ def midgap_perturbation(
     branch cut is crossed. The minimum gap over eta is
     2*(t/Omega)*|c*sin(phi)| at eta_star = c*cos(phi), where the lower
     branch has curvature -t/(|c|*Omega*|sin(phi)|).
-
-    A soft validity warning (never an error) fires for
-    eta > 0.2*(1-|lam|)*t so that sweeps may deliberately leave the
-    perturbative window; pass warn=False to silence it.
     """
     zm = zero_modes(lam, N, convention)
-    if warn:
-        window = SOFT_WINDOW_FACTOR * (1.0 - abs(lam)) * t
-        if eta > window:
-            warnings.warn(
-                f"eta={eta:.6g} exceeds the soft perturbative window {window:.6g}; "
-                "first-order results are extrapolations there",
-                UserWarning,
-                stacklevel=2,
-            )
     c = zm.corner
     omega = zm.omega
     z = eta * cmath.exp(1j * phi) - c
@@ -248,7 +229,6 @@ def fidelity_perturbative(
     phi: float,
     t: float = 1.0,
     convention: str = "cells",
-    warn: bool = True,
 ) -> float:
     """Overlap magnitude |<v_plus(eta-delta), v_plus(eta+delta)>|.
 
@@ -257,8 +237,8 @@ def fidelity_perturbative(
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    lo = midgap_perturbation(lam, N, eta - delta, phi, t, convention, warn=warn)
-    hi = midgap_perturbation(lam, N, eta + delta, phi, t, convention, warn=warn)
+    lo = midgap_perturbation(lam, N, eta - delta, phi, t, convention)
+    hi = midgap_perturbation(lam, N, eta + delta, phi, t, convention)
     return float(abs(np.vdot(lo.v_plus, hi.v_plus)))
 
 

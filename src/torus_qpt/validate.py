@@ -33,7 +33,7 @@ from .ssh import (
 def _union_deviation(specs: list[ModelSpec]) -> float:
     worst = 0.0
     for spec in specs:
-        full = np.linalg.eigvalsh(build_lattice(spec).entries)
+        full = np.linalg.eigvalsh(build_lattice(spec))
         union = union_eigenvalues(spec)
         worst = max(worst, float(np.max(np.abs(full - union))) / spec.t)
     return worst
@@ -94,13 +94,13 @@ def check_perturbation_vs_oracle(convention: str) -> float:
     pairs = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1 : _N // 2 + 1]
     worst = 0.0
     for eta, (lower, upper) in zip(etas, pairs.tolist()):
-        sol = midgap_perturbation(_LAM, _N, eta, _PHI, 1.0, convention, warn=False)
+        sol = midgap_perturbation(_LAM, _N, eta, _PHI, 1.0, convention)
         worst = max(worst, abs(sol.eps_minus - lower), abs(sol.eps_plus - upper))
     return worst
 
 
 def check_gap_minimum_location(convention: str) -> float:
-    eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention, warn=False).eta_star
+    eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention).eta_star
     bracket_hi = 4.0 * corner_coupling(_LAM, _N, "cells") * math.cos(_PHI)
     located = golden_section_min(
         lambda x: exact_midgap_gap(_LAM, _N, x, _PHI, 1.0), 0.0, bracket_hi, tol=1e-12
@@ -109,7 +109,7 @@ def check_gap_minimum_location(convention: str) -> float:
 
 
 def check_curvature_consistency(convention: str) -> float:
-    sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention, warn=False)
+    sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention)
     eta_star = sol.eta_star
     step = corner_coupling(_LAM, _N, "cells") * abs(math.sin(_PHI)) / 100.0
 
@@ -123,7 +123,7 @@ def check_fidelity_closed_form(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
     eta_star = c * math.cos(_PHI)
     b = abs(c * math.sin(_PHI))
-    value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, 1.0, convention, warn=False)
+    value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, 1.0, convention)
     return abs(value - 1.0 / math.sqrt(2.0))
 
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import dense_ring, record_criterion
 from torus_qpt import (
     ModelSpec,
     build_h0_hprime,
@@ -23,7 +23,6 @@ from torus_qpt import (
     golden_section_min,
     midgap_perturbation,
     omega_factor,
-    peierls_ring,
     scaling_scan,
     sweep,
     union_eigenvalues,
@@ -49,7 +48,7 @@ def test_criterion_01_block_union_equivalence():
                 for eta in (0.0, 0.5, 1.0):
                     for phi in (0.0, PHI):
                         spec = ModelSpec(kind, M, N, 1.0, eta, phi)
-                        full = np.linalg.eigvalsh(build_lattice(spec).entries)
+                        full = np.linalg.eigvalsh(build_lattice(spec))
                         union = union_eigenvalues(spec)
                         worst = max(worst, float(np.max(np.abs(full - union))))
     elapsed = time.perf_counter() - start
@@ -99,8 +98,8 @@ def test_criterion_03_perturbation_accuracy():
     omega = omega_factor(lam, N)
     worst = 0.0
     for eta in np.linspace(0.0, 5.0 * c, 21):
-        sol = midgap_perturbation(lam, N, float(eta), PHI, warn=False)
-        evals = np.linalg.eigvalsh(peierls_ring(lam, N, float(eta), PHI))
+        sol = midgap_perturbation(lam, N, float(eta), PHI)
+        evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, float(eta), PHI))
         worst = max(
             worst,
             abs(sol.eps_plus - float(evals[N // 2])),
@@ -133,7 +132,7 @@ def test_criterion_04_extremum_and_curvature():
     h = abs(c * math.sin(PHI)) / 100.0
 
     def lower(eta):
-        return float(np.linalg.eigvalsh(peierls_ring(lam, N, eta, PHI))[N // 2 - 1])
+        return float(np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, eta, PHI))[N // 2 - 1])
 
     curv_fd = (lower(eta_star + h) - 2.0 * lower(eta_star) + lower(eta_star - h)) / (h * h)
     curv_target = -t / (c * omega * abs(math.sin(PHI)))
@@ -149,7 +148,7 @@ def test_criterion_04_extremum_and_curvature():
 
 
 def test_criterion_05_square_closed_forms():
-    from torus_qpt import square_ring, square_ring_closed_form
+    from torus_qpt import square_ring_closed_form
 
     worst = 0.0
     for N in range(2, 65):
@@ -157,7 +156,7 @@ def test_criterion_05_square_closed_forms():
             for lam2k in (-2.0, 0.0, 1.0):
                 for eta in (0, 1):
                     analytic = square_ring_closed_form(N, phi, lam2k, eta)
-                    dense = np.linalg.eigvalsh(square_ring(lam2k, N, float(eta), phi))
+                    dense = np.linalg.eigvalsh(dense_ring("square", lam2k, N, float(eta), phi))
                     worst = max(worst, float(np.max(np.abs(analytic - dense))))
     ok = worst <= 1e-10
     check(
@@ -222,7 +221,7 @@ def test_criterion_08_fidelity():
     c = corner_coupling(lam, N)
     eta_star = c * math.cos(PHI)
     b = abs(c * math.sin(PHI))
-    f_half = fidelity_perturbative(lam, N, eta_star, b, PHI, warn=False)
+    f_half = fidelity_perturbative(lam, N, eta_star, b, PHI)
     half_dev = abs(f_half - 1.0 / math.sqrt(2.0))
     closed_dev = abs(fidelity_at_minimum(lam, N, b, PHI) - 1.0 / math.sqrt(2.0))
     curve = fidelity_exact(lam, N, PHI, 1.0, eta_star, np.geomspace(c / 10.0, 10.0 * c, 13))

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dense_ring
 from torus_qpt import (
     ModelSpec,
     blocks_to_csv,
@@ -17,40 +19,50 @@ from torus_qpt import (
     square_ring,
     union_eigenvalues,
 )
-from torus_qpt.blocks import CHUNK_ENTRIES
+from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands
 
 # 2*cos(3*pi/7), the critical-window lambda of the M=7 block m=3
 LAM_3_7 = 0.4450418679126289
 
 
 def test_peierls_ring_entries():
-    H = peierls_ring(0.5, 6, 0.3, math.pi / 4, t=2.0)
-    assert H[0, 1] == 1.0  # +lam*t within cell
-    assert H[1, 2] == -2.0  # -t between cells
-    assert H[2, 3] == 1.0
-    amp = -0.3 * 2.0 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    assert H[5, 0] == pytest.approx(amp)
-    assert H[0, 5] == pytest.approx(amp.conjugate())
-    assert np.all(np.diag(H) == 0)
+    diag, bonds = peierls_ring(0.5, 6, t=2.0)
+    assert diag.dtype == bonds.dtype == np.float64
+    assert diag.tolist() == [0.0] * 6
+    assert bonds.tolist() == [1.0, -2.0, 1.0, -2.0, 1.0]  # +lam*t within cells, -t between them
+    assert peierls_ring(0.5, 4, t=1)[1].tolist() == [0.5, -1.0, 0.5]  # an integer t still gives float bands
 
 
 def test_peierls_ring_rejects_odd_or_short():
     with pytest.raises(ValueError):
-        peierls_ring(0.5, 5, 0.0, 0.0)
+        peierls_ring(0.5, 5)
     with pytest.raises(ValueError):
-        peierls_ring(0.5, 2, 0.0, 0.0)
+        peierls_ring(0.5, 2)
 
 
 def test_square_ring_entries():
-    H = square_ring(1.2, 4, 1.0, 0.0, t=1.0)
-    assert np.all(np.diag(H) == -1.2)
-    assert H[0, 1] == -1.0 and H[2, 3] == -1.0
-    assert H[3, 0] == -1.0
+    diag, bonds = square_ring(1.2, 4)
+    assert diag.dtype == bonds.dtype == np.float64
+    assert diag.tolist() == [-1.2] * 4
+    assert bonds.tolist() == [-1.0] * 3
+    with pytest.raises(ValueError):
+        square_ring(1.2, 1)
 
 
 def test_square_ring_n2_accumulation():
-    H = square_ring(0.0, 2, 1.0, 0.0)
+    # the two-site ring's boundary bond lands on its only bond
+    H = next(ring_stack("square", [0.0], 2, [1.0], 0.0))[0]
     assert H[0, 1] == -2.0
+
+
+def test_ring_bands_stack_one_builder_call_per_lambda():
+    diag, bonds = ring_bands("honeycomb", [0.5, -0.3, 0.0], 8, 1.5)
+    assert diag.shape == (3, 8) and bonds.shape == (3, 7)
+    for row, lam in enumerate([0.5, -0.3, 0.0]):
+        want_diag, want_bonds = peierls_ring(lam, 8, 1.5)
+        assert np.array_equal(diag[row], want_diag) and np.array_equal(bonds[row], want_bonds)
+    diag, bonds = ring_bands("square", [1.2, -2.0], 3)
+    assert diag.tolist() == [[-1.2] * 3, [2.0] * 3] and bonds.tolist() == [[-1.0] * 2] * 2
 
 
 def _same_bits(a, b):
@@ -61,14 +73,36 @@ def _same_bits(a, b):
     )
 
 
+def _written_ring(kind, lam, N, eta, phi, t=1.0):
+    """A ring block written out entry by entry: the chain's bonds and
+    diagonal, then the boundary bond -eta*t*e^{i phi} added at (N,1) and
+    its conjugate at (1,N), onto +0.0 or, for a two-site ring, the bond."""
+    H = np.zeros((N, N), dtype=np.complex128)
+    for l in range(N - 1):
+        H[l, l + 1] = H[l + 1, l] = lam * t if kind == "honeycomb" and l % 2 == 0 else -t
+    if kind != "honeycomb":
+        H[np.diag_indices(N)] = -lam * t
+    bond = -eta * t * cmath.exp(1j * phi)
+    H[N - 1, 0] += bond
+    H[0, N - 1] += bond.conjugate()
+    return H
+
+
+def test_ring_stack_writes_small_rings_out():
+    honeycomb = next(ring_stack("honeycomb", [0.5], 4, [0.5], 0.0, 2.0))[0]
+    assert _same_bits(honeycomb, np.array([[0, 1, 0, -1], [1, 0, -2, 0], [0, -2, 0, 1], [-1, 0, 1, 0]], dtype=complex))
+    square = next(ring_stack("square", [1.5], 2, [1.0], 0.0))[0]
+    assert _same_bits(square, np.array([[-1.5, -2], [-2, -1.5]], dtype=complex))
+
+
 @pytest.mark.parametrize("phi", [0.0, math.pi / 4, 3 * math.pi / 4])
 @pytest.mark.parametrize("kind,N", [("honeycomb", 4), ("honeycomb", 20), ("square", 2), ("square", 12)])
 def test_ring_stack_matches_scalar_builders(kind, N, phi):
     M, t = 7, 1.3
     if kind == "honeycomb":
-        builder, lams = peierls_ring, [2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
+        lams = [2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
     else:
-        builder, lams = square_ring, [2.0 * math.cos(2.0 * math.pi * m / M) for m in range(1, M + 1)]
+        lams = [2.0 * math.cos(2.0 * math.pi * m / M) for m in range(1, M + 1)]
     # grid values arrive as NumPy floats, refinement points as Python floats
     etas = list(np.linspace(0.0, 1.0, 11)) + [0.0, 2.155e-4, 0.3]
     chunks = list(ring_stack(kind, lams, N, etas, phi, t))
@@ -76,7 +110,7 @@ def test_ring_stack_matches_scalar_builders(kind, N, phi):
     stack = np.concatenate(chunks).reshape(len(etas), M, N, N)
     for i, eta in enumerate(etas):
         for j, lam in enumerate(lams):
-            assert _same_bits(stack[i, j], builder(lam, N, eta, phi, t)), (i, j)
+            assert _same_bits(stack[i, j], _written_ring(kind, lam, N, eta, phi, t)), (i, j)
 
 
 def test_ring_stack_chunks_split_eta_rows():
@@ -87,8 +121,8 @@ def test_ring_stack_chunks_split_eta_rows():
     chunks = list(ring_stack("honeycomb", lams, 20, etas, math.pi / 3))
     assert [len(c) for c in chunks] == [40, 40, 11]
     stack = np.concatenate(chunks).reshape(13, 7, 20, 20)
-    assert _same_bits(stack[5, 5], peierls_ring(0.0, 20, etas[5], math.pi / 3))
-    assert _same_bits(stack[12, 6], peierls_ring(0.9, 20, etas[12], math.pi / 3))
+    assert _same_bits(stack[5, 5], _written_ring("honeycomb", 0.0, 20, etas[5], math.pi / 3))
+    assert _same_bits(stack[12, 6], _written_ring("honeycomb", 0.9, 20, etas[12], math.pi / 3))
 
 
 def test_ring_stack_drops_each_chunk_before_building_the_next():
@@ -107,14 +141,13 @@ def test_ring_stack_drops_each_chunk_before_building_the_next():
 )
 def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, chunks):
     # 7 lambdas per eta; a chunk holds 40 honeycomb rings of 20 sites or 113 square rings of 12
-    builder = peierls_ring if kind == "honeycomb" else square_ring
     lams, etas, phi, t = ring_lams(kind, 7), np.linspace(0.0, 0.4, n_etas), math.pi / 3, 1.3
     assert len(list(ring_stack(kind, lams, N, etas, phi, t))) == chunks
     levels = ring_levels(kind, lams, N, etas, phi, t)
     assert levels.shape == (n_etas, 7, N)
     for i, eta in enumerate(etas):
         for j, lam in enumerate(lams):
-            assert np.array_equal(levels[i, j], np.linalg.eigvalsh(builder(lam, N, eta, phi, t))), (i, j)
+            assert np.array_equal(levels[i, j], np.linalg.eigvalsh(dense_ring(kind, lam, N, eta, phi, t))), (i, j)
 
 
 def test_ring_levels_solves_one_chunk_at_a_time():
@@ -157,7 +190,7 @@ def test_square_block_lambdas():
 def test_block_union_matches_full_lattice(kind, M, eta, phi):
     N = 8 if kind == "honeycomb" else 6
     spec = ModelSpec(kind, M, N, t=1.0, eta=eta, phi=phi)
-    full = np.linalg.eigvalsh(build_lattice(spec).entries)
+    full = np.linalg.eigvalsh(build_lattice(spec))
     union = union_eigenvalues(spec)
     assert np.max(np.abs(full - union)) <= 1e-10
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from torus_qpt import peierls_ring, square_ring
+from conftest import dense_ring
 from torus_qpt.cli import (
     COMMANDS,
     ConfigError,
@@ -122,9 +122,8 @@ def test_spectrum_mode_selection_matches_lambda(tmp_path):
 )
 def test_spectrum_rows_equal_per_ring_solves(tmp_path, kind, lam, N, phi):
     run_cli(["spectrum", "--kind", kind, "--lam", str(lam), "--N", str(N), "--phi", repr(phi), "--out", str(tmp_path)])
-    builder = peierls_ring if kind == "honeycomb" else square_ring
     grid = np.linspace(0.0, 1.0, 201)
-    rows = [[float(eta)] + list(np.linalg.eigvalsh(builder(lam, N, float(eta), phi))) for eta in grid]
+    rows = [[float(eta)] + list(np.linalg.eigvalsh(dense_ring(kind, lam, N, float(eta), phi))) for eta in grid]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     assert (tmp_path / "spectrum.csv").read_text() == csv_text(header, rows)
 
@@ -552,11 +551,11 @@ def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
     for m, row in enumerate(table, start=1):
         if kind == "honeycomb":
             lam = 2.0 * math.cos(math.pi * m / M)
-            ring = peierls_ring(lam, N, eta, phi)
+            ring = dense_ring(kind, lam, N, eta, phi)
         else:
             # cos(k) at k = pi/2 and 3pi/2 is exactly 0 (4m = M, 3M), not the rounded 6e-17
             lam = 0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M)
-            ring = square_ring(lam, N, eta, phi)
+            ring = dense_ring(kind, lam, N, eta, phi)
         want = np.array([2.0 * math.pi * m / M, lam, *np.stack([ring.real, ring.imag], axis=-1).ravel()])
         assert np.array_equal(row, want), m
         assert np.array_equal(np.signbit(row), np.signbit(want)), m

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import dense_ring
 from torus_qpt import (
     CONVENTIONS,
     ModelSpec,
@@ -20,11 +21,9 @@ from torus_qpt import (
     ground_energy_exact,
     linear_fit,
     midgap_perturbation,
-    peierls_ring,
     ring_lams,
     ring_stack,
     scaling_scan,
-    square_ring,
     sweep,
     sweep_to_csv,
     union_eigenvalues,
@@ -58,15 +57,15 @@ def test_exact_midgap_gap_positive_and_small():
 def _midgap_part(spec):
     """E_m: the lower midgap level of each critical-window ring, summed."""
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
-    return sum(float(np.linalg.eigvalsh(peierls_ring(lam, spec.N, spec.eta, spec.phi, spec.t))[spec.N // 2 - 1])
-               for lam in lams)
+    rings = (dense_ring("honeycomb", lam, spec.N, spec.eta, spec.phi, spec.t) for lam in lams)
+    return sum(float(np.linalg.eigvalsh(ring)[spec.N // 2 - 1]) for ring in rings)
 
 
 def test_ground_energy_exact_split():
     spec = ModelSpec("honeycomb", 7, 8, eta=0.02, phi=PHI)
     e_g = ground_energy_exact(spec)
     # E_g is the sum of negative full-lattice levels, and so of negative block levels
-    evals = np.linalg.eigvalsh(build_lattice(spec).entries)
+    evals = np.linalg.eigvalsh(build_lattice(spec))
     assert e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
     union = union_eigenvalues(spec)
     assert e_g == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
@@ -112,7 +111,7 @@ def test_d2_analytic_is_second_derivative_of_midgap_energy():
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
 
     def e_m(eta):
-        return sum(midgap_perturbation(lam, spec.N, eta, spec.phi, spec.t, warn=False).eps_minus for lam in lams)
+        return sum(midgap_perturbation(lam, spec.N, eta, spec.phi, spec.t).eps_minus for lam in lams)
 
     fd = (e_m(eta0 + h) - 2 * e_m(eta0) + e_m(eta0 - h)) / h**2
     ana = d2_analytic(spec, eta0)
@@ -141,15 +140,14 @@ def _per_ring_energies(spec, etas):
     # lambda is exactly 0 where the cosine's argument is an odd multiple of pi/2
     M = spec.M
     if spec.kind == "honeycomb":
-        builder, lams = peierls_ring, [0.0 if 2 * m == M else 2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
+        lams = [0.0 if 2 * m == M else 2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
     else:
-        builder, lams = square_ring, [0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M)
-                                      for m in range(1, M + 1)]
+        lams = [0.0 if 4 * m in (M, 3 * M) else 2.0 * math.cos(2.0 * math.pi * m / M) for m in range(1, M + 1)]
     energies, counts, scales = [], set(), []
     for eta in etas:
         total = scale = 0.0
         for lam in lams:
-            evals = np.linalg.eigvalsh(builder(lam, spec.N, eta, spec.phi, spec.t))
+            evals = np.linalg.eigvalsh(dense_ring(spec.kind, lam, spec.N, eta, spec.phi, spec.t))
             total += float(evals[evals < 0.0].sum())
             scale += float(np.abs(evals).sum())
             counts.add(int(np.count_nonzero(evals < 0.0)))
@@ -617,10 +615,24 @@ def test_fidelity_exact_requires_isolated_doublet():
     for convention in CONVENTIONS:
         with pytest.raises(RuntimeError, match="isolable"):
             fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01], convention)
-    # N = 100: the splitting scale 2(t/Omega)c = 1.3e-15 is 4 roundoffs of a ring level
+    # N = 100: at eta = c*cos(phi) -+ c the splitting scales are near 2(t/Omega)c = 1.3e-15, a few
+    # roundoffs of a ring level
     c = corner_coupling(0.5, 100)
     with pytest.raises(RuntimeError, match="below double resolution"):
         fidelity_exact(0.5, 100, PHI, 1.0, c * math.cos(PHI), [c])
+
+
+def test_fidelity_exact_checks_the_resolution_of_each_point():
+    # at eta = 0.01 -+ delta every doublet splits by ~1e-2*t, so N = 100 is resolvable; its corner
+    # c = 8.9e-16 then moves nothing a double holds, and N = 80 (c = 9.1e-13) gives the same f_exact
+    deltas = [1e-3, math.sqrt(5e-6), 5e-3]
+    n100 = fidelity_exact(0.5, 100, PHI, 1.0, 0.01, deltas)
+    n80 = fidelity_exact(0.5, 80, PHI, 1.0, 0.01, deltas)
+    assert np.max(np.abs(n100.f_exact - n80.f_exact)) <= 1e-12
+    # one displaced point on the crossing, where the splitting scale is 2(t/Omega)c|sin phi|, is refused
+    c = corner_coupling(0.5, 100)
+    with pytest.raises(RuntimeError, match="below double resolution at eta="):
+        fidelity_exact(0.5, 100, PHI, 1.0, 0.01, [0.01 - c * math.cos(PHI)])
 
 
 def test_fidelity_exact_crossing_drop():

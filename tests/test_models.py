@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torus_qpt import HermitianOperator, ModelSpec, build_lattice
+from torus_qpt import ModelSpec, build_lattice
 
 
 def test_spec_defaults_and_dim():
@@ -33,23 +33,16 @@ def test_spec_rejects_bad_parameters(kwargs):
         ModelSpec(**kwargs)
 
 
-def test_operator_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError):
-        HermitianOperator(2, bad)
-
-
 def test_operator_entries_read_only():
-    spec = ModelSpec("square", 2, 2)
-    op = build_lattice(spec)
+    H = build_lattice(ModelSpec("square", 2, 2))
     with pytest.raises(ValueError):
-        op.entries[0, 0] = 1.0
+        H[0, 0] = 1.0
 
 
 def test_honeycomb_bond_pattern():
     # M=3, N=8: intra-row chains, staggered rungs on columns 1-2 and 4-3.
     spec = ModelSpec("honeycomb", 3, 8, t=1.0, eta=0.5, phi=math.pi / 3)
-    H = build_lattice(spec).entries
+    H = build_lattice(spec)
 
     def idx(m, n):
         return (m - 1) * spec.N + (n - 1)
@@ -75,7 +68,7 @@ def test_honeycomb_bond_pattern():
 
 def test_square_bond_pattern():
     spec = ModelSpec("square", 3, 4, eta=1.0, phi=0.0)
-    H = build_lattice(spec).entries
+    H = build_lattice(spec)
 
     def idx(m, n):
         return (m - 1) * spec.N + (n - 1)
@@ -90,21 +83,21 @@ def test_square_bond_pattern():
 
 def test_square_m2_doubles_wrapped_vertical_bonds():
     # With M=2 the bond m->m+1 and its wrap coincide and must accumulate.
-    H = build_lattice(ModelSpec("square", 2, 3)).entries
+    H = build_lattice(ModelSpec("square", 2, 3))
     assert H[0, 3] == -2.0
     assert H[3, 0] == -2.0
 
 
 def test_square_n2_boundary_accumulates_with_intra_bond():
     # With N=2 the boundary bond (m,2)->(m,1) lands on the intra-row bond.
-    H = build_lattice(ModelSpec("square", 3, 2, eta=1.0, phi=0.0)).entries
+    H = build_lattice(ModelSpec("square", 3, 2, eta=1.0, phi=0.0))
     assert H[0, 1] == -2.0
-    H = build_lattice(ModelSpec("square", 3, 2, eta=1.0, phi=math.pi)).entries
+    H = build_lattice(ModelSpec("square", 3, 2, eta=1.0, phi=math.pi))
     assert H[0, 1] == pytest.approx(0.0)
 
 
 def test_eta_zero_cuts_the_ring():
-    H = build_lattice(ModelSpec("honeycomb", 3, 8, eta=0.0, phi=1.0)).entries
+    H = build_lattice(ModelSpec("honeycomb", 3, 8, eta=0.0, phi=1.0))
     assert H[7, 0] == 0.0 and H[0, 7] == 0.0
 
 
@@ -113,5 +106,5 @@ def test_lattices_are_hermitian():
         ModelSpec("honeycomb", 5, 12, eta=0.7, phi=2.1),
         ModelSpec("square", 4, 5, eta=0.7, phi=2.1),
     ):
-        H = build_lattice(spec).entries
+        H = build_lattice(spec)
         assert np.array_equal(H, H.conj().T)

@@ -1,10 +1,10 @@
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+from conftest import dense_ring
 from torus_qpt import (
     build_h0_hprime,
     corner_coupling,
@@ -13,7 +13,6 @@ from torus_qpt import (
     fidelity_perturbative,
     midgap_perturbation,
     omega_factor,
-    peierls_ring,
     zero_modes,
 )
 
@@ -84,7 +83,13 @@ def test_sites_convention_leaves_known_residual():
 def test_split_reassembles_the_ring_block():
     lam, N, eta, phi, t = 0.5, 8, 0.3, 1.1, 2.0
     h0, h1 = build_h0_hprime(lam, N, eta, phi)
-    assert np.max(np.abs(-t * (h0 + h1) - peierls_ring(lam, N, eta, phi, t))) < 1e-14
+    assert np.max(np.abs(-t * (h0 + h1) - dense_ring("honeycomb", lam, N, eta, phi, t))) < 1e-14
+
+
+def test_split_rejects_odd_or_short_rings():
+    for N in (2, 5):
+        with pytest.raises(ValueError, match="even and >= 4"):
+            build_h0_hprime(0.5, N, 0.0, 0.0)
 
 
 def test_hprime_is_rank_two_corner_remainder():
@@ -102,7 +107,7 @@ def test_hprime_is_rank_two_corner_remainder():
 def test_midgap_known_point():
     # lam = 0.5, N = 4: c = 1/4, Omega = 5/4, eta at the avoided crossing
     eta_star = 0.25 * math.cos(PHI)
-    sol = midgap_perturbation(0.5, 4, eta_star, PHI, warn=False)
+    sol = midgap_perturbation(0.5, 4, eta_star, PHI)
     assert sol.eps_plus == pytest.approx(0.1414213562373095, rel=1e-14)
     assert sol.eps_minus == -sol.eps_plus
     assert sol.gap_min == pytest.approx(0.282842712474619, rel=1e-14)
@@ -113,7 +118,7 @@ def test_midgap_known_point():
 
 def test_midgap_vectors_are_rayleigh_optimal():
     lam, N, eta, phi, t = 0.5, 12, 0.01, PHI, 2.0
-    sol = midgap_perturbation(lam, N, eta, phi, t=t, warn=False)
+    sol = midgap_perturbation(lam, N, eta, phi, t=t)
     h0, h1 = build_h0_hprime(lam, N, eta, phi)
     block = -t * (h0 + h1)
     # the doublet vectors diagonalize the block exactly within their span
@@ -125,8 +130,8 @@ def test_midgap_vectors_are_rayleigh_optimal():
 
 
 def test_midgap_scales_linearly_in_t():
-    a = midgap_perturbation(0.5, 8, 0.01, PHI, t=1.0, warn=False)
-    b = midgap_perturbation(0.5, 8, 0.01, PHI, t=3.0, warn=False)
+    a = midgap_perturbation(0.5, 8, 0.01, PHI, t=1.0)
+    b = midgap_perturbation(0.5, 8, 0.01, PHI, t=3.0)
     assert b.eps_plus == pytest.approx(3 * a.eps_plus, rel=1e-14)
     assert b.gap_min == pytest.approx(3 * a.gap_min, rel=1e-14)
     assert b.eta_star == a.eta_star
@@ -136,34 +141,21 @@ def test_midgap_scales_linearly_in_t():
 def test_midgap_first_order_crossing():
     lam, N = 0.5, 8
     c = corner_coupling(lam, N)
-    sol = midgap_perturbation(lam, N, c, 0.0, warn=False)
+    sol = midgap_perturbation(lam, N, c, 0.0)
     assert sol.at_crossing
     assert sol.eps_plus == 0.0
     assert sol.gap_min == 0.0
     assert sol.curvature_max == -math.inf
-    off = midgap_perturbation(lam, N, c / 2, 0.0, warn=False)
+    off = midgap_perturbation(lam, N, c / 2, 0.0)
     assert not off.at_crossing
     assert off.curvature_max == -math.inf  # sin(phi) = 0 keeps the crossing exact
-
-
-def test_soft_validity_warning():
-    lam, N = 0.5, 8
-    window = 0.2 * (1.0 - lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        midgap_perturbation(lam, N, 0.99 * window, PHI)
-    with pytest.warns(UserWarning, match="soft perturbative window"):
-        midgap_perturbation(lam, N, 1.01 * window, PHI)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        midgap_perturbation(lam, N, 1.01 * window, PHI, warn=False)
 
 
 def test_perturbative_gap_tracks_exact_block():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     eta_star = c * math.cos(PHI)
-    sol = midgap_perturbation(lam, N, eta_star, PHI, warn=False)
+    sol = midgap_perturbation(lam, N, eta_star, PHI)
     exact = exact_midgap_gap(lam, N, eta_star, PHI)
     assert sol.gap_min == pytest.approx(exact, rel=1e-2)
 
@@ -174,9 +166,9 @@ def test_fidelity_perturbative_matches_closed_form():
     eta_star = c * math.cos(PHI)
     b = abs(c * math.sin(PHI))
     for delta in (b / 10, b, 5 * b):
-        f = fidelity_perturbative(lam, N, eta_star, delta, PHI, warn=False)
+        f = fidelity_perturbative(lam, N, eta_star, delta, PHI)
         assert f == pytest.approx(fidelity_at_minimum(lam, N, delta, PHI), rel=1e-12)
-    assert fidelity_perturbative(lam, N, eta_star, 0.0, PHI, warn=False) == pytest.approx(1.0)
+    assert fidelity_perturbative(lam, N, eta_star, 0.0, PHI) == pytest.approx(1.0)
 
 
 def test_fidelity_at_minimum_anchor_points():
@@ -190,14 +182,14 @@ def test_fidelity_at_minimum_anchor_points():
 
 def test_fidelity_rejects_negative_delta():
     with pytest.raises(ValueError):
-        fidelity_perturbative(0.5, 8, 0.0, -0.1, PHI, warn=False)
+        fidelity_perturbative(0.5, 8, 0.0, -0.1, PHI)
     with pytest.raises(ValueError):
         fidelity_at_minimum(0.5, 8, -0.1, PHI)
 
 
 def test_fidelity_gauge_invariance_under_lambda_sign():
     # flipping the sign of lambda relabels sublattice amplitudes only
-    f_pos = fidelity_perturbative(0.5, 12, 0.001, 0.0005, PHI, warn=False)
-    f_neg = fidelity_perturbative(-0.5, 12, 0.001, 0.0005, PHI, warn=False)
+    f_pos = fidelity_perturbative(0.5, 12, 0.001, 0.0005, PHI)
+    f_neg = fidelity_perturbative(-0.5, 12, 0.001, 0.0005, PHI)
     assert 0.0 <= f_pos <= 1.0
     assert 0.0 <= f_neg <= 1.0
