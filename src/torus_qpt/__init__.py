@@ -46,8 +46,7 @@ from .models import ModelSpec, build_lattice
 from .ssh import (
     CONVENTIONS,
     MidgapSolution,
-    ZeroModePair,
-    build_h0_hprime,
+    build_h0,
     corner_coupling,
     fidelity_at_minimum,
     fidelity_perturbative,
@@ -66,10 +65,9 @@ __all__ = [
     "MidgapSolution",
     "ModelSpec",
     "SweepResult",
-    "ZeroModePair",
     "__version__",
     "blocks_to_csv",
-    "build_h0_hprime",
+    "build_h0",
     "build_lattice",
     "corner_coupling",
     "critical_modes",

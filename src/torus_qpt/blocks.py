@@ -14,7 +14,7 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 down. Every momentum block is an open real tridiagonal chain closed by
 one boundary bond: `peierls_ring` and `square_ring` return that chain's
 bands (diagonal, bonds), and `ring_bands` stacks them, one builder call
-per lambda. The shift engine and the reference split h = h0 + h' read
+per lambda. The shift engine and the reference matrix `ssh.build_h0` read
 the bands; `ring_stack` alone puts them into dense complex rings and adds
 the boundary bond, in chunks. The one dense ring-solve path,
 `ring_levels`, solves those chunks for every ring level of the package

@@ -15,7 +15,9 @@ oracle, diagonalizes the full lattice. Every ring coupling comes from
 `blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
 every dense ring (boundary bond included) from `blocks.ring_stack`, and
 every dense ring level from `blocks.ring_levels`, the one dense
-ring-solve path.
+ring-level path. `fidelity_exact` takes its eigenvectors from one
+`ring_stack` pass over all its displaced rings (one eigh per chunk) and
+its doublet splitting from `ssh.midgap_perturbation`.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -54,7 +56,6 @@ term and the tests' oracle.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -65,12 +66,7 @@ import numpy as np
 from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack
 from .models import ModelSpec, build_lattice
 from .output import csv_text
-from .ssh import (
-    corner_coupling,
-    fidelity_perturbative,
-    midgap_perturbation,
-    omega_factor,
-)
+from .ssh import corner_coupling, fidelity_perturbative, midgap_perturbation, omega_factor
 
 DEFAULT_STEPS = 200
 
@@ -374,18 +370,18 @@ def _near_nodes(kind: str, a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> tup
     return 0.5 * np.log1p(2.0 * p.real + (p.real * p.real + p.imag * p.imag)), d2.real
 
 
-def _far_nodes(kind: str, factored: tuple, eta: np.ndarray, logs: bool = True):
-    """ln|q| (None unless `logs`) and its exact second eta-derivative at each
-    node from the factored q, for a column of etas."""
+def _far_nodes(kind: str, factored: tuple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln|q| and its exact second eta-derivative at each node from the
+    factored q, for a column of etas."""
     f0, f1, f2 = factored
     if kind == "honeycomb":
         d = eta - f0
         bd2 = f1 * (d * d)
         q = bd2 + f2
-        return np.log(q) if logs else None, 2.0 * f1 * (f2 - bd2) / q**2
+        return np.log(q), 2.0 * f1 * (f2 - bd2) / q**2
     x1, x2 = f0 * eta - f1, f1 * eta - 1.0
     u, v = f0 / x1, f1 / x2
-    return np.log(np.abs(x1 * x2)) - f2 if logs else None, -(u * u + v * v).real
+    return np.log(np.abs(x1 * x2)) - f2, -(u * u + v * v).real
 
 
 def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,14 +399,13 @@ def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 @_in_double_range
-def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray, logs: bool = True):
-    """Quadrature sums of ln|q(y, eta)| (None unless `logs`) and of its exact
+def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature sums of ln|q(y, eta)| and of its exact
     second eta-derivative over the table's nodes, for a column of etas: the
     near sums interpolated, the far nodes summed."""
     near_ln, near_d2 = _near_sums(terms, eta)
-    far_ln, far_d2 = _far_nodes(kind, terms.far, eta, logs)
-    d2 = near_d2 + (far_d2 * terms.w_far).sum(axis=1)
-    return (near_ln + (far_ln * terms.w_far).sum(axis=1) if logs else None), d2
+    far_ln, far_d2 = _far_nodes(kind, terms.far, eta)
+    return near_ln + (far_ln * terms.w_far).sum(axis=1), near_d2 + (far_d2 * terms.w_far).sum(axis=1)
 
 
 def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndarray]:
@@ -425,11 +420,6 @@ def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndar
         part = slice(start, start + rows)
         shift[part], curvature[part] = _mode_shift(spec.kind, terms, etas[part, None])
     return e0 - shift / math.pi, -curvature / math.pi
-
-
-def _shifted_curvature(spec: ModelSpec, table, eta: float) -> float:
-    """_shifted_energies(spec, table, [eta])[1][0], without the logarithms."""
-    return float(-_mode_shift(spec.kind, table[1], np.array([[eta]]), logs=False)[1][0] / math.pi)
 
 
 def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
@@ -556,9 +546,9 @@ def sweep(
 
     eta_m = float(grid[i_star])
     if not flags:
-        eta_m = golden_section_min(lambda x: -abs(_shifted_curvature(spec, table, x)), eta_m - h, eta_m + h,
+        eta_m = golden_section_min(lambda x: -abs(_shifted_energies(spec, table, [x])[1][0]), eta_m - h, eta_m + h,
                                    tol=1e-6 * h)
-    peak = _shifted_curvature(spec, table, eta_m)
+    peak = float(_shifted_energies(spec, table, [eta_m])[1][0])
     if not math.isfinite(peak):
         raise RuntimeError(f"curvature peak is not finite at eta={eta_m:.6g} (M={spec.M}, N={spec.N})")
     if _level_crossing(spec.kind, table[1], grid):
@@ -695,18 +685,21 @@ def fidelity_exact(
     The guards read the physical corner c = lambda^(N/2) and its Omega,
     whatever the convention. The floor of the dense solve is
     eps*(1 + |lambda|)*t, the roundoff of a ring level. A RuntimeError
-    reports the ratio when the doublet's splitting scale
-    2*(t/Omega)*|eta*e^{i phi} - c| at some displaced point eta =
-    eta_center -+ delta is above 0 but below 1e3 floors (a midgap doublet
-    below double resolution: at lambda = 0.5 and the default deltas around
-    c*cos(phi), from N = 86 on); a scale of exactly 0 is an exact crossing,
-    which the subspace fallback below handles. The doublet must also be
+    reports the ratio when the doublet's splitting scale 2*eps_plus =
+    2*(t/Omega)*|eta*e^{i phi} - c| of midgap_perturbation at some
+    displaced point eta = eta_center -+ delta is above 0 but below 1e3
+    floors (a midgap doublet below double resolution: at lambda = 0.5 and
+    the default deltas around c*cos(phi), from N = 86 on); a scale of
+    exactly 0 is an exact crossing, which the subspace fallback below
+    handles. The doublet must also be
     separated from the bands by at least 10x the avoided-crossing gap at
     eta_center; otherwise the upper midgap vector is not a meaningful
     object and a RuntimeError reports the separation-to-gap ratio. When
     the doublet at either displaced point splits by at most 64 floors, the
     overlap falls back to the principal angle between the two-dimensional
-    midgap subspaces.
+    midgap subspaces. All 2*len(delta_grid) displaced rings are solved in
+    one ring_stack pass, and each keeps only its two midgap levels and
+    vectors.
     """
     deltas = np.sort(np.asarray(delta_grid, dtype=np.float64))
     if deltas.size == 0 or deltas[0] <= 0.0:
@@ -714,9 +707,9 @@ def fidelity_exact(
 
     center = midgap_perturbation(lam, N, eta_center, phi, t)  # checks lam and N first
     floor = np.finfo(np.float64).eps * (1.0 + abs(lam)) * t
-    phase, c, omega = cmath.exp(1j * phi), corner_coupling(lam, N), omega_factor(lam, N)
-    for eta in [eta_center + sign * delta for sign in (-1.0, 1.0) for delta in deltas.tolist()]:
-        split = 2.0 * t * abs(eta * phase - c) / omega
+    etas = np.concatenate([eta_center - deltas, eta_center + deltas]).tolist()
+    for eta in etas:
+        split = 2.0 * midgap_perturbation(lam, N, eta, phi, t).eps_plus
         if 0.0 < split < 1e3 * floor:
             raise RuntimeError(
                 f"midgap doublet below double resolution at eta={eta:.6g}: its splitting scale "
@@ -726,26 +719,27 @@ def fidelity_exact(
     evals = ring_levels("honeycomb", [lam], N, [eta_center], phi, t)[0, 0]
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
-        ratio = band_sep / center.gap_min if center.gap_min > 0 else math.inf
         raise RuntimeError(
             "midgap doublet not isolable from the bands: "
-            f"separation {band_sep:.6g} < 10*gap_min {center.gap_min:.6g} "
-            f"(separation/gap_min = {ratio:.3g})"
+            f"separation {band_sep:.6g} < 10*gap_min = {10.0 * center.gap_min:.6g} "
+            f"(separation/gap_min = {band_sep / center.gap_min:.3g})"
         )
 
+    def doublet(chunk):
+        # the midgap levels and vectors of each ring; the chunk's full eigenbasis dies with the call
+        w, v = np.linalg.eigh(chunk)
+        return w[:, N // 2 - 1 : N // 2 + 1].copy(), v[:, :, N // 2 - 1 : N // 2 + 1].copy()
+
+    levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi, t))))
     f_exact = np.empty(deltas.size)
     f_pert = np.empty(deltas.size)
     for i, delta in enumerate(deltas):
-        pair = ring_stack("honeycomb", [lam], N, [eta_center - delta, eta_center + delta], phi, t)
-        (w1, w2), (v1, v2) = np.linalg.eigh(np.concatenate(list(pair)))
-        degenerate = min(w1[N // 2] - w1[N // 2 - 1], w2[N // 2] - w2[N // 2 - 1]) <= 64.0 * floor
-        if degenerate:
-            u1 = v1[:, N // 2 - 1 : N // 2 + 1]
-            u2 = v2[:, N // 2 - 1 : N // 2 + 1]
+        (w1, w2), (u1, u2) = levels[[i, deltas.size + i]], vectors[[i, deltas.size + i]]  # eta_center -+ delta
+        if min(w1[1] - w1[0], w2[1] - w2[0]) <= 64.0 * floor:
             singvals = np.linalg.svd(u1.conj().T @ u2, compute_uv=False)
             f_exact[i] = float(singvals[-1])
         else:
-            f_exact[i] = float(abs(np.vdot(v1[:, N // 2], v2[:, N // 2])))
+            f_exact[i] = float(abs(np.vdot(u1[:, 1], u2[:, 1])))
         f_pert[i] = fidelity_perturbative(lam, N, eta_center, float(delta), phi, t, convention)
 
     return FidelityCurve(delta_grid=deltas, f_perturbative=f_pert, f_exact=f_exact, eta_center=float(eta_center))

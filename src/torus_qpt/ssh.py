@@ -1,29 +1,32 @@
 """Edge-state analytics for the dimerized flux ring.
 
 For |lambda| < 1 the open alternating chain hosts two exponentially
-localized zero-energy modes, one per sublattice. Closing the ring
-through a weak boundary bond hybridizes them into a midgap doublet;
-first-order degenerate perturbation theory in the boundary coupling
-gives the doublet energies, the avoided-crossing minimum, the curvature
-of the lower branch, and the overlap (fidelity) between doublet states
-at neighbouring couplings.
+localized zero-energy modes, one per sublattice (`zero_modes`). Closing
+the ring through a weak boundary bond hybridizes them into a midgap
+doublet. First-order degenerate perturbation theory in the boundary
+coupling gives its scalars (`midgap_perturbation`: the doublet energies,
+the avoided-crossing minimum and its location, the curvature of the
+lower branch) and the overlap (fidelity) between upper doublet vectors
+at neighbouring couplings (`fidelity_perturbative`, the one place the
+doublet vectors are built).
 
-Conventions. The dimensionless reference matrix h0 is the open
-alternating ring (bonds -lambda within cells, +1 between cells: minus
-the bands of `blocks.peierls_ring` at t = 1) plus a corner compensation
-entry c at (1,N)/(N,1); the physical ring block equals -t*(h0 + h'),
-where h' holds only the corner remainders eta*e^{i phi} - c at (N,1)
-and eta*e^{-i phi} - c at (1,N). The corner exponent is switchable:
-'cells' uses c = lambda^(N/2), which makes h0 annihilate the zero-mode
-vectors exactly; 'sites' uses c = lambda^N and is kept for comparison
-runs (its residual is the measured difference |lambda^N - lambda^(N/2)|).
+Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
+open alternating ring (bonds -lambda within cells, +1 between cells:
+minus the bands of `blocks.peierls_ring` at t = 1) plus a corner
+compensation entry c at (1,N)/(N,1). The physical ring block equals
+-t*(h0 + h'), where h' holds only the corner remainders
+eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). The corner
+exponent is switchable: 'cells' uses c = lambda^(N/2), which makes h0
+annihilate the zero-mode vectors exactly; 'sites' uses c = lambda^N and
+is kept for comparison runs (its residual is the measured difference
+|lambda^N - lambda^(N/2)|).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,49 +67,15 @@ def omega_factor(lam: float, N: int, convention: str = "cells") -> float:
     return (1.0 - c * c) / (1.0 - lam * lam)
 
 
-@dataclass(frozen=True)
-class ZeroModePair:
-    """Normalized zero modes of the reference matrix h0.
+def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only unit zero-mode pair (a_plus, a_minus) of h0.
 
     a_plus lives on odd sites (1, 3, ...) with amplitudes lambda^j;
-    a_minus mirrors it on even sites from the opposite end. omega is the
-    squared norm of the unnormalized vectors (under 'cells') and corner
-    is the h0 compensation entry c.
-    """
-
-    lam: float
-    n_sites: int
-    a_plus: np.ndarray = field(repr=False)
-    a_minus: np.ndarray = field(repr=False)
-    omega: float
-    corner: float
-
-    def __post_init__(self) -> None:
-        for name in ("a_plus", "a_minus"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def zero_modes(lam: float, N: int, convention: str = "cells") -> ZeroModePair:
-    """Construct the localized zero-mode pair of the alternating chain.
-
-    Parameters
-    ----------
-    lam : float
-        Within-cell/between-cell hopping ratio, |lam| < 1.
-    N : int
-        Number of sites, even and >= 4.
-    convention : {'cells', 'sites'}
-        Exponent convention for the corner entry and omega.
-
-    Returns
-    -------
-    ZeroModePair
-        Unit-norm vectors supported on disjoint sublattices.
+    a_minus mirrors it on even sites from the opposite end. Both are
+    normalized by the norm of the raw vectors, whose square is
+    omega_factor(lam, N, 'cells').
     """
     _check_chain(lam, N)
-    _check_convention(convention)
     cells = N // 2
     u_plus = np.zeros(N)
     u_minus = np.zeros(N)
@@ -114,65 +83,40 @@ def zero_modes(lam: float, N: int, convention: str = "cells") -> ZeroModePair:
         u_plus[2 * j] = lam ** j
         u_minus[2 * j + 1] = lam ** (cells - 1 - j)
     norm = float(np.linalg.norm(u_plus))
-    return ZeroModePair(
-        lam=float(lam),
-        n_sites=N,
-        a_plus=u_plus / norm,
-        a_minus=u_minus / norm,
-        omega=omega_factor(lam, N, convention),
-        corner=corner_coupling(lam, N, convention),
-    )
+    pair = (u_plus / norm, u_minus / norm)
+    for vector in pair:
+        vector.setflags(write=False)
+    return pair
 
 
-def build_h0_hprime(
-    lam: float, N: int, eta: float, phi: float, convention: str = "cells"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the dimensionless ring matrix into h0 + h'.
-
-    h0 carries the open ring's bonds -peierls_ring(lam, N) at t = 1 (-lam
-    within cells, +1 between cells) and the corner compensation c at
-    (1,N) and (N,1); h' carries only the corner remainders
-    eta*e^{i phi} - c at (N,1) and its conjugate at (1,N), so it has
-    rank <= 2. By construction -t*(h0 + h') is the physical ring block.
-    """
+def build_h0(lam: float, N: int, convention: str = "cells") -> np.ndarray:
+    """The reference matrix h0: minus the open ring's bonds at t = 1 (-lam
+    within cells, +1 between cells) and the corner compensation c at (1,N)
+    and (N,1)."""
     h0 = np.zeros(N * N)  # row-major: (i, i + 1) is entry 1 + i*(N + 1), (i + 1, i) is N + i*(N + 1)
     h0[1 :: N + 1] = h0[N :: N + 1] = -peierls_ring(lam, N)[1]  # checks N
     h0 = h0.reshape(N, N)
     c = corner_coupling(lam, N, convention)
     h0[0, N - 1] = c
     h0[N - 1, 0] = c
-    h1 = np.zeros((N, N), dtype=np.complex128)
-    corner = eta * cmath.exp(1j * phi) - c
-    h1[N - 1, 0] = corner
-    h1[0, N - 1] = corner.conjugate()
-    return h0, h1
+    return h0
 
 
 @dataclass(frozen=True)
 class MidgapSolution:
     """First-order midgap doublet of the weakly closed ring.
 
-    eps_plus/eps_minus are the doublet energies, v_plus/v_minus the
-    corresponding mixed vectors, gap_min the avoided-crossing minimum
-    over eta, eta_star its location, curvature_max the curvature of the
-    lower branch at eta_star (-inf when sin(phi) = 0), and at_crossing
-    marks the exactly degenerate point (sin(phi) = 0 and eta = c).
+    eps_plus/eps_minus are the doublet energies, gap_min the
+    avoided-crossing minimum over eta, eta_star its location, and
+    curvature_max the curvature of the lower branch at eta_star (-inf
+    when sin(phi) = 0).
     """
 
     eps_plus: float
     eps_minus: float
-    v_plus: np.ndarray = field(repr=False)
-    v_minus: np.ndarray = field(repr=False)
     gap_min: float
     eta_star: float
     curvature_max: float
-    at_crossing: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("v_plus", "v_minus"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def midgap_perturbation(
@@ -185,24 +129,15 @@ def midgap_perturbation(
 ) -> MidgapSolution:
     """Degenerate perturbation theory for the midgap doublet.
 
-    With c and Omega from `zero_modes` and z = eta*e^{i phi} - c:
-    eps_+- = +-(t/Omega)*|z|, and the doublet vectors are
-    (a_plus -+ e^{i arg z} * a_minus)/sqrt(2). The branch phase
-    e^{i arg z} is evaluated directly from arg z, so no square-root
-    branch cut is crossed. The minimum gap over eta is
-    2*(t/Omega)*|c*sin(phi)| at eta_star = c*cos(phi), where the lower
-    branch has curvature -t/(|c|*Omega*|sin(phi)|).
+    With c = corner_coupling, Omega = omega_factor and
+    z = eta*e^{i phi} - c: eps_+- = +-(t/Omega)*|z|. The minimum gap over
+    eta is 2*(t/Omega)*|c*sin(phi)| at eta_star = c*cos(phi), where the
+    lower branch has curvature -t/(|c|*Omega*|sin(phi)|).
     """
-    zm = zero_modes(lam, N, convention)
-    c = zm.corner
-    omega = zm.omega
-    z = eta * cmath.exp(1j * phi) - c
-    absz = abs(z)
-    eps = t * absz / omega
-    theta = cmath.phase(z)
-    mix = cmath.exp(1j * theta)
-    v_plus = (zm.a_plus - mix * zm.a_minus) / math.sqrt(2.0)
-    v_minus = (zm.a_plus + mix * zm.a_minus) / math.sqrt(2.0)
+    _check_chain(lam, N)
+    c = corner_coupling(lam, N, convention)
+    omega = omega_factor(lam, N, convention)
+    eps = t * abs(eta * cmath.exp(1j * phi) - c) / omega
     sin_phi = math.sin(phi)
     gap_min = 2.0 * t * abs(c * sin_phi) / omega
     if c != 0.0 and sin_phi != 0.0:
@@ -212,12 +147,9 @@ def midgap_perturbation(
     return MidgapSolution(
         eps_plus=eps,
         eps_minus=-eps,
-        v_plus=v_plus,
-        v_minus=v_minus,
         gap_min=gap_min,
         eta_star=c * math.cos(phi),
         curvature_max=curvature_max,
-        at_crossing=(absz == 0.0),
     )
 
 
@@ -230,16 +162,25 @@ def fidelity_perturbative(
     t: float = 1.0,
     convention: str = "cells",
 ) -> float:
-    """Overlap magnitude |<v_plus(eta-delta), v_plus(eta+delta)>|.
+    """Overlap magnitude |<v_plus(eta-delta), v_plus(eta+delta)>| of the
+    upper doublet vectors v_plus = (a_plus - e^{i arg z}*a_minus)/sqrt(2),
+    z = eta*e^{i phi} - c, from one zero-mode pair. The branch phase
+    e^{i arg z} is evaluated directly from arg z, so no square-root branch
+    cut is crossed. t does not enter: the vectors are scale free.
 
     Gauge invariant: multiplying either doublet vector by a unit phase
     leaves the value unchanged.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    lo = midgap_perturbation(lam, N, eta - delta, phi, t, convention)
-    hi = midgap_perturbation(lam, N, eta + delta, phi, t, convention)
-    return float(abs(np.vdot(lo.v_plus, hi.v_plus)))
+    a_plus, a_minus = zero_modes(lam, N)
+    c = corner_coupling(lam, N, convention)
+
+    def v_plus(x: float) -> np.ndarray:
+        mix = cmath.exp(1j * cmath.phase(x * cmath.exp(1j * phi) - c))
+        return (a_plus - mix * a_minus) / math.sqrt(2.0)
+
+    return float(abs(np.vdot(v_plus(eta - delta), v_plus(eta + delta))))
 
 
 def fidelity_at_minimum(

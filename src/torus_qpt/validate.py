@@ -21,13 +21,7 @@ from .blocks import ring_levels, union_eigenvalues
 from .criticality import exact_midgap_gap, fidelity_exact, golden_section_min
 from .eigensolve import square_ring_closed_form
 from .models import ModelSpec, build_lattice
-from .ssh import (
-    build_h0_hprime,
-    corner_coupling,
-    fidelity_perturbative,
-    midgap_perturbation,
-    zero_modes,
-)
+from .ssh import build_h0, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
 
 
 def _union_deviation(specs: list[ModelSpec]) -> float:
@@ -62,13 +56,8 @@ def check_zero_mode_residual(convention: str) -> float:
     worst = 0.0
     for lam in (0.2, -0.2, 0.5, -0.5, 0.9, -0.9):
         for n in (4, 8, 12, 20, 40):
-            h0, _ = build_h0_hprime(lam, n, 0.0, 0.0, convention)
-            pair = zero_modes(lam, n, convention)
-            worst = max(
-                worst,
-                float(np.linalg.norm(h0 @ pair.a_plus)),
-                float(np.linalg.norm(h0 @ pair.a_minus)),
-            )
+            h0 = build_h0(lam, n, convention)
+            worst = max(worst, *(float(np.linalg.norm(h0 @ a)) for a in zero_modes(lam, n)))
     return worst
 
 

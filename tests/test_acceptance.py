@@ -12,7 +12,7 @@ import numpy as np
 from conftest import dense_ring, record_criterion
 from torus_qpt import (
     ModelSpec,
-    build_h0_hprime,
+    build_h0,
     build_lattice,
     corner_coupling,
     d2_analytic,
@@ -68,18 +68,17 @@ def test_criterion_02_zero_mode_exactness():
     worst_sites = 0.0
     for lam in lams:
         for N in sizes:
-            zm_c = zero_modes(lam, N, "cells")
-            h0_c, _ = build_h0_hprime(lam, N, 0.0, 0.0, "cells")
+            a_plus, a_minus = zero_modes(lam, N)
+            h0_c = build_h0(lam, N, "cells")
             res_c = max(
-                float(np.linalg.norm(h0_c @ zm_c.a_plus)),
-                float(np.linalg.norm(h0_c @ zm_c.a_minus)),
+                float(np.linalg.norm(h0_c @ a_plus)),
+                float(np.linalg.norm(h0_c @ a_minus)),
             )
             worst_cells = max(worst_cells, res_c)
-            zm_s = zero_modes(lam, N, "sites")
-            h0_s, _ = build_h0_hprime(lam, N, 0.0, 0.0, "sites")
+            h0_s = build_h0(lam, N, "sites")
             res_s = max(
-                float(np.linalg.norm(h0_s @ zm_s.a_plus)),
-                float(np.linalg.norm(h0_s @ zm_s.a_minus)),
+                float(np.linalg.norm(h0_s @ a_plus)),
+                float(np.linalg.norm(h0_s @ a_minus)),
             )
             worst_sites = max(worst_sites, res_s)
     ok = worst_cells <= 1e-13 and worst_sites > 1e-13

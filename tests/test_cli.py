@@ -229,6 +229,13 @@ def test_fidelity_isolation_failure_exits_1(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_fidelity_isolation_message_states_a_true_inequality(tmp_path, capsys):
+    # the separation 0.444992 is below ten gaps, 1.41278, not below one gap, 0.141278
+    assert run_cli(["fidelity", "--lam", "0.999", "--N", "20", "--phi-over-pi", "0.25", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "separation 0.444992 < 10*gap_min = 1.41278 (separation/gap_min = 3.15)" in err
+
+
 def test_fidelity_convention_moves_only_the_perturbative_column(tmp_path):
     args = ["fidelity", "--lam", "0.5", "--N", "20", "--phi-over-pi", "0.25"]
     columns = {}

@@ -29,6 +29,7 @@ from torus_qpt import (
     union_eigenvalues,
 )
 from torus_qpt import criticality
+from torus_qpt.blocks import CHUNK_ENTRIES
 from torus_qpt.criticality import (
     MAX_ETA,
     _factor,
@@ -39,7 +40,6 @@ from torus_qpt.criticality import (
     _near_nodes,
     _near_sums,
     _shift_table,
-    _shifted_curvature,
     _shifted_energies,
 )
 
@@ -289,22 +289,6 @@ def test_near_sums_interpolate_the_exact_sums(monkeypatch, spec, eta_max):
     exact = [(value * weights[near]).sum(axis=1) for value in _near_nodes(spec.kind, a[near], b[near], etas)]
     for got, want in zip(_near_sums(terms, etas), exact):
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize(
-    "spec,eta_max",
-    [
-        (ModelSpec("honeycomb", 7, 20, phi=PHI), 3 * _c3_7(20)),
-        (ModelSpec("honeycomb", 31, 64, phi=PHI), 0.1),
-        (ModelSpec("square", 5, 12, phi=0.7), 1.0),
-    ],
-)
-def test_curvature_only_evaluator_matches_shifted_energies(spec, eta_max):
-    table = _shift_table(spec, eta_max)
-    etas = np.linspace(0.0, eta_max, 41)
-    want = _shifted_energies(spec, table, etas)[1]
-    got = np.array([_shifted_curvature(spec, table, eta) for eta in etas])
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_shift_engine_is_deterministic():
@@ -588,6 +572,27 @@ def test_fidelity_exact_matches_perturbative():
         assert np.max(np.abs(curve.f_exact - curve.f_perturbative)) <= tol, N
         assert np.all(np.diff(curve.delta_grid) > 0)
         assert np.all((curve.f_exact >= 0) & (curve.f_exact <= 1 + 1e-12))
+
+
+def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
+    # 25 deltas are 50 rings of 400 entries: two ring_stack chunks of 40. Each pair's f_exact equals
+    # a dense eigh of its two rings, read with the same vdot/SVD rule, to the last bit.
+    lam, N = 0.5, 20
+    c = corner_coupling(lam, N)
+    deltas = np.geomspace(c / 100.0, 10.0 * c, 25)
+    assert 2 * deltas.size > CHUNK_ENTRIES // (N * N) >= deltas.size
+    curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+    floor = np.finfo(np.float64).eps * (1.0 + abs(lam))
+    want = []
+    for delta in deltas:
+        (w1, v1), (w2, v2) = (np.linalg.eigh(dense_ring("honeycomb", lam, N, eta, PHI))
+                              for eta in (c * math.cos(PHI) - delta, c * math.cos(PHI) + delta))
+        if min(w1[N // 2] - w1[N // 2 - 1], w2[N // 2] - w2[N // 2 - 1]) <= 64.0 * floor:
+            u1, u2 = v1[:, N // 2 - 1 : N // 2 + 1], v2[:, N // 2 - 1 : N // 2 + 1]
+            want.append(float(np.linalg.svd(u1.conj().T @ u2, compute_uv=False)[-1]))
+        else:
+            want.append(float(abs(np.vdot(v1[:, N // 2], v2[:, N // 2]))))
+    assert curve.f_exact.tobytes() == np.array(want).tobytes()
 
 
 def test_fidelity_exact_asymptote():

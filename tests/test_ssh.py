@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dense_ring
 from torus_qpt import (
-    build_h0_hprime,
+    build_h0,
     corner_coupling,
     exact_midgap_gap,
     fidelity_at_minimum,
@@ -17,6 +17,15 @@ from torus_qpt import (
 )
 
 PHI = math.pi / 4
+
+
+def hprime(lam, N, eta, phi, convention="cells"):
+    """h' of the split -t*(h0 + h') of the ring block: the corner remainder
+    eta*e^{i phi} - c at (N,1) and its conjugate at (1,N)."""
+    h1 = np.zeros((N, N), dtype=np.complex128)
+    h1[N - 1, 0] = eta * cmath.exp(1j * phi) - corner_coupling(lam, N, convention)
+    h1[0, N - 1] = h1[N - 1, 0].conjugate()
+    return h1
 
 
 def test_corner_coupling_conventions():
@@ -38,21 +47,22 @@ def test_omega_factor_values():
 
 
 def test_zero_modes_structure():
-    zm = zero_modes(0.5, 4)
+    a_plus, a_minus = zero_modes(0.5, 4)
     norm = math.sqrt(1.25)
-    assert zm.a_plus == pytest.approx(np.array([1.0, 0.0, 0.5, 0.0]) / norm)
-    assert zm.a_minus == pytest.approx(np.array([0.0, 0.5, 0.0, 1.0]) / norm)
-    assert zm.omega == pytest.approx(1.25, rel=1e-15)
-    assert zm.corner == 0.25
-    assert np.linalg.norm(zm.a_plus) == pytest.approx(1.0, rel=1e-15)
-    assert np.linalg.norm(zm.a_minus) == pytest.approx(1.0, rel=1e-15)
-    assert np.vdot(zm.a_plus, zm.a_minus) == 0.0  # disjoint sublattices
+    assert a_plus == pytest.approx(np.array([1.0, 0.0, 0.5, 0.0]) / norm)
+    assert a_minus == pytest.approx(np.array([0.0, 0.5, 0.0, 1.0]) / norm)
+    assert omega_factor(0.5, 4) == pytest.approx(1.25, rel=1e-15)
+    assert corner_coupling(0.5, 4) == 0.25
+    assert np.linalg.norm(a_plus) == pytest.approx(1.0, rel=1e-15)
+    assert np.linalg.norm(a_minus) == pytest.approx(1.0, rel=1e-15)
+    assert np.vdot(a_plus, a_minus) == 0.0  # disjoint sublattices
 
 
 def test_zero_modes_read_only_and_validation():
-    zm = zero_modes(0.3, 8)
-    with pytest.raises(ValueError):
-        zm.a_plus[0] = 2.0
+    a_plus, a_minus = zero_modes(0.3, 8)
+    for vector in (a_plus, a_minus):
+        with pytest.raises(ValueError):
+            vector[0] = 2.0
     with pytest.raises(ValueError):
         zero_modes(1.0, 8)
     with pytest.raises(ValueError):
@@ -64,38 +74,38 @@ def test_zero_modes_read_only_and_validation():
 @pytest.mark.parametrize("lam", [-0.9, -0.5, -0.2, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("N", [4, 8, 12, 20, 40])
 def test_cells_convention_annihilates_exactly(lam, N):
-    zm = zero_modes(lam, N, "cells")
-    h0, _ = build_h0_hprime(lam, N, 0.0, 0.0, "cells")
-    assert np.linalg.norm(h0 @ zm.a_plus) <= 1e-13
-    assert np.linalg.norm(h0 @ zm.a_minus) <= 1e-13
+    a_plus, a_minus = zero_modes(lam, N)
+    h0 = build_h0(lam, N, "cells")
+    assert np.linalg.norm(h0 @ a_plus) <= 1e-13
+    assert np.linalg.norm(h0 @ a_minus) <= 1e-13
 
 
 def test_sites_convention_leaves_known_residual():
     lam, N = 0.5, 8
-    zm = zero_modes(lam, N, "sites")
-    h0, _ = build_h0_hprime(lam, N, 0.0, 0.0, "sites")
+    a_plus, _ = zero_modes(lam, N)
+    h0 = build_h0(lam, N, "sites")
     expected = abs(lam**N - lam ** (N // 2)) / math.sqrt(omega_factor(lam, N, "cells"))
-    residual = np.linalg.norm(h0 @ zm.a_plus)
+    residual = np.linalg.norm(h0 @ a_plus)
     assert residual == pytest.approx(expected, rel=1e-12)
     assert residual > 1e-13
 
 
 def test_split_reassembles_the_ring_block():
     lam, N, eta, phi, t = 0.5, 8, 0.3, 1.1, 2.0
-    h0, h1 = build_h0_hprime(lam, N, eta, phi)
+    h0, h1 = build_h0(lam, N), hprime(lam, N, eta, phi)
     assert np.max(np.abs(-t * (h0 + h1) - dense_ring("honeycomb", lam, N, eta, phi, t))) < 1e-14
 
 
 def test_split_rejects_odd_or_short_rings():
     for N in (2, 5):
         with pytest.raises(ValueError, match="even and >= 4"):
-            build_h0_hprime(0.5, N, 0.0, 0.0)
+            build_h0(0.5, N)
 
 
 def test_hprime_is_rank_two_corner_remainder():
     lam, N = 0.5, 8
     c = corner_coupling(lam, N)
-    h0, h1 = build_h0_hprime(lam, N, 0.4, PHI)
+    h0, h1 = build_h0(lam, N), hprime(lam, N, 0.4, PHI)
     assert np.linalg.matrix_rank(h1) == 2
     assert h1[N - 1, 0] == pytest.approx(0.4 * cmath.exp(1j * PHI) - c)
     assert h1[0, N - 1] == pytest.approx(np.conj(h1[N - 1, 0]))
@@ -113,20 +123,22 @@ def test_midgap_known_point():
     assert sol.gap_min == pytest.approx(0.282842712474619, rel=1e-14)
     assert sol.eta_star == pytest.approx(eta_star, rel=1e-14)
     assert sol.curvature_max == pytest.approx(-4.525483399593905, rel=1e-14)
-    assert not sol.at_crossing
 
 
 def test_midgap_vectors_are_rayleigh_optimal():
     lam, N, eta, phi, t = 0.5, 12, 0.01, PHI, 2.0
     sol = midgap_perturbation(lam, N, eta, phi, t=t)
-    h0, h1 = build_h0_hprime(lam, N, eta, phi)
-    block = -t * (h0 + h1)
+    block = -t * (build_h0(lam, N) + hprime(lam, N, eta, phi))
+    # v_-+ = (a_plus +- e^{i arg z} * a_minus)/sqrt(2), z = eta*e^{i phi} - c
+    a_plus, a_minus = zero_modes(lam, N)
+    mix = cmath.exp(1j * cmath.phase(eta * cmath.exp(1j * phi) - corner_coupling(lam, N)))
+    v_plus, v_minus = (a_plus - mix * a_minus) / math.sqrt(2.0), (a_plus + mix * a_minus) / math.sqrt(2.0)
     # the doublet vectors diagonalize the block exactly within their span
-    assert np.vdot(sol.v_plus, block @ sol.v_plus).real == pytest.approx(sol.eps_plus, rel=1e-12)
-    assert np.vdot(sol.v_minus, block @ sol.v_minus).real == pytest.approx(sol.eps_minus, rel=1e-12)
-    assert abs(np.vdot(sol.v_plus, block @ sol.v_minus)) < 1e-14
-    assert np.linalg.norm(sol.v_plus) == pytest.approx(1.0, rel=1e-14)
-    assert abs(np.vdot(sol.v_plus, sol.v_minus)) < 1e-14
+    assert np.vdot(v_plus, block @ v_plus).real == pytest.approx(sol.eps_plus, rel=1e-12)
+    assert np.vdot(v_minus, block @ v_minus).real == pytest.approx(sol.eps_minus, rel=1e-12)
+    assert abs(np.vdot(v_plus, block @ v_minus)) < 1e-14
+    assert np.linalg.norm(v_plus) == pytest.approx(1.0, rel=1e-14)
+    assert abs(np.vdot(v_plus, v_minus)) < 1e-14
 
 
 def test_midgap_scales_linearly_in_t():
@@ -142,12 +154,10 @@ def test_midgap_first_order_crossing():
     lam, N = 0.5, 8
     c = corner_coupling(lam, N)
     sol = midgap_perturbation(lam, N, c, 0.0)
-    assert sol.at_crossing
     assert sol.eps_plus == 0.0
     assert sol.gap_min == 0.0
     assert sol.curvature_max == -math.inf
     off = midgap_perturbation(lam, N, c / 2, 0.0)
-    assert not off.at_crossing
     assert off.curvature_max == -math.inf  # sin(phi) = 0 keeps the crossing exact
 
 
@@ -169,6 +179,21 @@ def test_fidelity_perturbative_matches_closed_form():
         f = fidelity_perturbative(lam, N, eta_star, delta, PHI)
         assert f == pytest.approx(fidelity_at_minimum(lam, N, delta, PHI), rel=1e-12)
     assert fidelity_perturbative(lam, N, eta_star, 0.0, PHI) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("convention", ["cells", "sites"])
+@pytest.mark.parametrize("lam", [0.3, -0.5, 0.9])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 2.0])
+def test_fidelity_perturbative_away_from_minimum(lam, eta, convention):
+    # |<v_+(eta - delta), v_+(eta + delta)>| = |cos((theta(eta + delta) - theta(eta - delta))/2)|
+    # with theta = arg(eta*e^{i phi} - c), since a_plus and a_minus are orthonormal
+    N = 12
+    c = corner_coupling(lam, N, convention)
+    theta = lambda x: cmath.phase(x * cmath.exp(1j * PHI) - c)  # noqa: E731
+    for delta in (1e-3, 0.1, 0.7):
+        want = abs(math.cos((theta(eta + delta) - theta(eta - delta)) / 2.0))
+        got = fidelity_perturbative(lam, N, eta, delta, PHI, 1.0, convention)
+        assert abs(got - want) <= 2e-15
 
 
 def test_fidelity_at_minimum_anchor_points():
