@@ -36,7 +36,6 @@ h = h0 + h' of the analytics module reproduces the block entrywise.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 
 import numpy as np
@@ -44,7 +43,6 @@ import numpy as np
 from .models import ModelSpec
 from .output import csv_text
 
-logger = logging.getLogger(__name__)
 
 def peierls_ring(lam: float, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Bands (diagonal, bonds) of the open alternating (dimerized) N-site
@@ -68,7 +66,8 @@ def square_ring(lam2k: float, N: int, t: float = 1.0) -> tuple[np.ndarray, np.nd
 def ring_bands(kind: str, lams, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """The open rings' bands stacked over `lams`, shapes (len(lams), N) and
     (len(lams), N - 1): one peierls_ring (honeycomb) or square_ring (any
-    other kind) call per lambda."""
+    other kind) call per lambda. Every row of both bands reads the same
+    backwards, which lets criticality._boundary_green take G_11 as G_NN."""
     build = peierls_ring if kind == "honeycomb" else square_ring
     diagonals, bonds = zip(*(build(lam, N, t) for lam in lams))
     return np.stack(diagonals), np.stack(bonds)
@@ -144,7 +143,11 @@ def critical_modes(M: int) -> list[int]:
     out = []
     for m in range(1, M + 1):
         if 3 * m == M or 3 * m == 2 * M:
-            logger.info("mode m=%d of M=%d sits on the critical-window edge (|lambda|=1); excluded", m, M)
+            import logging  # imported here: the package's one log line, which most runs never reach
+
+            logging.getLogger(__name__).info(
+                "mode m=%d of M=%d sits on the critical-window edge (|lambda|=1); excluded", m, M
+            )
             continue
         if M < 3 * m < 2 * M:
             out.append(m)

@@ -23,6 +23,7 @@ failing validate check.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -386,13 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
         "square": "square-lattice flatness report -> square_report.json and sweep_square_N*.csv",
         "validate": "run the self-check suite -> validate.json; exit 1 on any failure",
     }
+    # every command takes every flag: register them once, on a parent that each subparser copies
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    for key, convert, flag, help_text, _ in OPTIONS:
+        if flag is not None:
+            settings = {"type": convert} if flag is True else flag
+            common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        for key, convert, flag, help_text, _ in OPTIONS:
-            if flag is not None:
-                settings = {"type": convert} if flag is True else flag
-                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
+        sub.add_parser(name, help=descriptions[name], parents=[common])
     return parser
 
 
@@ -423,5 +426,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry point (console script and `python -m torus_qpt`): main,
+    then gc.freeze(), so the interpreter's final collections skip every object
+    NumPy and the package made; the process exit frees them. Exit still runs
+    atexit handlers, flushes stdio and keeps main's exit code. Frozen cycles
+    are never collected, which is safe because the package defines no __del__
+    and closes every file before os.replace. In-process callers (tests, the
+    benchmark's tracer) call main, which leaves the collector alone."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(run())

@@ -30,9 +30,11 @@ with A = 2t*cos(phi)*G_1N and B = t^2*(G_1N^2 - G_11*G_NN) from the
 boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
 the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
-E_g(0) sums the dense levels of the open rings. The three G0 entries come
-from O(N) continued fractions over H0's bands, once per distinct mode (m
-and M - m share them) on one node set, and serve every eta of the sweep.
+E_g(0) sums the dense levels of the open rings. Every open ring's bands
+are palindromic (blocks.ring_bands), so G_11 = G_NN bit for bit, and the
+two G0 entries G_NN and G_1N come from one O(N) continued fraction over
+H0's bands, once per distinct mode (m and M - m share them) on one node
+set, and serve every eta of the sweep.
 The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y/t)
 over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
 gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
@@ -245,10 +247,12 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G_11, G_NN and G_1N of (z - H0)^-1, one row per open ring of a stack
-    of bands (blocks.ring_bands: diag (rings, N), bonds (rings, N - 1)) and
-    one column per z, by continued fractions over the sites.
+def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G_NN and G_1N of (z - H0)^-1, one row per open ring of a stack of
+    bands (blocks.ring_bands: diag (rings, N), bonds (rings, N - 1)) and one
+    column per z, by a continued fraction over the sites. The bands are
+    palindromic, so the backward fraction for G_11 would repeat this one's
+    operations exactly: G_11 is G_NN.
 
     Each running value is a resolvent entry of a sub-chain, so at z = iy
     none exceeds 1/y in size."""
@@ -259,11 +263,7 @@ def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple
     for j in range(1, len(a)):
         g = 1.0 / (z - a[j] - b[j - 1] * b[j - 1] * g)
         g1n = g1n * b[j - 1] * g
-    gnn = g
-    g = 1.0 / (z - a[-1])
-    for j in range(len(a) - 2, -1, -1):
-        g = 1.0 / (z - a[j] - b[j] * b[j] * g)
-    return g, gnn, g1n
+    return g, g1n
 
 
 def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
@@ -284,10 +284,10 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     t, cos_phi, s2, M = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
     bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N, t)
-    g11, gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
+    gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
     a = 2.0 * t * cos_phi * g1n
-    b = t * t * (g1n * g1n - g11 * gnn)
-    d4 = t * t * (g11 * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
+    b = t * t * (g1n * g1n - gnn * gnn)  # G_11 = G_NN
+    d4 = t * t * (gnn * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
     lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo*t
     return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)

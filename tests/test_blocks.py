@@ -65,6 +65,17 @@ def test_ring_bands_stack_one_builder_call_per_lambda():
     assert diag.tolist() == [[-1.2] * 3, [2.0] * 3] and bonds.tolist() == [[-1.0] * 2] * 2
 
 
+@pytest.mark.parametrize("kind", ["honeycomb", "square"])
+def test_ring_bands_are_palindromic_bit_for_bit(kind):
+    # the shift engine takes G_11 as G_NN, which holds bit for bit only on palindromic bands
+    lengths = range(4, 81, 2) if kind == "honeycomb" else range(2, 81)  # square includes odd N
+    for M in range(2, 32):
+        lams = ring_lams(kind, M)
+        for N in lengths:
+            for band in ring_bands(kind, lams, N, 0.7):
+                assert band.tobytes() == np.flip(band, axis=1).tobytes(), (kind, M, N)
+
+
 def _same_bits(a, b):
     return (
         np.array_equal(a, b)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import dense_ring
 from torus_qpt.cli import (
     COMMANDS,
+    OPTIONS,
     ConfigError,
     build_parser,
     integer,
@@ -639,3 +641,49 @@ def test_console_script_help():
     assert proc.returncode == 0
     for command in ("spectrum", "sweep", "scaling", "fidelity", "square", "validate"):
         assert command in proc.stdout
+
+
+def _module_to_file(tmp_path, *argv):
+    """Run `python -m torus_qpt *argv` with stdout going to a file, block-buffered
+    (without PYTHONUNBUFFERED, which would hide a lost flush at exit); return the
+    finished process, its stderr captured, and the stdout text."""
+    log = tmp_path / "stdout.txt"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open(log, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "torus_qpt", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    return proc, log.read_text()
+
+
+def test_module_run_flushes_stdout_to_a_file(tmp_path):
+    # run() freezes the collector before exit; stdout must still be flushed
+    proc, out = _module_to_file(tmp_path, "sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25",
+                                "--out", str(tmp_path))
+    assert proc.returncode == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("sweep: eta_m=") and lines[-1] == f"wrote {tmp_path / 'sweep.csv'}"
+
+
+def test_module_help_lists_every_flag(tmp_path):
+    proc, out = _module_to_file(tmp_path, "scaling", "--help")
+    assert proc.returncode == 0
+    assert out.startswith("usage: torus-qpt scaling [-h] [--config CONFIG]")
+    flags = ["--config"] + ["--" + key.replace("_", "-") for key, _, setting, *_ in OPTIONS if setting is not None]
+    for flag in flags:
+        assert f"  {flag}" in out, flag
+
+
+def test_module_rejection_prints_the_command_usage(tmp_path):
+    proc, out = _module_to_file(tmp_path, "sweep", "--eta-max", "inf")
+    assert proc.returncode == 2 and out == ""
+    assert proc.stderr.startswith("usage: torus-qpt sweep ")
+    assert "torus-qpt sweep: error: argument --eta-max:" in proc.stderr
+
+
+def test_cli_import_and_parser_leave_logging_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, torus_qpt.cli; torus_qpt.cli.build_parser(); sys.exit('logging' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
