@@ -8,6 +8,7 @@ energy curvature sweeps, finite-size scaling of the curvature peak, and
 fidelity-susceptibility curves, plus a self-check suite and a CLI.
 """
 
+import gc
 import os
 import sys
 
@@ -17,44 +18,54 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from .blocks import (
-    blocks_to_csv,
-    critical_modes,
-    peierls_ring,
-    ring_lams,
-    ring_levels,
-    ring_stack,
-    square_ring,
-    union_eigenvalues,
-)
-from .criticality import (
-    FidelityCurve,
-    SweepResult,
-    d2_analytic,
-    exact_midgap_gap,
-    fidelity_exact,
-    fidelity_to_csv,
-    golden_section_min,
-    ground_energy_exact,
-    linear_fit,
-    scaling_scan,
-    sweep,
-    sweep_to_csv,
-)
-from .eigensolve import square_ring_closed_form
-from .models import ModelSpec, build_lattice
-from .ssh import (
-    CONVENTIONS,
-    MidgapSolution,
-    build_h0,
-    corner_coupling,
-    fidelity_at_minimum,
-    fidelity_perturbative,
-    midgap_perturbation,
-    omega_factor,
-    zero_modes,
-)
-from .validate import DEFAULT_TOLERANCES, run_validation
+# Everything the imports below allocate (NumPy and the package's modules) lives as long as the
+# process, so the ~30 collections that loading them would trigger free nothing. Suspend the
+# collector while they load and give the caller back the state it had.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .blocks import (
+        blocks_to_csv,
+        critical_modes,
+        peierls_ring,
+        ring_lams,
+        ring_levels,
+        ring_stack,
+        square_ring,
+        union_eigenvalues,
+    )
+    from .criticality import (
+        FidelityCurve,
+        SweepResult,
+        d2_analytic,
+        exact_midgap_gap,
+        fidelity_exact,
+        fidelity_to_csv,
+        golden_section_min,
+        ground_energy_exact,
+        linear_fit,
+        scaling_scan,
+        sweep,
+        sweep_to_csv,
+    )
+    from .eigensolve import square_ring_closed_form
+    from .models import ModelSpec, build_lattice
+    from .ssh import (
+        CONVENTIONS,
+        MidgapSolution,
+        build_h0,
+        corner_coupling,
+        fidelity_at_minimum,
+        fidelity_perturbative,
+        midgap_perturbation,
+        omega_factor,
+        zero_modes,
+    )
+    from .validate import DEFAULT_TOLERANCES, run_validation
+finally:
+    if _collecting:
+        gc.enable()
+del _collecting
 
 __version__ = "0.1.0"
 

@@ -732,15 +732,14 @@ def fidelity_exact(
 
     levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi, t))))
     f_exact = np.empty(deltas.size)
-    f_pert = np.empty(deltas.size)
-    for i, delta in enumerate(deltas):
+    for i in range(deltas.size):
         (w1, w2), (u1, u2) = levels[[i, deltas.size + i]], vectors[[i, deltas.size + i]]  # eta_center -+ delta
         if min(w1[1] - w1[0], w2[1] - w2[0]) <= 64.0 * floor:
             singvals = np.linalg.svd(u1.conj().T @ u2, compute_uv=False)
             f_exact[i] = float(singvals[-1])
         else:
             f_exact[i] = float(abs(np.vdot(u1[:, 1], u2[:, 1])))
-        f_pert[i] = fidelity_perturbative(lam, N, eta_center, float(delta), phi, t, convention)
+    f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, convention)
 
     return FidelityCurve(delta_grid=deltas, f_perturbative=f_pert, f_exact=f_exact, eta_center=float(eta_center))
 

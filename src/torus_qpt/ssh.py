@@ -157,21 +157,25 @@ def fidelity_perturbative(
     lam: float,
     N: int,
     eta: float,
-    delta: float,
+    delta: float | np.ndarray,
     phi: float,
-    t: float = 1.0,
     convention: str = "cells",
-) -> float:
+) -> float | np.ndarray:
     """Overlap magnitude |<v_plus(eta-delta), v_plus(eta+delta)>| of the
     upper doublet vectors v_plus = (a_plus - e^{i arg z}*a_minus)/sqrt(2),
     z = eta*e^{i phi} - c, from one zero-mode pair. The branch phase
     e^{i arg z} is evaluated directly from arg z, so no square-root branch
-    cut is crossed. t does not enter: the vectors are scale free.
+    cut is crossed. No energy scale enters: the vectors are scale free.
+
+    delta is one separation (the result is a float) or a sequence of them
+    (the result is an array, one overlap each); the zero-mode pair is built
+    once for all of them.
 
     Gauge invariant: multiplying either doublet vector by a unit phase
     leaves the value unchanged.
     """
-    if delta < 0:
+    deltas = np.asarray(delta, dtype=np.float64)
+    if np.any(deltas < 0):
         raise ValueError(f"delta must be >= 0, got {delta}")
     a_plus, a_minus = zero_modes(lam, N)
     c = corner_coupling(lam, N, convention)
@@ -180,7 +184,8 @@ def fidelity_perturbative(
         mix = cmath.exp(1j * cmath.phase(x * cmath.exp(1j * phi) - c))
         return (a_plus - mix * a_minus) / math.sqrt(2.0)
 
-    return float(abs(np.vdot(v_plus(eta - delta), v_plus(eta + delta))))
+    overlaps = [abs(np.vdot(v_plus(eta - d), v_plus(eta + d))) for d in deltas.ravel().tolist()]
+    return float(overlaps[0]) if deltas.ndim == 0 else np.array(overlaps, dtype=np.float64).reshape(deltas.shape)
 
 
 def fidelity_at_minimum(

@@ -112,7 +112,7 @@ def check_fidelity_closed_form(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
     eta_star = c * math.cos(_PHI)
     b = abs(c * math.sin(_PHI))
-    value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, 1.0, convention)
+    value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, convention)
     return abs(value - 1.0 / math.sqrt(2.0))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
+from outputs import read_table, with_config_file
 from torus_qpt.cli import (
     COMMANDS,
     OPTIONS,
@@ -388,34 +389,8 @@ def test_sweep_grid_errors_are_config_errors(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-# Every line exits 2 before any work: a converter rejects the value (argparse
-# for a flag, parse_config for a file key) or the library rejects the domain.
-REJECTED = [
-    ["sweep", "--eta-max", "inf"],
-    ["square", "--M", "3", "--n-list", "8", "--eta-max", "inf"],
-    ["spectrum", "--N", "3"],
-    ["spectrum", "--kind", "square", "--N", "1"],
-    ["spectrum", "--lam", "nan"],
-    ["spectrum", "--eta-max", "inf"],
-    ["fidelity", "--N", "3"],
-    ["fidelity", "--lam", "1.5"],
-    ["fidelity", "--delta-max", "inf"],
-    ["scaling", "--n-list", "8"],
-    ["sweep", "--eta-max", "1e200"],
-    ["square", "--M", "3", "--n-list", "8,16", "--eta-max", "1e308"],
-    ["spectrum", "--t", "0"],
-    ["spectrum", "--t", "-1"],
-    ["fidelity", "--t", "0"],
-    ["spectrum", "--dump-blocks"],
-    ["spectrum", "--dump-blocks", "--M", "2"],
-    ["sweep", "--config", "{\"eta\": 0.3, \"dump_blocks\": false}"],
-    ["square", "--convention", "cells"],
-    ["spectrum", "--convention", "cells"],
-    ["scaling", "--convention", "cells"],
-    ["sweep", "--config", "{\"M\": 7.5}"],
-    ["sweep", "--config", "{\"eta_max\": Infinity}"],
-    ["validate", "--config", "{\"tolerances\": {\"zero-mode-residual\": [1]}}"],
-]
+def _table_args(select):
+    return [list(row.args) for row in read_table() if select(row)]
 
 
 def _run_collecting_exit(argv):
@@ -425,28 +400,22 @@ def _run_collecting_exit(argv):
         return exc.code
 
 
-def _with_config_file(tmp_path, argv):
-    if "--config" in argv:
-        i = argv.index("--config") + 1
-        (tmp_path / "c.json").write_text(argv[i])
-        argv = argv[:i] + [str(tmp_path / "c.json")] + argv[i + 1 :]
-    return argv
-
-
-@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+# Every row exits 2 before any work: a converter rejects the value (argparse for a
+# flag, parse_config for a file key) or the library rejects the domain.
+@pytest.mark.parametrize("argv", _table_args(lambda row: row.exit == 2), ids=" ".join)
 def test_rejected_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert _run_collecting_exit(_with_config_file(tmp_path, argv) + ["--out", str(out)]) == 2
+    assert _run_collecting_exit(with_config_file(argv, tmp_path / "c.json") + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [REJECTED[0], REJECTED[-2], REJECTED[-1]], ids=" ".join)
+@pytest.mark.parametrize("argv", _table_args(lambda row: row.exit == 2 and "process" in row.tags), ids=" ".join)
 def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "torus_qpt", *_with_config_file(tmp_path, argv), "--out", str(out)],
+        [sys.executable, "-m", "torus_qpt", *with_config_file(argv, tmp_path / "c.json"), "--out", str(out)],
         capture_output=True,
         text=True,
     )
@@ -468,29 +437,24 @@ def test_options_nothing_reads_are_rejected(tmp_path, capsys, argv, needs):
     assert list(tmp_path.iterdir()) == []
 
 
-OUT_OF_DOUBLE_RANGE = [
-    ["--M", "7", "--N", "800"],
-    ["--M", "31", "--N", "256", "--phi-over-pi", "0.25", "--steps", "400"],
-    ["--M", "61", "--N", "128", "--phi-over-pi", "0.25"],
-]
+def _sweep_id(argv):
+    return " ".join(argv[1:])  # every double-range row is a sweep
 
 
-@pytest.mark.parametrize("argv", OUT_OF_DOUBLE_RANGE, ids=" ".join)
+@pytest.mark.parametrize("argv", _table_args(lambda row: "double-range" in row.tags), ids=_sweep_id)
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the engine raises instead of letting NumPy warn
 def test_sweep_out_of_double_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert run_cli(["sweep", *argv, "--out", str(out)]) == 1
+    assert run_cli([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "out of double range" in err and "Traceback" not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", OUT_OF_DOUBLE_RANGE[1:], ids=" ".join)
+@pytest.mark.parametrize("argv", _table_args(lambda row: {"double-range", "process"} <= row.tags), ids=_sweep_id)
 def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path, argv):
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "torus_qpt", "sweep", *argv, "--out", str(out)], capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-m", "torus_qpt", *argv, "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
@@ -687,3 +651,22 @@ def test_cli_import_and_parser_leave_logging_unloaded():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_package_import_suspends_the_collector_and_restores_it(enabled):
+    # a finder that records the collector's state whenever NumPy or a package module is looked up
+    code = (
+        "import gc, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name in ('numpy', 'torus_qpt.blocks', 'torus_qpt.validate'):\n"
+        "            seen.append(gc.isenabled())\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "import torus_qpt\n"
+        "print(seen, gc.isenabled())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == f"[False, False, False] {enabled}\n"

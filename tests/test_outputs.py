@@ -1,0 +1,104 @@
+"""The command-line table parses, and `compare` reports every kind of
+difference between two runs, on small synthetic run trees."""
+
+import json
+import math
+
+import pytest
+
+from outputs import MEASURES, compare_trees, read_table
+
+TAGS = {"readme", "stress", "fails", "double-range", "process"} | set(MEASURES)
+
+SWEEP = "eta,e_g\n0,-7444.3845132354072\n0.5,-7440.25\n"
+SCALING = {"n_values": [8, 12], "fit_eta": {"slope": -0.40479345801634142, "r2": 1}, "flags": {"8": []}}
+VALIDATE = {"checks": [{"name": "a", "pass": True, "measured": 1e-15}], "pass": True, "runtime_s": 0.12}
+STDOUT = "PASS a: measured=1e-15\nPASS (1 checks, 0.12 s)\nwrote out/validate.json\n"
+
+
+def test_table_rows_are_distinct_and_tagged_from_the_known_set():
+    rows = read_table()
+    assert len({row.args for row in rows}) == len(rows)
+    assert set().union(*(row.tags for row in rows)) <= TAGS
+    assert {row.exit for row in rows} == {0, 1, 2}
+    assert all(row.exit == 1 for row in rows if "fails" in row.tags)
+    assert len(read_table("readme")) == 8
+
+
+def _tree(root, exit=0, stdout=STDOUT, stderr="", files=None):
+    files = {"sweep.csv": SWEEP, "scaling.json": json.dumps(SCALING), "validate.json": json.dumps(VALIDATE)} \
+        if files is None else files
+    row = root / "00"  # laid out as `outputs.py run` leaves a row
+    (row / "out").mkdir(parents=True)
+    for name, text in {"row": "0 | readme | validate\n", "exit": f"{exit}\n", "stdout": stdout, "stderr": stderr}.items():
+        (row / name).write_text(text)
+    for name, text in files.items():
+        (row / "out" / name).write_text(text)
+    return root
+
+
+def _compare(tmp_path, allow=frozenset(), **changes):
+    report, same = compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", **changes), frozenset(allow))
+    return "\n".join(report), same
+
+
+def test_identical_trees_show_no_difference(tmp_path):
+    report, same = _compare(tmp_path)
+    assert same and report.startswith("identical 00  validate")
+    assert report.endswith("1 rows identical, 0 differ only in allowed files, 0 differ")
+
+
+def test_one_ulp_in_a_csv_cell_is_reported_by_file_and_column(tmp_path):
+    nudged = SWEEP.replace("-7444.3845132354072", repr(math.nextafter(-7444.3845132354072, 0.0)))
+    report, same = _compare(tmp_path, files={"sweep.csv": nudged, "scaling.json": json.dumps(SCALING),
+                                             "validate.json": json.dumps(VALIDATE)})
+    ulp = math.ulp(7444.3845132354072)
+    assert not same
+    assert f"sweep.csv: column e_g: 1 value differs, max abs {ulp:.3g}, max rel {ulp / 7444.3845132354072:.3g}" \
+        in report
+
+
+def test_one_json_leaf_is_reported_by_its_key_path(tmp_path):
+    changed = {**SCALING, "fit_eta": {"slope": -0.405, "r2": 1}}
+    report, same = _compare(tmp_path, files={"sweep.csv": SWEEP, "scaling.json": json.dumps(changed),
+                                             "validate.json": json.dumps(VALIDATE)})
+    assert not same
+    assert "scaling.json: fit_eta.slope: 1 value differs, max abs 0.000207" in report
+    assert "r2" not in report and "n_values" not in report
+
+
+def test_validate_runtime_and_its_timing_line_do_not_count(tmp_path):
+    report, same = _compare(tmp_path, stdout=STDOUT.replace("0.12 s", "3.45 s"), files={
+        "sweep.csv": SWEEP, "scaling.json": json.dumps(SCALING), "validate.json": json.dumps({**VALIDATE, "runtime_s": 3.45})})
+    assert same, report
+
+
+@pytest.mark.parametrize(
+    "changes,note",
+    [({"files": {"sweep.csv": SWEEP, "validate.json": json.dumps(VALIDATE)}}, "scaling.json: only in A"),
+     ({"exit": 1}, "exit code 0 -> 1"),
+     ({"stderr": "error: boom\n"}, "stderr: 0 -> 1 lines"),
+     ({"stdout": STDOUT.replace("PASS a", "FAIL a")}, "stdout line 1: 'PASS a: measured=1e-15' -> 'FAIL a: measured=1e-15'")],
+    ids=["missing-file", "exit-code", "stderr", "stdout"],
+)
+def test_each_kind_of_difference_is_reported(tmp_path, changes, note):
+    report, same = _compare(tmp_path, **changes)
+    assert not same and f"    {note}" in report.splitlines()
+
+
+def test_an_allowed_file_is_reported_but_does_not_fail(tmp_path):
+    files = {"sweep.csv": SWEEP.replace("-7440.25", "-7440.5"), "scaling.json": json.dumps(SCALING),
+             "validate.json": json.dumps(VALIDATE)}
+    report, same = _compare(tmp_path, allow={"sweep*.csv"}, files=files)
+    assert same
+    assert "allowed   00  validate" in report
+    assert "    allowed: sweep.csv: column e_g: 1 value differs, max abs 0.25, max rel 3.36e-05" in report
+    # an exit code cannot be allowed
+    assert not _compare(tmp_path / "again", allow={"*"}, exit=1)[1]
+
+
+def test_a_row_missing_from_one_tree_fails(tmp_path):
+    a = _tree(tmp_path / "a")
+    (tmp_path / "b").mkdir()
+    report, same = compare_trees(a, tmp_path / "b")
+    assert not same and "    only in A" in report

@@ -192,8 +192,22 @@ def test_fidelity_perturbative_away_from_minimum(lam, eta, convention):
     theta = lambda x: cmath.phase(x * cmath.exp(1j * PHI) - c)  # noqa: E731
     for delta in (1e-3, 0.1, 0.7):
         want = abs(math.cos((theta(eta + delta) - theta(eta - delta)) / 2.0))
-        got = fidelity_perturbative(lam, N, eta, delta, PHI, 1.0, convention)
+        got = fidelity_perturbative(lam, N, eta, delta, PHI, convention)
         assert abs(got - want) <= 2e-15
+
+
+def test_fidelity_perturbative_of_many_deltas_builds_the_pair_once(monkeypatch):
+    import torus_qpt.ssh as ssh
+
+    calls = []
+    monkeypatch.setattr(ssh, "zero_modes", lambda lam, N: calls.append(N) or zero_modes(lam, N))
+    deltas = np.geomspace(1e-4, 0.5, 25)
+    curve = fidelity_perturbative(0.5, 20, 0.01, deltas, PHI, "sites")
+    assert calls == [20]
+    # the same bits as one call per delta
+    assert curve.shape == (25,) and curve.tolist() == [fidelity_perturbative(0.5, 20, 0.01, d, PHI, "sites") for d in deltas]
+    with pytest.raises(ValueError):
+        fidelity_perturbative(0.5, 20, 0.01, [0.1, -0.1], PHI)
 
 
 def test_fidelity_at_minimum_anchor_points():
