@@ -37,12 +37,10 @@ try:
     from .criticality import (
         FidelityCurve,
         SweepResult,
-        d2_analytic,
         exact_midgap_gap,
         fidelity_exact,
         fidelity_to_csv,
         golden_section_min,
-        ground_energy_exact,
         linear_fit,
         scaling_scan,
         sweep,
@@ -82,14 +80,12 @@ __all__ = [
     "build_lattice",
     "corner_coupling",
     "critical_modes",
-    "d2_analytic",
     "exact_midgap_gap",
     "fidelity_at_minimum",
     "fidelity_exact",
     "fidelity_perturbative",
     "fidelity_to_csv",
     "golden_section_min",
-    "ground_energy_exact",
     "linear_fit",
     "midgap_perturbation",
     "omega_factor",

@@ -185,10 +185,6 @@ def _resolve_phi(config: dict, default: float) -> float:
     return config.get("phi", default)
 
 
-def _out_path(config: dict, filename: str) -> str:
-    return os.path.join(config.get("out", "."), filename)
-
-
 def _build_model(config: dict, kind: str, M: int, N: int, eta: float, phi_default: float) -> ModelSpec:
     return ModelSpec(
         kind=config.get("kind", kind),
@@ -206,11 +202,12 @@ def _needs(config: dict, key: str, *keys: str) -> None:
         raise ConfigError(f"{key!r} needs {' or '.join(map(repr, keys))}")
 
 
-def _maybe_dump_blocks(config: dict, spec: ModelSpec) -> None:
-    if config.get("dump_blocks"):
-        path = _out_path(config, "blocks.csv")
-        atomic_write_text(path, blocks_to_csv(spec))
-        print(f"wrote {path}")
+def _publish(config: dict, filename: str, text: str, *summary: str) -> None:
+    """Write one output file atomically into --out, then print the command's
+    summary lines and `wrote <path>`."""
+    path = os.path.join(config.get("out", "."), filename)
+    atomic_write_text(path, text)
+    print(*summary, f"wrote {path}", sep="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +240,10 @@ def cmd_spectrum(config: dict) -> int:
     levels = ring_levels(kind, [lam], N, grid, phi, config.get("t", 1.0))[:, 0]
     rows = [[float(eta)] + list(row) for eta, row in zip(grid, levels)]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
-    path = _out_path(config, "spectrum.csv")
-    atomic_write_text(path, csv_text(header, rows))
-    print(f"spectrum: lambda={fmt_float(lam)} N={N} rows={steps + 1}")
-    print(f"wrote {path}")
-    _maybe_dump_blocks(config, spec)
+    _publish(config, "spectrum.csv", csv_text(header, rows),
+             f"spectrum: lambda={fmt_float(lam)} N={N} rows={steps + 1}")
+    if spec is not None:
+        _publish(config, "blocks.csv", blocks_to_csv(spec))
     return 0
 
 
@@ -258,16 +254,14 @@ def cmd_sweep(config: dict) -> int:
         spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS),
         config.get("convention", "cells"),
     )
-    path = _out_path(config, "sweep.csv")
-    atomic_write_text(path, sweep_to_csv(result))
-    print(f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}")
+    summary = [f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}"]
     if result.eta_m_analytic is not None:
-        print(
-            f"sweep (analytic): eta_m={fmt_float(result.eta_m_analytic)} "
-            f"peak={fmt_float(result.peak_analytic)}"
+        summary.append(
+            f"sweep (analytic): eta_m={fmt_float(result.eta_m_analytic)} peak={fmt_float(result.peak_analytic)}"
         )
-    print(f"wrote {path}")
-    _maybe_dump_blocks(config, spec)
+    _publish(config, "sweep.csv", sweep_to_csv(result), *summary)
+    if config.get("dump_blocks"):
+        _publish(config, "blocks.csv", blocks_to_csv(spec))
     return 0
 
 
@@ -279,14 +273,12 @@ def cmd_scaling(config: dict) -> int:
         n_list=config.get("n_list", [8, 12, 16, 20, 24]),
         steps=config.get("steps", 128),
     )
-    path = _out_path(config, "scaling.json")
-    atomic_write_text(path, json_text(report))
     fit_eta, fit_peak = report["fit_eta"], report["fit_peak"]
-    print(
+    _publish(
+        config, "scaling.json", json_text(report),
         f"scaling: eta_m fit slope={fmt_float(fit_eta['slope'])} r2={fmt_float(fit_eta['r2'])}; "
-        f"peak fit slope={fmt_float(fit_peak['slope'])} r2={fmt_float(fit_peak['r2'])}"
+        f"peak fit slope={fmt_float(fit_peak['slope'])} r2={fmt_float(fit_peak['r2'])}",
     )
-    print(f"wrote {path}")
     return 0
 
 
@@ -302,10 +294,8 @@ def cmd_fidelity(config: dict) -> int:
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * math.cos(phi))
     curve = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas, config.get("convention", "cells"))
-    path = _out_path(config, "fidelity.csv")
-    atomic_write_text(path, fidelity_to_csv(curve))
-    print(f"fidelity: eta_center={fmt_float(curve.eta_center)} deltas={delta_steps}")
-    print(f"wrote {path}")
+    _publish(config, "fidelity.csv", fidelity_to_csv(curve),
+             f"fidelity: eta_center={fmt_float(curve.eta_center)} deltas={delta_steps}")
     return 0
 
 
@@ -323,9 +313,7 @@ def cmd_square(config: dict) -> int:
         result = sweep(spec, *grid)
         peaks.append(abs(result.peak))
         flags[str(spec.N)] = list(result.flags)
-        path = _out_path(config, f"sweep_square_N{spec.N}.csv")
-        atomic_write_text(path, sweep_to_csv(result))
-        print(f"wrote {path}")
+        _publish(config, f"sweep_square_N{spec.N}.csv", sweep_to_csv(result))
     ratio = max(peaks) / min(peaks) if min(peaks) > 0 else None
     report = {
         "m": M,
@@ -335,27 +323,22 @@ def cmd_square(config: dict) -> int:
         "no_divergence": bool(ratio is not None and ratio <= 2.0),
         "flags": flags,
     }
-    path = _out_path(config, "square_report.json")
-    atomic_write_text(path, json_text(report))
     ratio_text = "n/a" if ratio is None else fmt_float(ratio)
-    print(f"square: peak ratio across N={n_sorted} is {ratio_text}")
-    print(f"wrote {path}")
+    _publish(config, "square_report.json", json_text(report),
+             f"square: peak ratio across N={n_sorted} is {ratio_text}")
     return 0
 
 
 def cmd_validate(config: dict) -> int:
     report = run_validation(config.get("convention", "cells"), config.get("tolerances"))
-    path = _out_path(config, "validate.json")
-    atomic_write_text(path, json_text(report))
-    for entry in report["checks"]:
-        status = "PASS" if entry["pass"] else "FAIL"
-        print(
-            f"{status} {entry['name']}: measured={fmt_float(entry['measured'])} "
-            f"tolerance={fmt_float(entry['tolerance'])}"
-        )
+    lines = [
+        f"{'PASS' if entry['pass'] else 'FAIL'} {entry['name']}: measured={fmt_float(entry['measured'])} "
+        f"tolerance={fmt_float(entry['tolerance'])}"
+        for entry in report["checks"]
+    ]
     overall = "PASS" if report["pass"] else "FAIL"
-    print(f"{overall} ({len(report['checks'])} checks, {report['runtime_s']:.2f} s)")
-    print(f"wrote {path}")
+    lines.append(f"{overall} ({len(report['checks'])} checks, {report['runtime_s']:.2f} s)")
+    _publish(config, "validate.json", json_text(report), *lines)
     return 0 if report["pass"] else 1
 
 

@@ -10,8 +10,7 @@ midgap fidelity from exact eigenvectors.
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
-property, validated to 1e-10*t); `ground_energy_exact`, the tests'
-oracle, diagonalizes the full lattice. Every ring coupling comes from
+property, validated to 1e-10*t). Every ring coupling comes from
 `blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
 every dense ring (boundary bond included) from `blocks.ring_stack`, and
 every dense ring level from `blocks.ring_levels`, the one dense
@@ -52,8 +51,7 @@ costs O(near nodes * 33 + far nodes * etas) instead of one O(N^3)
 eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
 sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
 2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
-`_ground_energies`, the dense path over `ring_levels`, serves the eta = 0
-term and the tests' oracle.
+`_open_ground_energy`, one `ring_levels` call at eta = 0, gives E_g(0).
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack
-from .models import ModelSpec, build_lattice
+from .models import ModelSpec
 from .output import csv_text
 from .ssh import corner_coupling, fidelity_perturbative, midgap_perturbation, omega_factor
 
@@ -143,22 +141,13 @@ class FidelityCurve:
 # ground-state energy
 
 
-def _ground_energies(spec: ModelSpec, etas) -> np.ndarray:
-    """E_g at each eta: each block's negative levels summed, then the blocks
-    added in ascending mode order.
-
-    Sweeps take only the eta = 0 term from here; the dense sums at other
-    etas are the oracle of the spectral-shift engine."""
-    levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, etas, spec.phi, spec.t)
-    negative = np.count_nonzero(levels < 0.0, axis=-1)
-    sums = np.empty(negative.shape)
-    for k in set(negative.ravel().tolist()):  # np.unique would import numpy.ma (+1.7 MB)
-        rings = negative == k
-        sums[rings] = levels[rings, :k].sum(axis=-1)
-    total = np.zeros(len(etas))
-    for column in sums.T:
-        total += column
-    return total
+def _open_ground_energy(spec: ModelSpec) -> float:
+    """E_g(0): each open ring's negative levels summed, then the rings added
+    in ascending mode order."""
+    total = 0.0
+    for levels in ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [0.0], spec.phi, spec.t)[0]:
+        total += levels[: np.count_nonzero(levels < 0.0)].sum()
+    return float(total)
 
 
 def exact_midgap_gap(lam: float, N: int, eta: float, phi: float, t: float = 1.0) -> float:
@@ -167,38 +156,14 @@ def exact_midgap_gap(lam: float, N: int, eta: float, phi: float, t: float = 1.0)
     return float(evals[N // 2] - evals[N // 2 - 1])
 
 
-def ground_energy_exact(spec: ModelSpec) -> float:
-    """E_g at spec.eta: the sum of all negative levels of the full lattice
-    (exact zero modes contribute nothing). Its callers are test_criticality's
-    block-union and band/midgap-split checks, which need a full-lattice E_g."""
-    evals = np.linalg.eigvalsh(build_lattice(spec))
-    return float(evals[evals < 0.0].sum())
-
-
 # ---------------------------------------------------------------------------
 # analytic curvature
 
 
-def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes: list[int] | None = None) -> float:
-    """Closed-form curvature of E_g in eta from the critical-window sum:
-    sum_k t^4 c_k^2 sin^2(phi) / (Omega_k^4 (eps_k^-)^3), each term the
-    exact second derivative of the perturbative lower midgap level.
-
-    The (eps^-)^3 < 0 factor carries the sign, so the value is negative
-    and matches the finite-difference curve without any sign fix. At
-    sin(phi) = 0 the value is 0 away from the crossings and -inf at one
-    (the peak degenerates into a delta spike there). Restricting `modes`
-    isolates single-momentum contributions.
-    """
-    return _d2_sum(spec, _d2_terms(spec, convention, modes), eta)
-
-
-def _d2_terms(spec: ModelSpec, convention: str, modes: list[int] | None = None) -> list[tuple[float, float]]:
-    """(c_k, Omega_k) of each mode (default: the critical window) with c_k != 0."""
-    if spec.kind != "honeycomb":
-        raise ValueError("analytic curvature is defined for honeycomb specs only")
+def _d2_terms(spec: ModelSpec, convention: str) -> list[tuple[float, float]]:
+    """(c_k, Omega_k) of each critical mode of a honeycomb spec with c_k != 0."""
     terms = []
-    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M) if modes is None else modes):
+    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
         c = corner_coupling(lam, spec.N, convention)
         if c != 0.0:
             terms.append((c, omega_factor(lam, spec.N, convention)))
@@ -206,6 +171,11 @@ def _d2_terms(spec: ModelSpec, convention: str, modes: list[int] | None = None) 
 
 
 def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> float:
+    """Closed-form curvature of E_g at eta from the modes' (c_k, Omega_k):
+    sum_k t^4 c_k^2 sin^2(phi) / (Omega_k^4 (eps_k^-)^3), each term the
+    exact second derivative of the perturbative lower midgap level, so the
+    value is negative. At sin(phi) = 0 it is 0 away from the crossings and
+    -inf at one."""
     # Scalar math on purpose: NumPy's vectorized ** rounds differently from Python's.
     sin_phi = math.sin(spec.phi)
     s2 = sin_phi * sin_phi
@@ -290,7 +260,7 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     d4 = t * t * (gnn * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
     lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo*t
-    return float(_ground_energies(spec, [0.0])[0]), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
+    return _open_ground_energy(spec), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
 
 
 def _in_double_range(step):
@@ -438,15 +408,17 @@ def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
 # sweeps
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 500) -> float:
+def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Golden-section minimizer of a unimodal f on [a, b]; returns the
-    midpoint of the final bracket (width <= tol or max_iter reached)."""
+    midpoint of the final bracket, once its width is <= tol or after 500
+    steps (a bracket stops shrinking at the float spacing, which sweep's
+    tol of 1e-12 of a range narrower than about 1e-4 of its ends undercuts)."""
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(500):
         if b - a <= tol:
             break
         if f1 <= f2:
@@ -496,8 +468,7 @@ def sweep(
     0, some critical mode whose corner under `convention` is nonzero), its
     golden-section extremum (to 1e-12 of the range) is reported alongside
     as (eta_m_analytic, peak_analytic); else both are None. The
-    d2_analytic column sums per-mode constants computed once, bit for bit
-    equal to one d2_analytic call per eta.
+    d2_analytic column sums per-mode constants computed once.
 
     RuntimeError when the engine leaves double range (M = 7, N = 800, say):
     its array arithmetic overflows, divides by zero or turns invalid (NumPy

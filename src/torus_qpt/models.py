@@ -76,10 +76,6 @@ class ModelSpec:
         if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)):
             raise ValueError(f"phi must be a finite real, got {self.phi!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.M * self.N
-
 
 def build_lattice(spec: ModelSpec) -> np.ndarray:
     """Assemble the torus Hamiltonian from its bond list, as a read-only

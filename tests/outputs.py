@@ -18,7 +18,10 @@ line), stderr, the set of files written, and each file's bytes;
 reported per column, a differing JSON file per numeric key, each with its
 largest absolute and relative deviation. It exits 1 on any difference,
 except in files whose names match a glob pattern of the --allow file (one
-pattern per line; `#` starts a comment): those are still reported.
+pattern per line; `#` starts a comment): those are still reported. When
+every differing file of a row is allow-listed, stdout lines that match
+apart from their numbers are allowed too, and each number that moved is
+reported with its absolute and relative deviation.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ SRC = TESTS.parent / "src"
 
 # validate's summary line carries its run time
 TIMING = re.compile(r"^((?:PASS|FAIL) \(\d+ checks, )\d+\.\d+( s\))$", re.MULTILINE)
+# a printed number, not the digits inside a word such as a file name's N32
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 @dataclass(frozen=True)
@@ -301,15 +306,31 @@ def _text_note(what: str, a: str, b: str) -> list[str]:
     return [f"{what}: {len(lines_a)} -> {len(lines_b)} lines"]
 
 
+def _number_notes(a: str, b: str) -> list[str] | None:
+    """One note per number that differs between two stdouts whose lines
+    match apart from their numbers; None when some line's text differs."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return None
+    notes = []
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            return None
+        for j, (p, q) in enumerate(zip(NUMBER.findall(x), NUMBER.findall(y)), start=1):
+            if p != q:
+                absolute, relative = _deviation(float(p), float(q))
+                notes.append(f"stdout line {i} number {j}: {p} -> {q}, abs {absolute:.3g}, rel {relative:.3g}")
+    return notes
+
+
 def row_notes(a: Path, b: Path, allow: frozenset[str] = frozenset()) -> tuple[list[str], list[str]]:
     """The differences between two runs of one row, split into those that
-    fail a comparison and those in allow-listed files."""
+    fail a comparison and those allowed: the differences of allow-listed
+    files, and the numbers of stdout when only allow-listed files differ."""
     code_a, code_b = ((d / "exit").read_text().strip() for d in (a, b))
-    notes = [f"exit code {code_a} -> {code_b}"] if code_a != code_b else []
-    stdout_a, stdout_b = (TIMING.sub(r"\1*\2", (d / "stdout").read_text()) for d in (a, b))
-    notes += _text_note("stdout", stdout_a, stdout_b) + _text_note("stderr", *((d / "stderr").read_text() for d in (a, b)))
+    exit_notes = [f"exit code {code_a} -> {code_b}"] if code_a != code_b else []
     written_a, written_b = set(_written(a / "out")), set(_written(b / "out"))
-    allowed = []
+    notes, allowed = [], []
     for path in sorted(written_a | written_b):
         if path not in written_b:
             found = [f"{path}: only in A"]
@@ -319,7 +340,11 @@ def row_notes(a: Path, b: Path, allow: frozenset[str] = frozenset()) -> tuple[li
             found = [f"{path}: {note}" for note in file_notes(a / "out" / path, b / "out" / path)]
         name = Path(path).name
         (allowed if any(fnmatch.fnmatchcase(name, pattern) for pattern in allow) else notes).extend(found)
-    return notes, allowed
+    stdout_a, stdout_b = (TIMING.sub(r"\1*\2", (d / "stdout").read_text()) for d in (a, b))
+    numbers = _number_notes(stdout_a, stdout_b) if allowed and not notes else None
+    stdout_notes = _text_note("stdout", stdout_a, stdout_b) if numbers is None else []
+    stderr_notes = _text_note("stderr", *((d / "stderr").read_text() for d in (a, b)))
+    return exit_notes + stdout_notes + stderr_notes + notes, allowed + (numbers or [])
 
 
 def _rows_in(tree: Path, tag: str | None) -> dict[str, str]:

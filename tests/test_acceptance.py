@@ -10,12 +10,12 @@ import time
 import numpy as np
 
 from conftest import dense_ring, record_criterion
+from oracles import d2_analytic
 from torus_qpt import (
     ModelSpec,
     build_h0,
     build_lattice,
     corner_coupling,
-    d2_analytic,
     exact_midgap_gap,
     fidelity_at_minimum,
     fidelity_exact,

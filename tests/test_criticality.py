@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
+from oracles import d2_analytic, ground_energies, ground_energy_exact
 from torus_qpt import (
     CONVENTIONS,
     ModelSpec,
     build_lattice,
     corner_coupling,
     critical_modes,
-    d2_analytic,
     exact_midgap_gap,
     fidelity_exact,
     fidelity_perturbative,
     fidelity_to_csv,
     golden_section_min,
-    ground_energy_exact,
     linear_fit,
     midgap_perturbation,
     ring_lams,
@@ -34,7 +33,6 @@ from torus_qpt.criticality import (
     MAX_ETA,
     _factor,
     _far_nodes,
-    _ground_energies,
     _level_crossing,
     _mode_terms,
     _near_nodes,
@@ -174,14 +172,30 @@ def _c3_7(N):
 )
 def test_ground_energies_equal_per_ring_reference(spec, etas):
     expected, counts, _ = _per_ring_energies(spec, etas)
-    assert np.array_equal(_ground_energies(spec, etas), expected)
+    assert np.array_equal(ground_energies(spec, etas), expected)
     if spec.phi == 0.0 or spec.kind == "square":
         assert counts != {spec.N // 2}
 
 
+def test_open_ground_energy_equals_the_dense_oracle_bit_for_bit():
+    # E_g(0) of the sweeps against the oracle's eta = 0 column, over every M = 2..31 of both kinds
+    specs = [
+        ModelSpec(kind, M, N, t, 0.0, phi)
+        for t in (1.0, 1.3)
+        for phi in (0.0, PHI, 1.1)
+        for kind, ns in (("honeycomb", (4, 20, 36, 80)), ("square", (2, 5, 17, 33, 80)))
+        for M in range(2 if kind == "square" else 3, 32)
+        for N in ns
+        if N < 80 or M in (3, 7, 31)
+    ]
+    assert len(specs) == 1278
+    differ = [spec for spec in specs if criticality._open_ground_energy(spec) != ground_energies(spec, [0.0])[0]]
+    assert differ == []
+
+
 def _assert_dense_close(spec, etas, e_g):
     """|E_g - dense E_g| <= 1e-14 * sum|eps| at every eta."""
-    err = np.abs(np.asarray(e_g) - _ground_energies(spec, etas))
+    err = np.abs(np.asarray(e_g) - ground_energies(spec, etas))
     assert np.all(err <= 1e-14 * _per_ring_energies(spec, etas)[2]), err.max()
 
 
@@ -321,6 +335,9 @@ def test_sweep_curves_equal_per_eta_reference(N):
 def test_golden_section_min():
     x = golden_section_min(lambda v: (v - 0.3) ** 2, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-9)
+    # a tol below the float spacing of the bracket, which never shrinks to it, still ends (after 500 steps)
+    x = golden_section_min(lambda v: (v - 99.999995) ** 2, 99.99999, 100.0, tol=1e-17)
+    assert x == pytest.approx(99.999995, abs=1e-12)
     with pytest.raises(ValueError):
         golden_section_min(lambda v: v, 1.0, 1.0)
 
@@ -402,7 +419,7 @@ def test_sweep_curvature_matches_dense_second_differences(spec, lo, hi):
     # pointwise curvature omits)
     res = sweep(spec, eta_min=lo, eta_max=hi, steps=64)
     etas, h = res.eta_grid[2:-2:4], (hi - lo) / 64
-    energies = _ground_energies(spec, np.concatenate([etas + k * h for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]))
+    energies = ground_energies(spec, np.concatenate([etas + k * h for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]))
     down, down2, center, up2, up = energies.reshape(5, -1)
     d_h = (up - 2.0 * center + down) / h**2
     d_h2 = (up2 - 2.0 * center + down2) / (h / 2) ** 2

@@ -9,7 +9,7 @@ from torus_qpt import ModelSpec, build_lattice
 def test_spec_defaults_and_dim():
     spec = ModelSpec("honeycomb", 3, 8)
     assert spec.t == 1.0 and spec.eta == 0.0 and spec.phi == 0.0
-    assert spec.dim == 24
+    assert build_lattice(spec).shape == (24, 24)
 
 
 @pytest.mark.parametrize(

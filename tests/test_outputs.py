@@ -102,3 +102,22 @@ def test_a_row_missing_from_one_tree_fails(tmp_path):
     (tmp_path / "b").mkdir()
     report, same = compare_trees(a, tmp_path / "b")
     assert not same and "    only in A" in report
+
+
+MOVED_SWEEP = SWEEP.replace("-7440.25", "-7440.5")
+MOVED_STDOUT = STDOUT.replace("measured=1e-15", "measured=2e-15")
+
+
+@pytest.mark.parametrize(
+    "sweep,stdout,note",
+    [(MOVED_SWEEP, MOVED_STDOUT, "    allowed: stdout line 1 number 1: 1e-15 -> 2e-15, abs 1e-15, rel 0.5"),
+     (MOVED_SWEEP, MOVED_STDOUT.replace("PASS a", "FAIL a"),
+      "    stdout line 1: 'PASS a: measured=1e-15' -> 'FAIL a: measured=2e-15'"),
+     (SWEEP, MOVED_STDOUT, "    stdout line 1: 'PASS a: measured=1e-15' -> 'PASS a: measured=2e-15'")],
+    ids=["allowed", "text-differs", "no-allowed-file-differs"],
+)
+def test_printed_numbers_move_only_with_an_allowed_file(tmp_path, sweep, stdout, note):
+    files = {"sweep.csv": sweep, "scaling.json": json.dumps(SCALING), "validate.json": json.dumps(VALIDATE)}
+    report, same = _compare(tmp_path, allow={"sweep*.csv"}, stdout=stdout, files=files)
+    assert same == note.startswith("    allowed:")
+    assert note in report.splitlines()
