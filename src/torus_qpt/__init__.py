@@ -35,11 +35,10 @@ try:
         union_eigenvalues,
     )
     from .criticality import (
-        FidelityCurve,
         SweepResult,
+        analytic_curvature,
         exact_midgap_gap,
         fidelity_exact,
-        fidelity_to_csv,
         golden_section_min,
         linear_fit,
         scaling_scan,
@@ -70,11 +69,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CONVENTIONS",
     "DEFAULT_TOLERANCES",
-    "FidelityCurve",
     "MidgapSolution",
     "ModelSpec",
     "SweepResult",
     "__version__",
+    "analytic_curvature",
     "blocks_to_csv",
     "build_h0",
     "build_lattice",
@@ -84,7 +83,6 @@ __all__ = [
     "fidelity_at_minimum",
     "fidelity_exact",
     "fidelity_perturbative",
-    "fidelity_to_csv",
     "golden_section_min",
     "linear_fit",
     "midgap_perturbation",

@@ -32,10 +32,10 @@ import sys
 import numpy as np
 
 from .blocks import blocks_to_csv, ring_lams, ring_levels
-from .criticality import DEFAULT_STEPS, fidelity_exact, fidelity_to_csv, scaling_scan, sweep, sweep_to_csv
+from .criticality import DEFAULT_STEPS, analytic_curvature, fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
-from .ssh import CONVENTIONS, corner_coupling
+from .ssh import CONVENTIONS, corner_coupling, fidelity_perturbative
 from .validate import run_validation
 
 COMMANDS = ("spectrum", "sweep", "scaling", "fidelity", "square", "validate")
@@ -250,16 +250,12 @@ def cmd_spectrum(config: dict) -> int:
 def cmd_sweep(config: dict) -> int:
     _needs(config, "eta", "dump_blocks")  # the sweep's grid does not read eta
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
-    result = sweep(
-        spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS),
-        config.get("convention", "cells"),
-    )
+    result = sweep(spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS))
+    d2_analytic, extremum = analytic_curvature(spec, result.eta_grid, config.get("convention", "cells"))
     summary = [f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}"]
-    if result.eta_m_analytic is not None:
-        summary.append(
-            f"sweep (analytic): eta_m={fmt_float(result.eta_m_analytic)} peak={fmt_float(result.peak_analytic)}"
-        )
-    _publish(config, "sweep.csv", sweep_to_csv(result), *summary)
+    if extremum is not None:
+        summary.append(f"sweep (analytic): eta_m={fmt_float(extremum[0])} peak={fmt_float(extremum[1])}")
+    _publish(config, "sweep.csv", sweep_to_csv(result, d2_analytic), *summary)
     if config.get("dump_blocks"):
         _publish(config, "blocks.csv", blocks_to_csv(spec))
     return 0
@@ -293,9 +289,10 @@ def cmd_fidelity(config: dict) -> int:
         raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * math.cos(phi))
-    curve = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas, config.get("convention", "cells"))
-    _publish(config, "fidelity.csv", fidelity_to_csv(curve),
-             f"fidelity: eta_center={fmt_float(curve.eta_center)} deltas={delta_steps}")
+    f_exact = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas)
+    f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, config.get("convention", "cells"))
+    _publish(config, "fidelity.csv", csv_text(["delta", "f_exact", "f_perturbative"], zip(deltas, f_exact, f_pert)),
+             f"fidelity: eta_center={fmt_float(eta_center)} deltas={delta_steps}")
     return 0
 
 
@@ -313,7 +310,8 @@ def cmd_square(config: dict) -> int:
         result = sweep(spec, *grid)
         peaks.append(abs(result.peak))
         flags[str(spec.N)] = list(result.flags)
-        _publish(config, f"sweep_square_N{spec.N}.csv", sweep_to_csv(result))
+        nan_column = analytic_curvature(spec, result.eta_grid)[0]  # the square lattice has no closed form
+        _publish(config, f"sweep_square_N{spec.N}.csv", sweep_to_csv(result, nan_column))
     ratio = max(peaks) / min(peaks) if min(peaks) > 0 else None
     report = {
         "m": M,

@@ -6,7 +6,9 @@ develops a sharpening negative peak at the pseudo-critical point eta_m
 on the honeycomb torus (driven by the midgap doublets of the critical
 momentum window), while the square torus shows no such growth. This
 module locates the peak, fits its finite-size scaling, and computes the
-midgap fidelity from exact eigenvectors.
+midgap fidelity from exact eigenvectors. The closed-form curvature of
+perturbation theory is a separate comparison (`analytic_curvature`), and
+the corner convention selects only its terms: no exact result reads it.
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
@@ -66,7 +68,7 @@ import numpy as np
 from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack
 from .models import ModelSpec
 from .output import csv_text
-from .ssh import corner_coupling, fidelity_perturbative, midgap_perturbation, omega_factor
+from .ssh import corner_coupling, midgap_perturbation, omega_factor
 
 DEFAULT_STEPS = 200
 
@@ -87,6 +89,16 @@ _Y_HI = 1e5
 _BLOCK_ENTRIES = 2**13
 
 
+def _sin_cos(phi: float) -> tuple[float, float]:
+    """sin(phi) and cos(phi), exactly 0 and +-1 where phi is within one ulp
+    of a multiple of pi/2: math.sin(2*pi) is -2.4e-16, which would hide a
+    first-order crossing, and math.cos(pi/2) is 6.1e-17."""
+    quarter = round(phi / (0.5 * math.pi))
+    if abs(phi - quarter * (0.5 * math.pi)) <= math.ulp(phi):
+        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[quarter % 4]
+    return math.sin(phi), math.cos(phi)
+
+
 # ---------------------------------------------------------------------------
 # result records
 
@@ -97,41 +109,20 @@ class SweepResult:
 
     d2_numeric holds the exact curvature d2E_g/deta2 from the spectral-shift
     table (NaN at the grid endpoints; the kink of a level crossing zero is
-    not in it); d2_analytic the closed-form curvature sum (NaN for square
-    lattices). eta_m/peak locate the refined numeric extremum;
-    eta_m_analytic/peak_analytic locate the analytic one when defined.
-    flags may contain 'first-order-crossing', 'peak-not-bracketed' and
+    not in it). eta_m/peak locate the refined numeric extremum. flags may
+    contain 'first-order-crossing', 'peak-not-bracketed' and
     'level-crossing'.
     """
 
     eta_grid: np.ndarray = field(repr=False)
     e_g_curve: np.ndarray = field(repr=False)
     d2_numeric: np.ndarray = field(repr=False)
-    d2_analytic: np.ndarray = field(repr=False)
     eta_m: float
     peak: float
-    eta_m_analytic: float | None
-    peak_analytic: float | None
     flags: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for name in ("eta_grid", "e_g_curve", "d2_numeric", "d2_analytic"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class FidelityCurve:
-    """Midgap fidelity versus half-separation delta at fixed center."""
-
-    delta_grid: np.ndarray = field(repr=False)
-    f_perturbative: np.ndarray = field(repr=False)
-    f_exact: np.ndarray = field(repr=False)
-    eta_center: float
-
-    def __post_init__(self) -> None:
-        for name in ("delta_grid", "f_perturbative", "f_exact"):
+        for name in ("eta_grid", "e_g_curve", "d2_numeric"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -177,11 +168,11 @@ def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> fl
     value is negative. At sin(phi) = 0 it is 0 away from the crossings and
     -inf at one."""
     # Scalar math on purpose: NumPy's vectorized ** rounds differently from Python's.
-    sin_phi = math.sin(spec.phi)
+    sin_phi, cos_phi = _sin_cos(spec.phi)
     s2 = sin_phi * sin_phi
     total = 0.0
     for c, om in terms:
-        absz2 = (eta - c * math.cos(spec.phi)) ** 2 + c * c * s2
+        absz2 = (eta - c * cos_phi) ** 2 + c * c * s2
         if s2 == 0.0:
             if absz2 == 0.0:
                 return float("-inf")
@@ -251,7 +242,8 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     y = spec.t * np.exp(s)
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
-    t, cos_phi, s2, M = spec.t, math.cos(spec.phi), math.sin(spec.phi) ** 2, spec.M
+    sin_phi, cos_phi = _sin_cos(spec.phi)
+    t, s2, M = spec.t, sin_phi ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
     bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N, t)
     gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
@@ -437,14 +429,10 @@ def sweep(
     eta_min: float | None = None,
     eta_max: float | None = None,
     steps: int | None = None,
-    convention: str = "cells",
 ) -> SweepResult:
     """Sweep E_g and its exact curvature over a uniform eta grid and locate
-    the curvature peak.
-
-    The exact outputs read the physical corners c_k = lambda_k^(N/2) of
-    the critical modes; `convention` selects only the perturbative terms
-    behind the d2_analytic column and (eta_m_analytic, peak_analytic).
+    the curvature peak. Every output reads the physical corners
+    c_k = lambda_k^(N/2) of the critical modes.
 
     The grid has `steps` + 1 points on [eta_min, eta_max]. A bound left as
     None takes its default: eta_min = 0, and eta_max = 3*max_k c_k*cos(phi)
@@ -460,38 +448,33 @@ def sweep(
     last interior point is flagged 'peak-not-bracketed' and left
     unrefined; sin(phi) = 0 on the honeycomb lattice marks the sweep
     'first-order-crossing' (the spike is a level crossing, a kink of E_g)
-    and also skips refinement. 'level-crossing'
-    reports that some ring level crosses zero between two grid points (Re q
-    changes sign at a mode's node y = y_lo*t): E_g has a kink there, whose
-    delta-function curvature d2_numeric does not hold. It does not change
-    the refinement. When the analytic curve applies (honeycomb, sin(phi) !=
-    0, some critical mode whose corner under `convention` is nonzero), its
-    golden-section extremum (to 1e-12 of the range) is reported alongside
-    as (eta_m_analytic, peak_analytic); else both are None. The
-    d2_analytic column sums per-mode constants computed once.
+    and also skips refinement. A phi within one ulp of a multiple of pi/2
+    counts as exactly that multiple (sin and cos are exactly 0 or +-1).
+    'level-crossing' reports that some ring level crosses zero between two
+    grid points (Re q changes sign at a mode's node y = y_lo*t): E_g has a
+    kink there, whose delta-function curvature d2_numeric does not hold. It
+    does not change the refinement.
 
-    RuntimeError when the engine leaves double range (M = 7, N = 800, say):
-    its array arithmetic overflows, divides by zero or turns invalid (NumPy
-    raises there instead of warning), E_g, an interior d2_numeric value or
-    the peak is not finite, or a mode's (eps^-)^3 underflows to 0.
+    RuntimeError when the engine leaves double range (M = 61, N = 128,
+    say): its array arithmetic overflows, divides by zero or turns invalid
+    (NumPy raises there instead of warning), or E_g, an interior d2_numeric
+    value or the peak is not finite.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    # the physical corners c_k = lam_k^(N/2) set the range and the cut; `convention` picks the analytic terms
-    physical = terms = _d2_terms(spec, "cells") if spec.kind == "honeycomb" else []
-    if spec.kind == "honeycomb" and convention != "cells":
-        terms = _d2_terms(spec, convention)
+    sin_phi, cos_phi = _sin_cos(spec.phi)
+    physical = _d2_terms(spec, "cells") if spec.kind == "honeycomb" else []
     lo = 0.0 if eta_min is None else float(eta_min)
     if eta_max is not None:
         hi = float(eta_max)
     else:
-        hi = 3.0 * max(abs(c) for c, _ in physical) * math.cos(spec.phi) if physical else 1.0
+        hi = 3.0 * max(abs(c) for c, _ in physical) * cos_phi if physical else 1.0
         hi = min(hi, 1.0) if hi > 0.0 else 1.0
     if not 0.0 <= lo < hi <= MAX_ETA:
         raise ValueError(f"need finite 0 <= eta_min < eta_max <= {MAX_ETA:g}, got [{lo}, {hi}]")
 
-    gaps = [abs(c * math.sin(spec.phi)) / om for c, om in physical]
+    gaps = [abs(c * sin_phi) / om for c, om in physical]
     table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
@@ -501,14 +484,8 @@ def sweep(
         raise RuntimeError(f"E_g or its curvature is not finite on the grid at M={spec.M}, N={spec.N}: "
                            "the spectral-shift engine is out of double range")
 
-    if spec.kind == "honeycomb":
-        d2_ana = np.array([_d2_sum(spec, terms, x) for x in grid.tolist()])
-    else:
-        d2_ana = np.full(steps + 1, np.nan)
-
     flags: list[str] = []
-    first_order = spec.kind == "honeycomb" and math.sin(spec.phi) == 0.0
-    if first_order:
+    if spec.kind == "honeycomb" and sin_phi == 0.0:
         flags.append("first-order-crossing")
 
     i_star = 1 + int(np.argmax(np.abs(d2_num[1:steps])))
@@ -525,23 +502,33 @@ def sweep(
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
-    eta_m_analytic = peak_analytic = None
-    if spec.kind == "honeycomb" and not first_order and terms:
-        tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
-        eta_m_analytic = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=tol))
-        peak_analytic = float(_d2_sum(spec, terms, eta_m_analytic))
+    return SweepResult(grid, e_curve, d2_num, eta_m, peak, tuple(flags))
 
-    return SweepResult(
-        eta_grid=grid,
-        e_g_curve=e_curve,
-        d2_numeric=d2_num,
-        d2_analytic=d2_ana,
-        eta_m=eta_m,
-        peak=peak,
-        eta_m_analytic=eta_m_analytic,
-        peak_analytic=peak_analytic,
-        flags=tuple(flags),
-    )
+
+def analytic_curvature(spec: ModelSpec, grid, convention: str = "cells") -> tuple[np.ndarray, tuple | None]:
+    """The perturbative comparison of a sweep: the closed-form curvature sum
+    of the critical modes (see _d2_sum) at each eta of `grid`, and its
+    golden-section extremum (eta_m_analytic, peak_analytic) on [grid[0],
+    grid[-1]], to 1e-12 of that range. `convention` selects the corners
+    c_k of the terms, each computed once.
+
+    On the square lattice, which has no midgap doublet, the column is NaN
+    and there is no extremum; nor is there one at sin(phi) = 0 (phi within
+    one ulp of a multiple of pi) or when no critical mode has a nonzero
+    corner. RuntimeError when a mode's (eps^-)^3 underflows to 0 (M = 7,
+    N = 800, say).
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if spec.kind != "honeycomb":
+        return np.full(len(grid), np.nan), None
+    terms = _d2_terms(spec, convention)
+    column = np.array([_d2_sum(spec, terms, x) for x in grid.tolist()])
+    if _sin_cos(spec.phi)[0] == 0.0 or not terms:
+        return column, None
+    lo, hi = float(grid[0]), float(grid[-1])
+    tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
+    eta_m = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=tol))
+    return column, (eta_m, float(_d2_sum(spec, terms, eta_m)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +570,19 @@ def scaling_scan(
 
     Runs one sweep per ring length N (eta = 0 spec, auto range), then
     fits ln(eta_m) and ln|peak| against N by ordinary least squares. It
-    reads only the sweeps' exact outputs, so no corner convention enters.
+    reads only the sweeps' exact outputs: no perturbative term is computed.
     Returns the scaling.json document: n_values, ln_eta_m, ln_abs_peak,
     the fits fit_eta and fit_peak (linear_fit's), and paper_comparison,
     external reference constants attached for comparison only (they are
     not a pass/fail gate).
 
-    ValueError rejects the input before any sweep: sin(phi) = 0, fewer
-    than two distinct ring lengths, or an (M, N) that ModelSpec rejects
-    (every spec is built first). RuntimeError reports a sweep whose
-    curvature peak is not bracketed by its grid (M = 11 at N = 8, say).
+    ValueError rejects the input before any sweep: sin(phi) = 0 (phi within
+    one ulp of a multiple of pi counts), fewer than two distinct ring
+    lengths, or an (M, N) that ModelSpec rejects (every spec is built
+    first). RuntimeError reports a sweep whose curvature peak is not
+    bracketed by its grid (M = 11 at N = 8, say).
     """
-    if math.sin(phi) == 0.0:
+    if _sin_cos(phi)[0] == 0.0:
         raise ValueError("scaling scan needs sin(phi) != 0 (otherwise the transition is first order)")
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 2:
@@ -647,14 +635,14 @@ def fidelity_exact(
     t: float,
     eta_center: float,
     delta_grid,
-    convention: str = "cells",
-) -> FidelityCurve:
+) -> np.ndarray:
     """Midgap fidelity |<v(eta-delta), v(eta+delta)>| from exact ring
-    eigenvectors (upper midgap level), next to its perturbative twin
-    f_perturbative, the one output that `convention` selects.
+    eigenvectors (upper midgap level) at eta = eta_center: one value per
+    delta of `delta_grid`, in its order. Its perturbative twin is
+    ssh.fidelity_perturbative.
 
-    The guards read the physical corner c = lambda^(N/2) and its Omega,
-    whatever the convention. The floor of the dense solve is
+    ValueError unless every delta is positive. The guards read the physical
+    corner c = lambda^(N/2) and its Omega. The floor of the dense solve is
     eps*(1 + |lambda|)*t, the roundoff of a ring level. A RuntimeError
     reports the ratio when the doublet's splitting scale 2*eps_plus =
     2*(t/Omega)*|eta*e^{i phi} - c| of midgap_perturbation at some
@@ -672,8 +660,8 @@ def fidelity_exact(
     one ring_stack pass, and each keeps only its two midgap levels and
     vectors.
     """
-    deltas = np.sort(np.asarray(delta_grid, dtype=np.float64))
-    if deltas.size == 0 or deltas[0] <= 0.0:
+    deltas = np.asarray(delta_grid, dtype=np.float64)
+    if deltas.size == 0 or not (deltas > 0.0).all():
         raise ValueError("delta_grid must contain positive values only")
 
     center = midgap_perturbation(lam, N, eta_center, phi, t)  # checks lam and N first
@@ -710,22 +698,15 @@ def fidelity_exact(
             f_exact[i] = float(singvals[-1])
         else:
             f_exact[i] = float(abs(np.vdot(u1[:, 1], u2[:, 1])))
-    f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, convention)
-
-    return FidelityCurve(delta_grid=deltas, f_perturbative=f_pert, f_exact=f_exact, eta_center=float(eta_center))
+    return f_exact
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def sweep_to_csv(result: SweepResult) -> str:
+def sweep_to_csv(result: SweepResult, d2_analytic) -> str:
+    """sweep.csv: the sweep's grid, E_g and exact curvature, and the
+    closed-form column of analytic_curvature."""
     header = ["eta", "e_g", "d2_numeric", "d2_analytic"]
-    rows = zip(result.eta_grid, result.e_g_curve, result.d2_numeric, result.d2_analytic)
-    return csv_text(header, rows)
-
-
-def fidelity_to_csv(curve: FidelityCurve) -> str:
-    header = ["delta", "f_exact", "f_perturbative"]
-    rows = zip(curve.delta_grid, curve.f_exact, curve.f_perturbative)
-    return csv_text(header, rows)
+    return csv_text(header, zip(result.eta_grid, result.e_g_curve, result.d2_numeric, d2_analytic))

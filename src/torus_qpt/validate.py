@@ -120,8 +120,8 @@ def check_fidelity_exact_vs_perturbative(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
     eta_star = c * math.cos(_PHI)
     deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
-    curve = fidelity_exact(_LAM, _N, _PHI, 1.0, eta_star, deltas, convention)
-    return float(np.max(np.abs(curve.f_exact - curve.f_perturbative)))
+    f_exact = fidelity_exact(_LAM, _N, _PHI, 1.0, eta_star, deltas)
+    return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, _N, eta_star, deltas, _PHI, convention))))
 
 
 # (name, check, default tolerance), in report order

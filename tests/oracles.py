@@ -1,11 +1,14 @@
 """Reference computations that only the tests read: the dense ground
 energies the spectral-shift engine is held against, the full-lattice
-ground energy, and the closed-form curvature evaluated one eta at a time."""
+ground energy, and the closed-form curvature evaluated one eta at a time
+from its formula alone (nothing here comes from torus_qpt.criticality)."""
+
+import cmath
+import math
 
 import numpy as np
 
 from torus_qpt import ModelSpec, build_lattice, corner_coupling, critical_modes, omega_factor, ring_lams, ring_levels
-from torus_qpt.criticality import _d2_sum
 
 
 def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
@@ -32,10 +35,17 @@ def ground_energy_exact(spec: ModelSpec) -> float:
 
 def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=None) -> float:
     """The closed-form curvature of E_g at one eta, summed over `modes`
-    (default: the critical window), through the sweep's own per-mode sum.
-    ValueError for a square spec, which has no midgap doublet."""
+    (default: the critical window) whose corner c_k is nonzero: each lower
+    midgap level -(t/Omega_k)|eta*e^{i phi} - c_k| has the second
+    eta-derivative -(t/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3.
+    Undefined on an exact crossing (sin(phi) = 0 and eta = c_k). ValueError
+    for a square spec, which has no midgap doublet."""
     if spec.kind != "honeycomb":
         raise ValueError("analytic curvature is defined for honeycomb specs only")
-    lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M) if modes is None else modes)
-    couplings = [(lam, corner_coupling(lam, spec.N, convention)) for lam in lams]
-    return _d2_sum(spec, [(c, omega_factor(lam, spec.N, convention)) for lam, c in couplings if c != 0.0], eta)
+    total = 0.0
+    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M) if modes is None else modes):
+        c = corner_coupling(lam, spec.N, convention)
+        if c != 0.0:
+            z = abs(eta * cmath.exp(1j * spec.phi) - c)
+            total -= spec.t / omega_factor(lam, spec.N, convention) * c * c * math.sin(spec.phi) ** 2 / z ** 3
+    return total

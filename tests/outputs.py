@@ -1,6 +1,6 @@
 """Run the command lines of cli_lines.txt, and compare the outputs of two runs.
 
-    python tests/outputs.py run [--src DIR] [--tag TAG] [--console-script] OUT
+    python tests/outputs.py run [--src DIR] [--tag TAG] [--console-script] [--allow FILE] OUT
     python tests/outputs.py compare [--tag TAG] [--allow FILE] A B
 
 `run` executes each row of the table (only those tagged TAG, if given) as
@@ -9,7 +9,9 @@ package imported from DIR (default: the src/ next to this directory), or
 through the installed `torus-qpt` console script. Row k runs in OUT/kk/,
 which keeps `row` (its table line), `exit`, `stdout`, `stderr` and, under
 `out/`, the files the command wrote. Then it checks what the table says of
-each row (see its header) and exits 1 when a row breaks it.
+each row (see its header) and exits 1 when a row breaks it. A row that the
+--allow file names (see below) is a row the parent commit runs differently:
+what it breaks is reported as allowed, and no tag's measure reads it.
 
 `compare` reports each row of A and B as identical or not. It compares the
 exit code, stdout (masking the seconds of `validate`'s `(N checks, X s)`
@@ -21,7 +23,9 @@ except in files whose names match a glob pattern of the --allow file (one
 pattern per line; `#` starts a comment): those are still reported. When
 every differing file of a row is allow-listed, stdout lines that match
 apart from their numbers are allowed too, and each number that moved is
-reported with its absolute and relative deviation.
+reported with its absolute and relative deviation. A line `row: <arguments
+as in the table>` of the --allow file names a row: every difference of
+that row is allowed, and still reported.
 """
 
 from __future__ import annotations
@@ -156,7 +160,8 @@ def _check_source(src: Path, env: dict) -> None:
         raise SystemExit(f"error: torus_qpt does not import from {src}: {proc.stdout.strip() or proc.stderr}")
 
 
-def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script: bool = False) -> int:
+def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script: bool = False,
+              allow: frozenset[str] = frozenset()) -> int:
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"error: {out} is not empty")
     # stdout goes to a file, block-buffered, so a flush lost at exit shows as a missing last line
@@ -170,7 +175,7 @@ def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script
         command = [script]
     else:
         command = [sys.executable, "-m", "torus_qpt"]
-    rows = read_table(tag)
+    rows, named = read_table(tag), allowed_rows(allow)
     failed = 0
     for row in rows:
         directory = (out / row.name).resolve()
@@ -184,12 +189,13 @@ def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script
                                   stdout=stdout, stderr=stderr).returncode
         (directory / "exit").write_text(f"{code}\n")
         problems = row_problems(row, directory)
-        failed += bool(problems)
+        allowed = row.args in named
+        failed += bool(problems) and not allowed
         print(f"{row.name} exit {code} {time.perf_counter() - start:5.2f} s  {shlex.join(row.args)}")
         for problem in problems:
-            print(f"    {problem}")
+            print(f"    {'allowed: ' if allowed else ''}{problem}")
     for measure_tag, (label, bound, deviation) in MEASURES.items():
-        dirs = [(out / row.name) for row in rows if measure_tag in row.tags]
+        dirs = [(out / row.name) for row in rows if measure_tag in row.tags and row.args not in named]
         if dirs:
             try:
                 value = deviation(dirs)
@@ -357,16 +363,22 @@ def _rows_in(tree: Path, tag: str | None) -> dict[str, str]:
 
 
 def read_allow(path: Path | None) -> frozenset[str]:
+    """The entries of an --allow file: file-name glob patterns and `row:` lines."""
     if path is None:
         return frozenset()
     lines = (line.split("#", 1)[0].strip() for line in path.read_text(encoding="utf-8").splitlines())
     return frozenset(line for line in lines if line)
 
 
+def allowed_rows(allow: frozenset[str]) -> set[tuple[str, ...]]:
+    """The arguments of the rows that the `row:` entries of an --allow file name."""
+    return {tuple(shlex.split(entry[len("row:"):])) for entry in allow if entry.startswith("row:")}
+
+
 def compare_trees(a: Path, b: Path, allow: frozenset[str] = frozenset(), tag: str | None = None) -> tuple[list[str], bool]:
     """The report lines for two `run` trees, and whether they match apart
     from allow-listed files."""
-    rows_a, rows_b = _rows_in(a, tag), _rows_in(b, tag)
+    rows_a, rows_b, named = _rows_in(a, tag), _rows_in(b, tag), allowed_rows(allow)
     report, counts = [], {"identical": 0, "allowed": 0, "DIFFERS": 0}
     for name in sorted(rows_a.keys() | rows_b.keys(), key=int):
         line = rows_a.get(name) or rows_b[name]
@@ -376,6 +388,8 @@ def compare_trees(a: Path, b: Path, allow: frozenset[str] = frozenset(), tag: st
             notes, allowed = [f"command lines differ: {rows_a[name]!r} -> {rows_b[name]!r}"], []
         else:
             notes, allowed = row_notes(a / name, b / name, allow)
+            if parse_row(0, line).args in named:
+                notes, allowed = [], notes + allowed
         status = "DIFFERS" if notes else "allowed" if allowed else "identical"
         counts[status] += 1
         report.append(f"{status:9} {name}  {line.split('|', 2)[2].strip()}")
@@ -393,14 +407,15 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--src", type=Path, default=SRC, help="the src/ directory to import torus_qpt from")
     run.add_argument("--tag", help="run only the rows with this tag")
     run.add_argument("--console-script", action="store_true", help="run through the installed torus-qpt script")
+    run.add_argument("--allow", type=Path, help="file naming the rows whose table checks do not fail (`row:` lines)")
     compare = jobs.add_parser("compare", help="compare the outputs of two runs")
     compare.add_argument("a", type=Path, metavar="A")
     compare.add_argument("b", type=Path, metavar="B")
     compare.add_argument("--tag", help="compare only the rows with this tag")
-    compare.add_argument("--allow", type=Path, help="file listing the file names whose differences do not fail")
+    compare.add_argument("--allow", type=Path, help="file naming the files and rows whose differences do not fail")
     args = parser.parse_args(argv)
     if args.job == "run":
-        return run_table(args.out, args.src, args.tag, args.console_script)
+        return run_table(args.out, args.src, args.tag, args.console_script, read_allow(args.allow))
     report, same = compare_trees(args.a, args.b, read_allow(args.allow), args.tag)
     print("\n".join(report))
     return 0 if same else 1

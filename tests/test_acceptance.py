@@ -204,8 +204,7 @@ def test_criterion_07_first_order_at_phi_zero():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     gap = exact_midgap_gap(lam, N, c, 0.0)
-    curve = fidelity_exact(lam, N, 0.0, 1.0, c, [c])
-    drop = float(curve.f_exact[0])
+    drop = float(fidelity_exact(lam, N, 0.0, 1.0, c, [c])[0])
     ok = gap <= 1e-10 and drop < 0.1
     check(
         7,
@@ -223,8 +222,9 @@ def test_criterion_08_fidelity():
     f_half = fidelity_perturbative(lam, N, eta_star, b, PHI)
     half_dev = abs(f_half - 1.0 / math.sqrt(2.0))
     closed_dev = abs(fidelity_at_minimum(lam, N, b, PHI) - 1.0 / math.sqrt(2.0))
-    curve = fidelity_exact(lam, N, PHI, 1.0, eta_star, np.geomspace(c / 10.0, 10.0 * c, 13))
-    pert_dev = float(np.max(np.abs(curve.f_exact - curve.f_perturbative)))
+    deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
+    f_exact = fidelity_exact(lam, N, PHI, 1.0, eta_star, deltas)
+    pert_dev = float(np.max(np.abs(f_exact - fidelity_perturbative(lam, N, eta_star, deltas, PHI))))
     ok = half_dev <= 1e-8 and closed_dev <= 1e-8 and pert_dev <= 1e-3
     check(
         8,

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -8,15 +9,15 @@ import pytest
 from conftest import dense_ring
 from oracles import d2_analytic, ground_energies, ground_energy_exact
 from torus_qpt import (
-    CONVENTIONS,
     ModelSpec,
+    SweepResult,
+    analytic_curvature,
     build_lattice,
     corner_coupling,
     critical_modes,
     exact_midgap_gap,
     fidelity_exact,
     fidelity_perturbative,
-    fidelity_to_csv,
     golden_section_min,
     linear_fit,
     midgap_perturbation,
@@ -31,6 +32,8 @@ from torus_qpt import criticality
 from torus_qpt.blocks import CHUNK_ENTRIES
 from torus_qpt.criticality import (
     MAX_ETA,
+    _d2_sum,
+    _d2_terms,
     _factor,
     _far_nodes,
     _level_crossing,
@@ -39,6 +42,7 @@ from torus_qpt.criticality import (
     _near_sums,
     _shift_table,
     _shifted_energies,
+    _sin_cos,
 )
 
 PHI = math.pi / 4
@@ -97,9 +101,17 @@ def test_band_part_curvature_is_negligible_at_peak():
     assert d2_band <= 0.1 * d2_midgap
 
 
+def _scalar_d2(spec, eta, convention="cells"):
+    """The closed-form curvature at one eta through analytic_curvature's own per-mode sum."""
+    return _d2_sum(spec, _d2_terms(spec, convention), eta)
+
+
 def test_d2_analytic_rejects_square():
+    spec = ModelSpec("square", 3, 8)
     with pytest.raises(ValueError):
-        d2_analytic(ModelSpec("square", 3, 8), 0.1)
+        d2_analytic(spec, 0.1)
+    column, extremum = analytic_curvature(spec, [0.0, 0.1, 0.2])
+    assert np.isnan(column).all() and len(column) == 3 and extremum is None
 
 
 def test_d2_analytic_is_second_derivative_of_midgap_energy():
@@ -118,17 +130,50 @@ def test_d2_analytic_is_second_derivative_of_midgap_energy():
 
 
 def test_d2_analytic_mode_restriction_sums():
+    # the critical window of M = 7 is the modes 3 and 4, each term taken from the formula alone
     spec = ModelSpec("honeycomb", 7, 12, phi=PHI)
-    full = d2_analytic(spec, 0.01)
+    full = analytic_curvature(spec, [0.0, 0.01])[0][1]
     parts = d2_analytic(spec, 0.01, modes=[3]) + d2_analytic(spec, 0.01, modes=[4])
     assert full == pytest.approx(parts, rel=1e-14)
+    assert d2_analytic(spec, 0.01) == pytest.approx(parts, rel=1e-14)
 
 
 def test_d2_analytic_first_order_branches():
-    spec = ModelSpec("honeycomb", 7, 12, phi=0.0)
-    c3 = corner_coupling(LAM_3_7, 12)
-    assert d2_analytic(spec, 0.5 * c3) == 0.0
-    assert d2_analytic(spec, c3) == -math.inf
+    # sin(phi) = 0, exactly or within one ulp: 0 away from the crossing, -inf on it, no extremum
+    for phi in (0.0, math.pi, 2.0 * math.pi):
+        spec = ModelSpec("honeycomb", 7, 12, phi=phi)
+        crossing = corner_coupling(LAM_3_7, 12) * _sin_cos(phi)[1]
+        column, extremum = analytic_curvature(spec, [0.5 * crossing, crossing])
+        assert column.tolist() == [0.0, -math.inf] and extremum is None, phi
+
+
+def test_sin_cos_is_exact_at_multiples_of_half_pi():
+    assert math.sin(2.0 * math.pi) != 0.0 and math.cos(0.5 * math.pi) != 0.0
+    for k, want in ((0, (0.0, 1.0)), (1, (1.0, 0.0)), (2, (0.0, -1.0)), (3, (-1.0, 0.0)), (4, (0.0, 1.0)),
+                    (-1, (-1.0, 0.0)), (-2, (0.0, -1.0)), (200, (0.0, 1.0))):
+        phi = k * 0.5 * math.pi
+        for x in (phi, math.nextafter(phi, math.inf), math.nextafter(phi, -math.inf)):
+            assert _sin_cos(x) == want, (k, x)
+    for phi in (PHI, 1.1, -2.5, 1e-300, math.nextafter(math.pi, 0.0) - 1e-15):
+        assert _sin_cos(phi) == (math.sin(phi), math.cos(phi))
+
+
+@pytest.mark.parametrize("convention", ["cells", "sites"])
+@pytest.mark.parametrize("phi", [PHI, 1.1, 0.3, 2.5])
+def test_analytic_curvature_matches_the_closed_form_oracle(phi, convention):
+    # the oracle is the formula alone, with complex arithmetic; analytic_curvature sums Python
+    # scalars in its own order, so the two agree to roundoff and not bit for bit
+    for M in (5, 7, 10, 13, 31):
+        for N in (8, 20, 40, 64):
+            spec = ModelSpec("honeycomb", M, N, phi=phi)
+            lams = ring_lams("honeycomb", M, critical_modes(M))
+            grid = np.linspace(0.0, 2.0 * max(abs(corner_coupling(lam, N, convention)) for lam in lams), 65)
+            column, extremum = analytic_curvature(spec, grid, convention)
+            want = np.array([d2_analytic(spec, x, convention) for x in grid])
+            assert np.max(np.abs(column - want) / np.abs(want)) <= 1e-14, (M, N)
+            eta_m, peak = extremum
+            assert peak == pytest.approx(d2_analytic(spec, eta_m, convention), rel=1e-14, abs=0.0)
+            assert grid[0] <= eta_m <= grid[-1]
 
 
 def _per_ring_energies(spec, etas):
@@ -325,11 +370,12 @@ def test_sweep_curves_equal_per_eta_reference(N):
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
     res = sweep(spec, steps=200)
     _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
-    assert np.array_equal(res.d2_analytic, np.array([d2_analytic(spec, x) for x in res.eta_grid]))
+    column, (eta_m, peak) = analytic_curvature(spec, res.eta_grid)
+    assert np.array_equal(column, np.array([_scalar_d2(spec, x) for x in res.eta_grid]))
     lo, hi = res.eta_grid[0], res.eta_grid[-1]
-    eta_a = golden_section_min(lambda x: d2_analytic(spec, x), float(lo), float(hi), tol=1e-12 * float(hi - lo))
-    assert res.eta_m_analytic == eta_a
-    assert res.peak_analytic == d2_analytic(spec, eta_a)
+    eta_a = golden_section_min(lambda x: _scalar_d2(spec, x), float(lo), float(hi), tol=1e-12 * float(hi - lo))
+    assert eta_m == eta_a
+    assert peak == _scalar_d2(spec, eta_a)
 
 
 def test_golden_section_min():
@@ -364,20 +410,23 @@ def test_sweep_honeycomb_pinpoints_known_peak():
     assert res.flags == ()
     assert res.eta_m == pytest.approx(2.155252e-4, rel=1e-3)
     assert res.peak == pytest.approx(-7444.37, rel=1e-3)
-    assert res.eta_m_analytic == pytest.approx(res.eta_m, rel=1e-2)
-    assert res.peak_analytic == pytest.approx(res.peak, rel=1e-2)
+    eta_m, peak = analytic_curvature(spec, res.eta_grid)[1]
+    assert eta_m == pytest.approx(res.eta_m, rel=1e-2)
+    assert peak == pytest.approx(res.peak, rel=1e-2)
 
 
 @pytest.mark.parametrize("M,N", [(7, 20), (31, 64)])
 def test_sweep_exact_outputs_do_not_read_the_convention(M, N):
     # the physical corners lambda_k^(N/2) set the range and the cut; 'sites' moves only the analytic comparison
+    assert "convention" not in inspect.signature(sweep).parameters
+    assert "convention" not in inspect.signature(fidelity_exact).parameters
+    assert [field.name for field in dataclasses.fields(SweepResult)] == [
+        "eta_grid", "e_g_curve", "d2_numeric", "eta_m", "peak", "flags"]
     spec = ModelSpec("honeycomb", M, N, phi=PHI)
-    cells, sites = sweep(spec), sweep(spec, convention="sites")
-    for name in ("eta_grid", "e_g_curve", "d2_numeric"):
-        np.testing.assert_array_equal(getattr(sites, name), getattr(cells, name))
-    assert (sites.eta_m, sites.peak, sites.flags) == (cells.eta_m, cells.peak, cells.flags)
-    assert not np.array_equal(sites.d2_analytic, cells.d2_analytic)
-    assert sites.eta_m_analytic != cells.eta_m_analytic
+    grid = sweep(spec).eta_grid
+    (cells, cells_extremum), (sites, sites_extremum) = (analytic_curvature(spec, grid, c) for c in ("cells", "sites"))
+    assert not np.array_equal(sites, cells)
+    assert sites_extremum != cells_extremum
 
 
 @pytest.mark.parametrize("N", [56, 72, 80])
@@ -387,11 +436,11 @@ def test_sweep_analytic_extremum_below_1e_minus_12(N):
     # A minimizer that compares values places a smooth extremum only to about
     # sqrt(eps) of its width c*|sin(phi)| (measured 1.5e-8 relative here).
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
-    res = sweep(spec)
+    eta_m, peak = analytic_curvature(spec, sweep(spec).eta_grid)[1]
     eta_star = corner_coupling(LAM_3_7, N) * math.cos(PHI)
-    assert res.eta_m_analytic == pytest.approx(eta_star, rel=1e-7)
-    assert res.peak_analytic == d2_analytic(spec, res.eta_m_analytic)
-    assert res.peak_analytic == pytest.approx(d2_analytic(spec, eta_star), rel=1e-13)
+    assert eta_m == pytest.approx(eta_star, rel=1e-7)
+    assert peak == _scalar_d2(spec, eta_m)
+    assert peak == pytest.approx(d2_analytic(spec, eta_star), rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [56, 72, 80])
@@ -399,10 +448,12 @@ def test_sweep_exact_peak_far_below_roundoff_of_e_g(N):
     # here the roundoff of E_g over any grid step squared exceeds |peak|, so
     # only an exact curvature resolves the peak; it agrees with perturbation
     # theory, whose error falls with the midgap scale c_k
-    res = sweep(ModelSpec("honeycomb", 7, N, phi=PHI))
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    res = sweep(spec)
+    eta_m, peak = analytic_curvature(spec, res.eta_grid)[1]
     assert res.flags == ()
-    assert res.eta_m == pytest.approx(res.eta_m_analytic, rel=1e-6)
-    assert res.peak == pytest.approx(res.peak_analytic, rel=1e-8)
+    assert res.eta_m == pytest.approx(eta_m, rel=1e-6)
+    assert res.peak == pytest.approx(peak, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +485,7 @@ def test_sweep_grid_structure():
     assert res.e_g_curve.shape == (65,)
     assert math.isnan(res.d2_numeric[0]) and math.isnan(res.d2_numeric[-1])
     assert not np.isnan(res.d2_numeric[1:-1]).any()
-    assert not np.isnan(res.d2_analytic).any()
+    assert not np.isnan(analytic_curvature(spec, res.eta_grid)[0]).any()
     assert res.eta_grid[0] == 0.0
     # default range is 3*max_k c_k * cos(phi), clipped to [0, 1]
     expected_hi = 3.0 * corner_coupling(LAM_3_7, 8) * math.cos(PHI)
@@ -472,7 +523,20 @@ def test_sweep_first_order_flag():
     spec = ModelSpec("honeycomb", 7, 8, phi=0.0)
     res = sweep(spec, steps=64)
     assert "first-order-crossing" in res.flags
-    assert res.eta_m_analytic is None and res.peak_analytic is None
+    assert analytic_curvature(spec, res.eta_grid)[1] is None
+    # sin(2*pi) is -2.4e-16, not 0: phi = 2*pi is phi = 0, bit for bit
+    wrapped = sweep(dataclasses.replace(spec, phi=2.0 * math.pi), steps=64)
+    assert wrapped.flags == res.flags and (wrapped.eta_m, wrapped.peak) == (res.eta_m, res.peak)
+    assert wrapped.e_g_curve.tobytes() == res.e_g_curve.tobytes()
+    assert wrapped.d2_numeric.tobytes() == res.d2_numeric.tobytes()
+
+
+def test_sweep_at_half_pi_takes_the_full_default_range():
+    # cos(pi/2) is 6.1e-17, not 0: the default range 3*max c_k*cos(phi) shrank to [0, 5.5e-20], and
+    # eta_m was its largest roundoff value, unflagged; now the range is [0, 1] and the flag fires
+    res = sweep(ModelSpec("honeycomb", 7, 20, phi=math.pi / 2))
+    assert res.eta_grid[-1] == 1.0
+    assert res.flags == ("peak-not-bracketed",)
 
 
 def test_level_crossing_flag_marks_the_dense_count_change():
@@ -503,20 +567,21 @@ def test_sweep_even_m_zero_coupling_mode(M):
         warnings.simplefilter("error")
         res = sweep(spec)
     _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
+    column, extremum = analytic_curvature(spec, res.eta_grid)
     if M == 4:  # the one critical mode is m = 2, so there is no analytic extremum
-        assert res.eta_m_analytic is None and res.peak_analytic is None
-        assert np.array_equal(res.d2_analytic, np.zeros(len(res.eta_grid)))
+        assert extremum is None
+        assert np.array_equal(column, np.zeros(len(res.eta_grid)))
     else:
         assert res.flags == ()
-        assert res.eta_m == pytest.approx(res.eta_m_analytic, rel=1e-4)
-        assert res.peak == pytest.approx(res.peak_analytic, rel=1e-2)
+        assert res.eta_m == pytest.approx(extremum[0], rel=1e-4)
+        assert res.peak == pytest.approx(extremum[1], rel=1e-2)
 
 
 def test_sweep_square_lattice_is_tame():
     spec = ModelSpec("square", 3, 8, phi=PHI)
     res = sweep(spec, eta_min=0.0, eta_max=1.0, steps=64)
-    assert np.isnan(res.d2_analytic).all()
-    assert res.eta_m_analytic is None
+    column, extremum = analytic_curvature(spec, res.eta_grid)
+    assert np.isnan(column).all() and extremum is None
     assert abs(res.peak) < 10.0
 
 
@@ -549,6 +614,21 @@ def test_scaling_scan_reaches_n_80():
     assert report["fit_eta"]["slope"] == pytest.approx(math.log(abs(LAM_3_7)) / 2.0, abs=1e-8)
 
 
+def test_scaling_scan_reads_no_closed_form_term(monkeypatch):
+    # at N = 600 and 620 the closed-form terms (eps^-)^3 underflow, which stopped the scan although the
+    # exact engine resolves both rings; the scan now makes no _d2_sum call
+    calls = []
+    monkeypatch.setattr(criticality, "_d2_sum", lambda *args: calls.append(args) or _d2_sum(*args))
+    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[600, 620], steps=128)
+    assert abs(report["fit_eta"]["slope"] - math.log(abs(LAM_3_7)) / 2.0) <= 1e-12
+    assert calls == []
+    # the comparison itself still leaves double range, as `sweep --M 7 --N 800` reports
+    with pytest.raises(RuntimeError) as info:
+        analytic_curvature(ModelSpec("honeycomb", 7, 800, phi=PHI), [0.0, 1e-141])
+    assert str(info.value) == ("analytic curvature out of double range: (eps^-)^3 underflows to 0 at eta=0 "
+                               "for the mode with c_k=2.29e-141")
+
+
 def test_scaling_scan_dedupes_and_sorts():
     report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[12, 8, 12], steps=128)
     assert report["n_values"] == [8, 12]
@@ -563,6 +643,9 @@ def test_scaling_scan_dedupes_and_sorts():
         dict(M=7, phi=PHI, t=1.0, n_list=[]),
         dict(M=7, phi=PHI, t=1.0, n_list=[8, 8]),
         dict(M=7, phi=PHI, t=1.0, n_list=[8, 10]),
+        # sin(pi) and sin(2*pi) are 1.2e-16 and -2.4e-16, not 0: both are rejected as phi = 0 is
+        dict(M=7, phi=math.pi, t=1.0, n_list=[8, 12]),
+        dict(M=7, phi=2.0 * math.pi, t=1.0, n_list=[8, 12]),
     ],
 )
 def test_scaling_scan_validation(monkeypatch, kwargs):
@@ -585,10 +668,19 @@ def test_fidelity_exact_matches_perturbative():
     lam = 0.5
     for N, tol in ((20, 1e-3), (60, 1e-6), (80, 1e-6)):
         c = corner_coupling(lam, N)
-        curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), np.geomspace(c / 10, 10 * c, 7))
-        assert np.max(np.abs(curve.f_exact - curve.f_perturbative)) <= tol, N
-        assert np.all(np.diff(curve.delta_grid) > 0)
-        assert np.all((curve.f_exact >= 0) & (curve.f_exact <= 1 + 1e-12))
+        deltas = np.geomspace(c / 10, 10 * c, 7)
+        f_exact = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+        assert np.max(np.abs(f_exact - fidelity_perturbative(lam, N, c * math.cos(PHI), deltas, PHI))) <= tol, N
+        assert np.all((f_exact >= 0) & (f_exact <= 1 + 1e-12))
+
+
+def test_fidelity_exact_keeps_the_order_of_its_deltas():
+    lam, N = 0.5, 20
+    c = corner_coupling(lam, N)
+    deltas = np.geomspace(c / 10, 10 * c, 7)
+    forward = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+    shuffled = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas[[3, 0, 6, 1, 5, 2, 4]])
+    assert shuffled.tobytes() == forward[[3, 0, 6, 1, 5, 2, 4]].tobytes()
 
 
 def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
@@ -598,7 +690,7 @@ def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
     c = corner_coupling(lam, N)
     deltas = np.geomspace(c / 100.0, 10.0 * c, 25)
     assert 2 * deltas.size > CHUNK_ENTRIES // (N * N) >= deltas.size
-    curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+    f_exact = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
     floor = np.finfo(np.float64).eps * (1.0 + abs(lam))
     want = []
     for delta in deltas:
@@ -609,7 +701,7 @@ def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
             want.append(float(np.linalg.svd(u1.conj().T @ u2, compute_uv=False)[-1]))
         else:
             want.append(float(abs(np.vdot(v1[:, N // 2], v2[:, N // 2]))))
-    assert curve.f_exact.tobytes() == np.array(want).tobytes()
+    assert f_exact.tobytes() == np.array(want).tobytes()
 
 
 def test_fidelity_exact_asymptote():
@@ -618,9 +710,9 @@ def test_fidelity_exact_asymptote():
     c = corner_coupling(lam, N)
     b = abs(c * math.sin(PHI))
     delta = 100.0 * b
-    curve = fidelity_exact(lam, N, PHI, t, c * math.cos(PHI), [delta])
-    assert curve.f_perturbative[0] == pytest.approx(b / delta, rel=1e-4)
-    assert curve.f_exact[0] == pytest.approx(b / delta, rel=5e-2)
+    f_exact = fidelity_exact(lam, N, PHI, t, c * math.cos(PHI), [delta])
+    assert fidelity_perturbative(lam, N, c * math.cos(PHI), delta, PHI) == pytest.approx(b / delta, rel=1e-4)
+    assert f_exact[0] == pytest.approx(b / delta, rel=5e-2)
 
 
 def test_fidelity_exact_rejects_bad_grid():
@@ -630,13 +722,14 @@ def test_fidelity_exact_rejects_bad_grid():
         fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [0.0, 0.001])
     with pytest.raises(ValueError):
         fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [-0.001])
+    with pytest.raises(ValueError):
+        fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [0.001, 0.0])
 
 
 def test_fidelity_exact_requires_isolated_doublet():
-    # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap, under either convention
-    for convention in CONVENTIONS:
-        with pytest.raises(RuntimeError, match="isolable"):
-            fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01], convention)
+    # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap
+    with pytest.raises(RuntimeError, match="isolable"):
+        fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01])
     # N = 100: at eta = c*cos(phi) -+ c the splitting scales are near 2(t/Omega)c = 1.3e-15, a few
     # roundoffs of a ring level
     c = corner_coupling(0.5, 100)
@@ -650,7 +743,7 @@ def test_fidelity_exact_checks_the_resolution_of_each_point():
     deltas = [1e-3, math.sqrt(5e-6), 5e-3]
     n100 = fidelity_exact(0.5, 100, PHI, 1.0, 0.01, deltas)
     n80 = fidelity_exact(0.5, 80, PHI, 1.0, 0.01, deltas)
-    assert np.max(np.abs(n100.f_exact - n80.f_exact)) <= 1e-12
+    assert np.max(np.abs(n100 - n80)) <= 1e-12
     # one displaced point on the crossing, where the splitting scale is 2(t/Omega)c|sin phi|, is refused
     c = corner_coupling(0.5, 100)
     with pytest.raises(RuntimeError, match="below double resolution at eta="):
@@ -661,8 +754,7 @@ def test_fidelity_exact_crossing_drop():
     # first-order crossing at phi = 0: straddling overlap collapses
     lam, N = 0.5, 12
     c = corner_coupling(lam, N)
-    curve = fidelity_exact(lam, N, 0.0, 1.0, c, [c])
-    assert curve.f_exact[0] < 0.1
+    assert fidelity_exact(lam, N, 0.0, 1.0, c, [c])[0] < 0.1
 
 
 def test_fidelity_exact_degenerate_endpoint_uses_subspace_angle():
@@ -670,26 +762,18 @@ def test_fidelity_exact_degenerate_endpoint_uses_subspace_angle():
     # the overlap finite and sensible
     lam, N = 0.5, 12
     c = corner_coupling(lam, N)
-    curve = fidelity_exact(lam, N, 0.0, 1.0, 2 * c, [c])
-    assert 0.0 <= curve.f_exact[0] <= 1.0
-    assert curve.f_exact[0] > 0.9
+    f_exact = fidelity_exact(lam, N, 0.0, 1.0, 2 * c, [c])
+    assert 0.0 <= f_exact[0] <= 1.0
+    assert f_exact[0] > 0.9
 
 
 def test_sweep_to_csv_format():
-    res = sweep(ModelSpec("honeycomb", 7, 8, phi=PHI), steps=64)
-    lines = sweep_to_csv(res).strip().split("\n")
+    spec = ModelSpec("honeycomb", 7, 8, phi=PHI)
+    res = sweep(spec, steps=64)
+    lines = sweep_to_csv(res, analytic_curvature(spec, res.eta_grid)[0]).strip().split("\n")
     assert lines[0] == "eta,e_g,d2_numeric,d2_analytic"
     assert len(lines) == 66
     assert lines[1].split(",")[2] == "nan"
-
-
-def test_fidelity_to_csv_format():
-    lam, N = 0.5, 20
-    c = corner_coupling(lam, N)
-    curve = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), [c / 2, c])
-    lines = fidelity_to_csv(curve).strip().split("\n")
-    assert lines[0] == "delta,f_exact,f_perturbative"
-    assert len(lines) == 3
 
 
 def test_scaling_scan_report_round_trips_json():

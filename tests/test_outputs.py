@@ -121,3 +121,14 @@ def test_printed_numbers_move_only_with_an_allowed_file(tmp_path, sweep, stdout,
     report, same = _compare(tmp_path, allow={"sweep*.csv"}, stdout=stdout, files=files)
     assert same == note.startswith("    allowed:")
     assert note in report.splitlines()
+
+
+@pytest.mark.parametrize("entry", ["row: validate", "row: validate --convention sites"], ids=["named", "unnamed"])
+def test_a_row_named_in_the_allow_file_may_differ(tmp_path, entry):
+    # a row the parent commit runs differently (a row added with the change that mends it)
+    report, same = _compare(tmp_path, allow={entry}, exit=2, stdout="", stderr="error: rejected\n", files={})
+    assert same == (entry == "row: validate")
+    assert ("allowed   00  validate" in report) == same
+    prefix = "    allowed: " if same else "    "
+    for note in ("exit code 0 -> 2", "stderr: 0 -> 1 lines", "sweep.csv: only in A"):
+        assert prefix + note in report.splitlines()
