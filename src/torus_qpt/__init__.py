@@ -32,14 +32,10 @@ try:
         ring_levels,
         ring_stack,
         square_ring,
-        union_eigenvalues,
     )
     from .criticality import (
         SweepResult,
-        analytic_curvature,
-        exact_midgap_gap,
         fidelity_exact,
-        golden_section_min,
         linear_fit,
         scaling_scan,
         sweep,
@@ -50,10 +46,11 @@ try:
     from .ssh import (
         CONVENTIONS,
         MidgapSolution,
+        analytic_curvature,
         build_h0,
         corner_coupling,
-        fidelity_at_minimum,
         fidelity_perturbative,
+        golden_section_min,
         midgap_perturbation,
         omega_factor,
         zero_modes,
@@ -79,8 +76,6 @@ __all__ = [
     "build_lattice",
     "corner_coupling",
     "critical_modes",
-    "exact_midgap_gap",
-    "fidelity_at_minimum",
     "fidelity_exact",
     "fidelity_perturbative",
     "golden_section_min",
@@ -97,6 +92,5 @@ __all__ = [
     "square_ring_closed_form",
     "sweep",
     "sweep_to_csv",
-    "union_eigenvalues",
     "zero_modes",
 ]

@@ -18,8 +18,9 @@ per lambda. The shift engine and the reference matrix `ssh.build_h0` read
 the bands; `ring_stack` alone puts them into dense complex rings and adds
 the boundary bond, in chunks. The one dense ring-solve path,
 `ring_levels`, solves those chunks for every ring level of the package
-(spectrum, ground energies, block union, midgap gap, validate), and
-`blocks_to_csv` writes them out.
+(spectrum, ground energies, validate), and `blocks_to_csv` writes them
+out. `sin_cos` is the one reader of the flux phi: `ring_stack`'s boundary
+phase and every closed form of `ssh` take sin(phi) and cos(phi) from it.
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
@@ -35,13 +36,22 @@ h = h0 + h' of the analytics module reproduces the block entrywise.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .models import ModelSpec
 from .output import csv_text
+
+
+def sin_cos(phi: float) -> tuple[float, float]:
+    """sin(phi) and cos(phi), exactly 0 and +-1 where phi is within one ulp
+    of a multiple of pi/2: math.sin(2*pi) is -2.4e-16, which would hide a
+    first-order crossing, and math.cos(pi/2) is 6.1e-17."""
+    quarter = round(phi / (0.5 * math.pi))
+    if abs(phi - quarter * (0.5 * math.pi)) <= math.ulp(phi):
+        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[quarter % 4]
+    return math.sin(phi), math.cos(phi)
 
 
 def peierls_ring(lam: float, N: int, t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +100,8 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
     Each lambda's bands (ring_bands) go into its dense open ring once, with
     a corner of exactly +0.0 (the bond -t for a two-site square ring).
     Every chunk copies open rings and adds the boundary bond
-    -eta*t*e^{i phi} at (N,1) and its conjugate at (1,N); this is the one
-    place a ring gets its boundary bond.
+    -eta*t*e^{i phi} at (N,1) and its conjugate at (1,N), its phase from
+    sin_cos; this is the one place a ring gets its boundary bond.
     """
     diagonals, bonds = ring_bands(kind, lams, N, t)
     n_lams = len(diagonals)
@@ -100,7 +110,8 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float, t: float = 1.0):
     rings[:, :: N + 1] = diagonals
     rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
     rings = rings.reshape(n_lams, N, N)
-    phase = cmath.exp(1j * phi)
+    sin_phi, cos_phi = sin_cos(phi)
+    phase = complex(cos_phi, sin_phi)
     boundary = np.array([-eta * t * phase for eta in etas], dtype=np.complex128)
     pairs = len(boundary) * n_lams
     size = max(1, CHUNK_ENTRIES // (N * N))
@@ -152,11 +163,6 @@ def critical_modes(M: int) -> list[int]:
         if M < 3 * m < 2 * M:
             out.append(m)
     return out
-
-
-def union_eigenvalues(spec: ModelSpec) -> np.ndarray:
-    """Sorted concatenation of all block eigenvalues (full-lattice multiset)."""
-    return np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
 
 
 def blocks_to_csv(spec: ModelSpec) -> str:

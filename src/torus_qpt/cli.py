@@ -31,11 +31,11 @@ import sys
 
 import numpy as np
 
-from .blocks import blocks_to_csv, ring_lams, ring_levels
-from .criticality import DEFAULT_STEPS, analytic_curvature, fidelity_exact, scaling_scan, sweep, sweep_to_csv
+from .blocks import blocks_to_csv, ring_lams, ring_levels, sin_cos
+from .criticality import DEFAULT_STEPS, fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
-from .ssh import CONVENTIONS, corner_coupling, fidelity_perturbative
+from .ssh import CONVENTIONS, analytic_curvature, corner_coupling, fidelity_perturbative
 from .validate import run_validation
 
 COMMANDS = ("spectrum", "sweep", "scaling", "fidelity", "square", "validate")
@@ -288,7 +288,7 @@ def cmd_fidelity(config: dict) -> int:
     if not (0.0 < delta_min < delta_max) or delta_steps < 2:
         raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
-    eta_center = config.get("eta_center", c * math.cos(phi))
+    eta_center = config.get("eta_center", c * sin_cos(phi)[1])
     f_exact = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas)
     f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, config.get("convention", "cells"))
     _publish(config, "fidelity.csv", csv_text(["delta", "f_exact", "f_perturbative"], zip(deltas, f_exact, f_pert)),

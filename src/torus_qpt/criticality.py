@@ -6,9 +6,11 @@ develops a sharpening negative peak at the pseudo-critical point eta_m
 on the honeycomb torus (driven by the midgap doublets of the critical
 momentum window), while the square torus shows no such growth. This
 module locates the peak, fits its finite-size scaling, and computes the
-midgap fidelity from exact eigenvectors. The closed-form curvature of
-perturbation theory is a separate comparison (`analytic_curvature`), and
-the corner convention selects only its terms: no exact result reads it.
+midgap fidelity from exact eigenvectors. It is the exact engine alone:
+the closed forms of perturbation theory, the corner convention among
+them, live in `ssh`, and this module reads from there only the critical
+doublets (a sweep's default range and quadrature cut), the minimizer and
+`midgap_perturbation` (the guards of `fidelity_exact`).
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
@@ -65,18 +67,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack
+from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
 from .models import ModelSpec
 from .output import csv_text
-from .ssh import corner_coupling, midgap_perturbation, omega_factor
+from .ssh import critical_doublets, golden_section_min, midgap_perturbation
 
 DEFAULT_STEPS = 200
 
 MIN_STEPS = 64
 
 MAX_ETA = 100.0  # largest eta a sweep accepts: the engine's error bound is verified up to it
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
 # panels of s = ln(y/t), from y = _Y_LO*t to at least _Y_HI*(4 + max eta)*t.
@@ -87,16 +87,6 @@ _Y_LO = 1e-14
 _Y_HI = 1e5
 # Largest number of entries in one (eta, node) temporary (128 KiB complex).
 _BLOCK_ENTRIES = 2**13
-
-
-def _sin_cos(phi: float) -> tuple[float, float]:
-    """sin(phi) and cos(phi), exactly 0 and +-1 where phi is within one ulp
-    of a multiple of pi/2: math.sin(2*pi) is -2.4e-16, which would hide a
-    first-order crossing, and math.cos(pi/2) is 6.1e-17."""
-    quarter = round(phi / (0.5 * math.pi))
-    if abs(phi - quarter * (0.5 * math.pi)) <= math.ulp(phi):
-        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[quarter % 4]
-    return math.sin(phi), math.cos(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -139,50 +129,6 @@ def _open_ground_energy(spec: ModelSpec) -> float:
     for levels in ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [0.0], spec.phi, spec.t)[0]:
         total += levels[: np.count_nonzero(levels < 0.0)].sum()
     return float(total)
-
-
-def exact_midgap_gap(lam: float, N: int, eta: float, phi: float, t: float = 1.0) -> float:
-    """Gap between the two levels closest to zero in the exact ring block."""
-    evals = ring_levels("honeycomb", [lam], N, [eta], phi, t)[0, 0]
-    return float(evals[N // 2] - evals[N // 2 - 1])
-
-
-# ---------------------------------------------------------------------------
-# analytic curvature
-
-
-def _d2_terms(spec: ModelSpec, convention: str) -> list[tuple[float, float]]:
-    """(c_k, Omega_k) of each critical mode of a honeycomb spec with c_k != 0."""
-    terms = []
-    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
-        c = corner_coupling(lam, spec.N, convention)
-        if c != 0.0:
-            terms.append((c, omega_factor(lam, spec.N, convention)))
-    return terms
-
-
-def _d2_sum(spec: ModelSpec, terms: list[tuple[float, float]], eta: float) -> float:
-    """Closed-form curvature of E_g at eta from the modes' (c_k, Omega_k):
-    sum_k t^4 c_k^2 sin^2(phi) / (Omega_k^4 (eps_k^-)^3), each term the
-    exact second derivative of the perturbative lower midgap level, so the
-    value is negative. At sin(phi) = 0 it is 0 away from the crossings and
-    -inf at one."""
-    # Scalar math on purpose: NumPy's vectorized ** rounds differently from Python's.
-    sin_phi, cos_phi = _sin_cos(spec.phi)
-    s2 = sin_phi * sin_phi
-    total = 0.0
-    for c, om in terms:
-        absz2 = (eta - c * cos_phi) ** 2 + c * c * s2
-        if s2 == 0.0:
-            if absz2 == 0.0:
-                return float("-inf")
-            continue
-        cube = (-spec.t * math.sqrt(absz2) / om) ** 3  # (eps^-)^3
-        if cube == 0.0:
-            raise RuntimeError(f"analytic curvature out of double range: (eps^-)^3 underflows to 0 at eta={eta:.6g} "
-                               f"for the mode with c_k={c:.3g}")
-        total += (spec.t ** 4) * c * c * s2 / (om ** 4 * cube)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +188,7 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     y = spec.t * np.exp(s)
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
-    sin_phi, cos_phi = _sin_cos(spec.phi)
+    sin_phi, cos_phi = sin_cos(spec.phi)
     t, s2, M = spec.t, sin_phi ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
     bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N, t)
@@ -400,30 +346,6 @@ def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
 # sweeps
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer of a unimodal f on [a, b]; returns the
-    midpoint of the final bracket, once its width is <= tol or after 500
-    steps (a bracket stops shrinking at the float spacing, which sweep's
-    tol of 1e-12 of a range narrower than about 1e-4 of its ends undercuts)."""
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(500):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 def sweep(
     spec: ModelSpec,
     eta_min: float | None = None,
@@ -432,7 +354,7 @@ def sweep(
 ) -> SweepResult:
     """Sweep E_g and its exact curvature over a uniform eta grid and locate
     the curvature peak. Every output reads the physical corners
-    c_k = lambda_k^(N/2) of the critical modes.
+    c_k = lambda_k^(N/2) of the critical modes (ssh.critical_doublets).
 
     The grid has `steps` + 1 points on [eta_min, eta_max]. A bound left as
     None takes its default: eta_min = 0, and eta_max = 3*max_k c_k*cos(phi)
@@ -463,18 +385,18 @@ def sweep(
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    sin_phi, cos_phi = _sin_cos(spec.phi)
-    physical = _d2_terms(spec, "cells") if spec.kind == "honeycomb" else []
+    sin_phi, cos_phi = sin_cos(spec.phi)
+    doublets = critical_doublets(spec)
     lo = 0.0 if eta_min is None else float(eta_min)
     if eta_max is not None:
         hi = float(eta_max)
     else:
-        hi = 3.0 * max(abs(c) for c, _ in physical) * cos_phi if physical else 1.0
+        hi = 3.0 * max(abs(c) for c, _ in doublets) * cos_phi if doublets else 1.0
         hi = min(hi, 1.0) if hi > 0.0 else 1.0
     if not 0.0 <= lo < hi <= MAX_ETA:
         raise ValueError(f"need finite 0 <= eta_min < eta_max <= {MAX_ETA:g}, got [{lo}, {hi}]")
 
-    gaps = [abs(c * sin_phi) / om for c, om in physical]
+    gaps = [abs(c * sin_phi) / om for c, om in doublets]
     table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
@@ -503,32 +425,6 @@ def sweep(
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
     return SweepResult(grid, e_curve, d2_num, eta_m, peak, tuple(flags))
-
-
-def analytic_curvature(spec: ModelSpec, grid, convention: str = "cells") -> tuple[np.ndarray, tuple | None]:
-    """The perturbative comparison of a sweep: the closed-form curvature sum
-    of the critical modes (see _d2_sum) at each eta of `grid`, and its
-    golden-section extremum (eta_m_analytic, peak_analytic) on [grid[0],
-    grid[-1]], to 1e-12 of that range. `convention` selects the corners
-    c_k of the terms, each computed once.
-
-    On the square lattice, which has no midgap doublet, the column is NaN
-    and there is no extremum; nor is there one at sin(phi) = 0 (phi within
-    one ulp of a multiple of pi) or when no critical mode has a nonzero
-    corner. RuntimeError when a mode's (eps^-)^3 underflows to 0 (M = 7,
-    N = 800, say).
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if spec.kind != "honeycomb":
-        return np.full(len(grid), np.nan), None
-    terms = _d2_terms(spec, convention)
-    column = np.array([_d2_sum(spec, terms, x) for x in grid.tolist()])
-    if _sin_cos(spec.phi)[0] == 0.0 or not terms:
-        return column, None
-    lo, hi = float(grid[0]), float(grid[-1])
-    tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
-    eta_m = float(golden_section_min(lambda x: _d2_sum(spec, terms, x), lo, hi, tol=tol))
-    return column, (eta_m, float(_d2_sum(spec, terms, eta_m)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +478,7 @@ def scaling_scan(
     first). RuntimeError reports a sweep whose curvature peak is not
     bracketed by its grid (M = 11 at N = 8, say).
     """
-    if _sin_cos(phi)[0] == 0.0:
+    if sin_cos(phi)[0] == 0.0:
         raise ValueError("scaling scan needs sin(phi) != 0 (otherwise the transition is first order)")
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 2:
@@ -707,6 +603,6 @@ def fidelity_exact(
 
 def sweep_to_csv(result: SweepResult, d2_analytic) -> str:
     """sweep.csv: the sweep's grid, E_g and exact curvature, and the
-    closed-form column of analytic_curvature."""
+    closed-form column of ssh.analytic_curvature."""
     header = ["eta", "e_g", "d2_numeric", "d2_analytic"]
     return csv_text(header, zip(result.eta_grid, result.e_g_curve, result.d2_numeric, d2_analytic))

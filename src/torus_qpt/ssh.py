@@ -8,7 +8,11 @@ coupling gives its scalars (`midgap_perturbation`: the doublet energies,
 the avoided-crossing minimum and its location, the curvature of the
 lower branch) and the overlap (fidelity) between upper doublet vectors
 at neighbouring couplings (`fidelity_perturbative`, the one place the
-doublet vectors are built).
+doublet vectors are built). On the torus each critical mode k carries
+such a doublet (`critical_doublets`), and the closed-form curvature sum
+over them (`analytic_curvature`, minimized by `golden_section_min`) is the
+perturbative comparison of a curvature sweep. Every closed form here
+reads the flux through `blocks.sin_cos`.
 
 Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
 open alternating ring (bonds -lambda within cells, +1 between cells:
@@ -30,9 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import peierls_ring
+from .blocks import critical_modes, peierls_ring, ring_lams, sin_cos
+from .models import ModelSpec
 
 CONVENTIONS = ("cells", "sites")
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_convention(convention: str) -> None:
@@ -137,8 +144,8 @@ def midgap_perturbation(
     _check_chain(lam, N)
     c = corner_coupling(lam, N, convention)
     omega = omega_factor(lam, N, convention)
-    eps = t * abs(eta * cmath.exp(1j * phi) - c) / omega
-    sin_phi = math.sin(phi)
+    sin_phi, cos_phi = sin_cos(phi)
+    eps = t * abs(eta * complex(cos_phi, sin_phi) - c) / omega
     gap_min = 2.0 * t * abs(c * sin_phi) / omega
     if c != 0.0 and sin_phi != 0.0:
         curvature_max = -t / (abs(c) * omega * abs(sin_phi))
@@ -148,7 +155,7 @@ def midgap_perturbation(
         eps_plus=eps,
         eps_minus=-eps,
         gap_min=gap_min,
-        eta_star=c * math.cos(phi),
+        eta_star=c * cos_phi,
         curvature_max=curvature_max,
     )
 
@@ -179,28 +186,93 @@ def fidelity_perturbative(
         raise ValueError(f"delta must be >= 0, got {delta}")
     a_plus, a_minus = zero_modes(lam, N)
     c = corner_coupling(lam, N, convention)
+    sin_phi, cos_phi = sin_cos(phi)
+    phase = complex(cos_phi, sin_phi)
 
     def v_plus(x: float) -> np.ndarray:
-        mix = cmath.exp(1j * cmath.phase(x * cmath.exp(1j * phi) - c))
+        mix = cmath.exp(1j * cmath.phase(x * phase - c))
         return (a_plus - mix * a_minus) / math.sqrt(2.0)
 
     overlaps = [abs(np.vdot(v_plus(eta - d), v_plus(eta + d))) for d in deltas.ravel().tolist()]
     return float(overlaps[0]) if deltas.ndim == 0 else np.array(overlaps, dtype=np.float64).reshape(deltas.shape)
 
 
-def fidelity_at_minimum(
-    lam: float, N: int, delta: float, phi: float, convention: str = "cells"
-) -> float:
-    """Closed-form fidelity at eta = eta_star: b/sqrt(delta^2 + b^2)
-    with b = |c*sin(phi)|; equals 1 at delta = 0 and 0 across an exact
-    crossing (sin(phi) = 0, delta > 0). The oracle that test_ssh and
-    test_acceptance compare fidelity_perturbative against."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0.0:
-        return 1.0
-    c = corner_coupling(lam, N, convention)
-    b = abs(c * math.sin(phi))
-    if b == 0.0:
-        return 0.0
-    return b / math.hypot(delta, b)
+def critical_doublets(spec: ModelSpec, convention: str = "cells") -> list[tuple[float, float]]:
+    """(c_k, Omega_k) of each critical mode of a honeycomb spec with c_k != 0;
+    empty on the square lattice, which has no midgap doublet."""
+    if spec.kind != "honeycomb":
+        return []
+    doublets = []
+    for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
+        c = corner_coupling(lam, spec.N, convention)
+        if c != 0.0:
+            doublets.append((c, omega_factor(lam, spec.N, convention)))
+    return doublets
+
+
+def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) -> float:
+    """Closed-form curvature of E_g at eta from the modes' (c_k, Omega_k):
+    the sum of the lower midgap levels' exact second derivatives
+    -(t/Omega_k)*r_k^2/|z_k|, |z_k| = |eta*e^{i phi} - c_k| and
+    r_k = c_k*sin(phi)/|z_k|, so the value is negative. |r_k| <= 1, so no
+    power of the tiny |z_k| is formed (its cube would underflow from N = 584
+    at M = 7, phi = pi/4). At sin(phi) = 0 it is 0 away from the crossings
+    and -inf at one."""
+    sin_phi, cos_phi = sin_cos(spec.phi)
+    total = 0.0
+    for c, om in doublets:
+        absz = math.hypot(eta - c * cos_phi, c * sin_phi)
+        if absz == 0.0:
+            return float("-inf")
+        r = c * sin_phi / absz
+        total -= spec.t / om * r * r / absz
+    return total
+
+
+def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
+    """Golden-section minimizer of a unimodal f on [a, b]; returns the
+    midpoint of the final bracket, once its width is <= tol or after 500
+    steps (a bracket stops shrinking at the float spacing, which sweep's
+    tol of 1e-12 of a range narrower than about 1e-4 of its ends undercuts)."""
+    if not b > a:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(500):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)
+
+
+def analytic_curvature(spec: ModelSpec, grid, convention: str = "cells") -> tuple[np.ndarray, tuple | None]:
+    """The perturbative comparison of a sweep: the closed-form curvature sum
+    of the critical modes (see _d2_sum) at each eta of `grid`, and its
+    golden-section extremum (eta_m_analytic, peak_analytic) on [grid[0],
+    grid[-1]], to 1e-12 of that range. `convention` selects the corners
+    c_k of the terms, each computed once.
+
+    On the square lattice, which has no midgap doublet, the column is NaN
+    and there is no extremum; nor is there one at sin(phi) = 0 (phi within
+    one ulp of a multiple of pi) or when no critical mode has a nonzero
+    corner.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if spec.kind != "honeycomb":
+        return np.full(len(grid), np.nan), None
+    doublets = critical_doublets(spec, convention)
+    column = np.array([_d2_sum(spec, doublets, x) for x in grid.tolist()])
+    if sin_cos(spec.phi)[0] == 0.0 or not doublets:
+        return column, None
+    lo, hi = float(grid[0]), float(grid[-1])
+    tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
+    eta_m = float(golden_section_min(lambda x: _d2_sum(spec, doublets, x), lo, hi, tol=tol))
+    return column, (eta_m, float(_d2_sum(spec, doublets, eta_m)))

@@ -17,19 +17,19 @@ import time
 
 import numpy as np
 
-from .blocks import ring_levels, union_eigenvalues
-from .criticality import exact_midgap_gap, fidelity_exact, golden_section_min
+from .blocks import ring_lams, ring_levels, sin_cos
+from .criticality import fidelity_exact
 from .eigensolve import square_ring_closed_form
 from .models import ModelSpec, build_lattice
-from .ssh import build_h0, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
+from .ssh import build_h0, corner_coupling, fidelity_perturbative, golden_section_min, midgap_perturbation, zero_modes
 
 
 def _union_deviation(specs: list[ModelSpec]) -> float:
     worst = 0.0
     for spec in specs:
         full = np.linalg.eigvalsh(build_lattice(spec))
-        union = union_eigenvalues(spec)
-        worst = max(worst, float(np.max(np.abs(full - union))) / spec.t)
+        levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t)
+        worst = max(worst, float(np.max(np.abs(full - np.sort(levels.ravel())))) / spec.t)
     return worst
 
 
@@ -75,6 +75,7 @@ def check_square_closed_form(convention: str) -> float:
 
 
 _LAM, _N, _PHI = 0.5, 20, math.pi / 4
+_SIN, _COS = sin_cos(_PHI)
 
 
 def check_perturbation_vs_oracle(convention: str) -> float:
@@ -90,17 +91,20 @@ def check_perturbation_vs_oracle(convention: str) -> float:
 
 def check_gap_minimum_location(convention: str) -> float:
     eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention).eta_star
-    bracket_hi = 4.0 * corner_coupling(_LAM, _N, "cells") * math.cos(_PHI)
-    located = golden_section_min(
-        lambda x: exact_midgap_gap(_LAM, _N, x, _PHI, 1.0), 0.0, bracket_hi, tol=1e-12
-    )
+    bracket_hi = 4.0 * corner_coupling(_LAM, _N, "cells") * _COS
+
+    def exact_gap(eta: float) -> float:
+        levels = ring_levels("honeycomb", [_LAM], _N, [eta], _PHI)[0, 0]
+        return float(levels[_N // 2] - levels[_N // 2 - 1])
+
+    located = golden_section_min(exact_gap, 0.0, bracket_hi, tol=1e-12)
     return abs(located - eta_star)
 
 
 def check_curvature_consistency(convention: str) -> float:
     sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention)
     eta_star = sol.eta_star
-    step = corner_coupling(_LAM, _N, "cells") * abs(math.sin(_PHI)) / 100.0
+    step = corner_coupling(_LAM, _N, "cells") * abs(_SIN) / 100.0
 
     etas = [eta_star + step, eta_star, eta_star - step]
     up, mid, down = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1].tolist()
@@ -110,15 +114,15 @@ def check_curvature_consistency(convention: str) -> float:
 
 def check_fidelity_closed_form(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
-    eta_star = c * math.cos(_PHI)
-    b = abs(c * math.sin(_PHI))
+    eta_star = c * _COS
+    b = abs(c * _SIN)
     value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, convention)
     return abs(value - 1.0 / math.sqrt(2.0))
 
 
 def check_fidelity_exact_vs_perturbative(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
-    eta_star = c * math.cos(_PHI)
+    eta_star = c * _COS
     deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
     f_exact = fidelity_exact(_LAM, _N, _PHI, 1.0, eta_star, deltas)
     return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, _N, eta_star, deltas, _PHI, convention))))

@@ -1,7 +1,8 @@
 """Reference computations that only the tests read: the dense ground
 energies the spectral-shift engine is held against, the full-lattice
-ground energy, and the closed-form curvature evaluated one eta at a time
-from its formula alone (nothing here comes from torus_qpt.criticality)."""
+ground energy, the closed-form curvature evaluated one eta at a time
+from its formula alone (nothing here comes from torus_qpt's closed forms),
+and the closed-form perturbative fidelity at the gap minimum."""
 
 import cmath
 import math
@@ -49,3 +50,19 @@ def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=No
             z = abs(eta * cmath.exp(1j * spec.phi) - c)
             total -= spec.t / omega_factor(lam, spec.N, convention) * c * c * math.sin(spec.phi) ** 2 / z ** 3
     return total
+
+
+def fidelity_at_minimum(lam: float, N: int, delta: float, phi: float, convention: str = "cells") -> float:
+    """Closed-form fidelity at eta = eta_star: b/sqrt(delta^2 + b^2)
+    with b = |c*sin(phi)|; equals 1 at delta = 0 and 0 across an exact
+    crossing (sin(phi) = 0, delta > 0). The oracle that test_ssh and
+    test_acceptance compare fidelity_perturbative against."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if delta == 0.0:
+        return 1.0
+    c = corner_coupling(lam, N, convention)
+    b = abs(c * math.sin(phi))
+    if b == 0.0:
+        return 0.0
+    return b / math.hypot(delta, b)

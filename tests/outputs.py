@@ -25,7 +25,8 @@ every differing file of a row is allow-listed, stdout lines that match
 apart from their numbers are allowed too, and each number that moved is
 reported with its absolute and relative deviation. A line `row: <arguments
 as in the table>` of the --allow file names a row: every difference of
-that row is allowed, and still reported.
+that row is allowed, and still reported. Both jobs exit with an error when
+a `row:` line names no row of the table.
 """
 
 from __future__ import annotations
@@ -363,11 +364,18 @@ def _rows_in(tree: Path, tag: str | None) -> dict[str, str]:
 
 
 def read_allow(path: Path | None) -> frozenset[str]:
-    """The entries of an --allow file: file-name glob patterns and `row:` lines."""
+    """The entries of an --allow file: file-name glob patterns and `row:`
+    lines. A `row:` line that names no row of the table is an error, not a
+    silent no-op."""
     if path is None:
         return frozenset()
     lines = (line.split("#", 1)[0].strip() for line in path.read_text(encoding="utf-8").splitlines())
-    return frozenset(line for line in lines if line)
+    entries = frozenset(line for line in lines if line)
+    stale = allowed_rows(entries) - {row.args for row in read_table()}
+    if stale:
+        raise SystemExit(f"error: {path} names rows that {TABLE.name} does not have: "
+                         f"{', '.join(sorted(shlex.join(args) for args in stale))}")
+    return entries
 
 
 def allowed_rows(allow: frozenset[str]) -> set[tuple[str, ...]]:

@@ -10,22 +10,21 @@ import time
 import numpy as np
 
 from conftest import dense_ring, record_criterion
-from oracles import d2_analytic
+from oracles import d2_analytic, fidelity_at_minimum
 from torus_qpt import (
     ModelSpec,
     build_h0,
     build_lattice,
     corner_coupling,
-    exact_midgap_gap,
-    fidelity_at_minimum,
     fidelity_exact,
     fidelity_perturbative,
     golden_section_min,
     midgap_perturbation,
     omega_factor,
+    ring_lams,
+    ring_levels,
     scaling_scan,
     sweep,
-    union_eigenvalues,
     zero_modes,
 )
 
@@ -49,7 +48,8 @@ def test_criterion_01_block_union_equivalence():
                     for phi in (0.0, PHI):
                         spec = ModelSpec(kind, M, N, 1.0, eta, phi)
                         full = np.linalg.eigvalsh(build_lattice(spec))
-                        union = union_eigenvalues(spec)
+                        levels = ring_levels(kind, ring_lams(kind, M), N, [eta], phi, spec.t)
+                        union = np.sort(levels.ravel())
                         worst = max(worst, float(np.max(np.abs(full - union))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -105,7 +105,8 @@ def test_criterion_03_perturbation_accuracy():
             abs(sol.eps_minus - float(evals[N // 2 - 1])),
         )
     gap_target = 2.0 * (t / omega) * c * abs(math.sin(PHI))
-    gap_exact = exact_midgap_gap(lam, N, c * math.cos(PHI), PHI)
+    evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, c * math.cos(PHI), PHI))
+    gap_exact = float(evals[N // 2] - evals[N // 2 - 1])
     gap_dev = abs(gap_exact - gap_target) / gap_target
     ok = worst <= 1e-5 and gap_dev <= 0.01
     check(
@@ -123,9 +124,11 @@ def test_criterion_04_extremum_and_curvature():
     omega = omega_factor(lam, N)
     eta_star = c * math.cos(PHI)
 
-    eta_min = golden_section_min(
-        lambda eta: exact_midgap_gap(lam, N, eta, PHI), 0.0, 4.0 * eta_star, tol=1e-12
-    )
+    def exact_gap(eta):
+        evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, eta, PHI))
+        return float(evals[N // 2] - evals[N // 2 - 1])
+
+    eta_min = golden_section_min(exact_gap, 0.0, 4.0 * eta_star, tol=1e-12)
     loc_dev = abs(eta_min - eta_star)
 
     h = abs(c * math.sin(PHI)) / 100.0
@@ -203,7 +206,8 @@ def test_criterion_06_second_order_scaling():
 def test_criterion_07_first_order_at_phi_zero():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
-    gap = exact_midgap_gap(lam, N, c, 0.0)
+    evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, c, 0.0))
+    gap = float(evals[N // 2] - evals[N // 2 - 1])
     drop = float(fidelity_exact(lam, N, 0.0, 1.0, c, [c])[0])
     ok = gap <= 1e-10 and drop < 0.1
     check(

@@ -17,7 +17,6 @@ from torus_qpt import (
     ring_levels,
     ring_stack,
     square_ring,
-    union_eigenvalues,
 )
 from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands
 
@@ -124,6 +123,16 @@ def test_ring_stack_matches_scalar_builders(kind, N, phi):
             assert _same_bits(stack[i, j], _written_ring(kind, lam, N, eta, phi, t)), (i, j)
 
 
+@pytest.mark.parametrize("quarters", [1, 2, 3, 4])
+def test_ring_stack_reads_the_flux_through_sin_cos(quarters):
+    # cmath.exp(1j*pi/2) has the real part 6.1e-17, which would stamp -6.1e-17*eta*t on the bond
+    N, eta, t = 8, 0.7, 1.3
+    ring = next(ring_stack("honeycomb", [0.5], N, [eta], quarters * math.pi / 2, t))[0]
+    sin_phi, cos_phi = ((1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0))[quarters - 1]
+    assert ring[N - 1, 0] == complex(-eta * t * cos_phi, -eta * t * sin_phi)
+    assert ring[0, N - 1] == ring[N - 1, 0].conjugate()
+
+
 def test_ring_stack_chunks_split_eta_rows():
     # 40 rings of 20 sites fill a chunk; 13 etas x 7 lambdas = 91 rings,
     # so chunk edges fall inside an eta's row of lambdas
@@ -202,7 +211,7 @@ def test_block_union_matches_full_lattice(kind, M, eta, phi):
     N = 8 if kind == "honeycomb" else 6
     spec = ModelSpec(kind, M, N, t=1.0, eta=eta, phi=phi)
     full = np.linalg.eigvalsh(build_lattice(spec))
-    union = union_eigenvalues(spec)
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
     assert np.max(np.abs(full - union)) <= 1e-10
 
 

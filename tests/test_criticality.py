@@ -15,25 +15,22 @@ from torus_qpt import (
     build_lattice,
     corner_coupling,
     critical_modes,
-    exact_midgap_gap,
     fidelity_exact,
     fidelity_perturbative,
     golden_section_min,
     linear_fit,
     midgap_perturbation,
     ring_lams,
+    ring_levels,
     ring_stack,
     scaling_scan,
     sweep,
     sweep_to_csv,
-    union_eigenvalues,
 )
-from torus_qpt import criticality
-from torus_qpt.blocks import CHUNK_ENTRIES
+from torus_qpt import criticality, ssh
+from torus_qpt.blocks import CHUNK_ENTRIES, sin_cos
 from torus_qpt.criticality import (
     MAX_ETA,
-    _d2_sum,
-    _d2_terms,
     _factor,
     _far_nodes,
     _level_crossing,
@@ -42,8 +39,8 @@ from torus_qpt.criticality import (
     _near_sums,
     _shift_table,
     _shifted_energies,
-    _sin_cos,
 )
+from torus_qpt.ssh import _d2_sum, critical_doublets
 
 PHI = math.pi / 4
 LAM_3_7 = 2.0 * math.cos(3.0 * math.pi / 7.0)
@@ -52,7 +49,8 @@ LAM_3_7 = 2.0 * math.cos(3.0 * math.pi / 7.0)
 def test_exact_midgap_gap_positive_and_small():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
-    gap = exact_midgap_gap(lam, N, c * math.cos(PHI), PHI)
+    evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, c * math.cos(PHI), PHI))
+    gap = float(evals[N // 2] - evals[N // 2 - 1])
     assert 0 < gap < 0.01
 
 
@@ -69,7 +67,7 @@ def test_ground_energy_exact_split():
     # E_g is the sum of negative full-lattice levels, and so of negative block levels
     evals = np.linalg.eigvalsh(build_lattice(spec))
     assert e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
-    union = union_eigenvalues(spec)
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
     assert e_g == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
     # the midgap part is negative, and so is the band remainder
     e_m = _midgap_part(spec)
@@ -79,7 +77,7 @@ def test_ground_energy_exact_split():
 def test_ground_energy_square_has_no_midgap_part():
     # the square lattice has no critical window, so E_g is the negative block levels alone
     spec = ModelSpec("square", 3, 8, eta=0.5, phi=PHI)
-    union = union_eigenvalues(spec)
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
     assert ground_energy_exact(spec) == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
 
 
@@ -103,7 +101,7 @@ def test_band_part_curvature_is_negligible_at_peak():
 
 def _scalar_d2(spec, eta, convention="cells"):
     """The closed-form curvature at one eta through analytic_curvature's own per-mode sum."""
-    return _d2_sum(spec, _d2_terms(spec, convention), eta)
+    return _d2_sum(spec, critical_doublets(spec, convention), eta)
 
 
 def test_d2_analytic_rejects_square():
@@ -142,7 +140,7 @@ def test_d2_analytic_first_order_branches():
     # sin(phi) = 0, exactly or within one ulp: 0 away from the crossing, -inf on it, no extremum
     for phi in (0.0, math.pi, 2.0 * math.pi):
         spec = ModelSpec("honeycomb", 7, 12, phi=phi)
-        crossing = corner_coupling(LAM_3_7, 12) * _sin_cos(phi)[1]
+        crossing = corner_coupling(LAM_3_7, 12) * sin_cos(phi)[1]
         column, extremum = analytic_curvature(spec, [0.5 * crossing, crossing])
         assert column.tolist() == [0.0, -math.inf] and extremum is None, phi
 
@@ -153,9 +151,9 @@ def test_sin_cos_is_exact_at_multiples_of_half_pi():
                     (-1, (-1.0, 0.0)), (-2, (0.0, -1.0)), (200, (0.0, 1.0))):
         phi = k * 0.5 * math.pi
         for x in (phi, math.nextafter(phi, math.inf), math.nextafter(phi, -math.inf)):
-            assert _sin_cos(x) == want, (k, x)
+            assert sin_cos(x) == want, (k, x)
     for phi in (PHI, 1.1, -2.5, 1e-300, math.nextafter(math.pi, 0.0) - 1e-15):
-        assert _sin_cos(phi) == (math.sin(phi), math.cos(phi))
+        assert sin_cos(phi) == (math.sin(phi), math.cos(phi))
 
 
 @pytest.mark.parametrize("convention", ["cells", "sites"])
@@ -615,18 +613,27 @@ def test_scaling_scan_reaches_n_80():
 
 
 def test_scaling_scan_reads_no_closed_form_term(monkeypatch):
-    # at N = 600 and 620 the closed-form terms (eps^-)^3 underflow, which stopped the scan although the
-    # exact engine resolves both rings; the scan now makes no _d2_sum call
+    # the scan reads the exact engine alone: no closed-form term can stop it (at N = 600 and 620 the old
+    # (eps^-)^3 form underflowed), and it makes no _d2_sum call
     calls = []
-    monkeypatch.setattr(criticality, "_d2_sum", lambda *args: calls.append(args) or _d2_sum(*args))
+    monkeypatch.setattr(ssh, "_d2_sum", lambda *args: calls.append(args) or _d2_sum(*args))
     report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[600, 620], steps=128)
     assert abs(report["fit_eta"]["slope"] - math.log(abs(LAM_3_7)) / 2.0) <= 1e-12
     assert calls == []
-    # the comparison itself still leaves double range, as `sweep --M 7 --N 800` reports
-    with pytest.raises(RuntimeError) as info:
-        analytic_curvature(ModelSpec("honeycomb", 7, 800, phi=PHI), [0.0, 1e-141])
-    assert str(info.value) == ("analytic curvature out of double range: (eps^-)^3 underflows to 0 at eta=0 "
-                               "for the mode with c_k=2.29e-141")
+
+
+@pytest.mark.parametrize("N", [400, 600, 800])
+def test_analytic_extremum_stays_in_double_range(N):
+    # each term is -(t/Omega)*r^2/|z| with |r| <= 1: a cube of the tiny |z| was subnormal near eta* from
+    # N = 584 on (it moved the N = 600 extremum by 6.1e-4) and 0 at N = 800, which stopped that sweep
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    doublets = critical_doublets(spec)
+    eta_star = max(abs(c) for c, _ in doublets) * math.cos(PHI)
+    column, (eta_m, peak) = analytic_curvature(spec, np.linspace(0.0, 3.0 * eta_star, 201))
+    assert np.isfinite(column).all() and (column < 0.0).all()
+    assert eta_m == pytest.approx(eta_star, rel=3e-8, abs=0.0)  # a flat extremum is located to ~sqrt(eps)
+    want = -sum(spec.t / (om * abs(c * math.sin(PHI))) for c, om in doublets)
+    assert peak == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_scaling_scan_dedupes_and_sorts():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from outputs import MEASURES, compare_trees, read_table
+from outputs import MEASURES, TESTS, compare_trees, read_allow, read_table
 
 TAGS = {"readme", "stress", "fails", "double-range", "process"} | set(MEASURES)
 
@@ -132,3 +132,11 @@ def test_a_row_named_in_the_allow_file_may_differ(tmp_path, entry):
     prefix = "    allowed: " if same else "    "
     for note in ("exit code 0 -> 2", "stderr: 0 -> 1 lines", "sweep.csv: only in A"):
         assert prefix + note in report.splitlines()
+
+
+def test_every_row_entry_of_the_allow_file_names_a_row_of_the_table(tmp_path):
+    read_allow(TESTS / "outputs_allow.txt")  # the committed list names no stale row
+    stale = tmp_path / "allow.txt"
+    stale.write_text("sweep.csv\nrow: validate\nrow: sweep --M 7 --N 801\n")
+    with pytest.raises(SystemExit, match="does not have: sweep --M 7 --N 801$"):
+        read_allow(stale)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
+from oracles import fidelity_at_minimum
 from torus_qpt import (
     build_h0,
     corner_coupling,
-    exact_midgap_gap,
-    fidelity_at_minimum,
     fidelity_perturbative,
     midgap_perturbation,
     omega_factor,
@@ -161,12 +160,22 @@ def test_midgap_first_order_crossing():
     assert off.curvature_max == -math.inf  # sin(phi) = 0 keeps the crossing exact
 
 
+@pytest.mark.parametrize("phi", [math.pi, 2.0 * math.pi])
+def test_midgap_reads_the_flux_through_sin_cos(phi):
+    # math.sin(pi) is 1.2e-16: read raw, it gave gap_min 1.8e-19 and curvature_max -6.3e18 here
+    sol, at_zero = midgap_perturbation(0.5, 20, 0.0, phi), midgap_perturbation(0.5, 20, 0.0, 0.0)
+    assert sol.gap_min == at_zero.gap_min == 0.0
+    assert sol.curvature_max == at_zero.curvature_max == -math.inf
+    assert sol.eta_star == corner_coupling(0.5, 20) * (1.0 if phi == 2.0 * math.pi else -1.0)
+
+
 def test_perturbative_gap_tracks_exact_block():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     eta_star = c * math.cos(PHI)
     sol = midgap_perturbation(lam, N, eta_star, PHI)
-    exact = exact_midgap_gap(lam, N, eta_star, PHI)
+    evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, eta_star, PHI))
+    exact = float(evals[N // 2] - evals[N // 2 - 1])
     assert sol.gap_min == pytest.approx(exact, rel=1e-2)
 
 
