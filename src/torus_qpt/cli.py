@@ -16,8 +16,9 @@ Exit codes: 0 success. 2 the input was rejected before any work: any
 ValueError, ConfigError included, from a converter (a non-integral
 count, NaN or +-inf, t <= 0, an unknown choice) or from the library's own
 domain checks (ModelSpec, sweep's grid, scaling_scan's ring lengths).
-1 a computation or check failed: RuntimeError, LinAlgError, or a
-failing validate check.
+1 a computation or check failed: RuntimeError, LinAlgError, a failing
+validate check, or FloatingPointError (NumPy raises on overflow, invalid
+values and division by zero in every command: an output past double range).
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ OPTIONS = (
     ("kind", _one_of("kind", KINDS), True, f"lattice kind: {' or '.join(KINDS)}", _MODEL),
     ("M", integer, True, "number of rows", _STEPS),
     ("N", integer, True, "ring length", ("spectrum", "sweep", "fidelity")),
-    ("t", positive, True, "hopping energy unit (> 0)", _FLUX),
+    ("t", positive, True, "hopping energy unit (> 0)", ("spectrum", "sweep", "scaling", "square")),
     ("eta", number, True, "boundary coupling", _MODEL),
     ("phi", number, True, "flux phase in radians", _FLUX),
     ("phi_over_pi", number, True, "flux phase as a fraction of pi", _FLUX),
@@ -237,7 +238,7 @@ def cmd_spectrum(config: dict) -> int:
     spec = _build_model(config, kind, 0, N, 1.0, phi) if config.get("dump_blocks") else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
-    levels = ring_levels(kind, [lam], N, grid, phi, config.get("t", 1.0))[:, 0]
+    levels = config.get("t", 1.0) * ring_levels(kind, [lam], N, grid, phi)[:, 0]
     rows = [[float(eta)] + list(row) for eta, row in zip(grid, levels)]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     _publish(config, "spectrum.csv", csv_text(header, rows),
@@ -289,7 +290,7 @@ def cmd_fidelity(config: dict) -> int:
         raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * sin_cos(phi)[1])
-    f_exact = fidelity_exact(lam, N, phi, config.get("t", 1.0), eta_center, deltas)
+    f_exact = fidelity_exact(lam, N, phi, eta_center, deltas)
     f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, config.get("convention", "cells"))
     _publish(config, "fidelity.csv", csv_text(["delta", "f_exact", "f_perturbative"], zip(deltas, f_exact, f_pert)),
              f"fidelity: eta_center={fmt_float(eta_center)} deltas={delta_steps}")
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Exit 2 when the input is rejected (any ValueError,
     ConfigError included, or an unreadable file), 1 when a computation or
-    check fails (RuntimeError, LinAlgError)."""
+    check fails (RuntimeError, LinAlgError, FloatingPointError)."""
     args = build_parser().parse_args(argv)
     try:
         file_data = None
@@ -398,8 +399,10 @@ def main(argv=None) -> int:
             if not isinstance(file_data, dict):
                 raise ConfigError("config file must contain a JSON object")
         overrides = {key: getattr(args, key) for key, *_ in OPTIONS if getattr(args, key, None) is not None}
-        return _RUNNERS[args.command](parse_config(args.command, file_data, overrides))
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError: test it first
+        config = parse_config(args.command, file_data, overrides)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _RUNNERS[args.command](config)
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError: test it first
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -22,6 +22,11 @@ ring-level path. `fidelity_exact` takes its eigenvectors from one
 `ring_stack` pass over all its displaced rings (one eigh per chunk) and
 its doublet splitting from `ssh.midgap_perturbation`.
 
+The engine works at t = 1. `sweep` scales E_g and its curvature by spec.t
+once, after the peak is found (eta_m and the flags do not depend on t),
+and `fidelity_exact`, a ratio of energies, takes no t. In both entry
+points NumPy raises on overflow, invalid values and division by zero.
+
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
 Proc. Phys. Soc. 90, 207 (1967); Krein's spectral shift) each block adds
@@ -29,7 +34,7 @@ Proc. Phys. Soc. 90, 207 (1967); Krein's spectral shift) each block adds
     dE(eta) = -(1/pi) int_0^inf ln|q(y, eta)| dy,
     q = det(1 - G0(iy) V) = 1 + A*eta + B*eta^2,
 
-with A = 2t*cos(phi)*G_1N and B = t^2*(G_1N^2 - G_11*G_NN) from the
+with A = 2*cos(phi)*G_1N and B = G_1N^2 - G_11*G_NN from the
 boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
 the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
@@ -38,7 +43,7 @@ are palindromic (blocks.ring_bands), so G_11 = G_NN bit for bit, and the
 two G0 entries G_NN and G_1N come from one O(N) continued fraction over
 H0's bands, once per distinct mode (m and M - m share them) on one node
 set, and serve every eta of the sweep.
-The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y/t)
+The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y)
 over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
 gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
 
@@ -79,7 +84,7 @@ MIN_STEPS = 64
 MAX_ETA = 100.0  # largest eta a sweep accepts: the engine's error bound is verified up to it
 
 # Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
-# panels of s = ln(y/t), from y = _Y_LO*t to at least _Y_HI*(4 + max eta)*t.
+# panels of s = ln(y), from y = _Y_LO to at least _Y_HI*(4 + max eta).
 _GAUSS_POINTS = 10
 # Chebyshev samples of the near-node sums on [0, eta_max]; error O(rho^-K), rho = 3 + sqrt(8).
 _CHEB_POINTS = 33
@@ -126,7 +131,7 @@ def _open_ground_energy(spec: ModelSpec) -> float:
     """E_g(0): each open ring's negative levels summed, then the rings added
     in ascending mode order."""
     total = 0.0
-    for levels in ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [0.0], spec.phi, spec.t)[0]:
+    for levels in ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [0.0], spec.phi)[0]:
         total += levels[: np.count_nonzero(levels < 0.0)].sum()
     return float(total)
 
@@ -185,32 +190,20 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     panels = math.ceil(math.log(_Y_HI * (4.0 + eta_max)) - s_lo)
     x, w = _gauss_legendre()
     s = np.concatenate(([s_lo], (s_lo + np.arange(panels)[:, None] + x).ravel(), [s_lo + panels]))
-    y = spec.t * np.exp(s)
+    y = np.exp(s)
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
     sin_phi, cos_phi = sin_cos(spec.phi)
-    t, s2, M = spec.t, sin_phi ** 2, spec.M
+    s2, M = sin_phi ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
-    bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N, t)
+    bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N)
     gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
-    a = 2.0 * t * cos_phi * g1n
-    b = t * t * (g1n * g1n - gnn * gnn)  # G_11 = G_NN
-    d4 = t * t * (gnn * gnn - s2 * g1n * g1n)  # (A^2 - 4B)/4, formed without cancellation
+    a = 2.0 * cos_phi * g1n
+    b = g1n * g1n - gnn * gnn  # G_11 = G_NN
+    d4 = gnn * gnn - s2 * g1n * g1n  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
-    lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo*t
+    lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo
     return _open_ground_energy(spec), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
-
-
-def _in_double_range(step):
-    """Run a step of the engine with NumPy raising on overflow, invalid values
-    and division by zero, and report those as a sweep out of double range."""
-    def run(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return step(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise RuntimeError(f"the spectral-shift engine is out of double range ({exc})") from None
-    return functools.wraps(step)(run)
 
 
 class _ShiftTerms(NamedTuple):
@@ -221,10 +214,9 @@ class _ShiftTerms(NamedTuple):
     near: np.ndarray  # (2, _CHEB_POINTS): near-node sums of ln|q| and of d2 ln|q| at the points
     w_far: np.ndarray  # far-node quadrature weights
     far: tuple  # factored far q, as _far_nodes reads it
-    lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo*t
+    lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo
 
 
-@_in_double_range
 def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float,
                 lowest: np.ndarray) -> _ShiftTerms:
     """Split the nodes in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
@@ -306,7 +298,6 @@ def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ln, d2
 
 
-@_in_double_range
 def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sums of ln|q(y, eta)| and of its exact
     second eta-derivative over the table's nodes, for a column of etas: the
@@ -331,7 +322,7 @@ def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndar
 
 
 def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
-    """Whether Re q at some mode's node y = y_lo*t changes sign between
+    """Whether Re q at some mode's node y = y_lo changes sign between
     adjacent etas of the grid: a ring level crossing zero there. A near node
     keeps Re q >= 3/4, and a honeycomb ring's q = B*(eta - R)^2 + J stays
     positive, so only the square lattice's far nodes are read."""
@@ -346,6 +337,22 @@ def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
 # sweeps
 
 
+def _in_double_range(what: str):
+    """Decorate an entry point of the engine: run it with NumPy raising on
+    overflow, invalid values and division by zero, and report those as a
+    RuntimeError that says `what` is out of double range."""
+    def decorate(entry):
+        def run(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    return entry(*args, **kwargs)
+            except FloatingPointError as exc:
+                raise RuntimeError(f"{what} is out of double range ({exc})") from None
+        return functools.wraps(entry)(run)
+    return decorate
+
+
+@_in_double_range("the spectral-shift engine")
 def sweep(
     spec: ModelSpec,
     eta_min: float | None = None,
@@ -363,8 +370,8 @@ def sweep(
     MIN_STEPS and 0 <= eta_min < eta_max <= MAX_ETA.
 
     E_g and d2E_g/deta2 come from one spectral-shift table (see the module
-    docstring), whose lower cut y_lo*t, y_lo = min(1e-14, 1e-4*min_k
-    |c_k*sin(phi)|/Omega_k), is below every midgap gap. The peak is the
+    docstring) in units of t, whose lower cut y_lo = min(1e-14, 1e-4*min_k
+    |c_k*sin(phi)|/Omega_k) is below every midgap gap. The peak is the
     interior grid argmax of |d2_numeric|, refined by golden-section search
     on |d2| within one step (to 1e-6 of a step). An argmax on the first or
     last interior point is flagged 'peak-not-bracketed' and left
@@ -373,14 +380,15 @@ def sweep(
     and also skips refinement. A phi within one ulp of a multiple of pi/2
     counts as exactly that multiple (sin and cos are exactly 0 or +-1).
     'level-crossing' reports that some ring level crosses zero between two
-    grid points (Re q changes sign at a mode's node y = y_lo*t): E_g has a
+    grid points (Re q changes sign at a mode's node y = y_lo): E_g has a
     kink there, whose delta-function curvature d2_numeric does not hold. It
-    does not change the refinement.
+    does not change the refinement. E_g, d2_numeric and the peak are
+    multiplied by spec.t last, so eta_m and the flags do not depend on t.
 
-    RuntimeError when the engine leaves double range (M = 61, N = 128,
-    say): its array arithmetic overflows, divides by zero or turns invalid
-    (NumPy raises there instead of warning), or E_g, an interior d2_numeric
-    value or the peak is not finite.
+    RuntimeError when the engine leaves double range (M = 61, N = 128, or
+    a t whose scaled outputs do not fit a double): its array arithmetic
+    overflows, divides by zero or turns invalid, where NumPy raises instead
+    of warning.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -402,9 +410,6 @@ def sweep(
     h = (hi - lo) / steps
     e_curve, d2_num = _shifted_energies(spec, table, grid)
     d2_num[[0, -1]] = np.nan  # at eta = 0 a square ring's zero level puts ~ -1/y_lo here
-    if not (np.isfinite(e_curve).all() and np.isfinite(d2_num[1:steps]).all()):
-        raise RuntimeError(f"E_g or its curvature is not finite on the grid at M={spec.M}, N={spec.N}: "
-                           "the spectral-shift engine is out of double range")
 
     flags: list[str] = []
     if spec.kind == "honeycomb" and sin_phi == 0.0:
@@ -418,13 +423,11 @@ def sweep(
     if not flags:
         eta_m = golden_section_min(lambda x: -abs(_shifted_energies(spec, table, [x])[1][0]), eta_m - h, eta_m + h,
                                    tol=1e-6 * h)
-    peak = float(_shifted_energies(spec, table, [eta_m])[1][0])
-    if not math.isfinite(peak):
-        raise RuntimeError(f"curvature peak is not finite at eta={eta_m:.6g} (M={spec.M}, N={spec.N})")
+    peak = _shifted_energies(spec, table, [eta_m])[1][0]
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
-    return SweepResult(grid, e_curve, d2_num, eta_m, peak, tuple(flags))
+    return SweepResult(grid, spec.t * e_curve, spec.t * d2_num, eta_m, float(spec.t * peak), tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +527,13 @@ def scaling_scan(
 # fidelity
 
 
-def fidelity_exact(
-    lam: float,
-    N: int,
-    phi: float,
-    t: float,
-    eta_center: float,
-    delta_grid,
-) -> np.ndarray:
+@_in_double_range("the midgap fidelity")
+def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid) -> np.ndarray:
     """Midgap fidelity |<v(eta-delta), v(eta+delta)>| from exact ring
     eigenvectors (upper midgap level) at eta = eta_center: one value per
     delta of `delta_grid`, in its order. Its perturbative twin is
-    ssh.fidelity_perturbative.
+    ssh.fidelity_perturbative. It and its guards are ratios of energies,
+    so it solves the rings at t = 1 and takes no t.
 
     ValueError unless every delta is positive. The guards read the physical
     corner c = lambda^(N/2) and its Omega. The floor of the dense solve is
@@ -554,24 +552,24 @@ def fidelity_exact(
     overlap falls back to the principal angle between the two-dimensional
     midgap subspaces. All 2*len(delta_grid) displaced rings are solved in
     one ring_stack pass, and each keeps only its two midgap levels and
-    vectors.
+    vectors. Arithmetic out of double range is a RuntimeError too.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64)
     if deltas.size == 0 or not (deltas > 0.0).all():
         raise ValueError("delta_grid must contain positive values only")
 
-    center = midgap_perturbation(lam, N, eta_center, phi, t)  # checks lam and N first
-    floor = np.finfo(np.float64).eps * (1.0 + abs(lam)) * t
+    center = midgap_perturbation(lam, N, eta_center, phi)  # checks lam and N first
+    floor = np.finfo(np.float64).eps * (1.0 + abs(lam))
     etas = np.concatenate([eta_center - deltas, eta_center + deltas]).tolist()
     for eta in etas:
-        split = 2.0 * midgap_perturbation(lam, N, eta, phi, t).eps_plus
+        split = 2.0 * midgap_perturbation(lam, N, eta, phi).eps_plus
         if 0.0 < split < 1e3 * floor:
             raise RuntimeError(
                 f"midgap doublet below double resolution at eta={eta:.6g}: its splitting scale "
                 f"2(t/Omega)|eta*e^(i phi) - c| = {split:.3g} is {split / floor:.3g} x eps*(1 + |lambda|)*t, "
                 f"below 1e3 (lambda={lam:g}, N={N})"
             )
-    evals = ring_levels("honeycomb", [lam], N, [eta_center], phi, t)[0, 0]
+    evals = ring_levels("honeycomb", [lam], N, [eta_center], phi)[0, 0]
     band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
     if band_sep < 10.0 * center.gap_min:
         raise RuntimeError(
@@ -585,7 +583,7 @@ def fidelity_exact(
         w, v = np.linalg.eigh(chunk)
         return w[:, N // 2 - 1 : N // 2 + 1].copy(), v[:, :, N // 2 - 1 : N // 2 + 1].copy()
 
-    levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi, t))))
+    levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi))))
     f_exact = np.empty(deltas.size)
     for i in range(deltas.size):
         (w1, w2), (u1, u2) = levels[[i, deltas.size + i]], vectors[[i, deltas.size + i]]  # eta_center -+ delta

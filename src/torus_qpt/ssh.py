@@ -12,13 +12,14 @@ doublet vectors are built). On the torus each critical mode k carries
 such a doublet (`critical_doublets`), and the closed-form curvature sum
 over them (`analytic_curvature`, minimized by `golden_section_min`) is the
 perturbative comparison of a curvature sweep. Every closed form here
-reads the flux through `blocks.sin_cos`.
+reads the flux through `blocks.sin_cos`, and every energy is in units of
+the hopping t except `analytic_curvature`'s, which reads spec.t.
 
 Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
 open alternating ring (bonds -lambda within cells, +1 between cells:
-minus the bands of `blocks.peierls_ring` at t = 1) plus a corner
-compensation entry c at (1,N)/(N,1). The physical ring block equals
--t*(h0 + h'), where h' holds only the corner remainders
+minus the bands of `blocks.peierls_ring`) plus a corner compensation
+entry c at (1,N)/(N,1). The ring block of `blocks.ring_stack` equals
+-(h0 + h'), where h' holds only the corner remainders
 eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). The corner
 exponent is switchable: 'cells' uses c = lambda^(N/2), which makes h0
 annihilate the zero-mode vectors exactly; 'sites' uses c = lambda^N and
@@ -97,7 +98,7 @@ def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_h0(lam: float, N: int, convention: str = "cells") -> np.ndarray:
-    """The reference matrix h0: minus the open ring's bonds at t = 1 (-lam
+    """The reference matrix h0: minus the open ring's bonds (-lam
     within cells, +1 between cells) and the corner compensation c at (1,N)
     and (N,1)."""
     h0 = np.zeros(N * N)  # row-major: (i, i + 1) is entry 1 + i*(N + 1), (i + 1, i) is N + i*(N + 1)
@@ -126,29 +127,22 @@ class MidgapSolution:
     curvature_max: float
 
 
-def midgap_perturbation(
-    lam: float,
-    N: int,
-    eta: float,
-    phi: float,
-    t: float = 1.0,
-    convention: str = "cells",
-) -> MidgapSolution:
-    """Degenerate perturbation theory for the midgap doublet.
+def midgap_perturbation(lam: float, N: int, eta: float, phi: float, convention: str = "cells") -> MidgapSolution:
+    """Degenerate perturbation theory for the midgap doublet, in units of t.
 
     With c = corner_coupling, Omega = omega_factor and
-    z = eta*e^{i phi} - c: eps_+- = +-(t/Omega)*|z|. The minimum gap over
-    eta is 2*(t/Omega)*|c*sin(phi)| at eta_star = c*cos(phi), where the
-    lower branch has curvature -t/(|c|*Omega*|sin(phi)|).
+    z = eta*e^{i phi} - c: eps_+- = +-|z|/Omega. The minimum gap over
+    eta is 2*|c*sin(phi)|/Omega at eta_star = c*cos(phi), where the
+    lower branch has curvature -1/(|c|*Omega*|sin(phi)|).
     """
     _check_chain(lam, N)
     c = corner_coupling(lam, N, convention)
     omega = omega_factor(lam, N, convention)
     sin_phi, cos_phi = sin_cos(phi)
-    eps = t * abs(eta * complex(cos_phi, sin_phi) - c) / omega
-    gap_min = 2.0 * t * abs(c * sin_phi) / omega
+    eps = abs(eta * complex(cos_phi, sin_phi) - c) / omega
+    gap_min = 2.0 * abs(c * sin_phi) / omega
     if c != 0.0 and sin_phi != 0.0:
-        curvature_max = -t / (abs(c) * omega * abs(sin_phi))
+        curvature_max = -1.0 / (abs(c) * omega * abs(sin_phi))
     else:
         curvature_max = float("-inf")
     return MidgapSolution(

@@ -28,7 +28,7 @@ def _union_deviation(specs: list[ModelSpec]) -> float:
     worst = 0.0
     for spec in specs:
         full = np.linalg.eigvalsh(build_lattice(spec))
-        levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t)
+        levels = spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi)
         worst = max(worst, float(np.max(np.abs(full - np.sort(levels.ravel())))) / spec.t)
     return worst
 
@@ -69,7 +69,7 @@ def check_square_closed_form(convention: str) -> float:
     for n in range(2, 65):
         for phi, etas in ((0.0, (0.0, 1.0)), (math.pi / 4, (1.0,)), (math.pi / 2, (1.0,))):
             dense = ring_levels("square", lams, n, etas, phi)
-            closed = [[square_ring_closed_form(n, phi, lam2k, eta, 1.0) for lam2k in lams] for eta in etas]
+            closed = [[square_ring_closed_form(n, phi, lam2k, eta) for lam2k in lams] for eta in etas]
             worst = max(worst, float(np.max(np.abs(np.array(closed) - dense))))
     return worst
 
@@ -84,13 +84,13 @@ def check_perturbation_vs_oracle(convention: str) -> float:
     pairs = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1 : _N // 2 + 1]
     worst = 0.0
     for eta, (lower, upper) in zip(etas, pairs.tolist()):
-        sol = midgap_perturbation(_LAM, _N, eta, _PHI, 1.0, convention)
+        sol = midgap_perturbation(_LAM, _N, eta, _PHI, convention)
         worst = max(worst, abs(sol.eps_minus - lower), abs(sol.eps_plus - upper))
     return worst
 
 
 def check_gap_minimum_location(convention: str) -> float:
-    eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention).eta_star
+    eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, convention).eta_star
     bracket_hi = 4.0 * corner_coupling(_LAM, _N, "cells") * _COS
 
     def exact_gap(eta: float) -> float:
@@ -102,7 +102,7 @@ def check_gap_minimum_location(convention: str) -> float:
 
 
 def check_curvature_consistency(convention: str) -> float:
-    sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, 1.0, convention)
+    sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, convention)
     eta_star = sol.eta_star
     step = corner_coupling(_LAM, _N, "cells") * abs(_SIN) / 100.0
 
@@ -124,7 +124,7 @@ def check_fidelity_exact_vs_perturbative(convention: str) -> float:
     c = corner_coupling(_LAM, _N, convention)
     eta_star = c * _COS
     deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
-    f_exact = fidelity_exact(_LAM, _N, _PHI, 1.0, eta_star, deltas)
+    f_exact = fidelity_exact(_LAM, _N, _PHI, eta_star, deltas)
     return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, _N, eta_star, deltas, _PHI, convention))))
 
 

@@ -12,10 +12,10 @@ def record_criterion(line: str) -> None:
     print(line)
 
 
-def dense_ring(kind: str, lam: float, N: int, eta: float, phi: float, t: float = 1.0):
+def dense_ring(kind: str, lam: float, N: int, eta: float, phi: float):
     """The dense N x N ring block of one (lambda, eta), boundary bond
-    included, as ring_stack builds it."""
-    return next(ring_stack(kind, [lam], N, [eta], phi, t))[0]
+    included, in units of t, as ring_stack builds it."""
+    return next(ring_stack(kind, [lam], N, [eta], phi))[0]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,9 +13,10 @@ from torus_qpt import ModelSpec, build_lattice, corner_coupling, critical_modes,
 
 
 def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
-    """E_g at each eta from the dense ring levels: each block's negative
-    levels summed, then the blocks added in ascending mode order."""
-    levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, etas, spec.phi, spec.t)
+    """E_g at each eta from the dense ring levels at t = 1: each block's
+    negative levels summed, then the blocks added in ascending mode order,
+    then the sum multiplied by spec.t."""
+    levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, etas, spec.phi)
     negative = np.count_nonzero(levels < 0.0, axis=-1)
     sums = np.empty(negative.shape)
     for k in set(negative.ravel().tolist()):
@@ -24,7 +25,7 @@ def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
     total = np.zeros(len(etas))
     for column in sums.T:
         total += column
-    return total
+    return spec.t * total
 
 
 def ground_energy_exact(spec: ModelSpec) -> float:

@@ -6,7 +6,8 @@
 `run` executes each row of the table (only those tagged TAG, if given) as
 `python -m torus_qpt <arguments> --out out` in a fresh process, with the
 package imported from DIR (default: the src/ next to this directory), or
-through the installed `torus-qpt` console script. Row k runs in OUT/kk/,
+through the installed `torus-qpt` console script; rows tagged `stress` or
+`fails` run with PYTHONWARNINGS=error::RuntimeWarning. Row k runs in OUT/kk/,
 which keeps `row` (its table line), `exit`, `stdout`, `stderr` and, under
 `out/`, the files the command wrote. Then it checks what the table says of
 each row (see its header) and exits 1 when a row breaks it. A row that the
@@ -183,7 +184,7 @@ def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script
         directory.mkdir(parents=True)
         (directory / "row").write_text(row.line + "\n", encoding="utf-8")
         args = with_config_file(row.args, directory / "config.json")
-        row_env = {**env, "PYTHONWARNINGS": "error::RuntimeWarning"} if "stress" in row.tags else env
+        row_env = {**env, "PYTHONWARNINGS": "error::RuntimeWarning"} if row.tags & {"stress", "fails"} else env
         start = time.perf_counter()
         with open(directory / "stdout", "w") as stdout, open(directory / "stderr", "w") as stderr:
             code = subprocess.run([*command, *args, "--out", "out"], cwd=directory, env=row_env,

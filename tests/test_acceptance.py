@@ -48,7 +48,7 @@ def test_criterion_01_block_union_equivalence():
                     for phi in (0.0, PHI):
                         spec = ModelSpec(kind, M, N, 1.0, eta, phi)
                         full = np.linalg.eigvalsh(build_lattice(spec))
-                        levels = ring_levels(kind, ring_lams(kind, M), N, [eta], phi, spec.t)
+                        levels = spec.t * ring_levels(kind, ring_lams(kind, M), N, [eta], phi)
                         union = np.sort(levels.ravel())
                         worst = max(worst, float(np.max(np.abs(full - union))))
     elapsed = time.perf_counter() - start
@@ -208,7 +208,7 @@ def test_criterion_07_first_order_at_phi_zero():
     c = corner_coupling(lam, N)
     evals = np.linalg.eigvalsh(dense_ring("honeycomb", lam, N, c, 0.0))
     gap = float(evals[N // 2] - evals[N // 2 - 1])
-    drop = float(fidelity_exact(lam, N, 0.0, 1.0, c, [c])[0])
+    drop = float(fidelity_exact(lam, N, 0.0, c, [c])[0])
     ok = gap <= 1e-10 and drop < 0.1
     check(
         7,
@@ -227,7 +227,7 @@ def test_criterion_08_fidelity():
     half_dev = abs(f_half - 1.0 / math.sqrt(2.0))
     closed_dev = abs(fidelity_at_minimum(lam, N, b, PHI) - 1.0 / math.sqrt(2.0))
     deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
-    f_exact = fidelity_exact(lam, N, PHI, 1.0, eta_star, deltas)
+    f_exact = fidelity_exact(lam, N, PHI, eta_star, deltas)
     pert_dev = float(np.max(np.abs(f_exact - fidelity_perturbative(lam, N, eta_star, deltas, PHI))))
     ok = half_dev <= 1e-8 and closed_dev <= 1e-8 and pert_dev <= 1e-3
     check(

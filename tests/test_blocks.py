@@ -25,11 +25,11 @@ LAM_3_7 = 0.4450418679126289
 
 
 def test_peierls_ring_entries():
-    diag, bonds = peierls_ring(0.5, 6, t=2.0)
+    diag, bonds = peierls_ring(0.5, 6)
     assert diag.dtype == bonds.dtype == np.float64
     assert diag.tolist() == [0.0] * 6
-    assert bonds.tolist() == [1.0, -2.0, 1.0, -2.0, 1.0]  # +lam*t within cells, -t between them
-    assert peierls_ring(0.5, 4, t=1)[1].tolist() == [0.5, -1.0, 0.5]  # an integer t still gives float bands
+    assert bonds.tolist() == [0.5, -1.0, 0.5, -1.0, 0.5]  # +lam within cells, -1 between them
+    assert peierls_ring(1, 4)[1].dtype == np.float64  # an integer lambda still gives float bands
 
 
 def test_peierls_ring_rejects_odd_or_short():
@@ -55,10 +55,10 @@ def test_square_ring_n2_accumulation():
 
 
 def test_ring_bands_stack_one_builder_call_per_lambda():
-    diag, bonds = ring_bands("honeycomb", [0.5, -0.3, 0.0], 8, 1.5)
+    diag, bonds = ring_bands("honeycomb", [0.5, -0.3, 0.0], 8)
     assert diag.shape == (3, 8) and bonds.shape == (3, 7)
     for row, lam in enumerate([0.5, -0.3, 0.0]):
-        want_diag, want_bonds = peierls_ring(lam, 8, 1.5)
+        want_diag, want_bonds = peierls_ring(lam, 8)
         assert np.array_equal(diag[row], want_diag) and np.array_equal(bonds[row], want_bonds)
     diag, bonds = ring_bands("square", [1.2, -2.0], 3)
     assert diag.tolist() == [[-1.2] * 3, [2.0] * 3] and bonds.tolist() == [[-1.0] * 2] * 2
@@ -71,7 +71,7 @@ def test_ring_bands_are_palindromic_bit_for_bit(kind):
     for M in range(2, 32):
         lams = ring_lams(kind, M)
         for N in lengths:
-            for band in ring_bands(kind, lams, N, 0.7):
+            for band in ring_bands(kind, lams, N):
                 assert band.tobytes() == np.flip(band, axis=1).tobytes(), (kind, M, N)
 
 
@@ -83,24 +83,25 @@ def _same_bits(a, b):
     )
 
 
-def _written_ring(kind, lam, N, eta, phi, t=1.0):
+def _written_ring(kind, lam, N, eta, phi):
     """A ring block written out entry by entry: the chain's bonds and
-    diagonal, then the boundary bond -eta*t*e^{i phi} added at (N,1) and
+    diagonal, then the boundary bond -eta*e^{i phi} added at (N,1) and
     its conjugate at (1,N), onto +0.0 or, for a two-site ring, the bond."""
     H = np.zeros((N, N), dtype=np.complex128)
     for l in range(N - 1):
-        H[l, l + 1] = H[l + 1, l] = lam * t if kind == "honeycomb" and l % 2 == 0 else -t
+        H[l, l + 1] = H[l + 1, l] = lam if kind == "honeycomb" and l % 2 == 0 else -1.0
     if kind != "honeycomb":
-        H[np.diag_indices(N)] = -lam * t
-    bond = -eta * t * cmath.exp(1j * phi)
+        H[np.diag_indices(N)] = -lam
+    bond = -eta * cmath.exp(1j * phi)
     H[N - 1, 0] += bond
     H[0, N - 1] += bond.conjugate()
     return H
 
 
 def test_ring_stack_writes_small_rings_out():
-    honeycomb = next(ring_stack("honeycomb", [0.5], 4, [0.5], 0.0, 2.0))[0]
-    assert _same_bits(honeycomb, np.array([[0, 1, 0, -1], [1, 0, -2, 0], [0, -2, 0, 1], [-1, 0, 1, 0]], dtype=complex))
+    honeycomb = next(ring_stack("honeycomb", [0.5], 4, [0.5], 0.0))[0]
+    want = [[0, 0.5, 0, -0.5], [0.5, 0, -1, 0], [0, -1, 0, 0.5], [-0.5, 0, 0.5, 0]]
+    assert _same_bits(honeycomb, np.array(want, dtype=complex))
     square = next(ring_stack("square", [1.5], 2, [1.0], 0.0))[0]
     assert _same_bits(square, np.array([[-1.5, -2], [-2, -1.5]], dtype=complex))
 
@@ -108,28 +109,28 @@ def test_ring_stack_writes_small_rings_out():
 @pytest.mark.parametrize("phi", [0.0, math.pi / 4, 3 * math.pi / 4])
 @pytest.mark.parametrize("kind,N", [("honeycomb", 4), ("honeycomb", 20), ("square", 2), ("square", 12)])
 def test_ring_stack_matches_scalar_builders(kind, N, phi):
-    M, t = 7, 1.3
+    M = 7
     if kind == "honeycomb":
         lams = [2.0 * math.cos(math.pi * m / M) for m in range(1, M + 1)]
     else:
         lams = [2.0 * math.cos(2.0 * math.pi * m / M) for m in range(1, M + 1)]
     # grid values arrive as NumPy floats, refinement points as Python floats
     etas = list(np.linspace(0.0, 1.0, 11)) + [0.0, 2.155e-4, 0.3]
-    chunks = list(ring_stack(kind, lams, N, etas, phi, t))
+    chunks = list(ring_stack(kind, lams, N, etas, phi))
     assert all(c.size <= CHUNK_ENTRIES or len(c) == 1 for c in chunks)
     stack = np.concatenate(chunks).reshape(len(etas), M, N, N)
     for i, eta in enumerate(etas):
         for j, lam in enumerate(lams):
-            assert _same_bits(stack[i, j], _written_ring(kind, lam, N, eta, phi, t)), (i, j)
+            assert _same_bits(stack[i, j], _written_ring(kind, lam, N, eta, phi)), (i, j)
 
 
 @pytest.mark.parametrize("quarters", [1, 2, 3, 4])
 def test_ring_stack_reads_the_flux_through_sin_cos(quarters):
-    # cmath.exp(1j*pi/2) has the real part 6.1e-17, which would stamp -6.1e-17*eta*t on the bond
-    N, eta, t = 8, 0.7, 1.3
-    ring = next(ring_stack("honeycomb", [0.5], N, [eta], quarters * math.pi / 2, t))[0]
+    # cmath.exp(1j*pi/2) has the real part 6.1e-17, which would stamp -6.1e-17*eta on the bond
+    N, eta = 8, 0.7
+    ring = next(ring_stack("honeycomb", [0.5], N, [eta], quarters * math.pi / 2))[0]
     sin_phi, cos_phi = ((1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0))[quarters - 1]
-    assert ring[N - 1, 0] == complex(-eta * t * cos_phi, -eta * t * sin_phi)
+    assert ring[N - 1, 0] == complex(-eta * cos_phi, -eta * sin_phi)
     assert ring[0, N - 1] == ring[N - 1, 0].conjugate()
 
 
@@ -161,13 +162,13 @@ def test_ring_stack_drops_each_chunk_before_building_the_next():
 )
 def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, chunks):
     # 7 lambdas per eta; a chunk holds 40 honeycomb rings of 20 sites or 113 square rings of 12
-    lams, etas, phi, t = ring_lams(kind, 7), np.linspace(0.0, 0.4, n_etas), math.pi / 3, 1.3
-    assert len(list(ring_stack(kind, lams, N, etas, phi, t))) == chunks
-    levels = ring_levels(kind, lams, N, etas, phi, t)
+    lams, etas, phi = ring_lams(kind, 7), np.linspace(0.0, 0.4, n_etas), math.pi / 3
+    assert len(list(ring_stack(kind, lams, N, etas, phi))) == chunks
+    levels = ring_levels(kind, lams, N, etas, phi)
     assert levels.shape == (n_etas, 7, N)
     for i, eta in enumerate(etas):
         for j, lam in enumerate(lams):
-            assert np.array_equal(levels[i, j], np.linalg.eigvalsh(dense_ring(kind, lam, N, eta, phi, t))), (i, j)
+            assert np.array_equal(levels[i, j], np.linalg.eigvalsh(dense_ring(kind, lam, N, eta, phi))), (i, j)
 
 
 def test_ring_levels_solves_one_chunk_at_a_time():
@@ -181,6 +182,21 @@ def test_ring_levels_solves_one_chunk_at_a_time():
         tracemalloc.stop()
     # the solved parts and their concatenation are two copies of the levels
     assert peak < 1.5 * CHUNK_ENTRIES * np.dtype(np.complex128).itemsize + 2 * levels.nbytes
+
+
+def test_open_rings_are_solved_in_real_arithmetic_to_the_same_bits(monkeypatch):
+    # with every eta 0 no ring has a boundary bond: ring_levels hands eigvalsh the real parts of the
+    # rings, and their levels are the complex solve's, bit for bit
+    cases = [("square", (-2.0, 0.0, 1.0), N) for N in range(2, 65)]
+    cases += [("honeycomb", ring_lams("honeycomb", M), N) for M in (3, 7, 31) for N in (8, 20, 64)]
+    solve, dtypes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda rings: dtypes.append(rings.dtype) or solve(rings))
+    for kind, lams, N in cases:
+        complex_levels = np.concatenate([solve(chunk) for chunk in ring_stack(kind, lams, N, [0.0], math.pi / 3)])
+        assert ring_levels(kind, lams, N, [0.0], math.pi / 3)[0].tobytes() == complex_levels.tobytes(), (kind, N)
+    assert set(dtypes) == {np.dtype(np.float64)}
+    ring_levels("square", [0.0], 4, [0.0, 0.5], math.pi / 3)  # one ring with a boundary bond: complex
+    assert dtypes[-1] == np.complex128
 
 
 def test_honeycomb_block_lambdas():
@@ -211,7 +227,7 @@ def test_block_union_matches_full_lattice(kind, M, eta, phi):
     N = 8 if kind == "honeycomb" else 6
     spec = ModelSpec(kind, M, N, t=1.0, eta=eta, phi=phi)
     full = np.linalg.eigvalsh(build_lattice(spec))
-    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
+    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert np.max(np.abs(full - union)) <= 1e-10
 
 

@@ -310,14 +310,15 @@ def test_unknown_flag_for_command(tmp_path, capsys):
 
 
 # The config keys each command accepts; the option table must reproduce them
-# exactly. 'convention' goes only to the commands with a perturbative output.
+# exactly. 'convention' goes only to the commands with a perturbative output,
+# and 't' not to fidelity, whose outputs are ratios of energies.
 ACCEPTED_KEYS = {
     "spectrum": {"command", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
                  "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
     "sweep": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
               "eta_min", "eta_max", "steps", "dump_blocks"},
     "scaling": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
-    "fidelity": {"command", "convention", "out", "lam", "N", "t", "phi", "phi_over_pi", "eta_center",
+    "fidelity": {"command", "convention", "out", "lam", "N", "phi", "phi_over_pi", "eta_center",
                  "delta_min", "delta_max", "delta_steps"},
     "square": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
                "eta_max", "steps"},
@@ -428,7 +429,8 @@ def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
     "argv,needs",
     [(["spectrum", "--lam", "0.5", "--N", "20", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
      (["sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
-     (["spectrum", "--lam", "0.5", "--N", "20", "--M", "9"], "'M' needs 'mode' or 'dump_blocks'")],
+     (["spectrum", "--lam", "0.5", "--N", "20", "--M", "9"], "'M' needs 'mode' or 'dump_blocks'"),
+     (["fidelity", "--t", "2"], "keys not used by command 'fidelity': ['t']")],
 )
 def test_options_nothing_reads_are_rejected(tmp_path, capsys, argv, needs):
     # nothing reads these values: the output would be byte-identical without them
@@ -442,7 +444,6 @@ def _sweep_id(argv):
 
 
 @pytest.mark.parametrize("argv", _table_args(lambda row: "double-range" in row.tags), ids=_sweep_id)
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # the engine raises instead of letting NumPy warn
 def test_sweep_out_of_double_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", str(out)]) == 1
@@ -458,6 +459,16 @@ def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path,
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
+
+
+def test_output_past_double_range_exits_1_and_writes_nothing(tmp_path, capsys):
+    # a square ring at lambda = 2 has levels down to -4t: at t = 1e308 spectrum's levels leave double
+    # range, which is one error line and no file, not an inf in spectrum.csv
+    argv = ["spectrum", "--kind", "square", "--lam", "2", "--N", "4", "--t", "1e308", "--out", str(tmp_path)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: overflow encountered in multiply\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unbracketed_scaling_peak_exits_1(tmp_path, capsys):
@@ -507,7 +518,7 @@ def test_parse_config_converts_file_values(key, value):
         parse_config("sweep", {key: value})
 
 
-def _parse_blocks_csv(path):
+def _parse_csv(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
 
@@ -518,7 +529,7 @@ def _parse_blocks_csv(path):
 def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
     argv = ["sweep", "--kind", kind, "--M", str(M), "--N", str(N), "--eta", repr(eta), "--phi", repr(phi)]
     assert run_cli(argv + ["--steps", "64", "--dump-blocks", "--out", str(tmp_path)]) == 0
-    header, table = _parse_blocks_csv(tmp_path / "blocks.csv")
+    header, table = _parse_csv(tmp_path / "blocks.csv")
     assert header[:4] == ["k", "lambda", "re_1_1", "im_1_1"] and header[-1] == f"im_{N}_{N}"
     assert table.shape == (M, 2 + 2 * N * N)
     for m, row in enumerate(table, start=1):
@@ -532,6 +543,32 @@ def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
         want = np.array([2.0 * math.pi * m / M, lam, *np.stack([ring.real, ring.imag], axis=-1).ravel()])
         assert np.array_equal(row, want), m
         assert np.array_equal(np.signbit(row), np.signbit(want)), m
+
+
+def test_energies_scale_exactly_with_t(tmp_path, capsys):
+    # at t = 2 every energy spectrum, sweep and square write is exactly twice its t = 1 value, while
+    # eta_m, the flags and square's flatness ratio do not move
+    commands = (["spectrum", "--lam", "0.5", "--N", "20", "--phi-over-pi", "0.25"],
+                ["sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25"],
+                ["square", "--M", "5", "--n-list", "4,8,12", "--phi", "0.7"])
+    for argv in commands:
+        printed = {}
+        for t in ("1", "2"):
+            assert run_cli([*argv, "--t", t, "--out", str(tmp_path / argv[0] / t)]) == 0
+            printed[t] = capsys.readouterr().out
+        unit, scaled = tmp_path / argv[0] / "1", tmp_path / argv[0] / "2"
+        for csv_file in sorted(unit.glob("*.csv")):
+            (header, table), (_, doubled) = _parse_csv(csv_file), _parse_csv(scaled / csv_file.name)
+            assert header[0] == "eta" and np.array_equal(doubled[:, 0], table[:, 0])
+            assert np.array_equal(doubled[:, 1:], 2.0 * table[:, 1:], equal_nan=True), csv_file.name
+        if argv[0] == "sweep":
+            line_1, line_2 = (printed[t].splitlines()[0].split() for t in ("1", "2"))
+            assert (line_2[1], line_2[3:]) == (line_1[1], line_1[3:])  # eta_m= and flags=
+            assert float(line_2[2][len("peak="):]) == 2.0 * float(line_1[2][len("peak="):])
+        if argv[0] == "square":
+            report, doubled = (json.loads((d / "square_report.json").read_text()) for d in (unit, scaled))
+            assert doubled["peak_abs"] == [2.0 * peak for peak in report["peak_abs"]]
+            assert doubled["flatness_ratio"] == report["flatness_ratio"] and doubled["flags"] == report["flags"]
 
 
 def _central_levels(path, n):

@@ -57,8 +57,8 @@ def test_exact_midgap_gap_positive_and_small():
 def _midgap_part(spec):
     """E_m: the lower midgap level of each critical-window ring, summed."""
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
-    rings = (dense_ring("honeycomb", lam, spec.N, spec.eta, spec.phi, spec.t) for lam in lams)
-    return sum(float(np.linalg.eigvalsh(ring)[spec.N // 2 - 1]) for ring in rings)
+    rings = (dense_ring("honeycomb", lam, spec.N, spec.eta, spec.phi) for lam in lams)
+    return spec.t * sum(float(np.linalg.eigvalsh(ring)[spec.N // 2 - 1]) for ring in rings)
 
 
 def test_ground_energy_exact_split():
@@ -67,7 +67,7 @@ def test_ground_energy_exact_split():
     # E_g is the sum of negative full-lattice levels, and so of negative block levels
     evals = np.linalg.eigvalsh(build_lattice(spec))
     assert e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
-    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
+    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert e_g == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
     # the midgap part is negative, and so is the band remainder
     e_m = _midgap_part(spec)
@@ -77,7 +77,7 @@ def test_ground_energy_exact_split():
 def test_ground_energy_square_has_no_midgap_part():
     # the square lattice has no critical window, so E_g is the negative block levels alone
     spec = ModelSpec("square", 3, 8, eta=0.5, phi=PHI)
-    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi, spec.t).ravel())
+    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert ground_energy_exact(spec) == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_d2_analytic_is_second_derivative_of_midgap_energy():
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
 
     def e_m(eta):
-        return sum(midgap_perturbation(lam, spec.N, eta, spec.phi, spec.t).eps_minus for lam in lams)
+        return spec.t * sum(midgap_perturbation(lam, spec.N, eta, spec.phi).eps_minus for lam in lams)
 
     fd = (e_m(eta0 + h) - 2 * e_m(eta0) + e_m(eta0 - h)) / h**2
     ana = d2_analytic(spec, eta0)
@@ -175,9 +175,10 @@ def test_analytic_curvature_matches_the_closed_form_oracle(phi, convention):
 
 
 def _per_ring_energies(spec, etas):
-    """Reference E_g: one eigvalsh call per ring, negative levels summed
-    block by block in ascending mode order; also the negative counts and
-    sum |eps| over every level, the roundoff scale of E_g."""
+    """Reference E_g: one eigvalsh call per ring at t = 1, negative levels
+    summed block by block in ascending mode order, the sum multiplied by
+    spec.t; also the negative counts and t*sum |eps| over every level, the
+    roundoff scale of E_g."""
     # lambda is exactly 0 where the cosine's argument is an odd multiple of pi/2
     M = spec.M
     if spec.kind == "honeycomb":
@@ -188,13 +189,13 @@ def _per_ring_energies(spec, etas):
     for eta in etas:
         total = scale = 0.0
         for lam in lams:
-            evals = np.linalg.eigvalsh(dense_ring(spec.kind, lam, spec.N, eta, spec.phi, spec.t))
+            evals = np.linalg.eigvalsh(dense_ring(spec.kind, lam, spec.N, eta, spec.phi))
             total += float(evals[evals < 0.0].sum())
             scale += float(np.abs(evals).sum())
             counts.add(int(np.count_nonzero(evals < 0.0)))
         energies.append(total)
         scales.append(scale)
-    return np.array(energies), counts, np.array(scales)
+    return spec.t * np.array(energies), counts, spec.t * np.array(scales)
 
 
 def _c3_7(N):
@@ -223,15 +224,14 @@ def test_ground_energies_equal_per_ring_reference(spec, etas):
 def test_open_ground_energy_equals_the_dense_oracle_bit_for_bit():
     # E_g(0) of the sweeps against the oracle's eta = 0 column, over every M = 2..31 of both kinds
     specs = [
-        ModelSpec(kind, M, N, t, 0.0, phi)
-        for t in (1.0, 1.3)
+        ModelSpec(kind, M, N, 1.0, 0.0, phi)
         for phi in (0.0, PHI, 1.1)
         for kind, ns in (("honeycomb", (4, 20, 36, 80)), ("square", (2, 5, 17, 33, 80)))
         for M in range(2 if kind == "square" else 3, 32)
         for N in ns
         if N < 80 or M in (3, 7, 31)
     ]
-    assert len(specs) == 1278
+    assert len(specs) == 639
     differ = [spec for spec in specs if criticality._open_ground_energy(spec) != ground_energies(spec, [0.0])[0]]
     assert differ == []
 
@@ -275,8 +275,9 @@ def _assert_dense_close(spec, etas, e_g):
     ],
 )
 def test_shift_engine_matches_dense_energies(spec, etas):
+    # the engine works in units of t; sweep scales its energies by spec.t
     table = _shift_table(spec, float(np.max(etas)))
-    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas)[0])
+    _assert_dense_close(spec, etas, spec.t * _shifted_energies(spec, table, etas)[0])
 
 
 @pytest.mark.parametrize(
@@ -583,6 +584,19 @@ def test_sweep_square_lattice_is_tame():
     assert abs(res.peak) < 10.0
 
 
+@pytest.mark.parametrize("t", [2.0, 1e-300, 1e300])
+def test_sweep_scales_its_energies_by_t_once(t):
+    # the engine works at t = 1: eta_m and the flags do not depend on t, and each energy is t times
+    # the t = 1 value after one rounding (exactly twice it at t = 2)
+    for spec in (ModelSpec("honeycomb", 7, 20, phi=PHI), ModelSpec("square", 5, 12, phi=0.7)):
+        unit, scaled = sweep(spec), sweep(dataclasses.replace(spec, t=t))
+        assert (scaled.eta_m, scaled.flags) == (unit.eta_m, unit.flags)
+        assert np.array_equal(scaled.eta_grid, unit.eta_grid)
+        assert np.array_equal(scaled.e_g_curve, t * unit.e_g_curve)
+        assert np.array_equal(scaled.d2_numeric, t * unit.d2_numeric, equal_nan=True)
+        assert scaled.peak == t * unit.peak
+
+
 def test_sweep_result_arrays_read_only():
     res = sweep(ModelSpec("honeycomb", 7, 8, phi=PHI), steps=64)
     with pytest.raises(ValueError):
@@ -676,7 +690,7 @@ def test_fidelity_exact_matches_perturbative():
     for N, tol in ((20, 1e-3), (60, 1e-6), (80, 1e-6)):
         c = corner_coupling(lam, N)
         deltas = np.geomspace(c / 10, 10 * c, 7)
-        f_exact = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+        f_exact = fidelity_exact(lam, N, PHI, c * math.cos(PHI), deltas)
         assert np.max(np.abs(f_exact - fidelity_perturbative(lam, N, c * math.cos(PHI), deltas, PHI))) <= tol, N
         assert np.all((f_exact >= 0) & (f_exact <= 1 + 1e-12))
 
@@ -685,8 +699,8 @@ def test_fidelity_exact_keeps_the_order_of_its_deltas():
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     deltas = np.geomspace(c / 10, 10 * c, 7)
-    forward = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
-    shuffled = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas[[3, 0, 6, 1, 5, 2, 4]])
+    forward = fidelity_exact(lam, N, PHI, c * math.cos(PHI), deltas)
+    shuffled = fidelity_exact(lam, N, PHI, c * math.cos(PHI), deltas[[3, 0, 6, 1, 5, 2, 4]])
     assert shuffled.tobytes() == forward[[3, 0, 6, 1, 5, 2, 4]].tobytes()
 
 
@@ -697,7 +711,7 @@ def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
     c = corner_coupling(lam, N)
     deltas = np.geomspace(c / 100.0, 10.0 * c, 25)
     assert 2 * deltas.size > CHUNK_ENTRIES // (N * N) >= deltas.size
-    f_exact = fidelity_exact(lam, N, PHI, 1.0, c * math.cos(PHI), deltas)
+    f_exact = fidelity_exact(lam, N, PHI, c * math.cos(PHI), deltas)
     floor = np.finfo(np.float64).eps * (1.0 + abs(lam))
     want = []
     for delta in deltas:
@@ -713,55 +727,55 @@ def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
 
 def test_fidelity_exact_asymptote():
     # far from the crossing the overlap decays like b/delta
-    lam, N, t = 0.5, 20, 1.0
+    lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     b = abs(c * math.sin(PHI))
     delta = 100.0 * b
-    f_exact = fidelity_exact(lam, N, PHI, t, c * math.cos(PHI), [delta])
+    f_exact = fidelity_exact(lam, N, PHI, c * math.cos(PHI), [delta])
     assert fidelity_perturbative(lam, N, c * math.cos(PHI), delta, PHI) == pytest.approx(b / delta, rel=1e-4)
     assert f_exact[0] == pytest.approx(b / delta, rel=5e-2)
 
 
 def test_fidelity_exact_rejects_bad_grid():
     with pytest.raises(ValueError):
-        fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [])
+        fidelity_exact(0.5, 20, PHI, 0.001, [])
     with pytest.raises(ValueError):
-        fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [0.0, 0.001])
+        fidelity_exact(0.5, 20, PHI, 0.001, [0.0, 0.001])
     with pytest.raises(ValueError):
-        fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [-0.001])
+        fidelity_exact(0.5, 20, PHI, 0.001, [-0.001])
     with pytest.raises(ValueError):
-        fidelity_exact(0.5, 20, PHI, 1.0, 0.001, [0.001, 0.0])
+        fidelity_exact(0.5, 20, PHI, 0.001, [0.001, 0.0])
 
 
 def test_fidelity_exact_requires_isolated_doublet():
     # N = 4 at phi = pi/2: band separation only 2.5x the midgap gap
     with pytest.raises(RuntimeError, match="isolable"):
-        fidelity_exact(0.5, 4, math.pi / 2, 1.0, 0.0, [0.01])
+        fidelity_exact(0.5, 4, math.pi / 2, 0.0, [0.01])
     # N = 100: at eta = c*cos(phi) -+ c the splitting scales are near 2(t/Omega)c = 1.3e-15, a few
     # roundoffs of a ring level
     c = corner_coupling(0.5, 100)
     with pytest.raises(RuntimeError, match="below double resolution"):
-        fidelity_exact(0.5, 100, PHI, 1.0, c * math.cos(PHI), [c])
+        fidelity_exact(0.5, 100, PHI, c * math.cos(PHI), [c])
 
 
 def test_fidelity_exact_checks_the_resolution_of_each_point():
     # at eta = 0.01 -+ delta every doublet splits by ~1e-2*t, so N = 100 is resolvable; its corner
     # c = 8.9e-16 then moves nothing a double holds, and N = 80 (c = 9.1e-13) gives the same f_exact
     deltas = [1e-3, math.sqrt(5e-6), 5e-3]
-    n100 = fidelity_exact(0.5, 100, PHI, 1.0, 0.01, deltas)
-    n80 = fidelity_exact(0.5, 80, PHI, 1.0, 0.01, deltas)
+    n100 = fidelity_exact(0.5, 100, PHI, 0.01, deltas)
+    n80 = fidelity_exact(0.5, 80, PHI, 0.01, deltas)
     assert np.max(np.abs(n100 - n80)) <= 1e-12
     # one displaced point on the crossing, where the splitting scale is 2(t/Omega)c|sin phi|, is refused
     c = corner_coupling(0.5, 100)
     with pytest.raises(RuntimeError, match="below double resolution at eta="):
-        fidelity_exact(0.5, 100, PHI, 1.0, 0.01, [0.01 - c * math.cos(PHI)])
+        fidelity_exact(0.5, 100, PHI, 0.01, [0.01 - c * math.cos(PHI)])
 
 
 def test_fidelity_exact_crossing_drop():
     # first-order crossing at phi = 0: straddling overlap collapses
     lam, N = 0.5, 12
     c = corner_coupling(lam, N)
-    assert fidelity_exact(lam, N, 0.0, 1.0, c, [c])[0] < 0.1
+    assert fidelity_exact(lam, N, 0.0, c, [c])[0] < 0.1
 
 
 def test_fidelity_exact_degenerate_endpoint_uses_subspace_angle():
@@ -769,7 +783,7 @@ def test_fidelity_exact_degenerate_endpoint_uses_subspace_angle():
     # the overlap finite and sensible
     lam, N = 0.5, 12
     c = corner_coupling(lam, N)
-    f_exact = fidelity_exact(lam, N, 0.0, 1.0, 2 * c, [c])
+    f_exact = fidelity_exact(lam, N, 0.0, 2 * c, [c])
     assert 0.0 <= f_exact[0] <= 1.0
     assert f_exact[0] > 0.9
 

@@ -19,7 +19,7 @@ PHI = math.pi / 4
 
 
 def hprime(lam, N, eta, phi, convention="cells"):
-    """h' of the split -t*(h0 + h') of the ring block: the corner remainder
+    """h' of the split -(h0 + h') of the ring block: the corner remainder
     eta*e^{i phi} - c at (N,1) and its conjugate at (1,N)."""
     h1 = np.zeros((N, N), dtype=np.complex128)
     h1[N - 1, 0] = eta * cmath.exp(1j * phi) - corner_coupling(lam, N, convention)
@@ -90,9 +90,9 @@ def test_sites_convention_leaves_known_residual():
 
 
 def test_split_reassembles_the_ring_block():
-    lam, N, eta, phi, t = 0.5, 8, 0.3, 1.1, 2.0
+    lam, N, eta, phi = 0.5, 8, 0.3, 1.1
     h0, h1 = build_h0(lam, N), hprime(lam, N, eta, phi)
-    assert np.max(np.abs(-t * (h0 + h1) - dense_ring("honeycomb", lam, N, eta, phi, t))) < 1e-14
+    assert np.max(np.abs(-(h0 + h1) - dense_ring("honeycomb", lam, N, eta, phi))) < 1e-14
 
 
 def test_split_rejects_odd_or_short_rings():
@@ -125,9 +125,9 @@ def test_midgap_known_point():
 
 
 def test_midgap_vectors_are_rayleigh_optimal():
-    lam, N, eta, phi, t = 0.5, 12, 0.01, PHI, 2.0
-    sol = midgap_perturbation(lam, N, eta, phi, t=t)
-    block = -t * (build_h0(lam, N) + hprime(lam, N, eta, phi))
+    lam, N, eta, phi = 0.5, 12, 0.01, PHI
+    sol = midgap_perturbation(lam, N, eta, phi)
+    block = -(build_h0(lam, N) + hprime(lam, N, eta, phi))
     # v_-+ = (a_plus +- e^{i arg z} * a_minus)/sqrt(2), z = eta*e^{i phi} - c
     a_plus, a_minus = zero_modes(lam, N)
     mix = cmath.exp(1j * cmath.phase(eta * cmath.exp(1j * phi) - corner_coupling(lam, N)))
@@ -138,15 +138,6 @@ def test_midgap_vectors_are_rayleigh_optimal():
     assert abs(np.vdot(v_plus, block @ v_minus)) < 1e-14
     assert np.linalg.norm(v_plus) == pytest.approx(1.0, rel=1e-14)
     assert abs(np.vdot(v_plus, v_minus)) < 1e-14
-
-
-def test_midgap_scales_linearly_in_t():
-    a = midgap_perturbation(0.5, 8, 0.01, PHI, t=1.0)
-    b = midgap_perturbation(0.5, 8, 0.01, PHI, t=3.0)
-    assert b.eps_plus == pytest.approx(3 * a.eps_plus, rel=1e-14)
-    assert b.gap_min == pytest.approx(3 * a.gap_min, rel=1e-14)
-    assert b.eta_star == a.eta_star
-    assert b.curvature_max == pytest.approx(3 * a.curvature_max, rel=1e-14)
 
 
 def test_midgap_first_order_crossing():
