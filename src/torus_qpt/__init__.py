@@ -41,7 +41,7 @@ try:
         sweep,
         sweep_to_csv,
     )
-    from .eigensolve import square_ring_closed_form
+    from .eigensolve import square_ring_closed_form, square_ring_modes
     from .models import ModelSpec, build_lattice
     from .ssh import (
         CONVENTIONS,
@@ -90,6 +90,7 @@ __all__ = [
     "scaling_scan",
     "square_ring",
     "square_ring_closed_form",
+    "square_ring_modes",
     "sweep",
     "sweep_to_csv",
     "zero_modes",

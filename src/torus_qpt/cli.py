@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .blocks import blocks_to_csv, ring_lams, ring_levels, sin_cos
+from .blocks import blocks_to_csv, ring_lams, ring_levels, scale_by_t, sin_cos
 from .criticality import DEFAULT_STEPS, fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
@@ -238,13 +238,14 @@ def cmd_spectrum(config: dict) -> int:
     spec = _build_model(config, kind, 0, N, 1.0, phi) if config.get("dump_blocks") else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
-    levels = config.get("t", 1.0) * ring_levels(kind, [lam], N, grid, phi)[:, 0]
+    levels = scale_by_t(config.get("t", 1.0), ring_levels(kind, [lam], N, grid, phi)[:, 0])
+    blocks = None if spec is None else blocks_to_csv(spec)  # before any file is written: it can fail
     rows = [[float(eta)] + list(row) for eta, row in zip(grid, levels)]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
     _publish(config, "spectrum.csv", csv_text(header, rows),
              f"spectrum: lambda={fmt_float(lam)} N={N} rows={steps + 1}")
-    if spec is not None:
-        _publish(config, "blocks.csv", blocks_to_csv(spec))
+    if blocks is not None:
+        _publish(config, "blocks.csv", blocks)
     return 0
 
 

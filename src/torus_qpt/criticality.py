@@ -24,8 +24,9 @@ its doublet splitting from `ssh.midgap_perturbation`.
 
 The engine works at t = 1. `sweep` scales E_g and its curvature by spec.t
 once, after the peak is found (eta_m and the flags do not depend on t),
-and `fidelity_exact`, a ratio of energies, takes no t. In both entry
-points NumPy raises on overflow, invalid values and division by zero.
+through `blocks.scale_by_t`, and `fidelity_exact`, a ratio of energies,
+takes no t. In both entry points NumPy raises on overflow, invalid values
+and division by zero.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -72,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
+from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, scale_by_t, sin_cos
 from .models import ModelSpec
 from .output import csv_text
 from .ssh import critical_doublets, golden_section_min, midgap_perturbation
@@ -388,7 +389,8 @@ def sweep(
     RuntimeError when the engine leaves double range (M = 61, N = 128, or
     a t whose scaled outputs do not fit a double): its array arithmetic
     overflows, divides by zero or turns invalid, where NumPy raises instead
-    of warning.
+    of warning; and when t pushes a nonzero output below the normal range
+    (t = 1e-320).
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -427,7 +429,8 @@ def sweep(
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
-    return SweepResult(grid, spec.t * e_curve, spec.t * d2_num, eta_m, float(spec.t * peak), tuple(flags))
+    e_curve, d2_num, peak = (scale_by_t(spec.t, x) for x in (e_curve, d2_num, peak))
+    return SweepResult(grid, e_curve, d2_num, eta_m, float(peak), tuple(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ the gap-minimum location, curvature consistency, and the fidelity
 relations. Tolerances can be overridden per check; the exponent
 convention is threaded through so a 'sites' run demonstrably fails the
 convention-sensitive checks.
+
+The square closed-form check makes no eigensolve. It holds every ring H
+that `blocks.ring_stack` builds (sites 1..N, flux on the (N, 1) bond)
+against the eigenpairs (eps, U) of `eigensolve.square_ring_modes`, in the
+same gauge: for a unitary U, ||H - U diag(eps - lambda) U^H||_F equals the
+eigenpair residual ||H U - U diag(eps - lambda)||_F and, by the
+Hoffman-Wielandt inequality, bounds the deviation of H's sorted levels
+from the closed form, so its `measured` bounds the dense-solve deviation
+the tests compute. It also catches a wrong eigenvector or a flux of the
+wrong orientation.
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ import time
 
 import numpy as np
 
-from .blocks import ring_lams, ring_levels, sin_cos
+from .blocks import ring_lams, ring_levels, ring_stack, sin_cos
 from .criticality import fidelity_exact
-from .eigensolve import square_ring_closed_form
+from .eigensolve import square_ring_modes
 from .models import ModelSpec, build_lattice
 from .ssh import build_h0, corner_coupling, fidelity_perturbative, golden_section_min, midgap_perturbation, zero_modes
 
@@ -61,17 +71,33 @@ def check_zero_mode_residual(convention: str) -> float:
     return worst
 
 
-def check_square_closed_form(convention: str) -> float:
-    # The open ring (eta = 0) has no flux, so it is solved only with phi = 0, in the same call as
-    # that phi's closed ring. Stacking all 12 rings of an N in one call adds 2.4 MB of peak RSS.
-    lams = (-2.0, 0.0, 1.0)
+def _squared_residual(n: int, phi: float, etas, lams) -> float:
+    """Largest ||H - U diag(eps - lambda) U^H||_F^2 over ring_stack's rings of (n, phi, etas, lams).
+    U diag(eps) U^H takes one product per eta and serves every lambda, as H - (U diag(eps) U^H -
+    lambda I); each ring becomes its residual in place."""
+    closed = np.empty((len(etas), n, n), dtype=np.complex128)
+    for out, eta in zip(closed, etas):
+        levels, vectors = square_ring_modes(n, phi, eta)
+        np.matmul(vectors * levels, vectors.conj().T, out=out)
     worst = 0.0
-    for n in range(2, 65):
-        for phi, etas in ((0.0, (0.0, 1.0)), (math.pi / 4, (1.0,)), (math.pi / 2, (1.0,))):
-            dense = ring_levels("square", lams, n, etas, phi)
-            closed = [[square_ring_closed_form(n, phi, lam2k, eta) for lam2k in lams] for eta in etas]
-            worst = max(worst, float(np.max(np.abs(np.array(closed) - dense))))
+    first = 0  # index of the chunk's first ring, eta-major and lambda minor as ring_stack yields them
+    for chunk in ring_stack("square", lams, n, etas, phi):
+        for ring, h in enumerate(chunk, first):
+            h -= closed[ring // len(lams)]
+            h.ravel()[:: n + 1] += lams[ring % len(lams)]
+            worst = max(worst, np.vdot(h, h).real)
+        first += len(chunk)
+        del chunk, h  # freed before ring_stack builds the next chunk
     return worst
+
+
+def check_square_closed_form(convention: str) -> float:
+    # measured is the largest ||H - U diag(eps - lambda) U^H||_F over the rings (see the module
+    # docstring). The open ring (eta = 0) has no flux, so it runs only with phi = 0, in the same
+    # stack as that phi's closed ring.
+    lams = (-2.0, 0.0, 1.0)
+    cases = ((0.0, (0.0, 1.0)), (math.pi / 4, (1.0,)), (math.pi / 2, (1.0,)))
+    return math.sqrt(max(_squared_residual(n, phi, etas, lams) for n in range(2, 65) for phi, etas in cases))
 
 
 _LAM, _N, _PHI = 0.5, 20, math.pi / 4

@@ -39,7 +39,9 @@ def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=No
     """The closed-form curvature of E_g at one eta, summed over `modes`
     (default: the critical window) whose corner c_k is nonzero: each lower
     midgap level -(t/Omega_k)|eta*e^{i phi} - c_k| has the second
-    eta-derivative -(t/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3.
+    eta-derivative -(t/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3,
+    evaluated as -(t/Omega_k)*(c_k*sin(phi)/z)^2/z with z = |eta*e^{i phi} - c_k|,
+    since z^3 leaves double range from N = 584 on (M = 7, phi = pi/4).
     Undefined on an exact crossing (sin(phi) = 0 and eta = c_k). ValueError
     for a square spec, which has no midgap doublet."""
     if spec.kind != "honeycomb":
@@ -49,7 +51,7 @@ def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=No
         c = corner_coupling(lam, spec.N, convention)
         if c != 0.0:
             z = abs(eta * cmath.exp(1j * spec.phi) - c)
-            total -= spec.t / omega_factor(lam, spec.N, convention) * c * c * math.sin(spec.phi) ** 2 / z ** 3
+            total -= spec.t / omega_factor(lam, spec.N, convention) * (c * math.sin(spec.phi) / z) ** 2 / z
     return total
 
 

@@ -461,6 +461,27 @@ def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", _table_args(lambda row: "fails" in row.tags and "1e-320" in row.args), ids=" ".join)
+def test_output_below_the_normal_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
+    # at t = 1e-320 a sweep's peak keeps 5 digits and spectrum's levels fewer: one error line, no file
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: t = 1e-320 scales the results below the normal double range\n"
+    assert not out.exists()
+
+
+def test_blocks_below_the_normal_range_write_no_spectrum(tmp_path, capsys):
+    # at phi = 1e-300 the boundary bond's imaginary part is -1e-300*t: at t = 1e-10 the levels are normal
+    # and that block entry is not, and blocks.csv is built before spectrum.csv is written
+    argv = ["spectrum", "--kind", "square", "--mode", "2", "--M", "5", "--phi", "1e-300", "--dump-blocks"]
+    assert run_cli(argv + ["--t", "1e-10", "--out", str(tmp_path / "a")]) == 1
+    assert "below the normal double range" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert run_cli(argv[:-1] + ["--t", "1e-10", "--out", str(tmp_path / "b")]) == 0  # the levels alone
+    assert run_cli(argv + ["--t", "1e-7", "--out", str(tmp_path / "c")]) == 0
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["blocks.csv", "spectrum.csv"]
+
+
 def test_output_past_double_range_exits_1_and_writes_nothing(tmp_path, capsys):
     # a square ring at lambda = 2 has levels down to -4t: at t = 1e308 spectrum's levels leave double
     # range, which is one error line and no file, not an inf in spectrum.csv

@@ -643,11 +643,15 @@ def test_analytic_extremum_stays_in_double_range(N):
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
     doublets = critical_doublets(spec)
     eta_star = max(abs(c) for c, _ in doublets) * math.cos(PHI)
-    column, (eta_m, peak) = analytic_curvature(spec, np.linspace(0.0, 3.0 * eta_star, 201))
+    grid = np.linspace(0.0, 3.0 * eta_star, 201)
+    column, (eta_m, peak) = analytic_curvature(spec, grid)
     assert np.isfinite(column).all() and (column < 0.0).all()
     assert eta_m == pytest.approx(eta_star, rel=3e-8, abs=0.0)  # a flat extremum is located to ~sqrt(eps)
     want = -sum(spec.t / (om * abs(c * math.sin(PHI))) for c, om in doublets)
     assert peak == pytest.approx(want, rel=1e-15, abs=0.0)
+    # the oracle follows the curvature there too: its terms form no cube of |z| either
+    assert column == pytest.approx([d2_analytic(spec, x) for x in grid], rel=1e-14, abs=0.0)
+    assert peak == pytest.approx(d2_analytic(spec, eta_m), rel=1e-14, abs=0.0)
 
 
 def test_scaling_scan_dedupes_and_sorts():

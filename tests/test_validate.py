@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from torus_qpt import DEFAULT_TOLERANCES, run_validation
+from torus_qpt import DEFAULT_TOLERANCES, run_validation, validate
 
 EXPECTED_CHECKS = [
     "block-union-honeycomb",
@@ -60,3 +61,38 @@ def test_unknown_tolerance_name_rejected():
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         run_validation(convention="bonds")
+
+
+def _conjugate_boundary(chunk):
+    # the flux in the wrong orientation: e^{-i phi} on the (N, 1) bond, e^{i phi} on (1, N)
+    n = chunk.shape[-1]
+    chunk[:, n - 1, 0], chunk[:, 0, n - 1] = chunk[:, 0, n - 1].copy(), chunk[:, n - 1, 0].copy()
+
+
+def _move_one_entry(chunk):
+    if chunk.shape[-1] == 33:
+        chunk[0, 5, 6] += 1e-8
+
+
+@pytest.mark.parametrize("corrupt", [_conjugate_boundary, _move_one_entry])
+def test_square_closed_form_catches_a_faulty_builder(monkeypatch, corrupt):
+    assert validate.check_square_closed_form("cells") <= DEFAULT_TOLERANCES["square-closed-form"]
+    ring_stack = validate.ring_stack
+
+    def faulty(*args):
+        for chunk in ring_stack(*args):
+            corrupt(chunk)
+            yield chunk
+
+    monkeypatch.setattr(validate, "ring_stack", faulty)
+    assert validate.check_square_closed_form("cells") > DEFAULT_TOLERANCES["square-closed-form"]
+
+
+def test_square_closed_form_makes_no_eigensolve(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _solve=solve, **kwargs: calls.append(1) or _solve(*args))
+    measured = validate.check_square_closed_form("cells")
+    assert calls == []
+    assert 0.0 < measured <= 1e-13
