@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .blocks import blocks_to_csv, ring_lams, ring_levels, scale_by_t, sin_cos
-from .criticality import DEFAULT_STEPS, fidelity_exact, scaling_scan, sweep, sweep_to_csv
+from .criticality import fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
 from .ssh import CONVENTIONS, analytic_curvature, corner_coupling, fidelity_perturbative
@@ -135,8 +135,8 @@ OPTIONS = (
     ("eta_max", number, True, "sweep grid end", _GRID),
     ("steps", integer, True, "number of grid steps", _STEPS),
     ("convention", _one_of("convention", CONVENTIONS), True,
-     f"corner exponent convention of the perturbative comparison: {' or '.join(CONVENTIONS)}",
-     ("sweep", "fidelity", "validate")),
+     f"corner exponent convention of the self-checks ('sites' fails them by design): {' or '.join(CONVENTIONS)}",
+     ("validate",)),
     ("lam", number, True, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
     ("mode", integer, True, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
     ("n_list", ring_lengths, {}, "comma-separated ring lengths", ("scaling", "square")),
@@ -252,8 +252,8 @@ def cmd_spectrum(config: dict) -> int:
 def cmd_sweep(config: dict) -> int:
     _needs(config, "eta", "dump_blocks")  # the sweep's grid does not read eta
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
-    result = sweep(spec, config.get("eta_min"), config.get("eta_max"), config.get("steps", DEFAULT_STEPS))
-    d2_analytic, extremum = analytic_curvature(spec, result.eta_grid, config.get("convention", "cells"))
+    result = sweep(spec, config.get("eta_min"), config.get("eta_max"), config.get("steps"))
+    d2_analytic, extremum = analytic_curvature(spec, result.eta_grid)
     summary = [f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}"]
     if extremum is not None:
         summary.append(f"sweep (analytic): eta_m={fmt_float(extremum[0])} peak={fmt_float(extremum[1])}")
@@ -282,7 +282,7 @@ def cmd_scaling(config: dict) -> int:
 
 def cmd_fidelity(config: dict) -> int:
     lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
-    c = corner_coupling(lam, N)  # the physical corner: convention selects only f_perturbative
+    c = corner_coupling(lam, N)
     if c == 0.0 and not ("delta_min" in config and "delta_max" in config):
         raise ConfigError("lambda = 0 has no natural delta scale; give delta_min and delta_max")
     delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
@@ -292,7 +292,7 @@ def cmd_fidelity(config: dict) -> int:
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * sin_cos(phi)[1])
     f_exact = fidelity_exact(lam, N, phi, eta_center, deltas)
-    f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi, config.get("convention", "cells"))
+    f_pert = fidelity_perturbative(lam, N, eta_center, deltas, phi)
     _publish(config, "fidelity.csv", csv_text(["delta", "f_exact", "f_perturbative"], zip(deltas, f_exact, f_pert)),
              f"fidelity: eta_center={fmt_float(eta_center)} deltas={delta_steps}")
     return 0

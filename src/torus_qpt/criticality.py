@@ -7,10 +7,9 @@ on the honeycomb torus (driven by the midgap doublets of the critical
 momentum window), while the square torus shows no such growth. This
 module locates the peak, fits its finite-size scaling, and computes the
 midgap fidelity from exact eigenvectors. It is the exact engine alone:
-the closed forms of perturbation theory, the corner convention among
-them, live in `ssh`, and this module reads from there only the critical
-doublets (a sweep's default range and quadrature cut), the minimizer and
-`midgap_perturbation` (the guards of `fidelity_exact`).
+perturbation theory lives in `ssh`, which gives it only the physical
+critical doublets (a sweep's default range and quadrature cut), the
+minimizer and `midgap_perturbation` (the guards of `fidelity_exact`).
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union

@@ -11,9 +11,9 @@ at neighbouring couplings (`fidelity_perturbative`, the one place the
 doublet vectors are built). On the torus each critical mode k carries
 such a doublet (`critical_doublets`), and the closed-form curvature sum
 over them (`analytic_curvature`, minimized by `golden_section_min`) is the
-perturbative comparison of a curvature sweep. Every closed form here
-reads the flux through `blocks.sin_cos`, and every energy is in units of
-the hopping t except `analytic_curvature`'s, which reads spec.t.
+perturbative comparison of a curvature sweep, at the physical corners.
+Every closed form here reads the flux through `blocks.sin_cos`, and every
+energy is in units of t except `analytic_curvature`'s, which reads spec.t.
 
 Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
 open alternating ring (bonds -lambda within cells, +1 between cells:
@@ -21,10 +21,10 @@ minus the bands of `blocks.peierls_ring`) plus a corner compensation
 entry c at (1,N)/(N,1). The ring block of `blocks.ring_stack` equals
 -(h0 + h'), where h' holds only the corner remainders
 eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). The corner
-exponent is switchable: 'cells' uses c = lambda^(N/2), which makes h0
-annihilate the zero-mode vectors exactly; 'sites' uses c = lambda^N and
-is kept for comparison runs (its residual is the measured difference
-|lambda^N - lambda^(N/2)|).
+exponent of the single-ring forms is switchable: 'cells' uses the physical
+c = lambda^(N/2), which makes h0 annihilate the zero-mode vectors exactly;
+'sites' uses c = lambda^N and is kept for `validate`'s failing
+demonstration (its residual is the measured |lambda^N - lambda^(N/2)|).
 """
 
 from __future__ import annotations
@@ -191,16 +191,16 @@ def fidelity_perturbative(
     return float(overlaps[0]) if deltas.ndim == 0 else np.array(overlaps, dtype=np.float64).reshape(deltas.shape)
 
 
-def critical_doublets(spec: ModelSpec, convention: str = "cells") -> list[tuple[float, float]]:
-    """(c_k, Omega_k) of each critical mode of a honeycomb spec with c_k != 0;
-    empty on the square lattice, which has no midgap doublet."""
+def critical_doublets(spec: ModelSpec) -> list[tuple[float, float]]:
+    """(c_k, Omega_k) at the physical corner c_k = lambda_k^(N/2) of each critical
+    mode of a honeycomb spec with c_k != 0; empty on the square lattice."""
     if spec.kind != "honeycomb":
         return []
     doublets = []
     for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M)):
-        c = corner_coupling(lam, spec.N, convention)
+        c = corner_coupling(lam, spec.N)
         if c != 0.0:
-            doublets.append((c, omega_factor(lam, spec.N, convention)))
+            doublets.append((c, omega_factor(lam, spec.N)))
     return doublets
 
 
@@ -226,7 +226,7 @@ def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) ->
 def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Golden-section minimizer of a unimodal f on [a, b]; returns the
     midpoint of the final bracket, once its width is <= tol or after 500
-    steps (a bracket stops shrinking at the float spacing, which sweep's
+    steps (a bracket stops shrinking at the float spacing, which analytic_curvature's
     tol of 1e-12 of a range narrower than about 1e-4 of its ends undercuts)."""
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -247,12 +247,11 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def analytic_curvature(spec: ModelSpec, grid, convention: str = "cells") -> tuple[np.ndarray, tuple | None]:
+def analytic_curvature(spec: ModelSpec, grid) -> tuple[np.ndarray, tuple | None]:
     """The perturbative comparison of a sweep: the closed-form curvature sum
     of the critical modes (see _d2_sum) at each eta of `grid`, and its
     golden-section extremum (eta_m_analytic, peak_analytic) on [grid[0],
-    grid[-1]], to 1e-12 of that range. `convention` selects the corners
-    c_k of the terms, each computed once.
+    grid[-1]], to 1e-12 of that range, from the physical corners c_k.
 
     On the square lattice, which has no midgap doublet, the column is NaN
     and there is no extremum; nor is there one at sin(phi) = 0 (phi within
@@ -262,7 +261,7 @@ def analytic_curvature(spec: ModelSpec, grid, convention: str = "cells") -> tupl
     grid = np.asarray(grid, dtype=np.float64)
     if spec.kind != "honeycomb":
         return np.full(len(grid), np.nan), None
-    doublets = critical_doublets(spec, convention)
+    doublets = critical_doublets(spec)
     column = np.array([_d2_sum(spec, doublets, x) for x in grid.tolist()])
     if sin_cos(spec.phi)[0] == 0.0 or not doublets:
         return column, None

@@ -35,10 +35,10 @@ def ground_energy_exact(spec: ModelSpec) -> float:
     return float(evals[evals < 0.0].sum())
 
 
-def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=None) -> float:
+def d2_analytic(spec: ModelSpec, eta: float, modes=None) -> float:
     """The closed-form curvature of E_g at one eta, summed over `modes`
-    (default: the critical window) whose corner c_k is nonzero: each lower
-    midgap level -(t/Omega_k)|eta*e^{i phi} - c_k| has the second
+    (default: the critical window) whose physical corner c_k = lambda_k^(N/2)
+    is nonzero: each lower midgap level -(t/Omega_k)|eta*e^{i phi} - c_k| has the second
     eta-derivative -(t/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3,
     evaluated as -(t/Omega_k)*(c_k*sin(phi)/z)^2/z with z = |eta*e^{i phi} - c_k|,
     since z^3 leaves double range from N = 584 on (M = 7, phi = pi/4).
@@ -48,23 +48,23 @@ def d2_analytic(spec: ModelSpec, eta: float, convention: str = "cells", modes=No
         raise ValueError("analytic curvature is defined for honeycomb specs only")
     total = 0.0
     for lam in ring_lams(spec.kind, spec.M, critical_modes(spec.M) if modes is None else modes):
-        c = corner_coupling(lam, spec.N, convention)
+        c = corner_coupling(lam, spec.N)
         if c != 0.0:
             z = abs(eta * cmath.exp(1j * spec.phi) - c)
-            total -= spec.t / omega_factor(lam, spec.N, convention) * (c * math.sin(spec.phi) / z) ** 2 / z
+            total -= spec.t / omega_factor(lam, spec.N) * (c * math.sin(spec.phi) / z) ** 2 / z
     return total
 
 
-def fidelity_at_minimum(lam: float, N: int, delta: float, phi: float, convention: str = "cells") -> float:
+def fidelity_at_minimum(lam: float, N: int, delta: float, phi: float) -> float:
     """Closed-form fidelity at eta = eta_star: b/sqrt(delta^2 + b^2)
-    with b = |c*sin(phi)|; equals 1 at delta = 0 and 0 across an exact
-    crossing (sin(phi) = 0, delta > 0). The oracle that test_ssh and
-    test_acceptance compare fidelity_perturbative against."""
+    with b = |c*sin(phi)| at the physical corner c; equals 1 at delta = 0
+    and 0 across an exact crossing (sin(phi) = 0, delta > 0). The oracle
+    that test_ssh and test_acceptance compare fidelity_perturbative against."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return 1.0
-    c = corner_coupling(lam, N, convention)
+    c = corner_coupling(lam, N)
     b = abs(c * math.sin(phi))
     if b == 0.0:
         return 0.0

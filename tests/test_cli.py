@@ -95,8 +95,8 @@ def test_parse_config_rejects_command_mismatch():
 
 
 def test_parse_config_rejects_bad_convention():
-    with pytest.raises(ConfigError):
-        parse_config("sweep", {"convention": "bonds"}, None)
+    with pytest.raises(ConfigError, match="'convention' must be one of"):
+        parse_config("validate", {"convention": "bonds"}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +239,6 @@ def test_fidelity_isolation_message_states_a_true_inequality(tmp_path, capsys):
     assert "separation 0.444992 < 10*gap_min = 1.41278 (separation/gap_min = 3.15)" in err
 
 
-def test_fidelity_convention_moves_only_the_perturbative_column(tmp_path):
-    args = ["fidelity", "--lam", "0.5", "--N", "20", "--phi-over-pi", "0.25"]
-    columns = {}
-    for convention in ("cells", "sites"):
-        out = tmp_path / convention
-        assert run_cli([*args, "--convention", convention, "--out", str(out)]) == 0
-        rows = [line.split(",") for line in (out / "fidelity.csv").read_text().splitlines()]
-        columns[convention] = list(zip(*rows))  # delta, f_exact, f_perturbative
-    assert columns["sites"][:2] == columns["cells"][:2]
-    assert columns["sites"][2] != columns["cells"][2]
-
-
 def test_square_report(tmp_path):
     code = run_cli(["square", "--n-list", "8,16", "--steps", "80", "--out", str(tmp_path)])
     assert code == 0
@@ -310,15 +298,15 @@ def test_unknown_flag_for_command(tmp_path, capsys):
 
 
 # The config keys each command accepts; the option table must reproduce them
-# exactly. 'convention' goes only to the commands with a perturbative output,
-# and 't' not to fidelity, whose outputs are ratios of energies.
+# exactly. 'convention' goes only to validate, whose 'sites' run is the designed
+# failing case, and 't' not to fidelity, whose outputs are ratios of energies.
 ACCEPTED_KEYS = {
     "spectrum": {"command", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
                  "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
-    "sweep": {"command", "convention", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+    "sweep": {"command", "out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
               "eta_min", "eta_max", "steps", "dump_blocks"},
     "scaling": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
-    "fidelity": {"command", "convention", "out", "lam", "N", "phi", "phi_over_pi", "eta_center",
+    "fidelity": {"command", "out", "lam", "N", "phi", "phi_over_pi", "eta_center",
                  "delta_min", "delta_max", "delta_steps"},
     "square": {"command", "out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
                "eta_max", "steps"},
@@ -461,12 +449,14 @@ def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", _table_args(lambda row: "fails" in row.tags and "1e-320" in row.args), ids=" ".join)
+@pytest.mark.parametrize("argv", _table_args(lambda row: "fails" in row.tags and "--t" in row.args), ids=" ".join)
 def test_output_below_the_normal_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
-    # at t = 1e-320 a sweep's peak keeps 5 digits and spectrum's levels fewer: one error line, no file
+    # at t = 1e-320 a sweep's peak keeps 5 digits and spectrum's levels fewer, and at t = 1e-300 a
+    # square ring's exact zeros, which the dense solve returns at roundoff size: one error line, no file
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: t = 1e-320 scales the results below the normal double range\n"
+    t = argv[argv.index("--t") + 1]
+    assert capsys.readouterr().err == f"error: t = {t} scales the results below the normal double range\n"
     assert not out.exists()
 
 
@@ -529,7 +519,7 @@ def test_option_table_checks_choices_once(capsys):
     with pytest.raises(ConfigError, match="'kind' must be one of"):
         parse_config("sweep", {"kind": "hex"})
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["sweep", "--convention", "bonds"])
+        build_parser().parse_args(["validate", "--convention", "bonds"])
     assert "invalid convention value: 'bonds'" in capsys.readouterr().err
 
 

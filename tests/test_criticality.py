@@ -99,9 +99,9 @@ def test_band_part_curvature_is_negligible_at_peak():
     assert d2_band <= 0.1 * d2_midgap
 
 
-def _scalar_d2(spec, eta, convention="cells"):
+def _scalar_d2(spec, eta):
     """The closed-form curvature at one eta through analytic_curvature's own per-mode sum."""
-    return _d2_sum(spec, critical_doublets(spec, convention), eta)
+    return _d2_sum(spec, critical_doublets(spec), eta)
 
 
 def test_d2_analytic_rejects_square():
@@ -156,21 +156,21 @@ def test_sin_cos_is_exact_at_multiples_of_half_pi():
         assert sin_cos(phi) == (math.sin(phi), math.cos(phi))
 
 
-@pytest.mark.parametrize("convention", ["cells", "sites"])
-@pytest.mark.parametrize("phi", [PHI, 1.1, 0.3, 2.5])
-def test_analytic_curvature_matches_the_closed_form_oracle(phi, convention):
+@pytest.mark.parametrize("phi", [PHI, 1.1, 0.3, 2.5], ids=lambda phi: f"{phi}-cells")
+def test_analytic_curvature_matches_the_closed_form_oracle(phi):
     # the oracle is the formula alone, with complex arithmetic; analytic_curvature sums Python
-    # scalars in its own order, so the two agree to roundoff and not bit for bit
+    # scalars in its own order, so the two agree to roundoff and not bit for bit; both read the
+    # physical corners lambda^(N/2) (the ids keep the name of that convention)
     for M in (5, 7, 10, 13, 31):
         for N in (8, 20, 40, 64):
             spec = ModelSpec("honeycomb", M, N, phi=phi)
             lams = ring_lams("honeycomb", M, critical_modes(M))
-            grid = np.linspace(0.0, 2.0 * max(abs(corner_coupling(lam, N, convention)) for lam in lams), 65)
-            column, extremum = analytic_curvature(spec, grid, convention)
-            want = np.array([d2_analytic(spec, x, convention) for x in grid])
+            grid = np.linspace(0.0, 2.0 * max(abs(corner_coupling(lam, N)) for lam in lams), 65)
+            column, extremum = analytic_curvature(spec, grid)
+            want = np.array([d2_analytic(spec, x) for x in grid])
             assert np.max(np.abs(column - want) / np.abs(want)) <= 1e-14, (M, N)
             eta_m, peak = extremum
-            assert peak == pytest.approx(d2_analytic(spec, eta_m, convention), rel=1e-14, abs=0.0)
+            assert peak == pytest.approx(d2_analytic(spec, eta_m), rel=1e-14, abs=0.0)
             assert grid[0] <= eta_m <= grid[-1]
 
 
@@ -416,16 +416,16 @@ def test_sweep_honeycomb_pinpoints_known_peak():
 
 @pytest.mark.parametrize("M,N", [(7, 20), (31, 64)])
 def test_sweep_exact_outputs_do_not_read_the_convention(M, N):
-    # the physical corners lambda_k^(N/2) set the range and the cut; 'sites' moves only the analytic comparison
-    assert "convention" not in inspect.signature(sweep).parameters
-    assert "convention" not in inspect.signature(fidelity_exact).parameters
+    # the physical corners lambda_k^(N/2) set the range, the cut and the analytic comparison;
+    # 'sites' corners reach only validate's single-ring checks
+    for function in (sweep, fidelity_exact, critical_doublets, analytic_curvature):
+        assert "convention" not in inspect.signature(function).parameters, function.__name__
     assert [field.name for field in dataclasses.fields(SweepResult)] == [
         "eta_grid", "e_g_curve", "d2_numeric", "eta_m", "peak", "flags"]
     spec = ModelSpec("honeycomb", M, N, phi=PHI)
-    grid = sweep(spec).eta_grid
-    (cells, cells_extremum), (sites, sites_extremum) = (analytic_curvature(spec, grid, c) for c in ("cells", "sites"))
-    assert not np.array_equal(sites, cells)
-    assert sites_extremum != cells_extremum
+    corners = [corner_coupling(lam, N) for lam in ring_lams("honeycomb", M, critical_modes(M))]
+    assert [c for c, _ in critical_doublets(spec)] == [c for c in corners if c != 0.0]
+    assert sweep(spec).eta_grid[-1] == min(1.0, 3.0 * max(map(abs, corners)) * math.cos(PHI))
 
 
 @pytest.mark.parametrize("N", [56, 72, 80])

@@ -3,6 +3,8 @@ difference between two runs, on small synthetic run trees."""
 
 import json
 import math
+import re
+import shlex
 
 import pytest
 
@@ -23,6 +25,18 @@ def test_table_rows_are_distinct_and_tagged_from_the_known_set():
     assert {row.exit for row in rows} == {0, 1, 2}
     assert all(row.exit == 1 for row in rows if "fails" in row.tags)
     assert len(read_table("readme")) == 8
+
+
+def test_readme_example_block_is_the_tables_readme_rows():
+    # the README's example block is its fenced sh block that ends with `validate --convention sites`;
+    # its torus-qpt lines, trailing comments stripped, are the `readme` rows in table order
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [[shlex.split(line, comments=True) for line in block.splitlines()]
+              for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)]
+    examples = [block for block in blocks if block and block[-1] == ["torus-qpt", "validate", "--convention", "sites"]]
+    assert len(examples) == 1
+    lines = [tuple(words[1:]) for words in examples[0] if words[:1] == ["torus-qpt"]]
+    assert lines == [row.args for row in read_table("readme")]
 
 
 def _tree(root, exit=0, stdout=STDOUT, stderr="", files=None):
