@@ -55,7 +55,7 @@ try:
         omega_factor,
         zero_modes,
     )
-    from .validate import DEFAULT_TOLERANCES, run_validation
+    from .validate import run_validation
 finally:
     if _collecting:
         gc.enable()
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONVENTIONS",
-    "DEFAULT_TOLERANCES",
     "MidgapSolution",
     "ModelSpec",
     "SweepResult",

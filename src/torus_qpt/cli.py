@@ -1,21 +1,21 @@
-"""Command-line surface: configuration, dispatch, and file emission.
+"""Command-line surface: flags, dispatch, and file emission.
 
 `torus-qpt --help` lists the commands and the files each writes
-(build_parser's descriptions). Configuration comes from an optional JSON
-file (--config) plus flags that mirror the JSON keys one-to-one and take
-precedence over the file. OPTIONS lists every key once, with its
-converter, its flag settings and the commands that accept it. The
-converter is the only place a value is typed and checked: argparse uses
-it as the flag's type, parse_config applies it to every merged value,
-and a command reads the typed values from parse_config's dict. A command
-rejects a value that nothing would read (`_needs`). Outputs are written
-atomically into --out (default: current directory) with fixed float
-formatting, so identical configurations produce byte-identical files.
+(build_parser's descriptions). Flags are the one input. OPTIONS is
+argparse's table: it lists every flag once, with its argparse settings,
+its help text and the commands that accept it. argparse types and checks
+each flag's text (a converter below, or a choice), parse_config rejects
+a flag its command does not accept, and a command reads the typed values
+from parse_config's dict. A command rejects a value that nothing would
+read (`_needs`). Outputs are written atomically into --out (default:
+current directory) with fixed float formatting, so identical flags
+produce byte-identical files.
 
-Exit codes: 0 success. 2 the input was rejected before any work: any
-ValueError, ConfigError included, from a converter (a non-integral
-count, NaN or +-inf, t <= 0, an unknown choice) or from the library's own
-domain checks (ModelSpec, sweep's grid, scaling_scan's ring lengths).
+Exit codes: 0 success. 2 the input was rejected before any work: a flag's
+text that argparse rejects (a non-integral count, NaN or +-inf, t <= 0, an
+unknown choice), or any ValueError, ConfigError included (a flag its
+command does not accept, a value nothing would read, the library's own
+domain checks: ModelSpec, sweep's grid, scaling_scan's ring lengths).
 1 a computation or check failed: RuntimeError, LinAlgError, a failing
 validate check, or FloatingPointError (NumPy raises on overflow, invalid
 values and division by zero in every command: an output past double range).
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -46,138 +45,83 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2, like every ValueError)."""
 
 
-# Converters: each types and checks one key's value, from a flag's text
-# (argparse calls it with the text alone) or a config file's JSON value, and
-# returns an already-converted value unchanged.
+# Converters: argparse calls each with a flag's text, and reports the
+# ValueError it raises as an invalid value of that flag, by the converter's name.
 
 
-def integer(value, key: str = "value") -> int:
-    if isinstance(value, str):
-        digits = value.strip().lstrip("+-")
-        if digits.isdecimal() and len(value.strip()) - len(digits) <= 1:
-            return int(value)
-    elif isinstance(value, float) and value.is_integer() or isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+def integer(text: str) -> int:
+    digits = text.strip().lstrip("+-")
+    if digits.isdecimal() and len(text.strip()) - len(digits) <= 1:
+        return int(text)
+    raise ConfigError(f"not an integer: {text!r}")
 
 
-def number(value, key: str = "value") -> float:
+def number(text: str) -> float:
     try:
-        x = math.nan if isinstance(value, bool) or not isinstance(value, (int, float, str)) else float(value)
-    except (ValueError, OverflowError):
+        x = float(text)
+    except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+        raise ConfigError(f"not a finite number: {text!r}")
     return x
 
 
-def positive(value, key: str = "value") -> float:
-    x = number(value, key)
+def positive(text: str) -> float:
+    x = number(text)
     if not x > 0.0:
-        raise ConfigError(f"{key!r} must be a positive number, got {value!r}")
+        raise ConfigError(f"not a positive number: {text!r}")
     return x
 
 
-def _one_of(name: str, choices: tuple[str, ...]):
-    def convert(value, key: str = name) -> str:
-        if value not in choices:
-            raise ConfigError(f"{key!r} must be one of {choices}, got {value!r}")
-        return value
-
-    convert.__name__ = name  # argparse names the converter in its error message
-    return convert
+def ring_lengths(text: str) -> list[int]:
+    """A comma-separated list of integers ("8,12," too), not empty."""
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ConfigError(f"no ring length in {text!r}")
+    return [integer(part) for part in parts]
 
 
-def _instance_of(cls: type, what: str):
-    def convert(value, key: str = "value"):
-        if not isinstance(value, cls):
-            raise ConfigError(f"{key!r} must be {what}, got {value!r}")
-        return value
-
-    return convert
-
-
-def ring_lengths(value, key: str = "value") -> list[int]:
-    """A comma-separated list ("8,12,") or a JSON list of integers, not empty."""
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key!r} must be a non-empty list of integers, got {value!r}")
-    return [integer(n, key) for n in value]
-
-
-def tolerances(value, key: str = "value") -> dict:
-    """Check name -> finite tolerance; run_validation rejects unknown names."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must map check names to numbers, got {value!r}")
-    return {name: number(tol, f"{key}.{name}") for name, tol in value.items()}
-
-
-# The option table: config key, converter, flag (None: config file only;
-# True: argparse converts with the converter; otherwise the argparse settings),
-# help text, and the commands that accept the key. Every command parses every
-# flag; parse_config rejects a key that its command does not accept and
-# converts every value it keeps.
+# argparse's table: key (the flag is --key with '-' for '_'), argparse
+# settings, help text, and the commands that accept the key. Every command
+# parses every flag; parse_config rejects a key that its command does not accept.
 _MODEL = ("spectrum", "sweep")
 _FLUX = ("spectrum", "sweep", "scaling", "fidelity", "square")
 _GRID = ("spectrum", "sweep", "square")
 _STEPS = ("spectrum", "sweep", "scaling", "square")
 OPTIONS = (
-    ("out", _instance_of(str, "a string"), True, "output directory (default: current directory)", COMMANDS),
-    ("kind", _one_of("kind", KINDS), True, f"lattice kind: {' or '.join(KINDS)}", _MODEL),
-    ("M", integer, True, "number of rows", _STEPS),
-    ("N", integer, True, "ring length", ("spectrum", "sweep", "fidelity")),
-    ("t", positive, True, "hopping energy unit (> 0)", ("spectrum", "sweep", "scaling", "square")),
-    ("eta", number, True, "boundary coupling", _MODEL),
-    ("phi", number, True, "flux phase in radians", _FLUX),
-    ("phi_over_pi", number, True, "flux phase as a fraction of pi", _FLUX),
-    ("eta_min", number, True, "sweep grid start", _GRID),
-    ("eta_max", number, True, "sweep grid end", _GRID),
-    ("steps", integer, True, "number of grid steps", _STEPS),
-    ("convention", _one_of("convention", CONVENTIONS), True,
-     f"corner exponent convention of the self-checks ('sites' fails them by design): {' or '.join(CONVENTIONS)}",
-     ("validate",)),
-    ("lam", number, True, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
-    ("mode", integer, True, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
-    ("n_list", ring_lengths, {}, "comma-separated ring lengths", ("scaling", "square")),
-    ("eta_center", number, True, "fidelity center eta", ("fidelity",)),
-    ("delta_min", number, True, "smallest delta", ("fidelity",)),
-    ("delta_max", number, True, "largest delta", ("fidelity",)),
-    ("delta_steps", integer, True, "number of delta points", ("fidelity",)),
-    ("dump_blocks", _instance_of(bool, "true or false"), {"action": "store_const", "const": True},
-     "also write blocks.csv with all momentum blocks", _MODEL),
-    ("tolerances", tolerances, None, "check name -> tolerance overrides", ("validate",)),
+    ("out", {}, "output directory (default: current directory)", COMMANDS),
+    ("kind", {"choices": KINDS}, "lattice kind", _MODEL),
+    ("M", {"type": integer}, "number of rows", _STEPS),
+    ("N", {"type": integer}, "ring length", ("spectrum", "sweep", "fidelity")),
+    ("t", {"type": positive}, "hopping energy unit (> 0)", ("spectrum", "sweep", "scaling", "square")),
+    ("eta", {"type": number}, "boundary coupling", _MODEL),
+    ("phi", {"type": number}, "flux phase in radians", _FLUX),
+    ("phi_over_pi", {"type": number}, "flux phase as a fraction of pi", _FLUX),
+    ("eta_min", {"type": number}, "sweep grid start", _GRID),
+    ("eta_max", {"type": number}, "sweep grid end", _GRID),
+    ("steps", {"type": integer}, "number of grid steps", _STEPS),
+    ("convention", {"choices": CONVENTIONS},
+     "corner exponent convention of the self-checks ('sites' fails them by design)", ("validate",)),
+    ("lam", {"type": number}, "ring coupling lambda (block selection)", ("spectrum", "fidelity")),
+    ("mode", {"type": integer}, "momentum mode index m (block selection, needs --M)", ("spectrum",)),
+    ("n_list", {"type": ring_lengths}, "comma-separated ring lengths", ("scaling", "square")),
+    ("eta_center", {"type": number}, "fidelity center eta", ("fidelity",)),
+    ("delta_min", {"type": number}, "smallest delta", ("fidelity",)),
+    ("delta_max", {"type": number}, "largest delta", ("fidelity",)),
+    ("delta_steps", {"type": integer}, "number of delta points", ("fidelity",)),
+    ("dump_blocks", {"action": "store_const", "const": True}, "also write blocks.csv with all momentum blocks", _MODEL),
 )
-_CONVERTERS = {key: convert for key, convert, *_ in OPTIONS}
 
 
-def parse_config(command: str, file_data: dict | None = None, overrides: dict | None = None) -> dict:
-    """Merge config-file values with flag overrides, check keys, convert values;
-    return the converted key-value dict.
-
-    Flags win over file values. A flux given by flag (either 'phi' or
-    'phi_over_pi') replaces any flux key from the file. Unknown keys,
-    a command mismatch, both flux forms at once, or a value its
-    converter rejects raise ConfigError.
-    """
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    merged = dict(file_data or {})
-    if overrides:
-        if ("phi" in overrides or "phi_over_pi" in overrides):
-            merged.pop("phi", None)
-            merged.pop("phi_over_pi", None)
-        merged.update(overrides)
-    if "command" in merged:
-        if merged["command"] != command:
-            raise ConfigError(f"config file is for command {merged['command']!r}, not {command!r}")
-        del merged["command"]
-    unknown = set(merged) - {key for key, *_, commands in OPTIONS if command in commands}
+def parse_config(command: str, flags: dict) -> dict:
+    """The typed flags given to `command`, key -> value, once checked: a key
+    the command does not accept, or both flux forms at once, raise ConfigError."""
+    unknown = set(flags) - {key for key, *_, commands in OPTIONS if command in commands}
     if unknown:
         raise ConfigError(f"keys not used by command {command!r}: {sorted(unknown)}")
-    if "phi" in merged and "phi_over_pi" in merged:
+    if "phi" in flags and "phi_over_pi" in flags:
         raise ConfigError("provide exactly one of 'phi' and 'phi_over_pi'")
-    return {key: _CONVERTERS[key](value, key) for key, value in merged.items()}
+    return flags
 
 
 def _resolve_phi(config: dict, default: float) -> float:
@@ -198,8 +142,8 @@ def _build_model(config: dict, kind: str, M: int, N: int, eta: float, phi_defaul
 
 
 def _needs(config: dict, key: str, *keys: str) -> None:
-    """ConfigError when `key` is given (and not false) but none of `keys` is."""
-    if config.get(key, False) is not False and all(config.get(other, False) is False for other in keys):
+    """ConfigError when `key` is given but none of `keys` is."""
+    if key in config and not any(other in config for other in keys):
         raise ConfigError(f"{key!r} needs {' or '.join(map(repr, keys))}")
 
 
@@ -235,7 +179,7 @@ def cmd_spectrum(config: dict) -> int:
     eta_min, eta_max, steps = config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 200)
     if steps < 1 or not eta_max > eta_min:
         raise ConfigError("need steps >= 1 and eta_max > eta_min")
-    spec = _build_model(config, kind, 0, N, 1.0, phi) if config.get("dump_blocks") else None
+    spec = _build_model(config, kind, 0, N, 1.0, phi) if "dump_blocks" in config else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
     levels = scale_by_t(config.get("t", 1.0), ring_levels(kind, [lam], N, grid, phi)[:, 0])
@@ -254,12 +198,13 @@ def cmd_sweep(config: dict) -> int:
     spec = _build_model(config, "honeycomb", 7, 20, 0.0, math.pi / 4)
     result = sweep(spec, config.get("eta_min"), config.get("eta_max"), config.get("steps"))
     d2_analytic, extremum = analytic_curvature(spec, result.eta_grid)
+    blocks = blocks_to_csv(spec) if "dump_blocks" in config else None  # before any file is written: it can fail
     summary = [f"sweep: eta_m={fmt_float(result.eta_m)} peak={fmt_float(result.peak)} flags={list(result.flags)}"]
     if extremum is not None:
         summary.append(f"sweep (analytic): eta_m={fmt_float(extremum[0])} peak={fmt_float(extremum[1])}")
     _publish(config, "sweep.csv", sweep_to_csv(result, d2_analytic), *summary)
-    if config.get("dump_blocks"):
-        _publish(config, "blocks.csv", blocks_to_csv(spec))
+    if blocks is not None:
+        _publish(config, "blocks.csv", blocks)
     return 0
 
 
@@ -303,17 +248,16 @@ def cmd_square(config: dict) -> int:
     n_sorted = sorted(set(config.get("n_list", [8, 16, 32])))
     phi = _resolve_phi(config, math.pi / 4)
     specs = [ModelSpec("square", M, n, config.get("t", 1.0), 0.0, phi) for n in n_sorted]
-    # the first sweep checks the grid, shared by every N, before any file is written
     grid = (config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 128))
 
-    peaks = []
-    flags = {}
-    for spec in specs:
-        result = sweep(spec, *grid)
-        peaks.append(abs(result.peak))
-        flags[str(spec.N)] = list(result.flags)
-        nan_column = analytic_curvature(spec, result.eta_grid)[0]  # the square lattice has no closed form
-        _publish(config, f"sweep_square_N{spec.N}.csv", sweep_to_csv(result, nan_column))
+    # every sweep runs, and every file's text is built, before any file is written: any of them can fail
+    results = [sweep(spec, *grid) for spec in specs]
+    peaks = [abs(result.peak) for result in results]
+    flags = {str(spec.N): list(result.flags) for spec, result in zip(specs, results)}
+    # the square lattice has no closed form: analytic_curvature's column is NaN
+    texts = [sweep_to_csv(result, analytic_curvature(spec, result.eta_grid)[0]) for spec, result in zip(specs, results)]
+    for spec, text in zip(specs, texts):
+        _publish(config, f"sweep_square_N{spec.N}.csv", text)
     ratio = max(peaks) / min(peaks) if min(peaks) > 0 else None
     report = {
         "m": M,
@@ -330,7 +274,7 @@ def cmd_square(config: dict) -> int:
 
 
 def cmd_validate(config: dict) -> int:
-    report = run_validation(config.get("convention", "cells"), config.get("tolerances"))
+    report = run_validation(config.get("convention", "cells"))
     lines = [
         f"{'PASS' if entry['pass'] else 'FAIL'} {entry['name']}: measured={fmt_float(entry['measured'])} "
         f"tolerance={fmt_float(entry['tolerance'])}"
@@ -372,35 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     }
     # every command takes every flag: register them once, on a parent that each subparser copies
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    for key, convert, flag, help_text, _ in OPTIONS:
-        if flag is not None:
-            settings = {"type": convert} if flag is True else flag
-            common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
+    for key, settings, help_text, _ in OPTIONS:
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **settings)
     for name in COMMANDS:
         sub.add_parser(name, help=descriptions[name], parents=[common])
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command. Exit 2 when the input is rejected (any ValueError,
-    ConfigError included, or an unreadable file), 1 when a computation or
-    check fails (RuntimeError, LinAlgError, FloatingPointError)."""
+    """Run one command. Exit 2 when the input is rejected (by argparse, or any
+    ValueError, ConfigError included) or --out cannot be written (OSError), 1
+    when a computation or check fails (RuntimeError, LinAlgError,
+    FloatingPointError)."""
     args = build_parser().parse_args(argv)
     try:
-        file_data = None
-        if args.config:
-            try:
-                with open(args.config, encoding="utf-8") as handle:
-                    file_data = json.load(handle)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
-            if not isinstance(file_data, dict):
-                raise ConfigError("config file must contain a JSON object")
-        overrides = {key: getattr(args, key) for key, *_ in OPTIONS if getattr(args, key, None) is not None}
-        config = parse_config(args.command, file_data, overrides)
+        config = parse_config(args.command, {key: getattr(args, key) for key, *_ in OPTIONS
+                                             if getattr(args, key) is not None})
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _RUNNERS[args.command](config)
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError: test it first

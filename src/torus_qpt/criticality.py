@@ -465,7 +465,7 @@ def scaling_scan(
     phi: float,
     t: float,
     n_list,
-    steps: int = 128,
+    steps: int,
 ) -> dict:
     """Finite-size scaling of the curvature peak on the honeycomb torus.
 

@@ -5,8 +5,8 @@ and compares it against a tolerance. The suite covers the block-union
 property for both lattices, exact zero-mode annihilation, the square
 closed-form spectra, perturbation theory against dense diagonalization,
 the gap-minimum location, curvature consistency, and the fidelity
-relations. Tolerances can be overridden per check; the exponent
-convention is threaded through so a 'sites' run demonstrably fails the
+relations. Each tolerance is fixed in CHECKS; the exponent convention is
+threaded through so a 'sites' run demonstrably fails the
 convention-sensitive checks.
 
 The square closed-form check makes no eigensolve. It holds every ring H
@@ -154,7 +154,7 @@ def check_fidelity_exact_vs_perturbative(convention: str) -> float:
     return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, _N, eta_star, deltas, _PHI, convention))))
 
 
-# (name, check, default tolerance), in report order
+# (name, check, tolerance), in report order
 CHECKS = (
     ("block-union-honeycomb", check_block_union_honeycomb, 1e-10),
     ("block-union-square", check_block_union_square, 1e-10),
@@ -166,23 +166,14 @@ CHECKS = (
     ("fidelity-closed-form", check_fidelity_closed_form, 1e-8),
     ("fidelity-exact-vs-perturbative", check_fidelity_exact_vs_perturbative, 1e-3),
 )
-DEFAULT_TOLERANCES = {name: tol for name, _, tol in CHECKS}
 
 
-def run_validation(convention: str = "cells", tolerances: dict | None = None) -> dict:
-    """Run every check and return the machine-readable report.
-
-    `tolerances` overrides individual check tolerances by name; unknown
-    names raise ValueError.
-    """
-    tolerances = tolerances or {}
-    unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
+def run_validation(convention: str = "cells") -> dict:
+    """Run every check and return the machine-readable report."""
     start = time.perf_counter()
     checks = []
-    for name, check, default in CHECKS:
-        measured, tol = float(check(convention)), float(tolerances.get(name, default))
+    for name, check, tol in CHECKS:
+        measured = float(check(convention))
         checks.append({"name": name, "pass": bool(measured <= tol), "measured": measured, "tolerance": tol})
     return {
         "checks": checks,

@@ -86,18 +86,6 @@ def read_table(tag: str | None = None) -> list[Row]:
     return [row for row in rows if tag is None or tag in row.tags]
 
 
-def with_config_file(args, path: Path) -> list[str]:
-    """args with an inline `--config {...}` value written to `path` and
-    replaced by it."""
-    args = list(args)
-    if "--config" in args:
-        i = args.index("--config") + 1
-        if args[i].startswith("{"):
-            path.write_text(args[i], encoding="utf-8")
-            args[i] = str(path)
-    return args
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -183,11 +171,10 @@ def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script
         directory = (out / row.name).resolve()
         directory.mkdir(parents=True)
         (directory / "row").write_text(row.line + "\n", encoding="utf-8")
-        args = with_config_file(row.args, directory / "config.json")
         row_env = {**env, "PYTHONWARNINGS": "error::RuntimeWarning"} if row.tags & {"stress", "fails"} else env
         start = time.perf_counter()
         with open(directory / "stdout", "w") as stdout, open(directory / "stderr", "w") as stderr:
-            code = subprocess.run([*command, *args, "--out", "out"], cwd=directory, env=row_env,
+            code = subprocess.run([*command, *row.args, "--out", "out"], cwd=directory, env=row_env,
                                   stdout=stdout, stderr=stderr).returncode
         (directory / "exit").write_text(f"{code}\n")
         problems = row_problems(row, directory)

@@ -662,15 +662,15 @@ def test_scaling_scan_dedupes_and_sorts():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(M=2, phi=PHI, t=1.0, n_list=[8, 12]),
-        dict(M=7.0, phi=PHI, t=1.0, n_list=[8, 12]),
-        dict(M=7, phi=0.0, t=1.0, n_list=[8]),
-        dict(M=7, phi=PHI, t=1.0, n_list=[]),
-        dict(M=7, phi=PHI, t=1.0, n_list=[8, 8]),
-        dict(M=7, phi=PHI, t=1.0, n_list=[8, 10]),
+        dict(M=2, phi=PHI, t=1.0, n_list=[8, 12], steps=128),
+        dict(M=7.0, phi=PHI, t=1.0, n_list=[8, 12], steps=128),
+        dict(M=7, phi=0.0, t=1.0, n_list=[8], steps=128),
+        dict(M=7, phi=PHI, t=1.0, n_list=[], steps=128),
+        dict(M=7, phi=PHI, t=1.0, n_list=[8, 8], steps=128),
+        dict(M=7, phi=PHI, t=1.0, n_list=[8, 10], steps=128),
         # sin(pi) and sin(2*pi) are 1.2e-16 and -2.4e-16, not 0: both are rejected as phi = 0 is
-        dict(M=7, phi=math.pi, t=1.0, n_list=[8, 12]),
-        dict(M=7, phi=2.0 * math.pi, t=1.0, n_list=[8, 12]),
+        dict(M=7, phi=math.pi, t=1.0, n_list=[8, 12], steps=128),
+        dict(M=7, phi=2.0 * math.pi, t=1.0, n_list=[8, 12], steps=128),
     ],
 )
 def test_scaling_scan_validation(monkeypatch, kwargs):
@@ -685,7 +685,7 @@ def test_scaling_scan_validation(monkeypatch, kwargs):
 def test_scaling_scan_unbracketed_peak_is_a_runtime_error():
     # M = 11, N = 8: the grid argmax sits on the grid edge, so no fit is possible
     with pytest.raises(RuntimeError, match="not bracketed for N=8"):
-        scaling_scan(M=11, phi=PHI, t=1.0, n_list=[8, 12])
+        scaling_scan(M=11, phi=PHI, t=1.0, n_list=[8, 12], steps=128)
 
 
 def test_fidelity_exact_matches_perturbative():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from torus_qpt import DEFAULT_TOLERANCES, run_validation, validate
+from torus_qpt import run_validation, validate
+
+TOLERANCES = {name: tol for name, _, tol in validate.CHECKS}
 
 EXPECTED_CHECKS = [
     "block-union-honeycomb",
@@ -28,7 +30,7 @@ def test_default_suite_passes():
 def test_tolerances_match_defaults():
     report = run_validation()
     for entry in report["checks"]:
-        assert entry["tolerance"] == DEFAULT_TOLERANCES[entry["name"]]
+        assert entry["tolerance"] == TOLERANCES[entry["name"]]
 
 
 def test_sites_convention_fails_known_checks():
@@ -41,21 +43,6 @@ def test_sites_convention_fails_known_checks():
     passed = {c["name"] for c in report["checks"] if c["pass"]}
     assert "fidelity-closed-form" in passed
     assert "block-union-honeycomb" in passed  # convention-independent
-
-
-def test_tolerance_override_tightening():
-    report = run_validation(tolerances={"block-union-honeycomb": 1e-20})
-    assert report["pass"] is False
-    by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["block-union-honeycomb"]["pass"] is False
-    assert by_name["block-union-honeycomb"]["tolerance"] == 1e-20
-    # other checks keep their defaults
-    assert by_name["square-closed-form"]["tolerance"] == DEFAULT_TOLERANCES["square-closed-form"]
-
-
-def test_unknown_tolerance_name_rejected():
-    with pytest.raises(ValueError, match="unknown check"):
-        run_validation(tolerances={"no-such-check": 1.0})
 
 
 def test_unknown_convention_rejected():
@@ -76,7 +63,7 @@ def _move_one_entry(chunk):
 
 @pytest.mark.parametrize("corrupt", [_conjugate_boundary, _move_one_entry])
 def test_square_closed_form_catches_a_faulty_builder(monkeypatch, corrupt):
-    assert validate.check_square_closed_form("cells") <= DEFAULT_TOLERANCES["square-closed-form"]
+    assert validate.check_square_closed_form("cells") <= TOLERANCES["square-closed-form"]
     ring_stack = validate.ring_stack
 
     def faulty(*args):
@@ -85,7 +72,7 @@ def test_square_closed_form_catches_a_faulty_builder(monkeypatch, corrupt):
             yield chunk
 
     monkeypatch.setattr(validate, "ring_stack", faulty)
-    assert validate.check_square_closed_form("cells") > DEFAULT_TOLERANCES["square-closed-form"]
+    assert validate.check_square_closed_form("cells") > TOLERANCES["square-closed-form"]
 
 
 def test_square_closed_form_makes_no_eigensolve(monkeypatch):
