@@ -44,7 +44,6 @@ try:
     from .eigensolve import square_ring_closed_form, square_ring_modes
     from .models import ModelSpec, build_lattice
     from .ssh import (
-        CONVENTIONS,
         MidgapSolution,
         analytic_curvature,
         build_h0,
@@ -55,7 +54,7 @@ try:
         omega_factor,
         zero_modes,
     )
-    from .validate import run_validation
+    from .validate import CONVENTIONS, run_validation
 finally:
     if _collecting:
         gc.enable()

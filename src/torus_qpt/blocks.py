@@ -168,18 +168,7 @@ def critical_modes(M: int) -> list[int]:
     so edge modes (3m = M or 3m = 2M, possible only when 3 divides M)
     are excluded without floating-point ambiguity.
     """
-    out = []
-    for m in range(1, M + 1):
-        if 3 * m == M or 3 * m == 2 * M:
-            import logging  # imported here: the package's one log line, which most runs never reach
-
-            logging.getLogger(__name__).info(
-                "mode m=%d of M=%d sits on the critical-window edge (|lambda|=1); excluded", m, M
-            )
-            continue
-        if M < 3 * m < 2 * M:
-            out.append(m)
-    return out
+    return [m for m in range(1, M + 1) if M < 3 * m < 2 * M]
 
 
 def blocks_to_csv(spec: ModelSpec) -> str:

@@ -12,10 +12,11 @@ current directory) with fixed float formatting, so identical flags
 produce byte-identical files.
 
 Exit codes: 0 success. 2 the input was rejected before any work: a flag's
-text that argparse rejects (a non-integral count, NaN or +-inf, t <= 0, an
-unknown choice), or any ValueError, ConfigError included (a flag its
-command does not accept, a value nothing would read, the library's own
-domain checks: ModelSpec, sweep's grid, scaling_scan's ring lengths).
+text that argparse rejects (an unknown choice, or a converter's reason: a
+non-integral count, NaN or +-inf, t <= 0), or any ValueError, ConfigError
+included (a flag its command does not accept, a value nothing would read,
+the library's own domain checks: ModelSpec, sweep's grid, scaling_scan's
+ring lengths).
 1 a computation or check failed: RuntimeError, LinAlgError, a failing
 validate check, or FloatingPointError (NumPy raises on overflow, invalid
 values and division by zero in every command: an output past double range).
@@ -35,8 +36,8 @@ from .blocks import blocks_to_csv, ring_lams, ring_levels, scale_by_t, sin_cos
 from .criticality import fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
-from .ssh import CONVENTIONS, analytic_curvature, corner_coupling, fidelity_perturbative
-from .validate import run_validation
+from .ssh import analytic_curvature, corner_coupling, fidelity_perturbative
+from .validate import CONVENTIONS, run_validation
 
 COMMANDS = ("spectrum", "sweep", "scaling", "fidelity", "square", "validate")
 
@@ -45,15 +46,15 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2, like every ValueError)."""
 
 
-# Converters: argparse calls each with a flag's text, and reports the
-# ValueError it raises as an invalid value of that flag, by the converter's name.
+# Converters: argparse calls each with a flag's text, and prints the message
+# of the ArgumentTypeError it raises after the flag's name.
 
 
 def integer(text: str) -> int:
     digits = text.strip().lstrip("+-")
     if digits.isdecimal() and len(text.strip()) - len(digits) <= 1:
         return int(text)
-    raise ConfigError(f"not an integer: {text!r}")
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
 def number(text: str) -> float:
@@ -62,14 +63,14 @@ def number(text: str) -> float:
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise ConfigError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return x
 
 
 def positive(text: str) -> float:
     x = number(text)
     if not x > 0.0:
-        raise ConfigError(f"not a positive number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return x
 
 
@@ -77,7 +78,7 @@ def ring_lengths(text: str) -> list[int]:
     """A comma-separated list of integers ("8,12," too), not empty."""
     parts = [part for part in text.split(",") if part.strip()]
     if not parts:
-        raise ConfigError(f"no ring length in {text!r}")
+        raise argparse.ArgumentTypeError(f"no ring length in {text!r}")
     return [integer(part) for part in parts]
 
 

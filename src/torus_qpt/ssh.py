@@ -11,7 +11,7 @@ at neighbouring couplings (`fidelity_perturbative`, the one place the
 doublet vectors are built). On the torus each critical mode k carries
 such a doublet (`critical_doublets`), and the closed-form curvature sum
 over them (`analytic_curvature`, minimized by `golden_section_min`) is the
-perturbative comparison of a curvature sweep, at the physical corners.
+perturbative comparison of a curvature sweep.
 Every closed form here reads the flux through `blocks.sin_cos`, and every
 energy is in units of t except `analytic_curvature`'s, which reads spec.t.
 
@@ -20,11 +20,11 @@ open alternating ring (bonds -lambda within cells, +1 between cells:
 minus the bands of `blocks.peierls_ring`) plus a corner compensation
 entry c at (1,N)/(N,1). The ring block of `blocks.ring_stack` equals
 -(h0 + h'), where h' holds only the corner remainders
-eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). The corner
-exponent of the single-ring forms is switchable: 'cells' uses the physical
-c = lambda^(N/2), which makes h0 annihilate the zero-mode vectors exactly;
-'sites' uses c = lambda^N and is kept for `validate`'s failing
-demonstration (its residual is the measured |lambda^N - lambda^(N/2)|).
+eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). Every closed
+form here reads the physical corner c = lambda^(N/2), which makes h0
+annihilate the zero-mode vectors exactly. `validate --convention sites`
+evaluates them on the 2N-site ring, whose physical corner lambda^N is the
+sites corner of the N-site ring.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ import numpy as np
 from .blocks import critical_modes, peierls_ring, ring_lams, sin_cos
 from .models import ModelSpec
 
-CONVENTIONS = ("cells", "sites")
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown exponent convention {convention!r}; expected one of {CONVENTIONS}")
 
 
 def _check_chain(lam: float, N: int) -> None:
@@ -55,23 +48,16 @@ def _check_chain(lam: float, N: int) -> None:
         raise ValueError(f"localized zero modes require |lambda| < 1, got lambda={lam}")
 
 
-def corner_coupling(lam: float, N: int, convention: str = "cells") -> float:
-    """Corner compensation entry c of the reference matrix h0.
-
-    'cells' counts unit cells: c = lambda^(N/2). 'sites' counts sites:
-    c = lambda^N.
-    """
-    _check_convention(convention)
-    exponent = N // 2 if convention == "cells" else N
-    return float(lam) ** exponent
+def corner_coupling(lam: float, N: int) -> float:
+    """Corner compensation entry c = lambda^(N/2) of the reference matrix
+    h0: lambda to the number of unit cells."""
+    return float(lam) ** (N // 2)
 
 
-def omega_factor(lam: float, N: int, convention: str = "cells") -> float:
+def omega_factor(lam: float, N: int) -> float:
     """Normalization Omega = (1 - c^2)/(1 - lambda^2), the exact finite
-    geometric sum; under 'cells' it equals the squared norm of the
-    unnormalized zero-mode vectors."""
-    _check_convention(convention)
-    c = corner_coupling(lam, N, convention)
+    geometric sum: the squared norm of the unnormalized zero-mode vectors."""
+    c = corner_coupling(lam, N)
     return (1.0 - c * c) / (1.0 - lam * lam)
 
 
@@ -81,7 +67,7 @@ def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     a_plus lives on odd sites (1, 3, ...) with amplitudes lambda^j;
     a_minus mirrors it on even sites from the opposite end. Both are
     normalized by the norm of the raw vectors, whose square is
-    omega_factor(lam, N, 'cells').
+    omega_factor(lam, N).
     """
     _check_chain(lam, N)
     cells = N // 2
@@ -97,14 +83,14 @@ def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def build_h0(lam: float, N: int, convention: str = "cells") -> np.ndarray:
+def build_h0(lam: float, N: int) -> np.ndarray:
     """The reference matrix h0: minus the open ring's bonds (-lam
     within cells, +1 between cells) and the corner compensation c at (1,N)
     and (N,1)."""
     h0 = np.zeros(N * N)  # row-major: (i, i + 1) is entry 1 + i*(N + 1), (i + 1, i) is N + i*(N + 1)
     h0[1 :: N + 1] = h0[N :: N + 1] = -peierls_ring(lam, N)[1]  # checks N
     h0 = h0.reshape(N, N)
-    c = corner_coupling(lam, N, convention)
+    c = corner_coupling(lam, N)
     h0[0, N - 1] = c
     h0[N - 1, 0] = c
     return h0
@@ -127,7 +113,7 @@ class MidgapSolution:
     curvature_max: float
 
 
-def midgap_perturbation(lam: float, N: int, eta: float, phi: float, convention: str = "cells") -> MidgapSolution:
+def midgap_perturbation(lam: float, N: int, eta: float, phi: float) -> MidgapSolution:
     """Degenerate perturbation theory for the midgap doublet, in units of t.
 
     With c = corner_coupling, Omega = omega_factor and
@@ -136,8 +122,8 @@ def midgap_perturbation(lam: float, N: int, eta: float, phi: float, convention: 
     lower branch has curvature -1/(|c|*Omega*|sin(phi)|).
     """
     _check_chain(lam, N)
-    c = corner_coupling(lam, N, convention)
-    omega = omega_factor(lam, N, convention)
+    c = corner_coupling(lam, N)
+    omega = omega_factor(lam, N)
     sin_phi, cos_phi = sin_cos(phi)
     eps = abs(eta * complex(cos_phi, sin_phi) - c) / omega
     gap_min = 2.0 * abs(c * sin_phi) / omega
@@ -160,7 +146,6 @@ def fidelity_perturbative(
     eta: float,
     delta: float | np.ndarray,
     phi: float,
-    convention: str = "cells",
 ) -> float | np.ndarray:
     """Overlap magnitude |<v_plus(eta-delta), v_plus(eta+delta)>| of the
     upper doublet vectors v_plus = (a_plus - e^{i arg z}*a_minus)/sqrt(2),
@@ -179,7 +164,7 @@ def fidelity_perturbative(
     if np.any(deltas < 0):
         raise ValueError(f"delta must be >= 0, got {delta}")
     a_plus, a_minus = zero_modes(lam, N)
-    c = corner_coupling(lam, N, convention)
+    c = corner_coupling(lam, N)
     sin_phi, cos_phi = sin_cos(phi)
     phase = complex(cos_phi, sin_phi)
 

@@ -5,9 +5,14 @@ and compares it against a tolerance. The suite covers the block-union
 property for both lattices, exact zero-mode annihilation, the square
 closed-form spectra, perturbation theory against dense diagonalization,
 the gap-minimum location, curvature consistency, and the fidelity
-relations. Each tolerance is fixed in CHECKS; the exponent convention is
-threaded through so a 'sites' run demonstrably fails the
-convention-sensitive checks.
+relations. Each tolerance is fixed in CHECKS.
+
+The corner convention is the suite's one knob. 'cells' is the physical
+corner c = lambda^(N/2) that every closed form of `ssh` reads. 'sites'
+counts sites, c = lambda^N, and fails the convention-sensitive checks by
+design: each of them evaluates its perturbative side at `_corner_length`,
+the 2N-site ring under 'sites' (whose physical corner, and so Omega, is
+the N-site sites corner, bit for bit), while its exact side stays at N.
 
 The square closed-form check makes no eigensolve. It holds every ring H
 that `blocks.ring_stack` builds (sites 1..N, flux on the (N, 1) bond)
@@ -32,6 +37,13 @@ from .criticality import fidelity_exact
 from .eigensolve import square_ring_modes
 from .models import ModelSpec, build_lattice
 from .ssh import build_h0, corner_coupling, fidelity_perturbative, golden_section_min, midgap_perturbation, zero_modes
+
+CONVENTIONS = ("cells", "sites")
+
+
+def _corner_length(n: int, convention: str) -> int:
+    """The length whose physical corner is the n-site ring's under `convention`."""
+    return 2 * n if convention == "sites" else n
 
 
 def _union_deviation(specs: list[ModelSpec]) -> float:
@@ -62,11 +74,18 @@ def check_block_union_square(convention: str) -> float:
     return _union_deviation(specs)
 
 
+def _reference_h0(lam: float, n: int, convention: str) -> np.ndarray:
+    """`ssh.build_h0` with the convention's corner in its two corner entries."""
+    h0 = build_h0(lam, n)
+    h0[0, n - 1] = h0[n - 1, 0] = corner_coupling(lam, _corner_length(n, convention))
+    return h0
+
+
 def check_zero_mode_residual(convention: str) -> float:
     worst = 0.0
     for lam in (0.2, -0.2, 0.5, -0.5, 0.9, -0.9):
         for n in (4, 8, 12, 20, 40):
-            h0 = build_h0(lam, n, convention)
+            h0 = _reference_h0(lam, n, convention)
             worst = max(worst, *(float(np.linalg.norm(h0 @ a)) for a in zero_modes(lam, n)))
     return worst
 
@@ -105,19 +124,20 @@ _SIN, _COS = sin_cos(_PHI)
 
 
 def check_perturbation_vs_oracle(convention: str) -> float:
-    c = corner_coupling(_LAM, _N, convention)
+    n = _corner_length(_N, convention)
+    c = corner_coupling(_LAM, n)
     etas = np.linspace(0.0, 5.0 * c, 21).tolist()
     pairs = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1 : _N // 2 + 1]
     worst = 0.0
     for eta, (lower, upper) in zip(etas, pairs.tolist()):
-        sol = midgap_perturbation(_LAM, _N, eta, _PHI, convention)
+        sol = midgap_perturbation(_LAM, n, eta, _PHI)
         worst = max(worst, abs(sol.eps_minus - lower), abs(sol.eps_plus - upper))
     return worst
 
 
 def check_gap_minimum_location(convention: str) -> float:
-    eta_star = midgap_perturbation(_LAM, _N, 0.0, _PHI, convention).eta_star
-    bracket_hi = 4.0 * corner_coupling(_LAM, _N, "cells") * _COS
+    eta_star = midgap_perturbation(_LAM, _corner_length(_N, convention), 0.0, _PHI).eta_star
+    bracket_hi = 4.0 * corner_coupling(_LAM, _N) * _COS
 
     def exact_gap(eta: float) -> float:
         levels = ring_levels("honeycomb", [_LAM], _N, [eta], _PHI)[0, 0]
@@ -128,9 +148,9 @@ def check_gap_minimum_location(convention: str) -> float:
 
 
 def check_curvature_consistency(convention: str) -> float:
-    sol = midgap_perturbation(_LAM, _N, 0.0, _PHI, convention)
+    sol = midgap_perturbation(_LAM, _corner_length(_N, convention), 0.0, _PHI)
     eta_star = sol.eta_star
-    step = corner_coupling(_LAM, _N, "cells") * abs(_SIN) / 100.0
+    step = corner_coupling(_LAM, _N) * abs(_SIN) / 100.0
 
     etas = [eta_star + step, eta_star, eta_star - step]
     up, mid, down = ring_levels("honeycomb", [_LAM], _N, etas, _PHI)[:, 0, _N // 2 - 1].tolist()
@@ -139,19 +159,21 @@ def check_curvature_consistency(convention: str) -> float:
 
 
 def check_fidelity_closed_form(convention: str) -> float:
-    c = corner_coupling(_LAM, _N, convention)
+    n = _corner_length(_N, convention)
+    c = corner_coupling(_LAM, n)
     eta_star = c * _COS
     b = abs(c * _SIN)
-    value = fidelity_perturbative(_LAM, _N, eta_star, b, _PHI, convention)
+    value = fidelity_perturbative(_LAM, n, eta_star, b, _PHI)
     return abs(value - 1.0 / math.sqrt(2.0))
 
 
 def check_fidelity_exact_vs_perturbative(convention: str) -> float:
-    c = corner_coupling(_LAM, _N, convention)
+    n = _corner_length(_N, convention)
+    c = corner_coupling(_LAM, n)
     eta_star = c * _COS
     deltas = np.geomspace(c / 10.0, 10.0 * c, 13)
     f_exact = fidelity_exact(_LAM, _N, _PHI, eta_star, deltas)
-    return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, _N, eta_star, deltas, _PHI, convention))))
+    return float(np.max(np.abs(f_exact - fidelity_perturbative(_LAM, n, eta_star, deltas, _PHI))))
 
 
 # (name, check, tolerance), in report order
@@ -170,6 +192,8 @@ CHECKS = (
 
 def run_validation(convention: str = "cells") -> dict:
     """Run every check and return the machine-readable report."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown exponent convention {convention!r}; expected one of {CONVENTIONS}")
     start = time.perf_counter()
     checks = []
     for name, check, tol in CHECKS:

@@ -27,7 +27,10 @@ apart from their numbers are allowed too, and each number that moved is
 reported with its absolute and relative deviation. A line `row: <arguments
 as in the table>` of the --allow file names a row: every difference of
 that row is allowed, and still reported. Both jobs exit with an error when
-a `row:` line names no row of the table.
+a `row:` line names no row of the table, and `compare` exits 1 on a stale
+entry of the --allow file: a `row:` line whose row is identical in A and B,
+or a pattern that matches no differing file. Only the compared rows count,
+so a row outside --tag makes no entry stale.
 """
 
 from __future__ import annotations
@@ -318,14 +321,15 @@ def _number_notes(a: str, b: str) -> list[str] | None:
     return notes
 
 
-def row_notes(a: Path, b: Path, allow: frozenset[str] = frozenset()) -> tuple[list[str], list[str]]:
+def row_notes(a: Path, b: Path, allow: frozenset[str] = frozenset()) -> tuple[list[str], list[str], set[str]]:
     """The differences between two runs of one row, split into those that
     fail a comparison and those allowed: the differences of allow-listed
-    files, and the numbers of stdout when only allow-listed files differ."""
+    files, and the numbers of stdout when only allow-listed files differ;
+    and the patterns of `allow` that matched a differing file."""
     code_a, code_b = ((d / "exit").read_text().strip() for d in (a, b))
     exit_notes = [f"exit code {code_a} -> {code_b}"] if code_a != code_b else []
     written_a, written_b = set(_written(a / "out")), set(_written(b / "out"))
-    notes, allowed = [], []
+    notes, allowed, matched = [], [], set()
     for path in sorted(written_a | written_b):
         if path not in written_b:
             found = [f"{path}: only in A"]
@@ -333,13 +337,14 @@ def row_notes(a: Path, b: Path, allow: frozenset[str] = frozenset()) -> tuple[li
             found = [f"{path}: only in B"]
         else:
             found = [f"{path}: {note}" for note in file_notes(a / "out" / path, b / "out" / path)]
-        name = Path(path).name
-        (allowed if any(fnmatch.fnmatchcase(name, pattern) for pattern in allow) else notes).extend(found)
+        patterns = {pattern for pattern in allow if fnmatch.fnmatchcase(Path(path).name, pattern)}
+        (allowed if patterns else notes).extend(found)
+        matched |= patterns if found else set()
     stdout_a, stdout_b = (TIMING.sub(r"\1*\2", (d / "stdout").read_text()) for d in (a, b))
     numbers = _number_notes(stdout_a, stdout_b) if allowed and not notes else None
     stdout_notes = _text_note("stdout", stdout_a, stdout_b) if numbers is None else []
     stderr_notes = _text_note("stderr", *((d / "stderr").read_text() for d in (a, b)))
-    return exit_notes + stdout_notes + stderr_notes + notes, allowed + (numbers or [])
+    return exit_notes + stdout_notes + stderr_notes + notes, allowed + (numbers or []), matched
 
 
 def _rows_in(tree: Path, tag: str | None) -> dict[str, str]:
@@ -373,9 +378,10 @@ def allowed_rows(allow: frozenset[str]) -> set[tuple[str, ...]]:
 
 def compare_trees(a: Path, b: Path, allow: frozenset[str] = frozenset(), tag: str | None = None) -> tuple[list[str], bool]:
     """The report lines for two `run` trees, and whether they match apart
-    from allow-listed files."""
+    from allow-listed files and rows, with no stale entry in `allow`."""
     rows_a, rows_b, named = _rows_in(a, tag), _rows_in(b, tag), allowed_rows(allow)
     report, counts = [], {"identical": 0, "allowed": 0, "DIFFERS": 0}
+    matched, identical = set(), set()  # the patterns that matched a differing file; the identical rows' arguments
     for name in sorted(rows_a.keys() | rows_b.keys(), key=int):
         line = rows_a.get(name) or rows_b[name]
         if name not in rows_a or name not in rows_b:
@@ -383,8 +389,12 @@ def compare_trees(a: Path, b: Path, allow: frozenset[str] = frozenset(), tag: st
         elif rows_a[name] != rows_b[name]:
             notes, allowed = [f"command lines differ: {rows_a[name]!r} -> {rows_b[name]!r}"], []
         else:
-            notes, allowed = row_notes(a / name, b / name, allow)
-            if parse_row(0, line).args in named:
+            notes, allowed, hits = row_notes(a / name, b / name, allow)
+            matched |= hits
+            args = parse_row(0, line).args
+            if not notes and not allowed:
+                identical.add(args)
+            if args in named:
                 notes, allowed = [], notes + allowed
         status = "DIFFERS" if notes else "allowed" if allowed else "identical"
         counts[status] += 1
@@ -392,7 +402,10 @@ def compare_trees(a: Path, b: Path, allow: frozenset[str] = frozenset(), tag: st
         report += [f"    {note}" for note in notes] + [f"    allowed: {note}" for note in allowed]
     report.append(f"{counts['identical']} rows identical, {counts['allowed']} differ only in allowed files, "
                   f"{counts['DIFFERS']} differ")
-    return report, counts["DIFFERS"] == 0 and bool(rows_a)
+    stale = sorted(entry for entry in allow if entry.startswith("row:") and allowed_rows({entry}) <= identical)
+    stale += sorted(entry for entry in allow if not entry.startswith("row:") and entry not in matched)
+    report += [f"stale allow entry: {entry}" for entry in stale]
+    return report, counts["DIFFERS"] == 0 and not stale and bool(rows_a)
 
 
 def main(argv: list[str] | None = None) -> int:

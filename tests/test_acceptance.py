@@ -69,13 +69,14 @@ def test_criterion_02_zero_mode_exactness():
     for lam in lams:
         for N in sizes:
             a_plus, a_minus = zero_modes(lam, N)
-            h0_c = build_h0(lam, N, "cells")
+            h0_c = build_h0(lam, N)
             res_c = max(
                 float(np.linalg.norm(h0_c @ a_plus)),
                 float(np.linalg.norm(h0_c @ a_minus)),
             )
             worst_cells = max(worst_cells, res_c)
-            h0_s = build_h0(lam, N, "sites")
+            h0_s = build_h0(lam, N)
+            h0_s[0, N - 1] = h0_s[N - 1, 0] = corner_coupling(lam, 2 * N)  # the sites corner lambda^N
             res_s = max(
                 float(np.linalg.norm(h0_s @ a_plus)),
                 float(np.linalg.norm(h0_s @ a_minus)),

@@ -250,12 +250,6 @@ def test_critical_modes_match_lambda_window():
         assert critical_modes(M) == expected
 
 
-def test_critical_modes_logs_edge_exclusion(caplog):
-    with caplog.at_level("INFO", logger="torus_qpt.blocks"):
-        critical_modes(6)
-    assert any("excluded" in rec.message for rec in caplog.records)
-
-
 def test_blocks_to_csv_shape():
     spec = ModelSpec("square", 2, 3, eta=1.0, phi=0.5)
     text = blocks_to_csv(spec)

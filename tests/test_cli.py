@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -456,7 +457,7 @@ def test_converters_accept_flag_text(convert, value, want):
      (positive, "inf")],
 )
 def test_converters_reject(convert, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(argparse.ArgumentTypeError):
         convert(value)
 
 

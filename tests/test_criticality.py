@@ -417,8 +417,12 @@ def test_sweep_honeycomb_pinpoints_known_peak():
 @pytest.mark.parametrize("M,N", [(7, 20), (31, 64)])
 def test_sweep_exact_outputs_do_not_read_the_convention(M, N):
     # the physical corners lambda_k^(N/2) set the range, the cut and the analytic comparison;
-    # 'sites' corners reach only validate's single-ring checks
-    for function in (sweep, fidelity_exact, critical_doublets, analytic_curvature):
+    # 'sites' corners reach only validate's single-ring checks, which read them on the 2N ring,
+    # so no public callable of ssh takes a convention
+    public = [value for name, value in vars(ssh).items()
+              if callable(value) and not name.startswith("_") and value.__module__ == ssh.__name__]
+    assert {"corner_coupling", "omega_factor", "build_h0", "midgap_perturbation"} <= {f.__name__ for f in public}
+    for function in (sweep, fidelity_exact, *public):
         assert "convention" not in inspect.signature(function).parameters, function.__name__
     assert [field.name for field in dataclasses.fields(SweepResult)] == [
         "eta_grid", "e_g_curve", "d2_numeric", "eta_m", "peak", "flags"]

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import shutil
 
 import pytest
 
@@ -154,3 +155,27 @@ def test_every_row_entry_of_the_allow_file_names_a_row_of_the_table(tmp_path):
     stale.write_text("sweep.csv\nrow: validate\nrow: sweep --M 7 --N 801\n")
     with pytest.raises(SystemExit, match="does not have: sweep --M 7 --N 801$"):
         read_allow(stale)
+
+
+@pytest.mark.parametrize("entry", ["row: validate", "sweep*.csv"], ids=["row", "pattern"])
+def test_a_stale_allow_entry_fails(tmp_path, entry):
+    # the trees are identical, so the entry allows nothing: the parent already runs the row as the table says
+    report, same = _compare(tmp_path, allow={entry})
+    assert not same
+    assert report.splitlines()[-1] == f"stale allow entry: {entry}"
+
+
+def test_only_the_compared_rows_make_an_entry_stale(tmp_path):
+    # row 00 (readme) is identical; row 01 (stress) differs only in sweep.csv
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    for root, sweep in ((a, SWEEP), (b, MOVED_SWEEP)):
+        shutil.copytree(root / "00", root / "01")
+        (root / "01" / "row").write_text("0 | stress | sweep\n")
+        (root / "01" / "out" / "sweep.csv").write_text(sweep)
+    for allow in ({"sweep*.csv"}, {"row: sweep"}):
+        assert compare_trees(a, b, frozenset(allow))[1]
+    # under --tag readme row 01 is not compared: its difference uses no pattern, and no `row:` entry of it is stale
+    report, same = compare_trees(a, b, frozenset({"sweep*.csv"}), tag="readme")
+    assert not same and report[-1] == "stale allow entry: sweep*.csv"
+    assert compare_trees(a, b, frozenset({"row: sweep"}), tag="readme")[1]
+    assert not compare_trees(a, b, frozenset({"row: validate"}), tag="readme")[1]

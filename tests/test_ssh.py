@@ -12,37 +12,38 @@ from torus_qpt import (
     fidelity_perturbative,
     midgap_perturbation,
     omega_factor,
+    run_validation,
     zero_modes,
 )
 
 PHI = math.pi / 4
 
 
-def hprime(lam, N, eta, phi, convention="cells"):
+def hprime(lam, N, eta, phi):
     """h' of the split -(h0 + h') of the ring block: the corner remainder
     eta*e^{i phi} - c at (N,1) and its conjugate at (1,N)."""
     h1 = np.zeros((N, N), dtype=np.complex128)
-    h1[N - 1, 0] = eta * cmath.exp(1j * phi) - corner_coupling(lam, N, convention)
+    h1[N - 1, 0] = eta * cmath.exp(1j * phi) - corner_coupling(lam, N)
     h1[0, N - 1] = h1[N - 1, 0].conjugate()
     return h1
 
 
 def test_corner_coupling_conventions():
-    assert corner_coupling(0.5, 20, "cells") == 0.5**10
-    assert corner_coupling(0.5, 20, "sites") == 0.5**20
-    assert corner_coupling(-0.5, 4, "cells") == 0.25
-    assert corner_coupling(-0.5, 6, "cells") == -(0.5**3)
+    assert corner_coupling(0.5, 20) == 0.5**10
+    assert corner_coupling(0.5, 2 * 20) == 0.5**20  # the sites corner of 20 sites is the physical one of 40
+    assert corner_coupling(-0.5, 4) == 0.25
+    assert corner_coupling(-0.5, 6) == -(0.5**3)
     with pytest.raises(ValueError):
-        corner_coupling(0.5, 20, "bonds")
+        run_validation("bonds")
 
 
 def test_omega_factor_values():
-    assert omega_factor(0.5, 20, "cells") == pytest.approx(1.3333320617675781, rel=1e-14)
-    assert omega_factor(0.9, 40, "cells") == pytest.approx(5.18536377399245, rel=1e-13)
+    assert omega_factor(0.5, 20) == pytest.approx(1.3333320617675781, rel=1e-14)
+    assert omega_factor(0.9, 40) == pytest.approx(5.18536377399245, rel=1e-13)
     # geometric-sum identity: Omega is the squared norm of the raw mode
     lam, N = 0.7, 12
     powers = sum(lam ** (2 * j) for j in range(N // 2))
-    assert omega_factor(lam, N, "cells") == pytest.approx(powers, rel=1e-14)
+    assert omega_factor(lam, N) == pytest.approx(powers, rel=1e-14)
 
 
 def test_zero_modes_structure():
@@ -74,7 +75,7 @@ def test_zero_modes_read_only_and_validation():
 @pytest.mark.parametrize("N", [4, 8, 12, 20, 40])
 def test_cells_convention_annihilates_exactly(lam, N):
     a_plus, a_minus = zero_modes(lam, N)
-    h0 = build_h0(lam, N, "cells")
+    h0 = build_h0(lam, N)
     assert np.linalg.norm(h0 @ a_plus) <= 1e-13
     assert np.linalg.norm(h0 @ a_minus) <= 1e-13
 
@@ -82,8 +83,9 @@ def test_cells_convention_annihilates_exactly(lam, N):
 def test_sites_convention_leaves_known_residual():
     lam, N = 0.5, 8
     a_plus, _ = zero_modes(lam, N)
-    h0 = build_h0(lam, N, "sites")
-    expected = abs(lam**N - lam ** (N // 2)) / math.sqrt(omega_factor(lam, N, "cells"))
+    h0 = build_h0(lam, N)
+    h0[0, N - 1] = h0[N - 1, 0] = lam**N  # the sites corner
+    expected = abs(lam**N - lam ** (N // 2)) / math.sqrt(omega_factor(lam, N))
     residual = np.linalg.norm(h0 @ a_plus)
     assert residual == pytest.approx(expected, rel=1e-12)
     assert residual > 1e-13
@@ -186,13 +188,14 @@ def test_fidelity_perturbative_matches_closed_form():
 @pytest.mark.parametrize("eta", [0.0, 0.5, 2.0])
 def test_fidelity_perturbative_away_from_minimum(lam, eta, convention):
     # |<v_+(eta - delta), v_+(eta + delta)>| = |cos((theta(eta + delta) - theta(eta - delta))/2)|
-    # with theta = arg(eta*e^{i phi} - c), since a_plus and a_minus are orthonormal
-    N = 12
-    c = corner_coupling(lam, N, convention)
+    # with theta = arg(eta*e^{i phi} - c), since a_plus and a_minus are orthonormal;
+    # the 'sites' corner lambda^12 is the physical corner of the 24-site ring
+    N = 12 if convention == "cells" else 24
+    c = corner_coupling(lam, N)
     theta = lambda x: cmath.phase(x * cmath.exp(1j * PHI) - c)  # noqa: E731
     for delta in (1e-3, 0.1, 0.7):
         want = abs(math.cos((theta(eta + delta) - theta(eta - delta)) / 2.0))
-        got = fidelity_perturbative(lam, N, eta, delta, PHI, convention)
+        got = fidelity_perturbative(lam, N, eta, delta, PHI)
         assert abs(got - want) <= 2e-15
 
 
@@ -202,10 +205,10 @@ def test_fidelity_perturbative_of_many_deltas_builds_the_pair_once(monkeypatch):
     calls = []
     monkeypatch.setattr(ssh, "zero_modes", lambda lam, N: calls.append(N) or zero_modes(lam, N))
     deltas = np.geomspace(1e-4, 0.5, 25)
-    curve = fidelity_perturbative(0.5, 20, 0.01, deltas, PHI, "sites")
+    curve = fidelity_perturbative(0.5, 20, 0.01, deltas, PHI)
     assert calls == [20]
     # the same bits as one call per delta
-    assert curve.shape == (25,) and curve.tolist() == [fidelity_perturbative(0.5, 20, 0.01, d, PHI, "sites") for d in deltas]
+    assert curve.shape == (25,) and curve.tolist() == [fidelity_perturbative(0.5, 20, 0.01, d, PHI) for d in deltas]
     with pytest.raises(ValueError):
         fidelity_perturbative(0.5, 20, 0.01, [0.1, -0.1], PHI)
 

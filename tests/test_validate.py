@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torus_qpt import run_validation, validate
+from torus_qpt import corner_coupling, omega_factor, run_validation, validate
 
 TOLERANCES = {name: tol for name, _, tol in validate.CHECKS}
 
@@ -48,6 +48,21 @@ def test_sites_convention_fails_known_checks():
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         run_validation(convention="bonds")
+
+
+@pytest.mark.parametrize("lam", [-0.9, -0.5, -0.2, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("n", [4, 8, 12, 20, 40])
+def test_sites_corner_is_the_physical_corner_of_the_doubled_ring(lam, n):
+    # the 'sites' corner lambda^n of an n-site ring, and the Omega and h0 it sets, bit for bit
+    corner = float(lam) ** n
+    assert validate._corner_length(n, "sites") == 2 * n and validate._corner_length(n, "cells") == n
+    assert corner_coupling(lam, 2 * n) == corner
+    assert omega_factor(lam, 2 * n) == (1.0 - corner * corner) / (1.0 - lam * lam)
+    h0 = np.zeros((n, n))
+    for i in range(n - 1):
+        h0[i, i + 1] = h0[i + 1, i] = -lam if i % 2 == 0 else 1.0  # -lam within cells, +1 between them
+    h0[0, n - 1] = h0[n - 1, 0] = corner
+    assert np.array_equal(validate._reference_h0(lam, n, "sites"), h0)
 
 
 def _conjugate_boundary(chunk):
