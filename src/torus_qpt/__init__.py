@@ -6,6 +6,8 @@ ring Hamiltonians, and analyzes the avoided crossing of the near-zero
 modes: degenerate perturbation theory for the midgap pair, ground-state
 energy curvature sweeps, finite-size scaling of the curvature peak, and
 fidelity-susceptibility curves, plus a self-check suite and a CLI.
+Every energy, in and out, is in units of the hopping t: the model has no
+other energy scale, so t = 1 throughout.
 """
 
 import gc

@@ -28,10 +28,7 @@ in the output; their correctness is validated by the block-union
 property (concatenated block spectra = full lattice spectrum of the
 independent builder `models.build_lattice`).
 
-Every ring here is in units of the hopping t: a ring at hopping t has t
-times the levels of its t = 1 ring, so the commands (and `blocks_to_csv`)
-multiply by t where energies leave the library, through `scale_by_t`,
-which refuses a t that pushes a nonzero result below the normal range.
+Every ring here, and every level it yields, is in units of the hopping t.
 Sign convention for the honeycomb block: within-cell bonds carry
 +lambda_k and between-cell bonds -1. Flipping the within-cell sign is the
 sublattice gauge diag(+1,-1,-1,+1,...) and leaves every spectrum
@@ -57,18 +54,6 @@ def sin_cos(phi: float) -> tuple[float, float]:
     if abs(phi - quarter * (0.5 * math.pi)) <= math.ulp(phi):
         return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[quarter % 4]
     return math.sin(phi), math.cos(phi)
-
-
-def scale_by_t(t: float, values) -> np.ndarray:
-    """`values`, in units of t, times t: the one way a result leaves the
-    library at hopping t. RuntimeError when a nonzero value's product falls
-    below the normal double range, where it keeps fewer digits than a double
-    (t = 1e-320 leaves 5) or none."""
-    values = np.asarray(values)
-    scaled = t * values
-    if np.any((np.abs(scaled) < np.finfo(np.float64).tiny) & (values != 0.0)):
-        raise RuntimeError(f"t = {t!r} scales the results below the normal double range")
-    return scaled
 
 
 def peierls_ring(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +158,7 @@ def critical_modes(M: int) -> list[int]:
 
 def blocks_to_csv(spec: ModelSpec) -> str:
     """Debug CSV: one row per block m = 1..M with k = 2*pi*m/M, lambda, then
-    Re/Im of all entries at hopping spec.t in row-major order."""
+    Re/Im of all entries in row-major order."""
     M, N = spec.M, spec.N
     header = ["k", "lambda"]
     for i in range(1, N + 1):
@@ -181,8 +166,7 @@ def blocks_to_csv(spec: ModelSpec) -> str:
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     lams = ring_lams(spec.kind, M)
     rings = np.concatenate(list(ring_stack(spec.kind, lams, N, [spec.eta], spec.phi)))
-    # complex rings viewed as float64 list Re, Im of each entry in row-major order; scaling that view
-    # by t, not the complex entries, keeps the sign of every zero
-    entries = scale_by_t(spec.t, rings.view(np.float64))
+    # complex rings viewed as float64 list Re, Im of each entry in row-major order
+    entries = rings.view(np.float64)
     rows = [[2.0 * math.pi * m / M, lam, *ring.ravel()] for m, lam, ring in zip(range(1, M + 1), lams, entries)]
     return csv_text(header, rows)

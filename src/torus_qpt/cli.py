@@ -9,11 +9,12 @@ a flag its command does not accept, and a command reads the typed values
 from parse_config's dict. A command rejects a value that nothing would
 read (`_needs`). Outputs are written atomically into --out (default:
 current directory) with fixed float formatting, so identical flags
-produce byte-identical files.
+produce byte-identical files. Every energy a command writes is in units
+of the hopping t, so no flag sets it.
 
 Exit codes: 0 success. 2 the input was rejected before any work: a flag's
 text that argparse rejects (an unknown choice, or a converter's reason: a
-non-integral count, NaN or +-inf, t <= 0), or any ValueError, ConfigError
+non-integral count, NaN or +-inf), or any ValueError, ConfigError
 included (a flag its command does not accept, a value nothing would read,
 the library's own domain checks: ModelSpec, sweep's grid, scaling_scan's
 ring lengths).
@@ -32,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .blocks import blocks_to_csv, ring_lams, ring_levels, scale_by_t, sin_cos
+from .blocks import blocks_to_csv, ring_lams, ring_levels, sin_cos
 from .criticality import fidelity_exact, scaling_scan, sweep, sweep_to_csv
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
@@ -67,13 +68,6 @@ def number(text: str) -> float:
     return x
 
 
-def positive(text: str) -> float:
-    x = number(text)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
-    return x
-
-
 def ring_lengths(text: str) -> list[int]:
     """A comma-separated list of integers ("8,12," too), not empty."""
     parts = [part for part in text.split(",") if part.strip()]
@@ -94,7 +88,6 @@ OPTIONS = (
     ("kind", {"choices": KINDS}, "lattice kind", _MODEL),
     ("M", {"type": integer}, "number of rows", _STEPS),
     ("N", {"type": integer}, "ring length", ("spectrum", "sweep", "fidelity")),
-    ("t", {"type": positive}, "hopping energy unit (> 0)", ("spectrum", "sweep", "scaling", "square")),
     ("eta", {"type": number}, "boundary coupling", _MODEL),
     ("phi", {"type": number}, "flux phase in radians", _FLUX),
     ("phi_over_pi", {"type": number}, "flux phase as a fraction of pi", _FLUX),
@@ -136,7 +129,6 @@ def _build_model(config: dict, kind: str, M: int, N: int, eta: float, phi_defaul
         kind=config.get("kind", kind),
         M=config.get("M", M),
         N=config.get("N", N),
-        t=config.get("t", 1.0),
         eta=config.get("eta", eta),
         phi=_resolve_phi(config, phi_default),
     )
@@ -183,7 +175,7 @@ def cmd_spectrum(config: dict) -> int:
     spec = _build_model(config, kind, 0, N, 1.0, phi) if "dump_blocks" in config else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
-    levels = scale_by_t(config.get("t", 1.0), ring_levels(kind, [lam], N, grid, phi)[:, 0])
+    levels = ring_levels(kind, [lam], N, grid, phi)[:, 0]
     blocks = None if spec is None else blocks_to_csv(spec)  # before any file is written: it can fail
     rows = [[float(eta)] + list(row) for eta, row in zip(grid, levels)]
     header = ["eta"] + [f"e{i}" for i in range(1, N + 1)]
@@ -213,7 +205,6 @@ def cmd_scaling(config: dict) -> int:
     report = scaling_scan(
         M=config.get("M", 7),
         phi=_resolve_phi(config, math.pi / 4),
-        t=config.get("t", 1.0),
         n_list=config.get("n_list", [8, 12, 16, 20, 24]),
         steps=config.get("steps", 128),
     )
@@ -230,7 +221,8 @@ def cmd_fidelity(config: dict) -> int:
     lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
     c = corner_coupling(lam, N)
     if c == 0.0 and not ("delta_min" in config and "delta_max" in config):
-        raise ConfigError("lambda = 0 has no natural delta scale; give delta_min and delta_max")
+        raise ConfigError(f"the corner coupling c = lambda^(N/2) is 0 (lambda={fmt_float(lam)}, N={N}): "
+                          "no natural delta scale; give delta_min and delta_max")
     delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
     delta_steps = config.get("delta_steps", 25)
     if not (0.0 < delta_min < delta_max) or delta_steps < 2:
@@ -248,7 +240,7 @@ def cmd_square(config: dict) -> int:
     M = config.get("M", 3)
     n_sorted = sorted(set(config.get("n_list", [8, 16, 32])))
     phi = _resolve_phi(config, math.pi / 4)
-    specs = [ModelSpec("square", M, n, config.get("t", 1.0), 0.0, phi) for n in n_sorted]
+    specs = [ModelSpec("square", M, n, 0.0, phi) for n in n_sorted]
     grid = (config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 128))
 
     # every sweep runs, and every file's text is built, before any file is written: any of them can fail

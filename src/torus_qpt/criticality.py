@@ -13,7 +13,7 @@ minimizer and `midgap_perturbation` (the guards of `fidelity_exact`).
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
-property, validated to 1e-10*t). Every ring coupling comes from
+property, validated to 1e-10). Every ring coupling comes from
 `blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
 every dense ring (boundary bond included) from `blocks.ring_stack`, and
 every dense ring level from `blocks.ring_levels`, the one dense
@@ -21,11 +21,9 @@ ring-level path. `fidelity_exact` takes its eigenvectors from one
 `ring_stack` pass over all its displaced rings (one eigh per chunk) and
 its doublet splitting from `ssh.midgap_perturbation`.
 
-The engine works at t = 1. `sweep` scales E_g and its curvature by spec.t
-once, after the peak is found (eta_m and the flags do not depend on t),
-through `blocks.scale_by_t`, and `fidelity_exact`, a ratio of energies,
-takes no t. In both entry points NumPy raises on overflow, invalid values
-and division by zero.
+Every energy is in units of the hopping t. In both entry points (`sweep`
+and `fidelity_exact`) NumPy raises on overflow, invalid values and
+division by zero.
 
 Sweeps use a spectral-shift engine. The boundary bond is a rank-2 change
 V of the eta-independent open ring H0, so by Lloyd's formula (Lloyd,
@@ -72,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, scale_by_t, sin_cos
+from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
 from .models import ModelSpec
 from .output import csv_text
 from .ssh import critical_doublets, golden_section_min, midgap_perturbation
@@ -370,7 +368,7 @@ def sweep(
     MIN_STEPS and 0 <= eta_min < eta_max <= MAX_ETA.
 
     E_g and d2E_g/deta2 come from one spectral-shift table (see the module
-    docstring) in units of t, whose lower cut y_lo = min(1e-14, 1e-4*min_k
+    docstring), whose lower cut y_lo = min(1e-14, 1e-4*min_k
     |c_k*sin(phi)|/Omega_k) is below every midgap gap. The peak is the
     interior grid argmax of |d2_numeric|, refined by golden-section search
     on |d2| within one step (to 1e-6 of a step). An argmax on the first or
@@ -382,14 +380,11 @@ def sweep(
     'level-crossing' reports that some ring level crosses zero between two
     grid points (Re q changes sign at a mode's node y = y_lo): E_g has a
     kink there, whose delta-function curvature d2_numeric does not hold. It
-    does not change the refinement. E_g, d2_numeric and the peak are
-    multiplied by spec.t last, so eta_m and the flags do not depend on t.
+    does not change the refinement.
 
-    RuntimeError when the engine leaves double range (M = 61, N = 128, or
-    a t whose scaled outputs do not fit a double): its array arithmetic
-    overflows, divides by zero or turns invalid, where NumPy raises instead
-    of warning; and when t pushes a nonzero output below the normal range
-    (t = 1e-320).
+    RuntimeError when the engine leaves double range (M = 61, N = 128): its
+    array arithmetic overflows, divides by zero or turns invalid, where
+    NumPy raises instead of warning.
     """
     steps = DEFAULT_STEPS if steps is None else int(steps)
     if steps < MIN_STEPS:
@@ -428,7 +423,6 @@ def sweep(
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
-    e_curve, d2_num, peak = (scale_by_t(spec.t, x) for x in (e_curve, d2_num, peak))
     return SweepResult(grid, e_curve, d2_num, eta_m, float(peak), tuple(flags))
 
 
@@ -463,7 +457,6 @@ REFERENCE_INTERCEPT_PEAK = -6.0 / 5.0
 def scaling_scan(
     M: int,
     phi: float,
-    t: float,
     n_list,
     steps: int,
 ) -> dict:
@@ -488,7 +481,7 @@ def scaling_scan(
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 2:
         raise ValueError(f"a scaling fit needs at least two distinct ring lengths, got {n_values}")
-    specs = [ModelSpec("honeycomb", M, n, t, 0.0, phi) for n in n_values]
+    specs = [ModelSpec("honeycomb", M, n, 0.0, phi) for n in n_values]
 
     eta_ms = []
     peaks = []
@@ -534,8 +527,7 @@ def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid
     """Midgap fidelity |<v(eta-delta), v(eta+delta)>| from exact ring
     eigenvectors (upper midgap level) at eta = eta_center: one value per
     delta of `delta_grid`, in its order. Its perturbative twin is
-    ssh.fidelity_perturbative. It and its guards are ratios of energies,
-    so it solves the rings at t = 1 and takes no t.
+    ssh.fidelity_perturbative.
 
     ValueError unless every delta is positive. The guards read the physical
     corner c = lambda^(N/2) and its Omega. The floor of the dense solve is

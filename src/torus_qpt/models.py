@@ -11,9 +11,10 @@ carries a Peierls phase:
 * ``square``: uniform nearest-neighbour grid, rows stitched on every
   column.
 
-The boundary bond (m, N) -> (m, 1) has amplitude -eta * t * e^{i phi}
-in every row. eta = 0 cuts the rings open (a tube), eta = 1 restores
-the uniform torus; phi is the flux phase threading the rings.
+Every bond carries -1: energies are in units of the hopping t. The
+boundary bond (m, N) -> (m, 1) has amplitude -eta * e^{i phi} in every
+row. eta = 0 cuts the rings open (a tube), eta = 1 restores the uniform
+torus; phi is the flux phase threading the rings.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class ModelSpec:
     N : int
         Ring length (number of columns). Honeycomb needs N >= 4 with
         N divisible by 4; square needs N >= 2.
-    t : float, optional
-        Hopping energy unit, strictly positive. Default 1.0.
     eta : float, optional
         Dimensionless boundary-bond coupling, >= 0. Default 0.0.
     phi : float, optional
@@ -52,7 +51,6 @@ class ModelSpec:
     kind: str
     M: int
     N: int
-    t: float = 1.0
     eta: float = 0.0
     phi: float = 0.0
 
@@ -69,8 +67,6 @@ class ModelSpec:
         else:
             if self.M < 2 or self.N < 2:
                 raise ValueError(f"square lattice needs M >= 2 and N >= 2, got M={self.M}, N={self.N}")
-        if not (isinstance(self.t, (int, float)) and math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"t must be a positive finite real, got {self.t!r}")
         if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be a nonnegative finite real, got {self.eta!r}")
         if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)):
@@ -82,11 +78,11 @@ def build_lattice(spec: ModelSpec) -> np.ndarray:
     dense complex (M*N, M*N) array.
 
     Site (m, n), 1-based, has index (m-1)*N + (n-1); the row index wraps
-    mod M. Bonds carry -t: intra-row (m,n)-(m,n+1) for n = 1..N-1, and
+    mod M. Bonds carry -1: intra-row (m,n)-(m,n+1) for n = 1..N-1, and
     inter-row (m,n)-(m+1,n) for every n on the square lattice, only the
     staggered pairs (m,4j)-(m+1,4j-1) and (m,4j-3)-(m+1,4j-2) on the
     honeycomb lattice. The boundary bond (m,N)->(m,1) carries
-    -eta*t*e^{i phi} in the (row (m,N), column (m,1)) orientation.
+    -eta*e^{i phi} in the (row (m,N), column (m,1)) orientation.
     Coinciding bonds accumulate (np.add.at): square M = 2 doubles the
     vertical amplitude and square N = 2 adds the boundary bond to the
     intra-row one, as the periodic sum dictates.
@@ -94,7 +90,7 @@ def build_lattice(spec: ModelSpec) -> np.ndarray:
     This builder shares no code with the ring blocks, so the block-union
     checks compare two independent constructions.
     """
-    M, N, t = spec.M, spec.N, spec.t
+    M, N = spec.M, spec.N
     sites = np.arange(M * N).reshape(M, N)
     below = np.roll(sites, -1, axis=0)  # row m+1 (mod M) under row m
     if spec.kind == "honeycomb":
@@ -106,9 +102,9 @@ def build_lattice(spec: ModelSpec) -> np.ndarray:
     rows = np.concatenate([sites[:, :-1].ravel(), upper.ravel()])
     columns = np.concatenate([sites[:, 1:].ravel(), lower.ravel()])
     H = np.zeros((M * N, M * N), dtype=np.complex128)
-    np.add.at(H, (rows, columns), -t)
-    np.add.at(H, (columns, rows), -t)
-    boundary = -spec.eta * t * cmath.exp(1j * spec.phi)
+    np.add.at(H, (rows, columns), -1.0)
+    np.add.at(H, (columns, rows), -1.0)
+    boundary = -spec.eta * cmath.exp(1j * spec.phi)
     np.add.at(H, (sites[:, -1], sites[:, 0]), boundary)
     np.add.at(H, (sites[:, 0], sites[:, -1]), boundary.conjugate())
     H.setflags(write=False)

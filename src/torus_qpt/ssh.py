@@ -13,7 +13,7 @@ such a doublet (`critical_doublets`), and the closed-form curvature sum
 over them (`analytic_curvature`, minimized by `golden_section_min`) is the
 perturbative comparison of a curvature sweep.
 Every closed form here reads the flux through `blocks.sin_cos`, and every
-energy is in units of t except `analytic_curvature`'s, which reads spec.t.
+energy is in units of the hopping t.
 
 Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
 open alternating ring (bonds -lambda within cells, +1 between cells:
@@ -192,7 +192,7 @@ def critical_doublets(spec: ModelSpec) -> list[tuple[float, float]]:
 def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) -> float:
     """Closed-form curvature of E_g at eta from the modes' (c_k, Omega_k):
     the sum of the lower midgap levels' exact second derivatives
-    -(t/Omega_k)*r_k^2/|z_k|, |z_k| = |eta*e^{i phi} - c_k| and
+    -(1/Omega_k)*r_k^2/|z_k|, |z_k| = |eta*e^{i phi} - c_k| and
     r_k = c_k*sin(phi)/|z_k|, so the value is negative. |r_k| <= 1, so no
     power of the tiny |z_k| is formed (its cube would underflow from N = 584
     at M = 7, phi = pi/4). At sin(phi) = 0 it is 0 away from the crossings
@@ -204,7 +204,7 @@ def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) ->
         if absz == 0.0:
             return float("-inf")
         r = c * sin_phi / absz
-        total -= spec.t / om * r * r / absz
+        total -= 1.0 / om * r * r / absz
     return total
 
 

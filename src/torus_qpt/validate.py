@@ -50,26 +50,26 @@ def _union_deviation(specs: list[ModelSpec]) -> float:
     worst = 0.0
     for spec in specs:
         full = np.linalg.eigvalsh(build_lattice(spec))
-        levels = spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi)
-        worst = max(worst, float(np.max(np.abs(full - np.sort(levels.ravel())))) / spec.t)
+        levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi)
+        worst = max(worst, float(np.max(np.abs(full - np.sort(levels.ravel())))))
     return worst
 
 
 def check_block_union_honeycomb(convention: str) -> float:
     specs = [
-        ModelSpec("honeycomb", 3, 4, 1.0, 1.0, 0.0),
-        ModelSpec("honeycomb", 3, 4, 1.0, 1.0, math.pi / 4),
-        ModelSpec("honeycomb", 7, 20, 1.0, 0.5, math.pi / 4),
-        ModelSpec("honeycomb", 5, 8, 2.0, 0.3, math.pi / 2),
+        ModelSpec("honeycomb", 3, 4, 1.0, 0.0),
+        ModelSpec("honeycomb", 3, 4, 1.0, math.pi / 4),
+        ModelSpec("honeycomb", 7, 20, 0.5, math.pi / 4),
+        ModelSpec("honeycomb", 5, 8, 0.3, math.pi / 2),
     ]
     return _union_deviation(specs)
 
 
 def check_block_union_square(convention: str) -> float:
     specs = [
-        ModelSpec("square", 2, 2, 1.0, 1.0, math.pi / 3),
-        ModelSpec("square", 3, 8, 1.0, 0.5, math.pi / 4),
-        ModelSpec("square", 5, 6, 2.0, 1.0, math.pi / 2),
+        ModelSpec("square", 2, 2, 1.0, math.pi / 3),
+        ModelSpec("square", 3, 8, 0.5, math.pi / 4),
+        ModelSpec("square", 5, 6, 1.0, math.pi / 2),
     ]
     return _union_deviation(specs)
 

@@ -13,9 +13,8 @@ from torus_qpt import ModelSpec, build_lattice, corner_coupling, critical_modes,
 
 
 def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
-    """E_g at each eta from the dense ring levels at t = 1: each block's
-    negative levels summed, then the blocks added in ascending mode order,
-    then the sum multiplied by spec.t."""
+    """E_g at each eta from the dense ring levels: each block's negative
+    levels summed, then the blocks added in ascending mode order."""
     levels = ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, etas, spec.phi)
     negative = np.count_nonzero(levels < 0.0, axis=-1)
     sums = np.empty(negative.shape)
@@ -25,7 +24,7 @@ def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
     total = np.zeros(len(etas))
     for column in sums.T:
         total += column
-    return spec.t * total
+    return total
 
 
 def ground_energy_exact(spec: ModelSpec) -> float:
@@ -38,9 +37,9 @@ def ground_energy_exact(spec: ModelSpec) -> float:
 def d2_analytic(spec: ModelSpec, eta: float, modes=None) -> float:
     """The closed-form curvature of E_g at one eta, summed over `modes`
     (default: the critical window) whose physical corner c_k = lambda_k^(N/2)
-    is nonzero: each lower midgap level -(t/Omega_k)|eta*e^{i phi} - c_k| has the second
-    eta-derivative -(t/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3,
-    evaluated as -(t/Omega_k)*(c_k*sin(phi)/z)^2/z with z = |eta*e^{i phi} - c_k|,
+    is nonzero: each lower midgap level -(1/Omega_k)|eta*e^{i phi} - c_k| has the second
+    eta-derivative -(1/Omega_k)*c_k^2*sin^2(phi)/|eta*e^{i phi} - c_k|^3,
+    evaluated as -(1/Omega_k)*(c_k*sin(phi)/z)^2/z with z = |eta*e^{i phi} - c_k|,
     since z^3 leaves double range from N = 584 on (M = 7, phi = pi/4).
     Undefined on an exact crossing (sin(phi) = 0 and eta = c_k). ValueError
     for a square spec, which has no midgap doublet."""
@@ -51,7 +50,7 @@ def d2_analytic(spec: ModelSpec, eta: float, modes=None) -> float:
         c = corner_coupling(lam, spec.N)
         if c != 0.0:
             z = abs(eta * cmath.exp(1j * spec.phi) - c)
-            total -= spec.t / omega_factor(lam, spec.N) * (c * math.sin(spec.phi) / z) ** 2 / z
+            total -= 1.0 / omega_factor(lam, spec.N) * (c * math.sin(spec.phi) / z) ** 2 / z
     return total
 
 

@@ -46,9 +46,9 @@ def test_criterion_01_block_union_equivalence():
             for N in (4, 8, 12, 20):
                 for eta in (0.0, 0.5, 1.0):
                     for phi in (0.0, PHI):
-                        spec = ModelSpec(kind, M, N, 1.0, eta, phi)
+                        spec = ModelSpec(kind, M, N, eta, phi)
                         full = np.linalg.eigvalsh(build_lattice(spec))
-                        levels = spec.t * ring_levels(kind, ring_lams(kind, M), N, [eta], phi)
+                        levels = ring_levels(kind, ring_lams(kind, M), N, [eta], phi)
                         union = np.sort(levels.ravel())
                         worst = max(worst, float(np.max(np.abs(full - union))))
     elapsed = time.perf_counter() - start
@@ -173,7 +173,7 @@ def test_criterion_05_square_closed_forms():
 
 def test_criterion_06_second_order_scaling():
     start = time.perf_counter()
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[8, 12, 16, 20, 24], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[8, 12, 16, 20, 24], steps=128)
     elapsed = time.perf_counter() - start
     fit_eta, fit_peak = report["fit_eta"], report["fit_peak"]
     ln_eta_m, ln_abs_peak = report["ln_eta_m"], report["ln_abs_peak"]
@@ -243,7 +243,7 @@ def test_criterion_08_fidelity():
 def test_criterion_09_square_null_result():
     peaks = []
     for N in (8, 16, 32):
-        spec = ModelSpec("square", 3, N, 1.0, 0.0, PHI)
+        spec = ModelSpec("square", 3, N, 0.0, PHI)
         result = sweep(spec, eta_min=0.0, eta_max=1.0, steps=128)
         peaks.append(abs(result.peak))
     ratio = max(peaks) / min(peaks)
@@ -257,7 +257,7 @@ def test_criterion_09_square_null_result():
 
 
 def test_criterion_10_analytic_vs_numeric_curvature():
-    spec = ModelSpec("honeycomb", 7, 20, 1.0, 0.0, PHI)
+    spec = ModelSpec("honeycomb", 7, 20, 0.0, PHI)
     result = sweep(spec)
     analytic = d2_analytic(spec, result.eta_m)
     rel_dev = abs(result.peak - analytic) / abs(analytic)

@@ -225,9 +225,9 @@ def test_square_block_lambdas():
 @pytest.mark.parametrize("eta,phi", [(0.0, 0.0), (0.5, math.pi / 4), (1.0, 2.0)])
 def test_block_union_matches_full_lattice(kind, M, eta, phi):
     N = 8 if kind == "honeycomb" else 6
-    spec = ModelSpec(kind, M, N, t=1.0, eta=eta, phi=phi)
+    spec = ModelSpec(kind, M, N, eta=eta, phi=phi)
     full = np.linalg.eigvalsh(build_lattice(spec))
-    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert np.max(np.abs(full - union)) <= 1e-10
 
 

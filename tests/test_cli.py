@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import pytest
 
 from conftest import dense_ring
 from outputs import read_table
+from torus_qpt import ModelSpec, blocks, scaling_scan
 from torus_qpt.cli import (
     COMMANDS,
     OPTIONS,
@@ -19,7 +22,6 @@ from torus_qpt.cli import (
     main,
     number,
     parse_config,
-    positive,
     ring_lengths,
 )
 from torus_qpt.output import atomic_write_text, csv_text, fmt_float, json_text
@@ -250,16 +252,16 @@ def test_unknown_flag_for_command(tmp_path, capsys):
 
 # The keys each command accepts; the option table must reproduce them
 # exactly. 'convention' goes only to validate, whose 'sites' run is the designed
-# failing case, and 't' not to fidelity, whose outputs are ratios of energies.
+# failing case.
 ACCEPTED_KEYS = {
-    "spectrum": {"out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+    "spectrum": {"out", "kind", "M", "N", "eta", "phi", "phi_over_pi",
                  "lam", "mode", "eta_min", "eta_max", "steps", "dump_blocks"},
-    "sweep": {"out", "kind", "M", "N", "t", "eta", "phi", "phi_over_pi",
+    "sweep": {"out", "kind", "M", "N", "eta", "phi", "phi_over_pi",
               "eta_min", "eta_max", "steps", "dump_blocks"},
-    "scaling": {"out", "M", "t", "phi", "phi_over_pi", "n_list", "steps"},
+    "scaling": {"out", "M", "phi", "phi_over_pi", "n_list", "steps"},
     "fidelity": {"out", "lam", "N", "phi", "phi_over_pi", "eta_center",
                  "delta_min", "delta_max", "delta_steps"},
-    "square": {"out", "M", "t", "phi", "phi_over_pi", "n_list", "eta_min",
+    "square": {"out", "M", "phi", "phi_over_pi", "n_list", "eta_min",
                "eta_max", "steps"},
     "validate": {"convention", "out"},
 }
@@ -288,7 +290,7 @@ def test_every_option_has_traffic():
 
 
 def test_every_command_parses_every_flag():
-    flags = ["--out", "o", "--kind", "square", "--M", "3", "--N", "4", "--t", "2",
+    flags = ["--out", "o", "--kind", "square", "--M", "3", "--N", "4",
              "--eta", "0.5", "--phi", "0.1", "--phi-over-pi", "0.25", "--eta-min", "0", "--eta-max", "1",
              "--steps", "64", "--convention", "sites", "--lam", "0.5", "--mode", "1", "--n-list", "8,12",
              "--eta-center", "0.2", "--delta-min", "0.1", "--delta-max", "1", "--delta-steps", "3",
@@ -297,7 +299,7 @@ def test_every_command_parses_every_flag():
     for command in COMMANDS:
         args = vars(parser.parse_args([command] + flags))
         assert args == {
-            "command": command, "out": "o", "kind": "square", "M": 3, "N": 4, "t": 2.0,
+            "command": command, "out": "o", "kind": "square", "M": 3, "N": 4,
             "eta": 0.5, "phi": 0.1, "phi_over_pi": 0.25, "eta_min": 0.0, "eta_max": 1.0, "steps": 64,
             "convention": "sites", "lam": 0.5, "mode": 1, "n_list": [8, 12], "eta_center": 0.2,
             "delta_min": 0.1, "delta_max": 1.0, "delta_steps": 3, "dump_blocks": True,
@@ -358,12 +360,23 @@ def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
     assert not out.exists()
 
 
+def test_energies_are_in_units_of_t(tmp_path, capsys):
+    # the hopping t is the model's one energy scale: no spec field, scan parameter, scaling step or flag sets it
+    assert [field.name for field in dataclasses.fields(ModelSpec)] == ["kind", "M", "N", "eta", "phi"]
+    assert "t" not in inspect.signature(scaling_scan).parameters
+    assert not hasattr(blocks, "scale_by_t")
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert _run_collecting_exit([command, "--t", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,needs",
     [(["spectrum", "--lam", "0.5", "--N", "20", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
      (["sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25", "--eta", "0.3"], "'eta' needs 'dump_blocks'"),
-     (["spectrum", "--lam", "0.5", "--N", "20", "--M", "9"], "'M' needs 'mode' or 'dump_blocks'"),
-     (["fidelity", "--t", "2"], "keys not used by command 'fidelity': ['t']")],
+     (["spectrum", "--lam", "0.5", "--N", "20", "--M", "9"], "'M' needs 'mode' or 'dump_blocks'")],
 )
 def test_options_nothing_reads_are_rejected(tmp_path, capsys, argv, needs):
     # nothing reads these values: the output would be byte-identical without them
@@ -394,43 +407,6 @@ def test_sweep_out_of_double_range_writes_one_stderr_line_as_a_process(tmp_path,
     assert not out.exists()
 
 
-def _small_t(row):
-    return "--t" in row.args and float(row.args[row.args.index("--t") + 1]) < 1.0
-
-
-@pytest.mark.parametrize("argv", _table_args(lambda row: "fails" in row.tags and _small_t(row)), ids=" ".join)
-def test_output_below_the_normal_range_exits_1_and_writes_nothing(tmp_path, capsys, argv):
-    # at t = 1e-320 a sweep's peak keeps 5 digits and spectrum's levels fewer, and at t = 1e-300 a
-    # square ring's exact zeros, which the dense solve returns at roundoff size: one error line, no file
-    out = tmp_path / "out"
-    assert run_cli([*argv, "--out", str(out)]) == 1
-    t = argv[argv.index("--t") + 1]
-    assert capsys.readouterr().err == f"error: t = {t} scales the results below the normal double range\n"
-    assert not out.exists()
-
-
-def test_blocks_below_the_normal_range_write_no_spectrum(tmp_path, capsys):
-    # at phi = 1e-300 the boundary bond's imaginary part is -1e-300*t: at t = 1e-10 the levels are normal
-    # and that block entry is not, and blocks.csv is built before spectrum.csv is written
-    argv = ["spectrum", "--kind", "square", "--mode", "2", "--M", "5", "--phi", "1e-300", "--dump-blocks"]
-    assert run_cli(argv + ["--t", "1e-10", "--out", str(tmp_path / "a")]) == 1
-    assert "below the normal double range" in capsys.readouterr().err
-    assert not (tmp_path / "a").exists()
-    assert run_cli(argv[:-1] + ["--t", "1e-10", "--out", str(tmp_path / "b")]) == 0  # the levels alone
-    assert run_cli(argv + ["--t", "1e-7", "--out", str(tmp_path / "c")]) == 0
-    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["blocks.csv", "spectrum.csv"]
-
-
-def test_output_past_double_range_exits_1_and_writes_nothing(tmp_path, capsys):
-    # a square ring at lambda = 2 has levels down to -4t: at t = 1e308 spectrum's levels leave double
-    # range, which is one error line and no file, not an inf in spectrum.csv
-    argv = ["spectrum", "--kind", "square", "--lam", "2", "--N", "4", "--t", "1e308", "--out", str(tmp_path)]
-    assert run_cli(argv) == 1
-    err = capsys.readouterr().err
-    assert err == "error: overflow encountered in multiply\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_unbracketed_scaling_peak_exits_1(tmp_path, capsys):
     assert run_cli(["scaling", "--M", "11", "--n-list", "8,12", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -441,8 +417,7 @@ def test_unbracketed_scaling_peak_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "convert,value,want",
     [(integer, "7", 7), (integer, " -3 ", -3), (integer, "+5", 5), (number, "1e-3", 1e-3), (number, "2", 2.0),
-     (number, "0.25", 0.25), (ring_lengths, "8,12,", [8, 12]), (ring_lengths, " 8, 12", [8, 12]),
-     (positive, "1e-3", 1e-3), (positive, "2", 2.0)],
+     (number, "0.25", 0.25), (ring_lengths, "8,12,", [8, 12]), (ring_lengths, " 8, 12", [8, 12])],
 )
 def test_converters_accept_flag_text(convert, value, want):
     assert convert(value) == want and type(convert(value)) is type(want)
@@ -453,8 +428,7 @@ def test_converters_accept_flag_text(convert, value, want):
     [(integer, "3.5"), (integer, "8.0"), (integer, "+-3"), (integer, ""), (integer, "True"), (integer, "None"),
      (integer, "inf"), (number, "nan"), (number, "-inf"), (number, "inf"), (number, "abc"),
      (number, str(10**400)), (number, "True"), (ring_lengths, ","), (ring_lengths, "8,x"),
-     (ring_lengths, "8,8.5"), (positive, "0"), (positive, "-1"), (positive, "-0.0"), (positive, "nan"),
-     (positive, "inf")],
+     (ring_lengths, "8,8.5")],
 )
 def test_converters_reject(convert, value):
     with pytest.raises(argparse.ArgumentTypeError):
@@ -493,32 +467,6 @@ def test_dump_blocks_content(tmp_path, kind, M, N, eta, phi):
         want = np.array([2.0 * math.pi * m / M, lam, *np.stack([ring.real, ring.imag], axis=-1).ravel()])
         assert np.array_equal(row, want), m
         assert np.array_equal(np.signbit(row), np.signbit(want)), m
-
-
-def test_energies_scale_exactly_with_t(tmp_path, capsys):
-    # at t = 2 every energy spectrum, sweep and square write is exactly twice its t = 1 value, while
-    # eta_m, the flags and square's flatness ratio do not move
-    commands = (["spectrum", "--lam", "0.5", "--N", "20", "--phi-over-pi", "0.25"],
-                ["sweep", "--M", "7", "--N", "20", "--phi-over-pi", "0.25"],
-                ["square", "--M", "5", "--n-list", "4,8,12", "--phi", "0.7"])
-    for argv in commands:
-        printed = {}
-        for t in ("1", "2"):
-            assert run_cli([*argv, "--t", t, "--out", str(tmp_path / argv[0] / t)]) == 0
-            printed[t] = capsys.readouterr().out
-        unit, scaled = tmp_path / argv[0] / "1", tmp_path / argv[0] / "2"
-        for csv_file in sorted(unit.glob("*.csv")):
-            (header, table), (_, doubled) = _parse_csv(csv_file), _parse_csv(scaled / csv_file.name)
-            assert header[0] == "eta" and np.array_equal(doubled[:, 0], table[:, 0])
-            assert np.array_equal(doubled[:, 1:], 2.0 * table[:, 1:], equal_nan=True), csv_file.name
-        if argv[0] == "sweep":
-            line_1, line_2 = (printed[t].splitlines()[0].split() for t in ("1", "2"))
-            assert (line_2[1], line_2[3:]) == (line_1[1], line_1[3:])  # eta_m= and flags=
-            assert float(line_2[2][len("peak="):]) == 2.0 * float(line_1[2][len("peak="):])
-        if argv[0] == "square":
-            report, doubled = (json.loads((d / "square_report.json").read_text()) for d in (unit, scaled))
-            assert doubled["peak_abs"] == [2.0 * peak for peak in report["peak_abs"]]
-            assert doubled["flatness_ratio"] == report["flatness_ratio"] and doubled["flags"] == report["flags"]
 
 
 def _central_levels(path, n):

@@ -58,7 +58,7 @@ def _midgap_part(spec):
     """E_m: the lower midgap level of each critical-window ring, summed."""
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
     rings = (dense_ring("honeycomb", lam, spec.N, spec.eta, spec.phi) for lam in lams)
-    return spec.t * sum(float(np.linalg.eigvalsh(ring)[spec.N // 2 - 1]) for ring in rings)
+    return sum(float(np.linalg.eigvalsh(ring)[spec.N // 2 - 1]) for ring in rings)
 
 
 def test_ground_energy_exact_split():
@@ -67,7 +67,7 @@ def test_ground_energy_exact_split():
     # E_g is the sum of negative full-lattice levels, and so of negative block levels
     evals = np.linalg.eigvalsh(build_lattice(spec))
     assert e_g == pytest.approx(float(evals[evals < 0].sum()), rel=1e-14)
-    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert e_g == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
     # the midgap part is negative, and so is the band remainder
     e_m = _midgap_part(spec)
@@ -77,7 +77,7 @@ def test_ground_energy_exact_split():
 def test_ground_energy_square_has_no_midgap_part():
     # the square lattice has no critical window, so E_g is the negative block levels alone
     spec = ModelSpec("square", 3, 8, eta=0.5, phi=PHI)
-    union = np.sort(spec.t * ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
+    union = np.sort(ring_levels(spec.kind, ring_lams(spec.kind, spec.M), spec.N, [spec.eta], spec.phi).ravel())
     assert ground_energy_exact(spec) == pytest.approx(float(union[union < 0].sum()), rel=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_d2_analytic_is_second_derivative_of_midgap_energy():
     lams = ring_lams(spec.kind, spec.M, critical_modes(spec.M))
 
     def e_m(eta):
-        return spec.t * sum(midgap_perturbation(lam, spec.N, eta, spec.phi).eps_minus for lam in lams)
+        return sum(midgap_perturbation(lam, spec.N, eta, spec.phi).eps_minus for lam in lams)
 
     fd = (e_m(eta0 + h) - 2 * e_m(eta0) + e_m(eta0 - h)) / h**2
     ana = d2_analytic(spec, eta0)
@@ -175,10 +175,9 @@ def test_analytic_curvature_matches_the_closed_form_oracle(phi):
 
 
 def _per_ring_energies(spec, etas):
-    """Reference E_g: one eigvalsh call per ring at t = 1, negative levels
-    summed block by block in ascending mode order, the sum multiplied by
-    spec.t; also the negative counts and t*sum |eps| over every level, the
-    roundoff scale of E_g."""
+    """Reference E_g: one eigvalsh call per ring, negative levels summed
+    block by block in ascending mode order; also the negative counts and
+    sum |eps| over every level, the roundoff scale of E_g."""
     # lambda is exactly 0 where the cosine's argument is an odd multiple of pi/2
     M = spec.M
     if spec.kind == "honeycomb":
@@ -195,7 +194,7 @@ def _per_ring_energies(spec, etas):
             counts.add(int(np.count_nonzero(evals < 0.0)))
         energies.append(total)
         scales.append(scale)
-    return spec.t * np.array(energies), counts, spec.t * np.array(scales)
+    return np.array(energies), counts, np.array(scales)
 
 
 def _c3_7(N):
@@ -207,7 +206,7 @@ def _c3_7(N):
     [
         # 13 etas x 7 modes = 91 rings in chunks of 40: the last chunk is partial
         (ModelSpec("honeycomb", 7, 20, phi=PHI), np.linspace(0.0, 3 * _c3_7(20), 13)),
-        (ModelSpec("honeycomb", 7, 20, t=0.7, phi=PHI), [2.155e-4, 2.155e-4 + 1e-6, 2.155e-4 - 1e-6, 0.0, 1.0]),
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), [2.155e-4, 2.155e-4 + 1e-6, 2.155e-4 - 1e-6, 0.0, 1.0]),
         # at phi = 0 and eta = c_k the midgap doublet crosses zero
         (ModelSpec("honeycomb", 7, 12, phi=0.0), [_c3_7(12), 0.5 * _c3_7(12), _c3_7(12), 0.0, 0.2]),
         (ModelSpec("square", 5, 12, phi=0.3 * math.pi), np.linspace(0.0, 1.0, 29)),
@@ -224,7 +223,7 @@ def test_ground_energies_equal_per_ring_reference(spec, etas):
 def test_open_ground_energy_equals_the_dense_oracle_bit_for_bit():
     # E_g(0) of the sweeps against the oracle's eta = 0 column, over every M = 2..31 of both kinds
     specs = [
-        ModelSpec(kind, M, N, 1.0, 0.0, phi)
+        ModelSpec(kind, M, N, 0.0, phi)
         for phi in (0.0, PHI, 1.1)
         for kind, ns in (("honeycomb", (4, 20, 36, 80)), ("square", (2, 5, 17, 33, 80)))
         for M in range(2 if kind == "square" else 3, 32)
@@ -253,7 +252,7 @@ def _assert_dense_close(spec, etas, e_g):
         (ModelSpec("honeycomb", 7, 12, phi=0.0), [_c3_7(12), 0.5 * _c3_7(12), 0.0, 0.2, 2 * _c3_7(12)]),
         # M = 9 has the |lambda| = 1 modes m = 3 and 6
         (ModelSpec("honeycomb", 9, 16, phi=0.0), np.linspace(0.0, 1.0, 41)),
-        (ModelSpec("honeycomb", 5, 8, t=2.0, phi=math.pi / 2), np.linspace(0.0, 1.0, 21)),
+        (ModelSpec("honeycomb", 5, 8, phi=math.pi / 2), np.linspace(0.0, 1.0, 21)),
         (ModelSpec("honeycomb", 3, 4, phi=PHI), np.linspace(0.0, 3.0, 31)),
         (ModelSpec("honeycomb", 31, 64, phi=PHI), [0.0, 1e-4, 0.003, 0.02, 0.1, 1.0]),
         (ModelSpec("honeycomb", 7, 56, phi=PHI), np.linspace(0.0, 1e-9, 11)),
@@ -275,9 +274,8 @@ def _assert_dense_close(spec, etas, e_g):
     ],
 )
 def test_shift_engine_matches_dense_energies(spec, etas):
-    # the engine works in units of t; sweep scales its energies by spec.t
     table = _shift_table(spec, float(np.max(etas)))
-    _assert_dense_close(spec, etas, spec.t * _shifted_energies(spec, table, etas)[0])
+    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas)[0])
 
 
 @pytest.mark.parametrize(
@@ -588,19 +586,6 @@ def test_sweep_square_lattice_is_tame():
     assert abs(res.peak) < 10.0
 
 
-@pytest.mark.parametrize("t", [2.0, 1e-300, 1e300])
-def test_sweep_scales_its_energies_by_t_once(t):
-    # the engine works at t = 1: eta_m and the flags do not depend on t, and each energy is t times
-    # the t = 1 value after one rounding (exactly twice it at t = 2)
-    for spec in (ModelSpec("honeycomb", 7, 20, phi=PHI), ModelSpec("square", 5, 12, phi=0.7)):
-        unit, scaled = sweep(spec), sweep(dataclasses.replace(spec, t=t))
-        assert (scaled.eta_m, scaled.flags) == (unit.eta_m, unit.flags)
-        assert np.array_equal(scaled.eta_grid, unit.eta_grid)
-        assert np.array_equal(scaled.e_g_curve, t * unit.e_g_curve)
-        assert np.array_equal(scaled.d2_numeric, t * unit.d2_numeric, equal_nan=True)
-        assert scaled.peak == t * unit.peak
-
-
 def test_sweep_result_arrays_read_only():
     res = sweep(ModelSpec("honeycomb", 7, 8, phi=PHI), steps=64)
     with pytest.raises(ValueError):
@@ -608,7 +593,7 @@ def test_sweep_result_arrays_read_only():
 
 
 def test_scaling_scan_small():
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[8, 12, 16], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[8, 12, 16], steps=128)
     assert report["n_values"] == [8, 12, 16]
     # eta_m decreasing, |peak| increasing with N
     ln_eta_m, ln_abs_peak = report["ln_eta_m"], report["ln_abs_peak"]
@@ -626,7 +611,7 @@ def test_scaling_scan_small():
 
 def test_scaling_scan_reaches_n_80():
     # from N = 40 on, second differences of E_g would drown in roundoff
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[24, 32, 40, 48, 56, 64, 72, 80], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[24, 32, 40, 48, 56, 64, 72, 80], steps=128)
     assert report["fit_eta"]["slope"] == pytest.approx(math.log(abs(LAM_3_7)) / 2.0, abs=1e-8)
 
 
@@ -635,14 +620,14 @@ def test_scaling_scan_reads_no_closed_form_term(monkeypatch):
     # (eps^-)^3 form underflowed), and it makes no _d2_sum call
     calls = []
     monkeypatch.setattr(ssh, "_d2_sum", lambda *args: calls.append(args) or _d2_sum(*args))
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[600, 620], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[600, 620], steps=128)
     assert abs(report["fit_eta"]["slope"] - math.log(abs(LAM_3_7)) / 2.0) <= 1e-12
     assert calls == []
 
 
 @pytest.mark.parametrize("N", [400, 600, 800])
 def test_analytic_extremum_stays_in_double_range(N):
-    # each term is -(t/Omega)*r^2/|z| with |r| <= 1: a cube of the tiny |z| was subnormal near eta* from
+    # each term is -(1/Omega)*r^2/|z| with |r| <= 1: a cube of the tiny |z| was subnormal near eta* from
     # N = 584 on (it moved the N = 600 extremum by 6.1e-4) and 0 at N = 800, which stopped that sweep
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
     doublets = critical_doublets(spec)
@@ -651,7 +636,7 @@ def test_analytic_extremum_stays_in_double_range(N):
     column, (eta_m, peak) = analytic_curvature(spec, grid)
     assert np.isfinite(column).all() and (column < 0.0).all()
     assert eta_m == pytest.approx(eta_star, rel=3e-8, abs=0.0)  # a flat extremum is located to ~sqrt(eps)
-    want = -sum(spec.t / (om * abs(c * math.sin(PHI))) for c, om in doublets)
+    want = -sum(1.0 / (om * abs(c * math.sin(PHI))) for c, om in doublets)
     assert peak == pytest.approx(want, rel=1e-15, abs=0.0)
     # the oracle follows the curvature there too: its terms form no cube of |z| either
     assert column == pytest.approx([d2_analytic(spec, x) for x in grid], rel=1e-14, abs=0.0)
@@ -659,22 +644,22 @@ def test_analytic_extremum_stays_in_double_range(N):
 
 
 def test_scaling_scan_dedupes_and_sorts():
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[12, 8, 12], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[12, 8, 12], steps=128)
     assert report["n_values"] == [8, 12]
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(M=2, phi=PHI, t=1.0, n_list=[8, 12], steps=128),
-        dict(M=7.0, phi=PHI, t=1.0, n_list=[8, 12], steps=128),
-        dict(M=7, phi=0.0, t=1.0, n_list=[8], steps=128),
-        dict(M=7, phi=PHI, t=1.0, n_list=[], steps=128),
-        dict(M=7, phi=PHI, t=1.0, n_list=[8, 8], steps=128),
-        dict(M=7, phi=PHI, t=1.0, n_list=[8, 10], steps=128),
+        dict(M=2, phi=PHI, n_list=[8, 12], steps=128),
+        dict(M=7.0, phi=PHI, n_list=[8, 12], steps=128),
+        dict(M=7, phi=0.0, n_list=[8], steps=128),
+        dict(M=7, phi=PHI, n_list=[], steps=128),
+        dict(M=7, phi=PHI, n_list=[8, 8], steps=128),
+        dict(M=7, phi=PHI, n_list=[8, 10], steps=128),
         # sin(pi) and sin(2*pi) are 1.2e-16 and -2.4e-16, not 0: both are rejected as phi = 0 is
-        dict(M=7, phi=math.pi, t=1.0, n_list=[8, 12], steps=128),
-        dict(M=7, phi=2.0 * math.pi, t=1.0, n_list=[8, 12], steps=128),
+        dict(M=7, phi=math.pi, n_list=[8, 12], steps=128),
+        dict(M=7, phi=2.0 * math.pi, n_list=[8, 12], steps=128),
     ],
 )
 def test_scaling_scan_validation(monkeypatch, kwargs):
@@ -689,7 +674,7 @@ def test_scaling_scan_validation(monkeypatch, kwargs):
 def test_scaling_scan_unbracketed_peak_is_a_runtime_error():
     # M = 11, N = 8: the grid argmax sits on the grid edge, so no fit is possible
     with pytest.raises(RuntimeError, match="not bracketed for N=8"):
-        scaling_scan(M=11, phi=PHI, t=1.0, n_list=[8, 12], steps=128)
+        scaling_scan(M=11, phi=PHI, n_list=[8, 12], steps=128)
 
 
 def test_fidelity_exact_matches_perturbative():
@@ -808,6 +793,6 @@ def test_sweep_to_csv_format():
 def test_scaling_scan_report_round_trips_json():
     import json
 
-    report = scaling_scan(M=7, phi=PHI, t=1.0, n_list=[8, 12], steps=128)
+    report = scaling_scan(M=7, phi=PHI, n_list=[8, 12], steps=128)
     assert list(report) == ["n_values", "ln_eta_m", "ln_abs_peak", "fit_eta", "fit_peak", "paper_comparison"]
     assert json.loads(json.dumps(report)) == report

@@ -8,7 +8,7 @@ from torus_qpt import ModelSpec, build_lattice
 
 def test_spec_defaults_and_dim():
     spec = ModelSpec("honeycomb", 3, 8)
-    assert spec.t == 1.0 and spec.eta == 0.0 and spec.phi == 0.0
+    assert spec.eta == 0.0 and spec.phi == 0.0
     assert build_lattice(spec).shape == (24, 24)
 
 
@@ -21,8 +21,8 @@ def test_spec_defaults_and_dim():
         dict(kind="honeycomb", M=3, N=0),
         dict(kind="square", M=1, N=4),
         dict(kind="square", M=2, N=1),
-        dict(kind="honeycomb", M=3, N=8, t=0.0),
-        dict(kind="honeycomb", M=3, N=8, t=-1.0),
+        dict(kind="honeycomb", M=3, N=8, eta=math.nan),
+        dict(kind="honeycomb", M=3, N=8, phi=math.nan),
         dict(kind="honeycomb", M=3, N=8, eta=-0.1),
         dict(kind="honeycomb", M=3, N=8, phi=math.inf),
         dict(kind="honeycomb", M=3.0, N=8),
@@ -41,7 +41,7 @@ def test_operator_entries_read_only():
 
 def test_honeycomb_bond_pattern():
     # M=3, N=8: intra-row chains, staggered rungs on columns 1-2 and 4-3.
-    spec = ModelSpec("honeycomb", 3, 8, t=1.0, eta=0.5, phi=math.pi / 3)
+    spec = ModelSpec("honeycomb", 3, 8, eta=0.5, phi=math.pi / 3)
     H = build_lattice(spec)
 
     def idx(m, n):
