@@ -18,8 +18,9 @@ per lambda. The shift engine and the reference matrix `ssh.build_h0` read
 the bands; `ring_stack` alone puts them into dense complex rings and adds
 the boundary bond, in chunks. The one dense ring-solve path,
 `ring_levels`, solves those chunks for every ring level of the package
-(spectrum, ground energies, validate), in real arithmetic when no ring
-has a boundary bond, and `blocks_to_csv` writes them out. `sin_cos` is
+(spectrum, ground energies, validate); when no ring has a boundary bond
+it builds real open rings from the bands instead, and solves them in real
+arithmetic. `blocks_to_csv` writes ring_stack's rings out. `sin_cos` is
 the one reader of the flux phi: `ring_stack`'s boundary phase and every
 closed form of `ssh` take sin(phi) and cos(phi) from it.
 
@@ -104,33 +105,48 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
     sin_cos; this is the one place a ring gets its boundary bond.
     """
     diagonals, bonds = ring_bands(kind, lams, N)
-    n_lams = len(diagonals)
-    rings = np.zeros((n_lams, N * N), dtype=np.complex128)
-    # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
-    rings[:, :: N + 1] = diagonals
-    rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
-    rings = rings.reshape(n_lams, N, N)
+    rings = _open_rings(diagonals, bonds, np.complex128)
     sin_phi, cos_phi = sin_cos(phi)
     phase = complex(cos_phi, sin_phi)
     boundary = np.array([-eta * phase for eta in etas], dtype=np.complex128)
-    pairs = len(boundary) * n_lams
-    size = max(1, CHUNK_ENTRIES // (N * N))
-    for start in range(0, pairs, size):
-        index = np.arange(start, min(start + size, pairs))
-        chunk = rings[index % n_lams]
-        bond = boundary[index // n_lams]
+    for index in _chunks(len(boundary) * len(rings), N):
+        chunk = rings[index % len(rings)]
+        bond = boundary[index // len(rings)]
         chunk[:, N - 1, 0] += bond
         chunk[:, 0, N - 1] += bond.conj()
         yield chunk
         del chunk  # freed before the next chunk is built, unless the consumer holds it
 
 
+def _open_rings(diagonals: np.ndarray, bonds: np.ndarray, dtype) -> np.ndarray:
+    """The dense open rings of stacked bands, shape (len(diagonals), N, N)."""
+    n, N = diagonals.shape
+    rings = np.zeros((n, N * N), dtype=dtype)
+    # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
+    rings[:, :: N + 1] = diagonals
+    rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
+    return rings.reshape(n, N, N)
+
+
+def _chunks(pairs: int, N: int):
+    """Index arrays over `pairs` rings of N sites, at most CHUNK_ENTRIES entries (one ring) each."""
+    size = max(1, CHUNK_ENTRIES // (N * N))
+    for start in range(0, pairs, size):
+        yield np.arange(start, min(start + size, pairs))
+
+
 def ring_levels(kind: str, lams, N: int, etas, phi: float) -> np.ndarray:
     """Sorted levels of every ring of ring_stack, shape (len(etas), len(lams), N):
     one eigvalsh call per chunk, and map keeps no chunk once it is solved.
-    With every eta 0 no ring has a boundary bond, and the real rings are solved."""
-    chunks = ring_stack(kind, lams, N, etas, phi)
-    levels = map(np.linalg.eigvalsh, chunks if np.any(etas) else map(np.real, chunks))
+    With every eta 0 no ring has a boundary bond: each chunk of open rings
+    is built real from ring_bands, and solved in real arithmetic."""
+    if np.any(etas):
+        chunks = ring_stack(kind, lams, N, etas, phi)
+    else:
+        diagonals, bonds = ring_bands(kind, lams, N)
+        rows = (index % len(diagonals) for index in _chunks(len(etas) * len(diagonals), N))
+        chunks = (_open_rings(diagonals[row], bonds[row], np.float64) for row in rows)
+    levels = map(np.linalg.eigvalsh, chunks)
     return np.concatenate(list(levels)).reshape(len(etas), -1, N)
 
 

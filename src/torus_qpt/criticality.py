@@ -8,8 +8,8 @@ momentum window), while the square torus shows no such growth. This
 module locates the peak, fits its finite-size scaling, and computes the
 midgap fidelity from exact eigenvectors. It is the exact engine alone:
 perturbation theory lives in `ssh`, which gives it only the physical
-critical doublets (a sweep's default range and quadrature cut), the
-minimizer and `midgap_perturbation` (the guards of `fidelity_exact`).
+critical doublets (a sweep's default range and quadrature cut) and
+`midgap_perturbation` (the guards of `fidelity_exact`).
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
@@ -40,7 +40,10 @@ E_g(0) sums the dense levels of the open rings. Every open ring's bands
 are palindromic (blocks.ring_bands), so G_11 = G_NN bit for bit, and the
 two G0 entries G_NN and G_1N come from one O(N) continued fraction over
 H0's bands, once per distinct mode (m and M - m share them) on one node
-set, and serve every eta of the sweep.
+set, and serve every eta of the sweep. A honeycomb ring's diagonal is
+zero, so at z = iy its fraction is real: gamma_j = 1/(y + b^2*gamma_(j-1)),
+G_NN = -i*gamma and G_1N = (-i)^N * prod(b*gamma): the complex fraction's
+values, rounded the same way, in real arithmetic.
 The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y)
 over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
 gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
@@ -59,6 +62,13 @@ eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
 sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
 2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
 `_open_ground_energy`, one `ring_levels` call at eta = 0, gives E_g(0).
+
+The peak eta_m is a zero of the curvature's slope, D3 = sum w*d3/deta3
+ln|q|, found by safeguarded Newton steps with D4 = sum w*d4/deta4 ln|q|.
+Each step evaluates every node exactly at one eta (the near nodes too,
+whose Chebyshev samples hold no derivative beyond the second), so the
+root is located to the roundoff of D3, not to the sqrt(eps) of a search
+that compares values of a flat maximum.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ import numpy as np
 from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
 from .models import ModelSpec
 from .output import csv_text
-from .ssh import critical_doublets, golden_section_min, midgap_perturbation
+from .ssh import critical_doublets, midgap_perturbation
 
 DEFAULT_STEPS = 200
 
@@ -90,6 +100,8 @@ _Y_LO = 1e-14
 _Y_HI = 1e5
 # Largest number of entries in one (eta, node) temporary (128 KiB complex).
 _BLOCK_ENTRIES = 2**13
+# Steps of the peak refinement before it stops unconverged (Newton takes 3 to 5, bisection alone ~50)
+_MAX_NEWTON = 100
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +188,19 @@ def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple
     return g, g1n
 
 
+def _honeycomb_green(bonds: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and p of honeycomb rings at z = iy, in real arithmetic: G_NN =
+    -i*gamma and G_1N = (-i)^N * p, which is p itself as N % 4 == 0. The
+    diagonal is zero, so _boundary_green's fraction is gamma_j = 1/(y +
+    b^2*gamma_(j-1)), and these are its nonzero parts, rounded alike (a
+    product that underflows may give a zero of the other sign)."""
+    g = g1n = 1.0 / y
+    for b in bonds.T[:, :, None]:
+        g = 1.0 / (y + b * b * g)
+        g1n = g1n * b * g
+    return g, g1n
+
+
 def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) and its
     curvature at 0 <= eta <= eta_max: E_g(0) and the quadrature terms of
@@ -194,11 +219,16 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     sin_phi, cos_phi = sin_cos(spec.phi)
     s2, M = sin_phi ** 2, spec.M
     modes = [*range(1, M // 2 + 1), M]
-    bands = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N)
-    gnn, g1n = (g.ravel() for g in _boundary_green(*bands, 1j * y))
+    diagonals, bonds = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N)
+    if spec.kind == "honeycomb":
+        gamma, g1n = (g.ravel() for g in _honeycomb_green(bonds, y))
+        gnn2 = -(gamma * gamma)  # G_NN^2, real as G_1N: A, B and d4 are real
+    else:
+        gnn, g1n = (g.ravel() for g in _boundary_green(diagonals, bonds, 1j * y))
+        gnn2 = gnn * gnn
     a = 2.0 * cos_phi * g1n
-    b = g1n * g1n - gnn * gnn  # G_11 = G_NN
-    d4 = gnn * gnn - s2 * g1n * g1n  # (A^2 - 4B)/4, formed without cancellation
+    b = g1n * g1n - gnn2  # G_11 = G_NN
+    d4 = gnn2 - s2 * g1n * g1n  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
     lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo
     return _open_ground_energy(spec), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
@@ -210,6 +240,8 @@ class _ShiftTerms(NamedTuple):
     points: np.ndarray  # _CHEB_POINTS Chebyshev points of the second kind on [0, eta_max]
     bary: np.ndarray  # their barycentric weights
     near: np.ndarray  # (2, _CHEB_POINTS): near-node sums of ln|q| and of d2 ln|q| at the points
+    w_near: np.ndarray  # near-node quadrature weights
+    near_ab: tuple  # the near nodes' A and B, for the peak refinement's exact derivatives
     w_far: np.ndarray  # far-node quadrature weights
     far: tuple  # factored far q, as _far_nodes reads it
     lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo
@@ -226,8 +258,6 @@ def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights
     nodes whose sign of Re q the level-crossing check reads."""
     near = np.abs(a) * eta_max + np.abs(b) * (eta_max * eta_max) <= 0.25
     far = ~near
-    if kind == "honeycomb":
-        a, b = a.real, b.real
     j = np.arange(_CHEB_POINTS)
     points = eta_max * (0.5 - 0.5 * np.cos(np.pi * j / (_CHEB_POINTS - 1)))  # 0 and eta_max exactly
     bary = np.where(j % 2 == 0, 1.0, -1.0)
@@ -240,7 +270,8 @@ def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights
         for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
             sums[i, part] = (value * w_near).sum(axis=1)
     factored = _factor(kind, a[far], b[far], d4[far])
-    return _ShiftTerms(points, bary, sums, weights[far], factored, np.flatnonzero(lowest[far]))
+    return _ShiftTerms(points, bary, sums, w_near, (a_near, b_near), weights[far], factored,
+                       np.flatnonzero(lowest[far]))
 
 
 def _factor(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray) -> tuple:
@@ -248,7 +279,7 @@ def _factor(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray) -> tuple:
     if kind == "honeycomb":
         # bipartite ring at imaginary energy: A, B > 0 and d4 < 0 are real
         # and q = B*(eta - R)^2 + J with R = -A/(2B), J = -d4/B > 0
-        return -0.5 * a / b, b, -d4.real / b
+        return -0.5 * a / b, b, -d4 / b
     # q = (B*eta - Q)(Q*eta - 1)/Q with Q the larger root of Q^2 + A*Q + B;
     # Q = 0 only where A = B = 0, and such nodes are near
     root = np.sqrt(d4)
@@ -319,6 +350,59 @@ def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndar
     return e0 - shift / math.pi, -curvature / math.pi
 
 
+def _node_slopes(kind: str, terms: _ShiftTerms, eta: float, h: float):
+    """h^3 and h^4 times the exact third and fourth eta-derivatives of ln|q|
+    at one eta, for the near nodes and then the far nodes. Per node, with s
+    = q'/q and t = 2B/q, d3 ln q = s*(2s^2 - 3t) and d4 ln q = -3*(2s^4 -
+    4t*s^2 + t^2); a square far node's factors add u = B/(B*eta - Q) and v
+    = Q/(Q*eta - 1), d3 = 2*Re(u^3 + v^3) and d4 = -6*Re(u^4 + v^4). The
+    powers of h keep s^4 in range where the peak is narrow (N = 600)."""
+    a, b = terms.near_ab
+    q = 1.0 + eta * (a + b * eta)
+    near = _slopes(h * (a + 2.0 * b * eta) / q, (2.0 * h * h) * b / q)
+    f0, f1, f2 = terms.far
+    if kind == "honeycomb":
+        d = eta - f0
+        hb = h * f1 / (f1 * (d * d) + f2)
+        return near, _slopes(2.0 * hb * d, 2.0 * hb * h)
+    hu, hv = h * f0 / (f0 * eta - f1), h * f1 / (f1 * eta - 1.0)
+    hu2, hv2 = hu * hu, hv * hv
+    return near, (2.0 * (hu2 * hu + hv2 * hv).real, -6.0 * (hu2 * hu2 + hv2 * hv2).real)
+
+
+def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
+    """h^3*d3 ln q and h^4*d4 ln q from hs = h*q'/q and ht = h^2*2B/q (their real parts)."""
+    s2 = hs * hs
+    return (hs * (2.0 * s2 - 3.0 * ht)).real, (-3.0 * (s2 * (2.0 * s2 - 4.0 * ht) + ht * ht)).real
+
+
+def _refine_peak(kind: str, terms: _ShiftTerms, eta: float, h: float, rising: bool) -> float:
+    """The zero of D3 = sum w*d3 ln|q| in [eta - h, eta + h], where the
+    table's curvature has its extremum: D3 is positive left of it and
+    negative right of it when `rising` (the extremum is a minimum of the
+    curvature, a maximum of sum w*d2 ln|q|), the other way round otherwise.
+    Newton steps on D3 with D4 = sum w*d4 ln|q|, kept inside the bracket
+    that each sign of D3 shrinks, by bisection where a step would leave it;
+    it takes the first step of at most 4 ulp of eta and stops (a bracket
+    that narrow ends the search too: D3 is then below its roundoff)."""
+    lo, hi = eta - h, eta + h
+    for _ in range(_MAX_NEWTON):
+        (n3, n4), (f3, f4) = _node_slopes(kind, terms, eta, h)
+        d3 = float((n3 * terms.w_near).sum() + (f3 * terms.w_far).sum())
+        d4 = float((n4 * terms.w_near).sum() + (f4 * terms.w_far).sum())
+        if (d3 > 0.0) == rising:
+            lo = eta
+        else:
+            hi = eta
+        step = -h * (d3 / d4) if d4 != 0.0 else math.inf
+        if abs(step) > 4.0 * math.ulp(eta) and not lo < eta + step < hi:
+            step = 0.5 * (lo + hi) - eta
+        if abs(step) <= 4.0 * math.ulp(eta):
+            return eta + step
+        eta += step
+    return eta
+
+
 def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
     """Whether Re q at some mode's node y = y_lo changes sign between
     adjacent etas of the grid: a ring level crossing zero there. A near node
@@ -370,13 +454,15 @@ def sweep(
     E_g and d2E_g/deta2 come from one spectral-shift table (see the module
     docstring), whose lower cut y_lo = min(1e-14, 1e-4*min_k
     |c_k*sin(phi)|/Omega_k) is below every midgap gap. The peak is the
-    interior grid argmax of |d2_numeric|, refined by golden-section search
-    on |d2| within one step (to 1e-6 of a step). An argmax on the first or
-    last interior point is flagged 'peak-not-bracketed' and left
-    unrefined; sin(phi) = 0 on the honeycomb lattice marks the sweep
-    'first-order-crossing' (the spike is a level crossing, a kink of E_g)
-    and also skips refinement. A phi within one ulp of a multiple of pi/2
-    counts as exactly that multiple (sin and cos are exactly 0 or +-1).
+    interior grid argmax of |d2_numeric|, refined within one step to the
+    zero of the curvature's exact third derivative (Newton steps, see
+    _refine_peak), so eta_m does not depend on the grid; `peak` is the
+    curvature there. An argmax on the first or last interior point is
+    flagged 'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the
+    honeycomb lattice marks the sweep 'first-order-crossing' (the spike is
+    a level crossing, a kink of E_g) and also skips refinement. A phi
+    within one ulp of a multiple of pi/2 counts as exactly that multiple
+    (sin and cos are exactly 0 or +-1).
     'level-crossing' reports that some ring level crosses zero between two
     grid points (Re q changes sign at a mode's node y = y_lo): E_g has a
     kink there, whose delta-function curvature d2_numeric does not hold. It
@@ -417,8 +503,7 @@ def sweep(
 
     eta_m = float(grid[i_star])
     if not flags:
-        eta_m = golden_section_min(lambda x: -abs(_shifted_energies(spec, table, [x])[1][0]), eta_m - h, eta_m + h,
-                                   tol=1e-6 * h)
+        eta_m = _refine_peak(spec.kind, table[1], eta_m, h, d2_num[i_star] < 0.0)
     peak = _shifted_energies(spec, table, [eta_m])[1][0]
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it

@@ -114,11 +114,20 @@ def _off_crossing_deviation(dirs: list[Path]) -> float:
     return max(abs(a - b) for a, b in zip(*curves))
 
 
+def _eta_m_deviation(dirs: list[Path]) -> float:
+    found = [re.search(r"\beta_m=(\S+)", (d / "stdout").read_text()) for d in dirs]
+    if len(found) < 2 or None in found:
+        return math.inf
+    values = [float(match.group(1)) for match in found]
+    return max(abs(v - values[0]) for v in values) / abs(values[0])
+
+
 # tag -> (what is measured over the rows so tagged, its bound)
 MEASURES = {
     "slope": ("fit_eta slope deviation from ln|2cos(3pi/7)|/2", 1e-9, _slope_deviation),
     "pt-fidelity": ("fidelity max |f_exact - f_perturbative|", 1e-6, _pt_fidelity_deviation),
     "off-crossing": ("off-crossing N=100 vs N=80 f_exact deviation", 1e-12, _off_crossing_deviation),
+    "same-eta-m": ("sweep eta_m relative deviation across eta ranges", 1e-14, _eta_m_deviation),
 }
 
 

@@ -28,15 +28,18 @@ from torus_qpt import (
     sweep_to_csv,
 )
 from torus_qpt import criticality, ssh
-from torus_qpt.blocks import CHUNK_ENTRIES, sin_cos
+from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands, sin_cos
 from torus_qpt.criticality import (
     MAX_ETA,
+    _boundary_green,
     _factor,
     _far_nodes,
+    _honeycomb_green,
     _level_crossing,
     _mode_terms,
     _near_nodes,
     _near_sums,
+    _node_slopes,
     _shift_table,
     _shifted_energies,
 )
@@ -278,15 +281,36 @@ def test_shift_engine_matches_dense_energies(spec, etas):
     _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas)[0])
 
 
-@pytest.mark.parametrize(
-    "kind,a,b",
-    [
-        # real A and B > A^2/4, as on the bipartite honeycomb ring
-        ("honeycomb", [0.01, 0.3, -0.3, -2.0, 5.0], [0.01, 0.5, 0.5, 1.5, 7.0]),
-        # B = 0 with A of either sign, and A = B = 0 (q = 1)
-        ("square", [0.01j, 1.0, -0.7, 0.3 + 0.4j, -2.0 - 1.0j, 0.0], [0.01, 0.0, 0.0, 0.2 - 0.1j, 1.5 + 0.5j, 0.0]),
-    ],
-)
+NODE_CASES = [
+    # real A and B > A^2/4, as on the bipartite honeycomb ring
+    ("honeycomb", [0.01, 0.3, -0.3, -2.0, 5.0], [0.01, 0.5, 0.5, 1.5, 7.0]),
+    # B = 0 with A of either sign, and A = B = 0 (q = 1)
+    ("square", [0.01j, 1.0, -0.7, 0.3 + 0.4j, -2.0 - 1.0j, 0.0], [0.01, 0.0, 0.0, 0.2 - 0.1j, 1.5 + 0.5j, 0.0]),
+]
+
+
+@pytest.mark.parametrize("kind,a,b", NODE_CASES)
+def test_node_slopes_are_derivatives_of_the_curvature(kind, a, b):
+    # the refinement's d3 and d4 of ln|q|, from q and from the factored q, against
+    # central differences of the exact d2 and d3 at step 1e-4 (error below 1e-6 relative)
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    if kind == "honeycomb":
+        a, b = a.real, b.real
+    far = (a != 0.0) | (b != 0.0)
+    factored = _factor(kind, a[far], b[far], 0.25 * a[far] ** 2 - b[far])
+    terms = criticality._ShiftTerms(None, None, None, None, (a, b), None, factored, None)
+    delta, h = 1e-4, 0.5
+    for eta in (0.1, 0.6, 1.1, 1.7):
+        (n3, n4), (f3, f4) = _node_slopes(kind, terms, eta, h)
+        d2 = [_near_nodes(kind, a, b, np.array([[eta + k * delta]]))[1][0] for k in (-1, 1)]
+        assert n3 == pytest.approx((d2[1] - d2[0]) / (2.0 * delta) * h**3, rel=1e-6, abs=1e-9)
+        assert f3 == pytest.approx(n3[far], rel=1e-12, abs=1e-12)
+        d3 = [_node_slopes(kind, terms, eta + k * delta, h)[0][0] for k in (-1, 1)]
+        assert n4 == pytest.approx((d3[1] - d3[0]) / (2.0 * delta) * h, rel=1e-6, abs=1e-9)
+        assert f4 == pytest.approx(n4[far], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind,a,b", NODE_CASES)
 def test_mode_shift_is_ln_abs_q(kind, a, b):
     # the per-node forms the table sums: log1p(q - 1) where |q - 1| <= 1/4
     # (near), and the factored q (far) wherever Q != 0, against ln|q| and
@@ -303,7 +327,7 @@ def test_mode_shift_is_ln_abs_q(kind, a, b):
     assert np.allclose(ln[near], ln_q[near], rtol=0.0, atol=1e-14)
     assert np.allclose(d2[near], d2_ln_q[near], rtol=1e-13, atol=1e-13)
     far = (a != 0.0) | (b != 0.0)
-    d4 = 0.25 * a[far] ** 2 - b[far] + 0j  # (A^2 - 4B)/4
+    d4 = 0.25 * a[far] ** 2 - b[far]  # (A^2 - 4B)/4, real on the honeycomb lattice
     ln, d2 = _far_nodes(kind, _factor(kind, a[far], b[far], d4), etas)
     assert np.allclose(ln, ln_q[:, far], rtol=0.0, atol=1e-14)
     assert np.allclose(d2, d2_ln_q[:, far], rtol=1e-13, atol=1e-13)
@@ -359,6 +383,96 @@ def test_shift_engine_is_deterministic():
     first, second = sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)), sweep(ModelSpec("honeycomb", 7, 20, phi=PHI))
     assert np.array_equal(first.e_g_curve, second.e_g_curve)
     assert (first.eta_m, first.peak) == (second.eta_m, second.peak)
+
+
+@pytest.mark.parametrize("N", [4, 20, 392, 872])
+def test_honeycomb_resolvent_in_real_arithmetic_is_the_complex_fraction(N):
+    # a zero diagonal makes the fraction at z = iy real: G_NN = -i*gamma and G_1N = (-i)^N * p = p;
+    # y spans every cut a sweep takes (1e-160 at N = 872, where the products underflow to zero, whose
+    # sign neither arithmetic defines and no later operation reads)
+    bonds = ring_bands("honeycomb", ring_lams("honeycomb", 7, [1, 2, 3, 7]), N)[1]
+    y = np.geomspace(1e-160, 5e5, 400)
+    gnn, g1n = _boundary_green(np.zeros((4, N)), bonds, 1j * y)
+    gamma, p = _honeycomb_green(bonds, y)
+    assert np.array_equal(gnn.imag, -gamma) and not gnn.real.any()
+    assert np.array_equal(g1n.real, p) and not g1n.imag.any()
+    assert gamma.tobytes() == (-gnn.imag).tobytes()
+
+
+def _refinements(monkeypatch):
+    """Record each peak refinement of the sweeps that follow: its table
+    terms, step h, result and number of _node_slopes evaluations."""
+    runs = []
+    refine, slopes = criticality._refine_peak, criticality._node_slopes
+
+    def counted(*args):
+        runs[-1]["evaluations"] += 1
+        return slopes(*args)
+
+    def recorded(kind, terms, eta, h, rising):
+        runs.append(dict(terms=terms, h=h, evaluations=0))
+        runs[-1]["eta_m"] = refine(kind, terms, eta, h, rising)
+        return runs[-1]["eta_m"]
+
+    monkeypatch.setattr(criticality, "_node_slopes", counted)
+    monkeypatch.setattr(criticality, "_refine_peak", recorded)
+    return runs
+
+
+def _slope_sums(terms, eta, h):
+    """D3 and D4 (in units of h) at eta, and the sums of |w*d3| and |w*d4| over the nodes."""
+    (n3, n4), (f3, f4) = _node_slopes("honeycomb", terms, eta, h)
+    sums = [(n * terms.w_near).sum() + (f * terms.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
+    return sums + [(np.abs(n) * terms.w_near).sum() + (np.abs(f) * terms.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
+
+
+GRID_FREE_SPECS = [ModelSpec("honeycomb", M, N, phi=phi) for M in (7, 10, 31) for N in (8, 20, 32, 64)
+                   for phi in (PHI, 0.7, 1.2)]
+
+
+@pytest.mark.parametrize("spec", GRID_FREE_SPECS, ids=lambda s: f"M{s.M}-N{s.N}-phi{s.phi:.2f}")
+def test_refined_peak_is_the_root_of_the_exact_third_derivative(monkeypatch, spec):
+    # eta_m is where D3 = sum w*d3 ln|q| changes sign, to its roundoff: the curvature
+    # is extremal there, and another grid around it finds the same eta_m
+    runs = _refinements(monkeypatch)
+    res = sweep(spec)
+    if res.flags:  # M = 31 puts the peak on the grid's edge at most of these (N, phi): no refinement
+        assert res.flags == ("peak-not-bracketed",) and runs == []
+        return
+    (run,) = runs
+    assert run["eta_m"] == res.eta_m and run["evaluations"] <= 8
+    eps = np.finfo(np.float64).eps
+    below, above = (_slope_sums(run["terms"], res.eta_m * (1.0 + k * eps), run["h"])[0] for k in (-8.0, 8.0))
+    d3, _, d3_abs, d4_abs = _slope_sums(run["terms"], res.eta_m, run["h"])
+    # D3's roundoff: its terms' own, and eta's rounding times D4 (in units of h)
+    assert below * above < 0.0 or abs(d3) <= 4.0 * eps * (d3_abs + res.eta_m / run["h"] * d4_abs)
+    # on the first grid eta_m is a grid point (up to rounding), on the second it is not
+    for lo, hi, steps in ((0.5, 1.7, 300), (1.0 / 3.0, 1.9, 257)):
+        other = sweep(spec, eta_min=lo * res.eta_m, eta_max=hi * res.eta_m, steps=steps)
+        assert other.flags == () and other.eta_m == pytest.approx(res.eta_m, rel=1e-14, abs=0.0)
+    assert all(run["evaluations"] <= 8 for run in runs)
+
+
+@pytest.mark.parametrize("N", [600, 620, 800])
+def test_refinement_stays_in_double_range_at_large_n(monkeypatch, N):
+    # the peak narrows like c_k = lambda^(N/2) (1e-141 at N = 800); the derivatives in units
+    # of the grid step keep s^4 in range, and eta_m and the peak meet their closed forms
+    runs = _refinements(monkeypatch)
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    res = sweep(spec)
+    assert res.flags == () and len(runs) == 1 and runs[0]["evaluations"] <= 8
+    doublets = critical_doublets(spec)
+    eta_star = max(abs(c) for c, _ in doublets) * math.cos(PHI)
+    assert res.eta_m == pytest.approx(eta_star, rel=1e-13, abs=0.0)
+    want = -sum(1.0 / (om * abs(c * math.sin(PHI))) for c, om in doublets)
+    assert res.peak == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_one_refinement_takes_few_table_evaluations(monkeypatch):
+    # the golden-section search it replaces made 34 sequential evaluations per sweep
+    runs = _refinements(monkeypatch)
+    scaling_scan(M=7, phi=PHI, n_list=[8, 12, 16, 20, 24, 28, 32], steps=256)
+    assert len(runs) == 7 and all(run["evaluations"] <= 8 for run in runs), [run["evaluations"] for run in runs]
 
 
 @pytest.mark.parametrize("N", [8, 16])

@@ -28,6 +28,20 @@ def test_table_rows_are_distinct_and_tagged_from_the_known_set():
     assert len(read_table("readme")) == 8
 
 
+def test_same_eta_m_measure_reads_the_printed_eta_m(tmp_path):
+    deviation = MEASURES["same-eta-m"][2]
+    dirs = []
+    for name, eta_m in (("a", "0.00021552296749367968"), ("b", "0.00021552296393136252"), ("c", "2.1552296749367968e-4")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "stdout").write_text(f"sweep: eta_m={eta_m} peak=-7444.38 flags=[]\nwrote out/sweep.csv\n")
+        dirs.append(tmp_path / name)
+    assert deviation([dirs[0], dirs[2]]) == 0.0
+    assert deviation(dirs) == pytest.approx(1.653e-8, rel=1e-3)
+    assert deviation(dirs[:1]) == math.inf
+    (tmp_path / "b" / "stdout").write_text("error: out of range\n")
+    assert deviation(dirs) == math.inf
+
+
 def test_readme_example_block_is_the_tables_readme_rows():
     # the README's example block is its fenced sh block that ends with `validate --convention sites`;
     # its torus-qpt lines, trailing comments stripped, are the `readme` rows in table order
