@@ -75,13 +75,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
-from .models import ModelSpec
+from .models import ModelSpec, Record
 from .output import csv_text
 from .ssh import critical_doublets, midgap_perturbation
 
@@ -108,29 +107,27 @@ _MAX_NEWTON = 100
 # result records
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Curvature sweep over a uniform eta grid.
 
     d2_numeric holds the exact curvature d2E_g/deta2 from the spectral-shift
     table (NaN at the grid endpoints; the kink of a level crossing zero is
     not in it). eta_m/peak locate the refined numeric extremum. flags may
     contain 'first-order-crossing', 'peak-not-bracketed' and
-    'level-crossing'.
+    'level-crossing'. The three arrays are stored as read-only float64.
     """
 
-    eta_grid: np.ndarray = field(repr=False)
-    e_g_curve: np.ndarray = field(repr=False)
-    d2_numeric: np.ndarray = field(repr=False)
-    eta_m: float
-    peak: float
-    flags: tuple[str, ...]
+    __slots__ = ("eta_grid", "e_g_curve", "d2_numeric", "eta_m", "peak", "flags")
 
-    def __post_init__(self) -> None:
-        for name in ("eta_grid", "e_g_curve", "d2_numeric"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+    def __init__(self, eta_grid: np.ndarray, e_g_curve: np.ndarray, d2_numeric: np.ndarray,
+                 eta_m: float, peak: float, flags: tuple[str, ...]) -> None:
+        arrays = [np.asarray(values, dtype=np.float64) for values in (eta_grid, e_g_curve, d2_numeric)]
+        for arr in arrays:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set_fields(*arrays, eta_m, peak, flags)
+
+    def __repr__(self) -> str:  # the arrays are left out
+        return f"SweepResult(eta_m={self.eta_m!r}, peak={self.peak!r}, flags={self.flags!r})"
 
 
 # ---------------------------------------------------------------------------

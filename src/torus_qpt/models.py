@@ -21,15 +21,53 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 KINDS = ("honeycomb", "square")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in __slots__ and sets them once, in its own
+    __init__, through _set_fields; after that, assigning or deleting an
+    attribute raises AttributeError. Records compare and hash by their
+    field values, in field order, and pickle through their constructor.
+    """
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ModelSpec(Record):
     """Parameters of a flux-threaded torus model.
 
     Parameters
@@ -48,29 +86,26 @@ class ModelSpec:
         Flux phase in radians on the boundary bond. Default 0.0.
     """
 
-    kind: str
-    M: int
-    N: int
-    eta: float = 0.0
-    phi: float = 0.0
+    __slots__ = ("kind", "M", "N", "eta", "phi")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown lattice kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.M, int) or not isinstance(self.N, int):
+    def __init__(self, kind: str, M: int, N: int, eta: float = 0.0, phi: float = 0.0) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown lattice kind {kind!r}; expected one of {KINDS}")
+        if not isinstance(M, int) or not isinstance(N, int):
             raise ValueError("M and N must be integers")
-        if self.kind == "honeycomb":
-            if self.M < 3:
-                raise ValueError(f"honeycomb lattice needs M >= 3, got M={self.M}")
-            if self.N < 4 or self.N % 4 != 0:
-                raise ValueError(f"honeycomb lattice needs N >= 4 with N % 4 == 0, got N={self.N}")
+        if kind == "honeycomb":
+            if M < 3:
+                raise ValueError(f"honeycomb lattice needs M >= 3, got M={M}")
+            if N < 4 or N % 4 != 0:
+                raise ValueError(f"honeycomb lattice needs N >= 4 with N % 4 == 0, got N={N}")
         else:
-            if self.M < 2 or self.N < 2:
-                raise ValueError(f"square lattice needs M >= 2 and N >= 2, got M={self.M}, N={self.N}")
-        if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be a nonnegative finite real, got {self.eta!r}")
-        if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)):
-            raise ValueError(f"phi must be a finite real, got {self.phi!r}")
+            if M < 2 or N < 2:
+                raise ValueError(f"square lattice needs M >= 2 and N >= 2, got M={M}, N={N}")
+        if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta >= 0):
+            raise ValueError(f"eta must be a nonnegative finite real, got {eta!r}")
+        if not (isinstance(phi, (int, float)) and math.isfinite(phi)):
+            raise ValueError(f"phi must be a finite real, got {phi!r}")
+        self._set_fields(kind, M, N, eta, phi)
 
 
 def build_lattice(spec: ModelSpec) -> np.ndarray:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import critical_modes, peierls_ring, ring_lams, sin_cos
-from .models import ModelSpec
+from .models import ModelSpec, Record
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,8 +95,7 @@ def build_h0(lam: float, N: int) -> np.ndarray:
     return h0
 
 
-@dataclass(frozen=True)
-class MidgapSolution:
+class MidgapSolution(Record):
     """First-order midgap doublet of the weakly closed ring.
 
     eps_plus/eps_minus are the doublet energies, gap_min the
@@ -106,11 +104,11 @@ class MidgapSolution:
     when sin(phi) = 0).
     """
 
-    eps_plus: float
-    eps_minus: float
-    gap_min: float
-    eta_star: float
-    curvature_max: float
+    __slots__ = ("eps_plus", "eps_minus", "gap_min", "eta_star", "curvature_max")
+
+    def __init__(self, eps_plus: float, eps_minus: float, gap_min: float, eta_star: float,
+                 curvature_max: float) -> None:
+        self._set_fields(eps_plus, eps_minus, gap_min, eta_star, curvature_max)
 
 
 def midgap_perturbation(lam: float, N: int, eta: float, phi: float) -> MidgapSolution:

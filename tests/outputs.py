@@ -10,7 +10,8 @@ through the installed `torus-qpt` console script; rows tagged `stress` or
 `fails` run with PYTHONWARNINGS=error::RuntimeWarning. Row k runs in OUT/kk/,
 which keeps `row` (its table line), `exit`, `stdout`, `stderr` and, under
 `out/`, the files the command wrote. Then it checks what the table says of
-each row (see its header) and exits 1 when a row breaks it. A row that the
+each row (see its header), and that every file the row wrote has the mode
+a plain open() gives (0o666 & ~umask), and exits 1 when a row breaks it. A row that the
 --allow file names (see below) is a row the parent commit runs differently:
 what it breaks is reported as allowed, and no tag's measure reads it.
 
@@ -152,6 +153,12 @@ def row_problems(row: Row, directory: Path) -> list[str]:
             problems.append("stderr is not one 'error:' line")
     elif not stdout or not stdout[-1].startswith("wrote "):
         problems.append("the last stdout line is not a 'wrote' line")
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in _written(directory / "out"):
+        mode = (directory / "out" / name).stat().st_mode & 0o777
+        if mode != 0o666 & ~umask:
+            problems.append(f"out/{name} has mode {mode:#o}, not {0o666 & ~umask:#o} (what open() gives under umask {umask:#o})")
     return problems
 
 

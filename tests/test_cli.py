@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import inspect
 import json
 import math
@@ -45,8 +44,30 @@ def test_csv_text_layout():
     assert text == "a,b\n1,0.5\nnan,2\n"
 
 
+def test_csv_text_formats_each_number_as_fmt_float():
+    # one %-operation per row gives the bytes of the per-number join
+    rows = [
+        [math.nan, math.inf, -math.inf, -0.0, 0.0],
+        [3, -7, True, 10**17 + 1, 2**-1074],
+        list(np.array([1 / 3, -7444.369610950703, 2.155252e-4, 1e308, np.nan])),
+        (np.float64(-0.0), np.float64(np.inf), 1e-320, 0.1, 12345678901234567890.0),
+        [],
+    ]
+    expected = "h1,h2\n" + "".join(",".join(fmt_float(x) for x in row) + "\n" for row in rows)
+    assert csv_text(["h1", "h2"], rows) == expected
+    assert csv_text(["h1", "h2"], iter(rows)) == expected
+
+
 def test_json_text_trailing_newline():
     assert json_text({"x": 1}).endswith("\n")
+
+
+def test_cli_import_loads_neither_json_nor_dataclasses():
+    # every command pays for what `import torus_qpt.cli` loads; JSON is imported by json_text alone
+    code = ("import sys; import torus_qpt.cli; print(sorted({'json', 'dataclasses'} & set(sys.modules)));"
+            "from torus_qpt.output import json_text; print(json_text({'x': [1.5, None]}), end='')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == '[]\n{\n  "x": [\n    1.5,\n    null\n  ]\n}\n'
 
 
 def test_atomic_write_creates_directories(tmp_path):
@@ -62,6 +83,34 @@ def test_atomic_write_replaces_existing(tmp_path):
     target.write_text("old")
     atomic_write_text(str(target), "new")
     assert target.read_text() == "new"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_honours_the_umask(tmp_path, umask):
+    # the file gets the mode a plain open() gives, not the temporary file's 0o600
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "file.txt"), "payload\n")
+        atomic_write_text(str(tmp_path / "file.txt"), "again\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "file.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_removes_its_temporary_on_failure(tmp_path, monkeypatch):
+    renamed = []
+
+    def failing_replace(src, dst):
+        renamed.append(src)
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write_text(str(tmp_path / "file.txt"), "payload\n")
+    (tmp,) = renamed
+    assert os.path.dirname(tmp) == str(tmp_path)
+    assert os.path.basename(tmp).startswith(".tmp-") and tmp.endswith("~")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +411,7 @@ def test_rejected_input_exits_2_without_traceback_as_a_process(tmp_path, argv):
 
 def test_energies_are_in_units_of_t(tmp_path, capsys):
     # the hopping t is the model's one energy scale: no spec field, scan parameter, scaling step or flag sets it
-    assert [field.name for field in dataclasses.fields(ModelSpec)] == ["kind", "M", "N", "eta", "phi"]
+    assert list(inspect.signature(ModelSpec).parameters) == ["kind", "M", "N", "eta", "phi"]
     assert "t" not in inspect.signature(scaling_scan).parameters
     assert not hasattr(blocks, "scale_by_t")
     for command in COMMANDS:

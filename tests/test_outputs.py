@@ -3,13 +3,14 @@ difference between two runs, on small synthetic run trees."""
 
 import json
 import math
+import os
 import re
 import shlex
 import shutil
 
 import pytest
 
-from outputs import MEASURES, TESTS, compare_trees, read_allow, read_table
+from outputs import MEASURES, TESTS, compare_trees, read_allow, read_table, row_problems
 
 TAGS = {"readme", "stress", "fails", "double-range", "process"} | set(MEASURES)
 
@@ -64,6 +65,18 @@ def _tree(root, exit=0, stdout=STDOUT, stderr="", files=None):
     for name, text in files.items():
         (row / "out" / name).write_text(text)
     return root
+
+
+def test_a_written_file_must_have_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        row = _tree(tmp_path) / "00"
+        assert row_problems(read_table()[0], row) == []
+        (row / "out" / "sweep.csv").chmod(0o600)
+        assert row_problems(read_table()[0], row) == [
+            "out/sweep.csv has mode 0o600, not 0o644 (what open() gives under umask 0o22)"]
+    finally:
+        os.umask(previous)
 
 
 def _compare(tmp_path, allow=frozenset(), **changes):
