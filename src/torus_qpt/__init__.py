@@ -51,7 +51,6 @@ try:
         build_h0,
         corner_coupling,
         fidelity_perturbative,
-        golden_section_min,
         midgap_perturbation,
         omega_factor,
         zero_modes,
@@ -78,7 +77,6 @@ __all__ = [
     "critical_modes",
     "fidelity_exact",
     "fidelity_perturbative",
-    "golden_section_min",
     "linear_fit",
     "midgap_perturbation",
     "omega_factor",

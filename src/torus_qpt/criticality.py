@@ -8,8 +8,9 @@ momentum window), while the square torus shows no such growth. This
 module locates the peak, fits its finite-size scaling, and computes the
 midgap fidelity from exact eigenvectors. It is the exact engine alone:
 perturbation theory lives in `ssh`, which gives it only the physical
-critical doublets (a sweep's default range and quadrature cut) and
-`midgap_perturbation` (the guards of `fidelity_exact`).
+critical doublets (a sweep's default range and quadrature cut),
+`midgap_perturbation` (the guards of `fidelity_exact`) and the package's
+one extremum finder, `_refine_peak`.
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
@@ -63,26 +64,24 @@ sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
 2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
 `_open_ground_energy`, one `ring_levels` call at eta = 0, gives E_g(0).
 
-The peak eta_m is a zero of the curvature's slope, D3 = sum w*d3/deta3
-ln|q|, found by safeguarded Newton steps with D4 = sum w*d4/deta4 ln|q|.
-Each step evaluates every node exactly at one eta (the near nodes too,
-whose Chebyshev samples hold no derivative beyond the second), so the
-root is located to the roundoff of D3, not to the sqrt(eps) of a search
-that compares values of a flat maximum.
+The peak eta_m is a zero of the curvature's slope -D3/pi, D3 = sum
+w*d3/deta3 ln|q|: ssh._refine_peak's Newton steps with D4 = sum w*d4/deta4
+ln|q| evaluate every node exactly at one eta (the near nodes too, whose
+Chebyshev samples hold no derivative beyond the second), so the root is
+located to D3's roundoff, not to the sqrt(eps) of a search by values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
 from .models import ModelSpec, Record
 from .output import csv_text
-from .ssh import critical_doublets, midgap_perturbation
+from .ssh import _refine_peak, critical_doublets, midgap_perturbation
 
 DEFAULT_STEPS = 200
 
@@ -99,8 +98,6 @@ _Y_LO = 1e-14
 _Y_HI = 1e5
 # Largest number of entries in one (eta, node) temporary (128 KiB complex).
 _BLOCK_ENTRIES = 2**13
-# Steps of the peak refinement before it stops unconverged (Newton takes 3 to 5, bisection alone ~50)
-_MAX_NEWTON = 100
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +228,16 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     return _open_ground_energy(spec), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
 
 
-class _ShiftTerms(NamedTuple):
-    """The quadrature terms of a shift table (see _mode_terms)."""
+class _ShiftTerms(Record):
+    """A shift table's quadrature terms (see _mode_terms): the Chebyshev points
+    on [0, eta_max], their barycentric weights and the near-node sums of ln|q|
+    and d2 ln|q| there; the near nodes' weights and (A, B); the far nodes'
+    weights and factored q; the far positions of the modes' nodes y = y_lo."""
 
-    points: np.ndarray  # _CHEB_POINTS Chebyshev points of the second kind on [0, eta_max]
-    bary: np.ndarray  # their barycentric weights
-    near: np.ndarray  # (2, _CHEB_POINTS): near-node sums of ln|q| and of d2 ln|q| at the points
-    w_near: np.ndarray  # near-node quadrature weights
-    near_ab: tuple  # the near nodes' A and B, for the peak refinement's exact derivatives
-    w_far: np.ndarray  # far-node quadrature weights
-    far: tuple  # factored far q, as _far_nodes reads it
-    lowest: np.ndarray  # far-node positions of the modes' nodes at y = y_lo
+    __slots__ = ("points", "bary", "near", "w_near", "near_ab", "w_far", "far", "lowest")
+
+    def __init__(self, *fields) -> None:
+        self._set_fields(*fields)
 
 
 def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float,
@@ -373,33 +369,6 @@ def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
     return (hs * (2.0 * s2 - 3.0 * ht)).real, (-3.0 * (s2 * (2.0 * s2 - 4.0 * ht) + ht * ht)).real
 
 
-def _refine_peak(kind: str, terms: _ShiftTerms, eta: float, h: float, rising: bool) -> float:
-    """The zero of D3 = sum w*d3 ln|q| in [eta - h, eta + h], where the
-    table's curvature has its extremum: D3 is positive left of it and
-    negative right of it when `rising` (the extremum is a minimum of the
-    curvature, a maximum of sum w*d2 ln|q|), the other way round otherwise.
-    Newton steps on D3 with D4 = sum w*d4 ln|q|, kept inside the bracket
-    that each sign of D3 shrinks, by bisection where a step would leave it;
-    it takes the first step of at most 4 ulp of eta and stops (a bracket
-    that narrow ends the search too: D3 is then below its roundoff)."""
-    lo, hi = eta - h, eta + h
-    for _ in range(_MAX_NEWTON):
-        (n3, n4), (f3, f4) = _node_slopes(kind, terms, eta, h)
-        d3 = float((n3 * terms.w_near).sum() + (f3 * terms.w_far).sum())
-        d4 = float((n4 * terms.w_near).sum() + (f4 * terms.w_far).sum())
-        if (d3 > 0.0) == rising:
-            lo = eta
-        else:
-            hi = eta
-        step = -h * (d3 / d4) if d4 != 0.0 else math.inf
-        if abs(step) > 4.0 * math.ulp(eta) and not lo < eta + step < hi:
-            step = 0.5 * (lo + hi) - eta
-        if abs(step) <= 4.0 * math.ulp(eta):
-            return eta + step
-        eta += step
-    return eta
-
-
 def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
     """Whether Re q at some mode's node y = y_lo changes sign between
     adjacent etas of the grid: a ring level crossing zero there. A near node
@@ -453,7 +422,7 @@ def sweep(
     |c_k*sin(phi)|/Omega_k) is below every midgap gap. The peak is the
     interior grid argmax of |d2_numeric|, refined within one step to the
     zero of the curvature's exact third derivative (Newton steps, see
-    _refine_peak), so eta_m does not depend on the grid; `peak` is the
+    ssh._refine_peak), so eta_m does not depend on the grid; `peak` is the
     curvature there. An argmax on the first or last interior point is
     flagged 'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the
     honeycomb lattice marks the sweep 'first-order-crossing' (the spike is
@@ -500,7 +469,12 @@ def sweep(
 
     eta_m = float(grid[i_star])
     if not flags:
-        eta_m = _refine_peak(spec.kind, table[1], eta_m, h, d2_num[i_star] < 0.0)
+        def slopes(eta):  # pi times the curvature's slope and its derivative, in units of h: -h^3*D3, -h^4*D4
+            (n3, n4), (f3, f4) = _node_slopes(spec.kind, table[1], eta, h)
+            w_near, w_far = table[1].w_near, table[1].w_far
+            return -float((n3 * w_near).sum() + (f3 * w_far).sum()), -float((n4 * w_near).sum() + (f4 * w_far).sum())
+
+        eta_m = _refine_peak(slopes, eta_m, eta_m - h, eta_m + h, h, d2_num[i_star] < 0.0)
     peak = _shifted_energies(spec, table, [eta_m])[1][0]
     if _level_crossing(spec.kind, table[1], grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it

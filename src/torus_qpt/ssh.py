@@ -10,8 +10,9 @@ lower branch) and the overlap (fidelity) between upper doublet vectors
 at neighbouring couplings (`fidelity_perturbative`, the one place the
 doublet vectors are built). On the torus each critical mode k carries
 such a doublet (`critical_doublets`), and the closed-form curvature sum
-over them (`analytic_curvature`, minimized by `golden_section_min`) is the
-perturbative comparison of a curvature sweep.
+over them (`analytic_curvature`) is the perturbative comparison of a
+curvature sweep. `_refine_peak` is the package's one extremum finder: it
+places that sum's extremum, the sweep's peak and `validate`'s gap minimum.
 Every closed form here reads the flux through `blocks.sin_cos`, and every
 energy is in units of the hopping t.
 
@@ -36,8 +37,6 @@ import numpy as np
 
 from .blocks import critical_modes, peierls_ring, ring_lams, sin_cos
 from .models import ModelSpec, Record
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_chain(lam: float, N: int) -> None:
@@ -190,11 +189,10 @@ def critical_doublets(spec: ModelSpec) -> list[tuple[float, float]]:
 def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) -> float:
     """Closed-form curvature of E_g at eta from the modes' (c_k, Omega_k):
     the sum of the lower midgap levels' exact second derivatives
-    -(1/Omega_k)*r_k^2/|z_k|, |z_k| = |eta*e^{i phi} - c_k| and
-    r_k = c_k*sin(phi)/|z_k|, so the value is negative. |r_k| <= 1, so no
-    power of the tiny |z_k| is formed (its cube would underflow from N = 584
-    at M = 7, phi = pi/4). At sin(phi) = 0 it is 0 away from the crossings
-    and -inf at one."""
+    -(1/Omega_k)*r_k^2/|z_k|, |z_k| = |eta*e^{i phi} - c_k| and r_k =
+    c_k*sin(phi)/|z_k|, so the value is negative. |r_k| <= 1: no power of
+    the tiny |z_k| is formed (its cube underflows from N = 584 at M = 7).
+    At sin(phi) = 0 it is 0 away from the crossings and -inf at one."""
     sin_phi, cos_phi = sin_cos(spec.phi)
     total = 0.0
     for c, om in doublets:
@@ -206,35 +204,50 @@ def _d2_sum(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float) ->
     return total
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer of a unimodal f on [a, b]; returns the
-    midpoint of the final bracket, once its width is <= tol or after 500
-    steps (a bracket stops shrinking at the float spacing, which analytic_curvature's
-    tol of 1e-12 of a range narrower than about 1e-4 of its ends undercuts)."""
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(500):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
+def _d2_slopes(spec: ModelSpec, doublets: list[tuple[float, float]], eta: float, h: float) -> tuple[float, float]:
+    """h^3 and h^4 times _d2_sum's first and second eta-derivatives, both over
+    3h: with u_k = (eta - c_k*cos(phi))/|z_k| and t_k = h/|z_k|, the terms
+    r^2*u*t^2/Omega and r^2*(r^2 - 4u^2)*t^3/Omega. No power of the tiny
+    |z_k| is formed (the fourth derivative alone is 1e438 at N = 832)."""
+    sin_phi, cos_phi = sin_cos(spec.phi)
+    slope = curve = 0.0
+    for c, om in doublets:
+        x = eta - c * cos_phi
+        absz = math.hypot(x, c * sin_phi)
+        r, u, t = c * sin_phi / absz, x / absz, h / absz
+        w = r * r * t * t / om
+        slope += w * u
+        curve += w * t * (r * r - 4.0 * u * u)
+    return slope, curve
+
+
+def _refine_peak(slopes, eta: float, lo: float, hi: float, h: float, rising: bool) -> float:
+    """The extremum in [lo, hi], from eta, of a function whose slope g rises
+    through zero there when `rising` (a minimum) and falls otherwise; slopes(x)
+    is (h^3*g(x), h^4*g'(x)) up to one positive factor. Newton steps (2 to 5),
+    kept by bisection inside the bracket that each sign of g shrinks; the first
+    step of at most 4 ulp of eta is the last (g is then below its roundoff)."""
+    for _ in range(100):
+        g, dg = slopes(eta)
+        if (g < 0.0) == rising:
+            lo = eta
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+            hi = eta
+        step = -h * (g / dg) if dg != 0.0 else math.inf
+        if abs(step) > 4.0 * math.ulp(eta) and not lo < eta + step < hi:
+            step = 0.5 * (lo + hi) - eta
+        if abs(step) <= 4.0 * math.ulp(eta):
+            return eta + step
+        eta += step
+    return eta
 
 
 def analytic_curvature(spec: ModelSpec, grid) -> tuple[np.ndarray, tuple | None]:
     """The perturbative comparison of a sweep: the closed-form curvature sum
     of the critical modes (see _d2_sum) at each eta of `grid`, and its
-    golden-section extremum (eta_m_analytic, peak_analytic) on [grid[0],
-    grid[-1]], to 1e-12 of that range, from the physical corners c_k.
+    extremum (eta_m_analytic, peak_analytic) on [grid[0], grid[-1]]: the
+    deepest of the range's ends and of each mode's extremum c_k*cos(phi) in
+    range, refined within |c_k*sin(phi)|/2 (_refine_peak on _d2_slopes).
 
     On the square lattice, which has no midgap doublet, the column is NaN
     and there is no extremum; nor is there one at sin(phi) = 0 (phi within
@@ -246,9 +259,15 @@ def analytic_curvature(spec: ModelSpec, grid) -> tuple[np.ndarray, tuple | None]
         return np.full(len(grid), np.nan), None
     doublets = critical_doublets(spec)
     column = np.array([_d2_sum(spec, doublets, x) for x in grid.tolist()])
-    if sin_cos(spec.phi)[0] == 0.0 or not doublets:
+    sin_phi, cos_phi = sin_cos(spec.phi)
+    if sin_phi == 0.0 or not doublets:
         return column, None
     lo, hi = float(grid[0]), float(grid[-1])
-    tol = 1e-12 * (hi - lo)  # relative: an absolute 1e-12 is wider than eta_m from N = 72 on (M = 7)
-    eta_m = float(golden_section_min(lambda x: _d2_sum(spec, doublets, x), lo, hi, tol=tol))
-    return column, (eta_m, float(_d2_sum(spec, doublets, eta_m)))
+    candidates = [lo, hi]
+    for c, _ in doublets:
+        eta, h = c * cos_phi, 0.5 * abs(c * sin_phi)
+        if lo <= eta <= hi:
+            bracket = max(lo, eta - h), min(hi, eta + h)
+            candidates.append(_refine_peak(lambda x: _d2_slopes(spec, doublets, x, h), eta, *bracket, h, True))
+    peak, eta_m = min((_d2_sum(spec, doublets, x), x) for x in candidates)
+    return column, (eta_m, peak)

@@ -4,7 +4,8 @@ Each check computes a single scalar `measured` (a worst-case deviation)
 and compares it against a tolerance. The suite covers the block-union
 property for both lattices, exact zero-mode annihilation, the square
 closed-form spectra, perturbation theory against dense diagonalization,
-the gap-minimum location, curvature consistency, and the fidelity
+the gap-minimum location (Newton on the exact gap's Hellmann-Feynman
+slope, one eigh per step), curvature consistency, and the fidelity
 relations. Each tolerance is fixed in CHECKS.
 
 The corner convention is the suite's one knob. 'cells' is the physical
@@ -36,7 +37,7 @@ from .blocks import ring_lams, ring_levels, ring_stack, sin_cos
 from .criticality import fidelity_exact
 from .eigensolve import square_ring_modes
 from .models import ModelSpec, build_lattice
-from .ssh import build_h0, corner_coupling, fidelity_perturbative, golden_section_min, midgap_perturbation, zero_modes
+from .ssh import _refine_peak, build_h0, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
 
 CONVENTIONS = ("cells", "sites")
 
@@ -135,15 +136,23 @@ def check_perturbation_vs_oracle(convention: str) -> float:
     return worst
 
 
+def _gap_slopes(eta: float) -> tuple[float, float]:
+    """The exact midgap gap's slope and its derivative at eta, from one eigh:
+    per doublet level, <n|V|n> (Hellmann-Feynman) and 2*sum_m |<m|V|n>|^2/(eps_n
+    - eps_m), with V = dH/deta: -e^{i phi} at (N, 1), its conjugate at (1, N)."""
+    levels, vectors = np.linalg.eigh(next(ring_stack("honeycomb", [_LAM], _N, [eta], _PHI))[0])
+    v = -complex(_COS, _SIN) * np.outer(vectors[-1].conj(), vectors[0])
+    v += v.conj().T  # <m|V|n>
+    pair = [_N // 2 - 1, _N // 2]
+    splits = levels[pair, None] - levels
+    splits[[0, 1], pair] = np.inf
+    curves = 2.0 * (np.abs(v[:, pair].T) ** 2 / splits).sum(axis=1)
+    return float(v[pair[1], pair[1]].real - v[pair[0], pair[0]].real), float(curves[1] - curves[0])
+
+
 def check_gap_minimum_location(convention: str) -> float:
     eta_star = midgap_perturbation(_LAM, _corner_length(_N, convention), 0.0, _PHI).eta_star
-    bracket_hi = 4.0 * corner_coupling(_LAM, _N) * _COS
-
-    def exact_gap(eta: float) -> float:
-        levels = ring_levels("honeycomb", [_LAM], _N, [eta], _PHI)[0, 0]
-        return float(levels[_N // 2] - levels[_N // 2 - 1])
-
-    located = golden_section_min(exact_gap, 0.0, bracket_hi, tol=1e-12)
+    located = _refine_peak(_gap_slopes, eta_star, 0.0, 4.0 * corner_coupling(_LAM, _N) * _COS, 1.0, True)
     return abs(located - eta_star)
 
 

@@ -2,7 +2,9 @@
 energies the spectral-shift engine is held against, the full-lattice
 ground energy, the closed-form curvature evaluated one eta at a time
 from its formula alone (nothing here comes from torus_qpt's closed forms),
-and the closed-form perturbative fidelity at the gap minimum."""
+the closed-form perturbative fidelity at the gap minimum, and a
+golden-section minimizer that compares values only (none of the package's
+derivatives)."""
 
 import cmath
 import math
@@ -68,3 +70,29 @@ def fidelity_at_minimum(lam: float, N: int, delta: float, phi: float) -> float:
     if b == 0.0:
         return 0.0
     return b / math.hypot(delta, b)
+
+
+def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
+    """Golden-section minimizer of a unimodal f on [a, b]; returns the
+    midpoint of the final bracket, once its width is <= tol or after 500
+    steps (a bracket stops shrinking at the float spacing, which a tol
+    below it undercuts). It places a smooth extremum only to about sqrt(eps)
+    of the bracket, as it compares values of a flat minimum."""
+    if not b > a:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(500):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)

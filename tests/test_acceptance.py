@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import dense_ring, record_criterion
-from oracles import d2_analytic, fidelity_at_minimum
+from oracles import d2_analytic, fidelity_at_minimum, golden_section_min
 from torus_qpt import (
     ModelSpec,
     build_h0,
@@ -18,7 +18,6 @@ from torus_qpt import (
     corner_coupling,
     fidelity_exact,
     fidelity_perturbative,
-    golden_section_min,
     midgap_perturbation,
     omega_factor,
     ring_lams,

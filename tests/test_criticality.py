@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
-from oracles import d2_analytic, ground_energies, ground_energy_exact
+from oracles import d2_analytic, golden_section_min, ground_energies, ground_energy_exact
 from torus_qpt import (
     ModelSpec,
     SweepResult,
@@ -16,7 +16,6 @@ from torus_qpt import (
     critical_modes,
     fidelity_exact,
     fidelity_perturbative,
-    golden_section_min,
     linear_fit,
     midgap_perturbation,
     ring_lams,
@@ -400,17 +399,20 @@ def test_honeycomb_resolvent_in_real_arithmetic_is_the_complex_fraction(N):
 
 def _refinements(monkeypatch):
     """Record each peak refinement of the sweeps that follow: its table
-    terms, step h, result and number of _node_slopes evaluations."""
+    terms (from its first _node_slopes call), step h, result and number of
+    _node_slopes evaluations."""
     runs = []
     refine, slopes = criticality._refine_peak, criticality._node_slopes
 
-    def counted(*args):
+    def counted(kind, terms, eta, h):
+        runs[-1]["terms"] = terms
         runs[-1]["evaluations"] += 1
-        return slopes(*args)
+        return slopes(kind, terms, eta, h)
 
-    def recorded(kind, terms, eta, h, rising):
-        runs.append(dict(terms=terms, h=h, evaluations=0))
-        runs[-1]["eta_m"] = refine(kind, terms, eta, h, rising)
+    def recorded(slopes, eta, lo, hi, h, rising):
+        assert (lo, hi) == (eta - h, eta + h)
+        runs.append(dict(h=h, evaluations=0))
+        runs[-1]["eta_m"] = refine(slopes, eta, lo, hi, h, rising)
         return runs[-1]["eta_m"]
 
     monkeypatch.setattr(criticality, "_node_slopes", counted)
@@ -482,10 +484,11 @@ def test_sweep_curves_equal_per_eta_reference(N):
     _assert_dense_close(spec, res.eta_grid, res.e_g_curve)
     column, (eta_m, peak) = analytic_curvature(spec, res.eta_grid)
     assert np.array_equal(column, np.array([_scalar_d2(spec, x) for x in res.eta_grid]))
+    assert peak == _scalar_d2(spec, eta_m)
+    # a search that compares values finds the same extremum, to its sqrt(eps), and no deeper value
     lo, hi = res.eta_grid[0], res.eta_grid[-1]
     eta_a = golden_section_min(lambda x: _scalar_d2(spec, x), float(lo), float(hi), tol=1e-12 * float(hi - lo))
-    assert eta_m == eta_a
-    assert peak == _scalar_d2(spec, eta_a)
+    assert eta_m == pytest.approx(eta_a, rel=1e-7) and peak <= _scalar_d2(spec, eta_a)
 
 
 def test_golden_section_min():
@@ -548,11 +551,12 @@ def test_sweep_analytic_extremum_below_1e_minus_12(N):
     # eta* = c*cos(phi) is 1.01e-10, 1.56e-13 and 6.10e-15: an absolute
     # golden-section tolerance of 1e-12 stopped 50 % off at N = 72 and 80.
     # A minimizer that compares values places a smooth extremum only to about
-    # sqrt(eps) of its width c*|sin(phi)| (measured 1.5e-8 relative here).
+    # sqrt(eps) of its width c*|sin(phi)| (1.5e-8 relative here); Newton on the
+    # closed-form slope places it to its roundoff.
     spec = ModelSpec("honeycomb", 7, N, phi=PHI)
     eta_m, peak = analytic_curvature(spec, sweep(spec).eta_grid)[1]
     eta_star = corner_coupling(LAM_3_7, N) * math.cos(PHI)
-    assert eta_m == pytest.approx(eta_star, rel=1e-7)
+    assert eta_m == pytest.approx(eta_star, rel=1e-12)
     assert peak == _scalar_d2(spec, eta_m)
     assert peak == pytest.approx(d2_analytic(spec, eta_star), rel=1e-13)
 
@@ -738,6 +742,26 @@ def test_scaling_scan_reads_no_closed_form_term(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("M,N,phi,top", [
+    (13, 8, PHI, "2c"),  # several modes share the range: a search of the whole range found a shallow one
+    (11, 16, PHI, None),  # the default range printed -4.07 at 0.161; the column reaches -6.0e4 at 3.05e-5
+    (31, 64, PHI, None),  # printed -36.85 at 0.0122; the deepest mode reaches -1.85e32 at 1.07e-32
+    (7, 400, PHI, 1.0),  # eta* = 3.4e-71 is far below the grid's first step
+    (7, 20, math.pi / 2, None),  # eta* = 0 is the range's first end
+    (7, 20, 2.0, None),  # cos(phi) < 0: every eta* is negative, only the ends are candidates
+], ids=lambda value: f"{value:.3g}" if isinstance(value, float) else str(value))
+def test_analytic_peak_is_never_above_its_column(M, N, phi, top):
+    # the analytic extremum is at least as deep as the closed-form column on a fine grid of the
+    # sweep's range (the default one where top is None), and is that column's own value
+    spec = ModelSpec("honeycomb", M, N, phi=phi)
+    if top == "2c":
+        top = 2.0 * max(abs(c) for c, _ in critical_doublets(spec))
+    grid = np.linspace(0.0, sweep(spec, steps=64).eta_grid[-1] if top is None else top, 4001)
+    column, (eta_m, peak) = analytic_curvature(spec, grid)
+    assert peak <= column.min(), (eta_m, peak, grid[np.argmin(column)], column.min())
+    assert grid[0] <= eta_m <= grid[-1] and peak == _scalar_d2(spec, eta_m)
+
+
 @pytest.mark.parametrize("N", [400, 600, 800])
 def test_analytic_extremum_stays_in_double_range(N):
     # each term is -(1/Omega)*r^2/|z| with |r| <= 1: a cube of the tiny |z| was subnormal near eta* from
@@ -748,7 +772,7 @@ def test_analytic_extremum_stays_in_double_range(N):
     grid = np.linspace(0.0, 3.0 * eta_star, 201)
     column, (eta_m, peak) = analytic_curvature(spec, grid)
     assert np.isfinite(column).all() and (column < 0.0).all()
-    assert eta_m == pytest.approx(eta_star, rel=3e-8, abs=0.0)  # a flat extremum is located to ~sqrt(eps)
+    assert eta_m == pytest.approx(eta_star, rel=1e-12, abs=0.0)  # both modes share |c|: one extremum, at eta*
     want = -sum(1.0 / (om * abs(c * math.sin(PHI))) for c, om in doublets)
     assert peak == pytest.approx(want, rel=1e-15, abs=0.0)
     # the oracle follows the curvature there too: its terms form no cube of |z| either

@@ -43,6 +43,22 @@ def test_same_eta_m_measure_reads_the_printed_eta_m(tmp_path):
     assert deviation(dirs) == math.inf
 
 
+def test_same_eta_m_measure_reads_the_analytic_eta_m_too(tmp_path):
+    # the parent of the single extremum finder printed these two analytic eta_m on the tagged rows
+    deviation = MEASURES["same-eta-m"][2]
+    dirs = []
+    for name, analytic in (("a", "0.00021552303526736061"), ("b", "0.00021552303526726379"), ("c", None)):
+        lines = ["sweep: eta_m=0.00021552296749367968 peak=-7444.38 flags=[]"]
+        lines += [] if analytic is None else [f"sweep (analytic): eta_m={analytic} peak=-7441.78"]
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "stdout").write_text("\n".join(lines + ["wrote out/sweep.csv\n"]))
+        dirs.append(tmp_path / name)
+    assert deviation([dirs[0], dirs[0]]) == 0.0
+    assert deviation(dirs[:2]) == pytest.approx(4.49e-13, rel=1e-2)
+    assert deviation(dirs[:2]) > MEASURES["same-eta-m"][1]
+    assert deviation([dirs[0], dirs[2]]) == deviation([dirs[2], dirs[0]]) == math.inf
+
+
 def test_readme_example_block_is_the_tables_readme_rows():
     # the README's example block is its fenced sh block that ends with `validate --convention sites`;
     # its torus-qpt lines, trailing comments stripped, are the `readme` rows in table order

@@ -15,6 +15,7 @@ from torus_qpt import (
     run_validation,
     zero_modes,
 )
+from torus_qpt.ssh import _refine_peak
 
 PHI = math.pi / 4
 
@@ -235,3 +236,21 @@ def test_fidelity_gauge_invariance_under_lambda_sign():
     f_neg = fidelity_perturbative(-0.5, 12, 0.001, 0.0005, PHI)
     assert 0.0 <= f_pos <= 1.0
     assert 0.0 <= f_neg <= 1.0
+
+
+@pytest.mark.parametrize("start", [0.3, 2.0, -0.9])
+@pytest.mark.parametrize("rising", [True, False])
+def test_refine_peak_locates_an_extremum_from_its_slope(start, rising):
+    # sqrt(1 + (x - 0.25)^2) has its minimum at 0.25 (its negative a maximum there). Newton on its
+    # slope maps an offset d to -d^3, so from |d| > 1 it overshoots and only the bisection brings
+    # it back; slopes are given in units of h = 0.5, times one positive factor (7)
+    sign, h, calls = (1.0 if rising else -1.0), 0.5, []
+
+    def slopes(x):
+        calls.append(x)
+        d = x - 0.25
+        return 7.0 * sign * h**3 * d / math.hypot(1.0, d), 7.0 * sign * h**4 / math.hypot(1.0, d) ** 3
+
+    found = _refine_peak(slopes, start, -1.5, 3.0, h, rising)
+    assert found == pytest.approx(0.25, abs=1e-15) and len(calls) <= 60
+    assert all(-1.5 <= x <= 3.0 for x in calls)

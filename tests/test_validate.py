@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense_ring
 from torus_qpt import corner_coupling, omega_factor, run_validation, validate
 
 TOLERANCES = {name: tol for name, _, tol in validate.CHECKS}
@@ -98,3 +99,27 @@ def test_square_closed_form_makes_no_eigensolve(monkeypatch):
     measured = validate.check_square_closed_form("cells")
     assert calls == []
     assert 0.0 < measured <= 1e-13
+
+
+def _hf_gap_slope(eta):
+    """d(gap)/d(eta) of the check's ring from Hellmann-Feynman, <n|V|n> of each doublet level, with V the
+    ring at eta = 1 minus the ring at eta = 0 (the boundary bond is linear in eta)."""
+    lam, n, phi = validate._LAM, validate._N, validate._PHI
+    v = dense_ring("honeycomb", lam, n, 1.0, phi) - dense_ring("honeycomb", lam, n, 0.0, phi)
+    vectors = np.linalg.eigh(dense_ring("honeycomb", lam, n, eta, phi))[1][:, [n // 2 - 1, n // 2]]
+    lower, upper = (np.vdot(x, v @ x).real for x in vectors.T)
+    return upper - lower
+
+
+def test_gap_minimum_location_is_a_sign_change_of_the_exact_slope_in_few_solves(monkeypatch):
+    # Newton from the perturbative eta* on the Hellmann-Feynman slope, one eigh per step, where a
+    # golden-section search made 48 dense solves and stopped where the slope was -4.2e-8
+    calls, located = [], []
+    eigh, refine = np.linalg.eigh, validate._refine_peak
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    monkeypatch.setattr(validate, "_refine_peak", lambda *args: located.append(refine(*args)) or located[-1])
+    measured = validate.check_gap_minimum_location("cells")
+    assert len(calls) <= 4 and measured <= TOLERANCES["gap-minimum-location"]
+    (eta,) = located
+    assert _hf_gap_slope(eta - 1e-11) < 0.0 < _hf_gap_slope(eta + 1e-11)
+    assert abs(_hf_gap_slope(eta)) <= 1e-13
