@@ -63,6 +63,9 @@ eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
 sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
 2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
 `_open_ground_energy`, one `ring_levels` call at eta = 0, gives E_g(0).
+One immutable record, `_ShiftTable`, holds the table and its lattice kind:
+`_shift_table` builds it whole, `_shifted_energies` evaluates it, and
+`_node_slopes` and `_level_crossing` read it.
 
 The peak eta_m is a zero of the curvature's slope -D3/pi, D3 = sum
 w*d3/deta3 ln|q|: ssh._refine_peak's Newton steps with D4 = sum w*d4/deta4
@@ -195,14 +198,41 @@ def _honeycomb_green(bonds: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return g, g1n
 
 
-def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
+class _ShiftTable(Record):
+    """A sweep's spectral-shift table (see _shift_table): the lattice kind,
+    E_g(0), the Chebyshev points on [0, eta_max], their barycentric weights
+    and the near-node sums of ln|q| and d2 ln|q| there; the near nodes'
+    weights and (A, B); the far nodes' weights and factored q; the far
+    positions of the modes' nodes y = y_lo."""
+
+    __slots__ = ("kind", "e0", "points", "bary", "near", "w_near", "near_ab", "w_far", "far", "lowest")
+
+    def __init__(self, *fields) -> None:
+        self._set_fields(*fields)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices covering range(rows), each of at most _BLOCK_ENTRIES // width rows (at least one)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO) -> _ShiftTable:
     """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) and its
     curvature at 0 <= eta <= eta_max: E_g(0) and the quadrature terms of
     ln|q(y, eta)|, where q = 1 + A*eta + B*eta^2 = det(1 - G0(iy) V) on the
     boundary sites {1, N}, on the nodes of modes m <= M/2 and m = M. Mode
     M - m has mode m's entries (square: equal lambdas; honeycomb: lambda ->
     -lambda is the gauge diag(+1,-1,-1,+1,...), which fixes both boundary
-    sites as N % 4 == 0), so the weights count each other mode twice."""
+    sites as N % 4 == 0), so the weights count each other mode twice.
+
+    The nodes split in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
+    |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
+    elsewhere it comes from a factored q, which keeps its relative accuracy
+    where q nears 0 (a level crossing zero). The near nodes' weighted sums
+    are analytic in eta for |eta| < 2*eta_max, so they are kept only at
+    _CHEB_POINTS Chebyshev points and interpolated; `lowest` marks the far
+    nodes whose sign of Re q the level-crossing check reads."""
     s_lo = math.log(y_lo)
     panels = math.ceil(math.log(_Y_HI * (4.0 + eta_max)) - s_lo)
     x, w = _gauss_legendre()
@@ -211,10 +241,10 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
     sin_phi, cos_phi = sin_cos(spec.phi)
-    s2, M = sin_phi ** 2, spec.M
+    s2, M, kind = sin_phi ** 2, spec.M, spec.kind
     modes = [*range(1, M // 2 + 1), M]
-    diagonals, bonds = ring_bands(spec.kind, ring_lams(spec.kind, M, modes), spec.N)
-    if spec.kind == "honeycomb":
+    diagonals, bonds = ring_bands(kind, ring_lams(kind, M, modes), spec.N)
+    if kind == "honeycomb":
         gamma, g1n = (g.ravel() for g in _honeycomb_green(bonds, y))
         gnn2 = -(gamma * gamma)  # G_NN^2, real as G_1N: A, B and d4 are real
     else:
@@ -224,31 +254,6 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO):
     b = g1n * g1n - gnn2  # G_11 = G_NN
     d4 = gnn2 - s2 * g1n * g1n  # (A^2 - 4B)/4, formed without cancellation
     weights = np.concatenate([weights if 2 * m == M or m == M else 2.0 * weights for m in modes])
-    lowest = np.arange(len(a)) % len(y) == 0  # each mode's node y = y_lo
-    return _open_ground_energy(spec), _mode_terms(spec.kind, a, b, d4, weights, eta_max, lowest)
-
-
-class _ShiftTerms(Record):
-    """A shift table's quadrature terms (see _mode_terms): the Chebyshev points
-    on [0, eta_max], their barycentric weights and the near-node sums of ln|q|
-    and d2 ln|q| there; the near nodes' weights and (A, B); the far nodes'
-    weights and factored q; the far positions of the modes' nodes y = y_lo."""
-
-    __slots__ = ("points", "bary", "near", "w_near", "near_ab", "w_far", "far", "lowest")
-
-    def __init__(self, *fields) -> None:
-        self._set_fields(*fields)
-
-
-def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights: np.ndarray, eta_max: float,
-                lowest: np.ndarray) -> _ShiftTerms:
-    """Split the nodes in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
-    |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
-    elsewhere it comes from a factored q, which keeps its relative accuracy
-    where q nears 0 (a level crossing zero). The near nodes' weighted sums
-    are analytic in eta for |eta| < 2*eta_max, so they are kept only at
-    _CHEB_POINTS Chebyshev points and interpolated; `lowest` marks the
-    nodes whose sign of Re q the level-crossing check reads."""
     near = np.abs(a) * eta_max + np.abs(b) * (eta_max * eta_max) <= 0.25
     far = ~near
     j = np.arange(_CHEB_POINTS)
@@ -257,14 +262,12 @@ def _mode_terms(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray, weights
     bary[[0, -1]] *= 0.5
     w_near, a_near, b_near = weights[near], a[near], b[near]
     sums = np.empty((2, _CHEB_POINTS))
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(w_near)))
-    for start in range(0, _CHEB_POINTS, rows):
-        part = slice(start, start + rows)
+    for part in _row_blocks(_CHEB_POINTS, len(w_near)):
         for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
             sums[i, part] = (value * w_near).sum(axis=1)
-    factored = _factor(kind, a[far], b[far], d4[far])
-    return _ShiftTerms(points, bary, sums, w_near, (a_near, b_near), weights[far], factored,
-                       np.flatnonzero(lowest[far]))
+    lowest = np.flatnonzero(np.arange(len(a))[far] % len(y) == 0)  # each mode's node y = y_lo
+    return _ShiftTable(kind, _open_ground_energy(spec), points, bary, sums, w_near, (a_near, b_near), weights[far],
+                       _factor(kind, a[far], b[far], d4[far]), lowest)
 
 
 def _factor(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray) -> tuple:
@@ -306,55 +309,42 @@ def _far_nodes(kind: str, factored: tuple, eta: np.ndarray) -> tuple[np.ndarray,
     return np.log(np.abs(x1 * x2)) - f2, -(u * u + v * v).real
 
 
-def _near_sums(terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The near nodes' sums of ln|q| and of its curvature for a column of
-    etas, by barycentric interpolation in the Chebyshev samples (the sample
-    itself where eta is a point)."""
-    d = eta - terms.points
-    row, col = np.nonzero(d == 0.0)
-    d[row, col] = 1.0
-    c = terms.bary / d
-    scale = c.sum(axis=1)
-    ln, d2 = ((c * values).sum(axis=1) / scale for values in terms.near)
-    ln[row], d2[row] = terms.near[:, col]
-    return ln, d2
-
-
-def _mode_shift(kind: str, terms: _ShiftTerms, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature sums of ln|q(y, eta)| and of its exact
-    second eta-derivative over the table's nodes, for a column of etas: the
-    near sums interpolated, the far nodes summed."""
-    near_ln, near_d2 = _near_sums(terms, eta)
-    far_ln, far_d2 = _far_nodes(kind, terms.far, eta)
-    return near_ln + (far_ln * terms.w_far).sum(axis=1), near_d2 + (far_d2 * terms.w_far).sum(axis=1)
-
-
-def _shifted_energies(spec: ModelSpec, table, etas) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_energies(table: _ShiftTable, etas) -> tuple[np.ndarray, np.ndarray]:
     """E_g(eta) = E_g(0) - (1/pi) * sum_k int_0^inf ln|q_k(y, eta)| dy and
-    its exact curvature, the same integral over d^2/deta^2 ln|q_k|. An
-    eta's values depend on that eta and the table alone (row sums)."""
-    e0, terms = table
+    its exact curvature, the same integral over d^2/deta^2 ln|q_k|: the near
+    sums by barycentric interpolation in the Chebyshev samples (the sample
+    itself where eta is a point), the far nodes summed. An eta's values
+    depend on that eta and the table alone (row sums)."""
     etas = np.asarray(etas, dtype=np.float64)
     shift, curvature = np.zeros(len(etas)), np.zeros(len(etas))
-    rows = max(1, _BLOCK_ENTRIES // (len(terms.w_far) + _CHEB_POINTS))
-    for start in range(0, len(etas), rows):
-        part = slice(start, start + rows)
-        shift[part], curvature[part] = _mode_shift(spec.kind, terms, etas[part, None])
-    return e0 - shift / math.pi, -curvature / math.pi
+    for part in _row_blocks(len(etas), len(table.w_far) + _CHEB_POINTS):
+        eta = etas[part, None]
+        d = eta - table.points
+        row, col = np.nonzero(d == 0.0)
+        d[row, col] = 1.0
+        c = table.bary / d
+        scale = c.sum(axis=1)
+        near_ln, near_d2 = ((c * values).sum(axis=1) / scale for values in table.near)
+        near_ln[row], near_d2[row] = table.near[:, col]
+        far_ln, far_d2 = _far_nodes(table.kind, table.far, eta)
+        shift[part] = near_ln + (far_ln * table.w_far).sum(axis=1)
+        curvature[part] = near_d2 + (far_d2 * table.w_far).sum(axis=1)
+        del d, c, far_ln, far_d2  # so the next block's temporaries do not add to this block's in the peak
+    return table.e0 - shift / math.pi, -curvature / math.pi
 
 
-def _node_slopes(kind: str, terms: _ShiftTerms, eta: float, h: float):
+def _node_slopes(table: _ShiftTable, eta: float, h: float):
     """h^3 and h^4 times the exact third and fourth eta-derivatives of ln|q|
     at one eta, for the near nodes and then the far nodes. Per node, with s
     = q'/q and t = 2B/q, d3 ln q = s*(2s^2 - 3t) and d4 ln q = -3*(2s^4 -
     4t*s^2 + t^2); a square far node's factors add u = B/(B*eta - Q) and v
     = Q/(Q*eta - 1), d3 = 2*Re(u^3 + v^3) and d4 = -6*Re(u^4 + v^4). The
     powers of h keep s^4 in range where the peak is narrow (N = 600)."""
-    a, b = terms.near_ab
+    a, b = table.near_ab
     q = 1.0 + eta * (a + b * eta)
     near = _slopes(h * (a + 2.0 * b * eta) / q, (2.0 * h * h) * b / q)
-    f0, f1, f2 = terms.far
-    if kind == "honeycomb":
+    f0, f1, f2 = table.far
+    if table.kind == "honeycomb":
         d = eta - f0
         hb = h * f1 / (f1 * (d * d) + f2)
         return near, _slopes(2.0 * hb * d, 2.0 * hb * h)
@@ -369,14 +359,14 @@ def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
     return (hs * (2.0 * s2 - 3.0 * ht)).real, (-3.0 * (s2 * (2.0 * s2 - 4.0 * ht) + ht * ht)).real
 
 
-def _level_crossing(kind: str, terms: _ShiftTerms, grid: np.ndarray) -> bool:
+def _level_crossing(table: _ShiftTable, grid: np.ndarray) -> bool:
     """Whether Re q at some mode's node y = y_lo changes sign between
     adjacent etas of the grid: a ring level crossing zero there. A near node
     keeps Re q >= 3/4, and a honeycomb ring's q = B*(eta - R)^2 + J stays
     positive, so only the square lattice's far nodes are read."""
-    if kind == "honeycomb":
+    if table.kind == "honeycomb":
         return False
-    f0, f1, _ = (f[terms.lowest] for f in terms.far)
+    f0, f1, _ = (f[table.lowest] for f in table.far)
     negative = ((f0 * grid[:, None] - f1) * (f1 * grid[:, None] - 1.0) / f1).real < 0.0
     return bool((negative[1:] != negative[:-1]).any())
 
@@ -456,7 +446,7 @@ def sweep(
     table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
-    e_curve, d2_num = _shifted_energies(spec, table, grid)
+    e_curve, d2_num = _shifted_energies(table, grid)
     d2_num[[0, -1]] = np.nan  # at eta = 0 a square ring's zero level puts ~ -1/y_lo here
 
     flags: list[str] = []
@@ -470,13 +460,13 @@ def sweep(
     eta_m = float(grid[i_star])
     if not flags:
         def slopes(eta):  # pi times the curvature's slope and its derivative, in units of h: -h^3*D3, -h^4*D4
-            (n3, n4), (f3, f4) = _node_slopes(spec.kind, table[1], eta, h)
-            w_near, w_far = table[1].w_near, table[1].w_far
+            (n3, n4), (f3, f4) = _node_slopes(table, eta, h)
+            w_near, w_far = table.w_near, table.w_far
             return -float((n3 * w_near).sum() + (f3 * w_far).sum()), -float((n4 * w_near).sum() + (f4 * w_far).sum())
 
         eta_m = _refine_peak(slopes, eta_m, eta_m - h, eta_m + h, h, d2_num[i_star] < 0.0)
-    peak = _shifted_energies(spec, table, [eta_m])[1][0]
-    if _level_crossing(spec.kind, table[1], grid):
+    peak = _shifted_energies(table, [eta_m])[1][0]
+    if _level_crossing(table, grid):
         flags.append("level-crossing")  # reported only: the refinement above does not depend on it
 
     return SweepResult(grid, e_curve, d2_num, eta_m, float(peak), tuple(flags))

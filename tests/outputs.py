@@ -13,7 +13,9 @@ which keeps `row` (its table line), `exit`, `stdout`, `stderr` and, under
 each row (see its header), and that every file the row wrote has the mode
 a plain open() gives (0o666 & ~umask), and exits 1 when a row breaks it. A row that the
 --allow file names (see below) is a row the parent commit runs differently:
-what it breaks is reported as allowed, and no tag's measure reads it.
+what it breaks is reported as allowed. A tag's measure runs only when the
+rows run hold every row of the table so tagged and the --allow file names
+none of them; otherwise one line says why it was skipped.
 
 `compare` reports each row of A and B as identical or not. It compares the
 exit code, stdout (masking the seconds of `validate`'s `(N checks, X s)`
@@ -133,6 +135,29 @@ MEASURES = {
 }
 
 
+def check_measures(out: Path, rows: list[Row], named: set[tuple[str, ...]]) -> tuple[list[str], int]:
+    """One report line per tag's measure over the run tree `out`, and how many
+    failed. A measure reads every row of the table with its tag, so it runs
+    only when `rows` holds them all and none is named by a `row:` entry
+    (`named`); otherwise its line says why it was skipped, and it fails nothing."""
+    lines, failed, selected = [], 0, {row.number for row in rows}
+    for measure_tag, (label, bound, deviation) in MEASURES.items():
+        tagged = read_table(measure_tag)
+        run = [row for row in tagged if row.number in selected]
+        allowed = [row.name for row in run if row.args in named]
+        if len(run) < len(tagged) or allowed:
+            why = f"the --allow file names row {', '.join(allowed)}" if allowed else f"{len(run)}/{len(tagged)} rows ran"
+            lines.append(f"{label}: skipped ({why})")
+            continue
+        try:
+            value = deviation([out / row.name for row in tagged])
+        except (OSError, KeyError, ValueError) as exc:
+            value, label = math.nan, f"{label}: unreadable ({exc})"
+        lines.append(f"{label}: {value:.3g} (bound {bound:g})")
+        failed += not value <= bound
+    return lines, failed
+
+
 def _written(directory: Path) -> list[str]:
     return sorted(str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()) if directory.is_dir() else []
 
@@ -203,15 +228,9 @@ def run_table(out: Path, src: Path = SRC, tag: str | None = None, console_script
         print(f"{row.name} exit {code} {time.perf_counter() - start:5.2f} s  {shlex.join(row.args)}")
         for problem in problems:
             print(f"    {'allowed: ' if allowed else ''}{problem}")
-    for measure_tag, (label, bound, deviation) in MEASURES.items():
-        dirs = [(out / row.name) for row in rows if measure_tag in row.tags and row.args not in named]
-        if dirs:
-            try:
-                value = deviation(dirs)
-            except (OSError, KeyError, ValueError) as exc:
-                value, label = math.nan, f"{label}: unreadable ({exc})"
-            print(f"{label}: {value:.3g} (bound {bound:g})")
-            failed += not value <= bound
+    lines, measures_failed = check_measures(out, rows, named)
+    print("\n".join(lines))
+    failed += measures_failed
     print(f"{len(rows)} rows run, {failed} checks failed")
     return 1 if failed else 0
 

@@ -34,9 +34,7 @@ from torus_qpt.criticality import (
     _far_nodes,
     _honeycomb_green,
     _level_crossing,
-    _mode_terms,
     _near_nodes,
-    _near_sums,
     _node_slopes,
     _shift_table,
     _shifted_energies,
@@ -276,7 +274,7 @@ def _assert_dense_close(spec, etas, e_g):
 )
 def test_shift_engine_matches_dense_energies(spec, etas):
     table = _shift_table(spec, float(np.max(etas)))
-    _assert_dense_close(spec, etas, _shifted_energies(spec, table, etas)[0])
+    _assert_dense_close(spec, etas, _shifted_energies(table, etas)[0])
 
 
 NODE_CASES = [
@@ -296,14 +294,14 @@ def test_node_slopes_are_derivatives_of_the_curvature(kind, a, b):
         a, b = a.real, b.real
     far = (a != 0.0) | (b != 0.0)
     factored = _factor(kind, a[far], b[far], 0.25 * a[far] ** 2 - b[far])
-    terms = criticality._ShiftTerms(None, None, None, None, (a, b), None, factored, None)
+    table = criticality._ShiftTable(kind, None, None, None, None, None, (a, b), None, factored, None)
     delta, h = 1e-4, 0.5
     for eta in (0.1, 0.6, 1.1, 1.7):
-        (n3, n4), (f3, f4) = _node_slopes(kind, terms, eta, h)
+        (n3, n4), (f3, f4) = _node_slopes(table, eta, h)
         d2 = [_near_nodes(kind, a, b, np.array([[eta + k * delta]]))[1][0] for k in (-1, 1)]
         assert n3 == pytest.approx((d2[1] - d2[0]) / (2.0 * delta) * h**3, rel=1e-6, abs=1e-9)
         assert f3 == pytest.approx(n3[far], rel=1e-12, abs=1e-12)
-        d3 = [_node_slopes(kind, terms, eta + k * delta, h)[0][0] for k in (-1, 1)]
+        d3 = [_node_slopes(table, eta + k * delta, h)[0][0] for k in (-1, 1)]
         assert n4 == pytest.approx((d3[1] - d3[0]) / (2.0 * delta) * h, rel=1e-6, abs=1e-9)
         assert f4 == pytest.approx(n4[far], rel=1e-12, abs=1e-12)
 
@@ -348,24 +346,18 @@ def test_mode_shift_is_ln_abs_q(kind, a, b):
         ],
     ],
 )
-def test_near_sums_interpolate_the_exact_sums(monkeypatch, spec, eta_max):
+def test_near_sums_interpolate_the_exact_sums(spec, eta_max):
     # the table keeps the near nodes' sums at the Chebyshev points only; read
-    # back between them they match the sums over every near node
-    nodes = {}
-
-    def keep_nodes(kind, a, b, d4, weights, eta_max, lowest):
-        nodes.update(a=a, b=b, weights=weights)
-        return _mode_terms(kind, a, b, d4, weights, eta_max, lowest)
-
-    monkeypatch.setattr(criticality, "_mode_terms", keep_nodes)
-    terms = _shift_table(spec, eta_max)[1]
-    a, b, weights = nodes["a"], nodes["b"], nodes["weights"]
-    near = np.abs(a) * eta_max + np.abs(b) * eta_max**2 <= 0.25
-    if spec.kind == "honeycomb":
-        a, b = a.real, b.real
-    etas = np.linspace(0.0, eta_max, 97)[:, None]
-    exact = [(value * weights[near]).sum(axis=1) for value in _near_nodes(spec.kind, a[near], b[near], etas)]
-    for got, want in zip(_near_sums(terms, etas), exact):
+    # back between them (by a table with no far node and E_g(0) = 0, in the
+    # units -1/pi of _shifted_energies) they match the sums over every near node
+    table = _shift_table(spec, eta_max)
+    (a, b), weights = table.near_ab, table.w_near
+    assert (np.abs(a) * eta_max + np.abs(b) * (eta_max * eta_max) <= 0.25).all()
+    near_only = criticality._ShiftTable(table.kind, 0.0, table.points, table.bary, table.near, weights, (a, b),
+                                        table.w_far[:0], tuple(f[:0] for f in table.far), table.lowest[:0])
+    etas = np.linspace(0.0, eta_max, 97)
+    exact = [-(value * weights).sum(axis=1) / math.pi for value in _near_nodes(spec.kind, a, b, etas[:, None])]
+    for got, want in zip(_shifted_energies(near_only, etas), exact):
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
@@ -374,13 +366,35 @@ def test_shift_engine_is_deterministic():
     for spec in (ModelSpec("honeycomb", 7, 20, phi=PHI), ModelSpec("square", 5, 3, phi=PHI)):
         etas = np.linspace(0.0, 0.7, 57)
         table = _shift_table(spec, 0.7)
-        curve, d2 = _shifted_energies(spec, table, etas)
-        assert np.array_equal(curve, _shifted_energies(spec, _shift_table(spec, 0.7), etas)[0])
-        assert np.array_equal(curve, [_shifted_energies(spec, table, [eta])[0][0] for eta in etas])
-        assert np.array_equal(d2, [_shifted_energies(spec, table, [eta])[1][0] for eta in etas])
+        curve, d2 = _shifted_energies(table, etas)
+        assert np.array_equal(curve, _shifted_energies(_shift_table(spec, 0.7), etas)[0])
+        assert np.array_equal(curve, [_shifted_energies(table, [eta])[0][0] for eta in etas])
+        assert np.array_equal(d2, [_shifted_energies(table, [eta])[1][0] for eta in etas])
     first, second = sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)), sweep(ModelSpec("honeycomb", 7, 20, phi=PHI))
     assert np.array_equal(first.e_g_curve, second.e_g_curve)
     assert (first.eta_m, first.peak) == (second.eta_m, second.peak)
+
+
+@pytest.mark.parametrize(
+    "spec,bounds",
+    [
+        (ModelSpec("honeycomb", 7, 20, phi=PHI), {}),
+        (ModelSpec("square", 5, 12, phi=0.7), dict(eta_min=0.0, eta_max=1.0, steps=128)),  # flagged level-crossing
+        (ModelSpec("honeycomb", 31, 64, phi=PHI), dict(steps=400)),
+    ],
+    ids=["honeycomb-M7-N20", "square-M5-N12", "honeycomb-M31-N64"],
+)
+def test_sweep_outputs_do_not_depend_on_the_block_size(monkeypatch, spec, bounds):
+    # the Chebyshev build and the eta rows are chunked into blocks of _BLOCK_ENTRIES
+    # entries; every block size, one row per block or all rows in one, gives the same bits
+    def outputs():
+        res = sweep(spec, **bounds)
+        return [res.e_g_curve.tobytes(), res.d2_numeric.tobytes(), res.eta_m, res.peak, res.flags]
+
+    default = outputs()
+    for entries in (1, 2**20):
+        monkeypatch.setattr(criticality, "_BLOCK_ENTRIES", entries)
+        assert outputs() == default
 
 
 @pytest.mark.parametrize("N", [4, 20, 392, 872])
@@ -398,33 +412,38 @@ def test_honeycomb_resolvent_in_real_arithmetic_is_the_complex_fraction(N):
 
 
 def _refinements(monkeypatch):
-    """Record each peak refinement of the sweeps that follow: its table
-    terms (from its first _node_slopes call), step h, result and number of
-    _node_slopes evaluations."""
-    runs = []
-    refine, slopes = criticality._refine_peak, criticality._node_slopes
+    """Record each peak refinement of the sweeps that follow: its sweep's
+    table (the last one built), step h, result and number of evaluations
+    of the slope function the sweep passes."""
+    runs, tables = [], []
+    build, refine = criticality._shift_table, criticality._refine_peak
 
-    def counted(kind, terms, eta, h):
-        runs[-1]["terms"] = terms
-        runs[-1]["evaluations"] += 1
-        return slopes(kind, terms, eta, h)
+    def built(*args):
+        tables.append(build(*args))
+        return tables[-1]
 
     def recorded(slopes, eta, lo, hi, h, rising):
         assert (lo, hi) == (eta - h, eta + h)
-        runs.append(dict(h=h, evaluations=0))
-        runs[-1]["eta_m"] = refine(slopes, eta, lo, hi, h, rising)
-        return runs[-1]["eta_m"]
+        run = dict(table=tables[-1], h=h, evaluations=0)
+        runs.append(run)
 
-    monkeypatch.setattr(criticality, "_node_slopes", counted)
+        def counted(x):
+            run["evaluations"] += 1
+            return slopes(x)
+
+        run["eta_m"] = refine(counted, eta, lo, hi, h, rising)
+        return run["eta_m"]
+
+    monkeypatch.setattr(criticality, "_shift_table", built)
     monkeypatch.setattr(criticality, "_refine_peak", recorded)
     return runs
 
 
-def _slope_sums(terms, eta, h):
+def _slope_sums(table, eta, h):
     """D3 and D4 (in units of h) at eta, and the sums of |w*d3| and |w*d4| over the nodes."""
-    (n3, n4), (f3, f4) = _node_slopes("honeycomb", terms, eta, h)
-    sums = [(n * terms.w_near).sum() + (f * terms.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
-    return sums + [(np.abs(n) * terms.w_near).sum() + (np.abs(f) * terms.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
+    (n3, n4), (f3, f4) = _node_slopes(table, eta, h)
+    sums = [(n * table.w_near).sum() + (f * table.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
+    return sums + [(np.abs(n) * table.w_near).sum() + (np.abs(f) * table.w_far).sum() for n, f in ((n3, f3), (n4, f4))]
 
 
 GRID_FREE_SPECS = [ModelSpec("honeycomb", M, N, phi=phi) for M in (7, 10, 31) for N in (8, 20, 32, 64)
@@ -443,8 +462,8 @@ def test_refined_peak_is_the_root_of_the_exact_third_derivative(monkeypatch, spe
     (run,) = runs
     assert run["eta_m"] == res.eta_m and run["evaluations"] <= 8
     eps = np.finfo(np.float64).eps
-    below, above = (_slope_sums(run["terms"], res.eta_m * (1.0 + k * eps), run["h"])[0] for k in (-8.0, 8.0))
-    d3, _, d3_abs, d4_abs = _slope_sums(run["terms"], res.eta_m, run["h"])
+    below, above = (_slope_sums(run["table"], res.eta_m * (1.0 + k * eps), run["h"])[0] for k in (-8.0, 8.0))
+    d3, _, d3_abs, d4_abs = _slope_sums(run["table"], res.eta_m, run["h"])
     # D3's roundoff: its terms' own, and eta's rounding times D4 (in units of h)
     assert below * above < 0.0 or abs(d3) <= 4.0 * eps * (d3_abs + res.eta_m / run["h"] * d4_abs)
     # on the first grid eta_m is a grid point (up to rounding), on the second it is not
@@ -668,8 +687,8 @@ def test_level_crossing_flag_marks_the_dense_count_change():
     counts = np.concatenate([np.count_nonzero(np.linalg.eigvalsh(chunk) < 0.0, axis=-1)
                              for chunk in ring_stack("square", lams, 12, res.eta_grid, 0.7)]).reshape(-1, 5)
     changes = np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)).tolist()
-    terms = _shift_table(spec, 1.0)[1]
-    flagged = [i for i in range(128) if _level_crossing("square", terms, res.eta_grid[i : i + 2])]
+    table = _shift_table(spec, 1.0)
+    flagged = [i for i in range(128) if _level_crossing(table, res.eta_grid[i : i + 2])]
     assert flagged == changes and len(changes) == 1
     assert 0.71 < res.eta_grid[changes[0]] < 0.73
     assert "level-crossing" not in sweep(ModelSpec("honeycomb", 7, 20, phi=PHI)).flags

@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from outputs import MEASURES, TESTS, compare_trees, read_allow, read_table, row_problems
+from outputs import MEASURES, TESTS, check_measures, compare_trees, read_allow, read_table, row_problems
 
 TAGS = {"readme", "stress", "fails", "double-range", "process"} | set(MEASURES)
 
@@ -57,6 +57,28 @@ def test_same_eta_m_measure_reads_the_analytic_eta_m_too(tmp_path):
     assert deviation(dirs[:2]) == pytest.approx(4.49e-13, rel=1e-2)
     assert deviation(dirs[:2]) > MEASURES["same-eta-m"][1]
     assert deviation([dirs[0], dirs[2]]) == deviation([dirs[2], dirs[0]]) == math.inf
+
+
+
+def test_a_measure_runs_only_over_every_row_of_its_tag(tmp_path):
+    # `run --tag readme` holds one of the two same-eta-m rows: the measure read it alone and failed with inf
+    tagged = read_table("same-eta-m")
+    for row, analytic in zip(tagged, ("0.00021552303526736061", "0.00021552303526726379")):
+        (tmp_path / row.name).mkdir()
+        (tmp_path / row.name / "stdout").write_text(
+            f"sweep: eta_m=0.00021552296749367968 peak=-7444.38 flags=[]\n"
+            f"sweep (analytic): eta_m={analytic} peak=-7441.78\nwrote out/sweep.csv\n")
+    label = MEASURES["same-eta-m"][0]
+    lines, failed = check_measures(tmp_path, read_table("readme"), set())
+    assert failed == 0 and f"{label}: skipped (1/2 rows ran)" in lines
+    assert len(lines) == len(MEASURES) and all("skipped" in line for line in lines)
+    lines, failed = check_measures(tmp_path, tagged, {tagged[0].args})
+    assert failed == 0 and f"{label}: skipped (the --allow file names row {tagged[0].name})" in lines
+    lines, failed = check_measures(tmp_path, tagged, set())
+    assert failed == 1 and f"{label}: 4.49e-13 (bound 1e-14)" in lines
+    # the full table runs every measure: here the others find no outputs and fail
+    lines, failed = check_measures(tmp_path, read_table(), set())
+    assert failed == len(MEASURES) and not any("skipped" in line for line in lines)
 
 
 def test_readme_example_block_is_the_tables_readme_rows():
