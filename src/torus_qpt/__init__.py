@@ -43,7 +43,7 @@ try:
         sweep,
         sweep_to_csv,
     )
-    from .eigensolve import square_ring_closed_form, square_ring_modes
+    from .eigensolve import square_ring_modes
     from .models import ModelSpec, build_lattice
     from .ssh import (
         MidgapSolution,
@@ -87,7 +87,6 @@ __all__ = [
     "run_validation",
     "scaling_scan",
     "square_ring",
-    "square_ring_closed_form",
     "square_ring_modes",
     "sweep",
     "sweep_to_csv",

@@ -14,15 +14,17 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 down. Every momentum block is an open real tridiagonal chain closed by
 one boundary bond: `peierls_ring` and `square_ring` return that chain's
 bands (diagonal, bonds), and `ring_bands` stacks them, one builder call
-per lambda. The shift engine and the reference matrix `ssh.build_h0` read
-the bands; `ring_stack` alone puts them into dense complex rings and adds
-the boundary bond, in chunks. The one dense ring-solve path,
-`ring_levels`, solves those chunks for every ring level of the package
-(spectrum, ground energies, validate); when no ring has a boundary bond
-it builds real open rings from the bands instead, and solves them in real
-arithmetic. `blocks_to_csv` writes ring_stack's rings out. `sin_cos` is
-the one reader of the flux phi: `ring_stack`'s boundary phase and every
-closed form of `ssh` take sin(phi) and cos(phi) from it.
+per lambda. The shift engine reads the bands; `_open_rings` alone makes
+them a dense chain (for `ring_stack`, `ring_levels` and `ssh.build_h0`),
+and `ring_stack` alone adds the boundary bond, in chunks. The one dense
+ring-solve path, `ring_levels`, solves those chunks for every ring level
+of the package (spectrum, ground energies, validate); when no ring has a
+boundary bond it builds real open rings from the bands instead, and
+solves them in real arithmetic. `row_blocks` cuts every stacked temporary
+(these chunks, the shift engine's rows) into blocks of at most
+CHUNK_ENTRIES entries. `blocks_to_csv` writes ring_stack's rings out.
+`sin_cos` is the one reader of the flux phi: `ring_stack`'s boundary
+phase and every closed form of `ssh` take sin(phi) and cos(phi) from it.
 
 The gauge factors absorbed by the Fourier transformation never appear
 in the output; their correctness is validated by the block-union
@@ -84,8 +86,15 @@ def ring_bands(kind: str, lams, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(diagonals), np.stack(bonds)
 
 
-# Largest number of complex entries ring_stack puts in one chunk (256 KiB).
-CHUNK_ENTRIES = 2**14
+# Largest number of entries in one block of a stacked temporary (128 KiB complex).
+CHUNK_ENTRIES = 2**13
+
+
+def row_blocks(rows: int, width: int):
+    """Slices covering range(rows), each of at most CHUNK_ENTRIES // width rows
+    (at least one): the one rule that cuts a stack of rows `width` entries wide."""
+    step = max(1, CHUNK_ENTRIES // max(1, width))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def ring_stack(kind: str, lams, N: int, etas, phi: float):
@@ -109,7 +118,9 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
     sin_phi, cos_phi = sin_cos(phi)
     phase = complex(cos_phi, sin_phi)
     boundary = np.array([-eta * phase for eta in etas], dtype=np.complex128)
-    for index in _chunks(len(boundary) * len(rings), N):
+    pairs = np.arange(len(boundary) * len(rings))
+    for part in row_blocks(len(pairs), N * N):
+        index = pairs[part]
         chunk = rings[index % len(rings)]
         bond = boundary[index // len(rings)]
         chunk[:, N - 1, 0] += bond
@@ -119,20 +130,14 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
 
 
 def _open_rings(diagonals: np.ndarray, bonds: np.ndarray, dtype) -> np.ndarray:
-    """The dense open rings of stacked bands, shape (len(diagonals), N, N)."""
+    """The dense open rings of stacked bands, shape (len(diagonals), N, N),
+    every other entry +0.0: the one dense fill of a chain."""
     n, N = diagonals.shape
     rings = np.zeros((n, N * N), dtype=dtype)
     # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
     rings[:, :: N + 1] = diagonals
     rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
     return rings.reshape(n, N, N)
-
-
-def _chunks(pairs: int, N: int):
-    """Index arrays over `pairs` rings of N sites, at most CHUNK_ENTRIES entries (one ring) each."""
-    size = max(1, CHUNK_ENTRIES // (N * N))
-    for start in range(0, pairs, size):
-        yield np.arange(start, min(start + size, pairs))
 
 
 def ring_levels(kind: str, lams, N: int, etas, phi: float) -> np.ndarray:
@@ -144,8 +149,9 @@ def ring_levels(kind: str, lams, N: int, etas, phi: float) -> np.ndarray:
         chunks = ring_stack(kind, lams, N, etas, phi)
     else:
         diagonals, bonds = ring_bands(kind, lams, N)
-        rows = (index % len(diagonals) for index in _chunks(len(etas) * len(diagonals), N))
-        chunks = (_open_rings(diagonals[row], bonds[row], np.float64) for row in rows)
+        rows = np.arange(len(etas) * len(diagonals)) % len(diagonals)
+        chunks = (_open_rings(diagonals[rows[part]], bonds[rows[part]], np.float64)
+                  for part in row_blocks(len(rows), N * N))
     levels = map(np.linalg.eigvalsh, chunks)
     return np.concatenate(list(levels)).reshape(len(etas), -1, N)
 

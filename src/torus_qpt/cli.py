@@ -14,10 +14,9 @@ of the hopping t, so no flag sets it.
 
 Exit codes: 0 success. 2 the input was rejected before any work: a flag's
 text that argparse rejects (an unknown choice, or a converter's reason: a
-non-integral count, NaN or +-inf), or any ValueError, ConfigError
-included (a flag its command does not accept, a value nothing would read,
-the library's own domain checks: ModelSpec, sweep's grid, scaling_scan's
-ring lengths).
+non-integral count, NaN or +-inf), or any ValueError (a flag its command
+does not accept, a value nothing would read, the library's own domain
+checks: ModelSpec, sweep's grid, scaling_scan's ring lengths).
 1 a computation or check failed: RuntimeError, LinAlgError, a failing
 validate check, or FloatingPointError (NumPy raises on overflow, invalid
 values and division by zero in every command: an output past double range).
@@ -41,10 +40,6 @@ from .ssh import analytic_curvature, corner_coupling, fidelity_perturbative
 from .validate import CONVENTIONS, run_validation
 
 COMMANDS = ("spectrum", "sweep", "scaling", "fidelity", "square", "validate")
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (maps to exit code 2, like every ValueError)."""
 
 
 # Converters: argparse calls each with a flag's text, and prints the message
@@ -109,12 +104,12 @@ OPTIONS = (
 
 def parse_config(command: str, flags: dict) -> dict:
     """The typed flags given to `command`, key -> value, once checked: a key
-    the command does not accept, or both flux forms at once, raise ConfigError."""
+    the command does not accept, or both flux forms at once, raise ValueError."""
     unknown = set(flags) - {key for key, *_, commands in OPTIONS if command in commands}
     if unknown:
-        raise ConfigError(f"keys not used by command {command!r}: {sorted(unknown)}")
+        raise ValueError(f"keys not used by command {command!r}: {sorted(unknown)}")
     if "phi" in flags and "phi_over_pi" in flags:
-        raise ConfigError("provide exactly one of 'phi' and 'phi_over_pi'")
+        raise ValueError("provide exactly one of 'phi' and 'phi_over_pi'")
     return flags
 
 
@@ -135,9 +130,9 @@ def _build_model(config: dict, kind: str, M: int, N: int, eta: float, phi_defaul
 
 
 def _needs(config: dict, key: str, *keys: str) -> None:
-    """ConfigError when `key` is given but none of `keys` is."""
+    """ValueError when `key` is given but none of `keys` is."""
     if key in config and not any(other in config for other in keys):
-        raise ConfigError(f"{key!r} needs {' or '.join(map(repr, keys))}")
+        raise ValueError(f"{key!r} needs {' or '.join(map(repr, keys))}")
 
 
 def _publish(config: dict, filename: str, text: str, *summary: str) -> None:
@@ -157,7 +152,7 @@ def cmd_spectrum(config: dict) -> int:
     N = config.get("N", 20)
     phi = _resolve_phi(config, 0.0)
     if "lam" in config and "mode" in config:
-        raise ConfigError("select the block via either 'lam' or 'mode', not both")
+        raise ValueError("select the block via either 'lam' or 'mode', not both")
     _needs(config, "mode", "M")
     _needs(config, "M", "mode", "dump_blocks")  # the one ring reads M only through 'mode'
     _needs(config, "eta", "dump_blocks")  # and eta not at all: the grid replaces it
@@ -165,13 +160,13 @@ def cmd_spectrum(config: dict) -> int:
     if "mode" in config:
         M, mode = config["M"], config["mode"]
         if not 1 <= mode <= M:
-            raise ConfigError(f"invalid mode index {mode} for M={M}")
+            raise ValueError(f"invalid mode index {mode} for M={M}")
         lam = ring_lams(kind, M, [mode])[0]
     else:
         lam = config.get("lam", 0.5)
     eta_min, eta_max, steps = config.get("eta_min", 0.0), config.get("eta_max", 1.0), config.get("steps", 200)
     if steps < 1 or not eta_max > eta_min:
-        raise ConfigError("need steps >= 1 and eta_max > eta_min")
+        raise ValueError("need steps >= 1 and eta_max > eta_min")
     spec = _build_model(config, kind, 0, N, 1.0, phi) if "dump_blocks" in config else None
 
     grid = np.linspace(eta_min, eta_max, steps + 1)
@@ -221,12 +216,12 @@ def cmd_fidelity(config: dict) -> int:
     lam, N, phi = config.get("lam", 0.5), config.get("N", 20), _resolve_phi(config, math.pi / 4)
     c = corner_coupling(lam, N)
     if c == 0.0 and not ("delta_min" in config and "delta_max" in config):
-        raise ConfigError(f"the corner coupling c = lambda^(N/2) is 0 (lambda={fmt_float(lam)}, N={N}): "
+        raise ValueError(f"the corner coupling c = lambda^(N/2) is 0 (lambda={fmt_float(lam)}, N={N}): "
                           "no natural delta scale; give delta_min and delta_max")
     delta_min, delta_max = config.get("delta_min", abs(c) / 100.0), config.get("delta_max", 10.0 * abs(c))
     delta_steps = config.get("delta_steps", 25)
     if not (0.0 < delta_min < delta_max) or delta_steps < 2:
-        raise ConfigError("need 0 < delta_min < delta_max and delta_steps >= 2")
+        raise ValueError("need 0 < delta_min < delta_max and delta_steps >= 2")
     deltas = np.geomspace(delta_min, delta_max, delta_steps)
     eta_center = config.get("eta_center", c * sin_cos(phi)[1])
     f_exact = fidelity_exact(lam, N, phi, eta_center, deltas)
@@ -318,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. Exit 2 when the input is rejected (by argparse, or any
-    ValueError, ConfigError included) or --out cannot be written (OSError), 1
-    when a computation or check fails (RuntimeError, LinAlgError,
-    FloatingPointError)."""
+    ValueError) or --out cannot be written (OSError), 1 when a computation or
+    check fails (RuntimeError, LinAlgError, FloatingPointError)."""
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.command, {key: getattr(args, key) for key, *_ in OPTIONS

@@ -18,9 +18,11 @@ property, validated to 1e-10). Every ring coupling comes from
 `blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
 every dense ring (boundary bond included) from `blocks.ring_stack`, and
 every dense ring level from `blocks.ring_levels`, the one dense
-ring-level path. `fidelity_exact` takes its eigenvectors from one
-`ring_stack` pass over all its displaced rings (one eigh per chunk) and
-its doublet splitting from `ssh.midgap_perturbation`.
+ring-level path, and every block of a stacked temporary (the engine's
+eta rows and Chebyshev rows) from `blocks.row_blocks`, the one block
+rule. `fidelity_exact` takes its eigenvectors from one `ring_stack` pass
+over all its displaced rings (one eigh per chunk) and its doublet
+splitting scale from `ssh.midgap_perturbation`.
 
 Every energy is in units of the hopping t. In both entry points (`sweep`
 and `fidelity_exact`) NumPy raises on overflow, invalid values and
@@ -81,7 +83,7 @@ import math
 
 import numpy as np
 
-from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, sin_cos
+from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, row_blocks, sin_cos
 from .models import ModelSpec, Record
 from .output import csv_text
 from .ssh import _refine_peak, critical_doublets, midgap_perturbation
@@ -99,8 +101,6 @@ _GAUSS_POINTS = 10
 _CHEB_POINTS = 33
 _Y_LO = 1e-14
 _Y_HI = 1e5
-# Largest number of entries in one (eta, node) temporary (128 KiB complex).
-_BLOCK_ENTRIES = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +211,6 @@ class _ShiftTable(Record):
         self._set_fields(*fields)
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices covering range(rows), each of at most _BLOCK_ENTRIES // width rows (at least one)."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
-    return (slice(start, start + step) for start in range(0, rows, step))
-
-
 def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO) -> _ShiftTable:
     """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) and its
     curvature at 0 <= eta <= eta_max: E_g(0) and the quadrature terms of
@@ -262,7 +256,7 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO) -> _Shift
     bary[[0, -1]] *= 0.5
     w_near, a_near, b_near = weights[near], a[near], b[near]
     sums = np.empty((2, _CHEB_POINTS))
-    for part in _row_blocks(_CHEB_POINTS, len(w_near)):
+    for part in row_blocks(_CHEB_POINTS, len(w_near)):
         for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
             sums[i, part] = (value * w_near).sum(axis=1)
     lowest = np.flatnonzero(np.arange(len(a))[far] % len(y) == 0)  # each mode's node y = y_lo
@@ -317,7 +311,7 @@ def _shifted_energies(table: _ShiftTable, etas) -> tuple[np.ndarray, np.ndarray]
     depend on that eta and the table alone (row sums)."""
     etas = np.asarray(etas, dtype=np.float64)
     shift, curvature = np.zeros(len(etas)), np.zeros(len(etas))
-    for part in _row_blocks(len(etas), len(table.w_far) + _CHEB_POINTS):
+    for part in row_blocks(len(etas), len(table.w_far) + _CHEB_POINTS):
         eta = etas[part, None]
         d = eta - table.points
         row, col = np.nonzero(d == 0.0)
@@ -584,15 +578,17 @@ def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid
     floors (a midgap doublet below double resolution: at lambda = 0.5 and
     the default deltas around c*cos(phi), from N = 86 on); a scale of
     exactly 0 is an exact crossing, which the subspace fallback below
-    handles. The doublet must also be
-    separated from the bands by at least 10x the avoided-crossing gap at
-    eta_center; otherwise the upper midgap vector is not a meaningful
-    object and a RuntimeError reports the separation-to-gap ratio. When
-    the doublet at either displaced point splits by at most 64 floors, the
-    overlap falls back to the principal angle between the two-dimensional
-    midgap subspaces. All 2*len(delta_grid) displaced rings are solved in
-    one ring_stack pass, and each keeps only its two midgap levels and
-    vectors. Arithmetic out of double range is a RuntimeError too.
+    handles. The doublet must also be separated from the bands by at least
+    10x the avoided-crossing gap at eta_center; otherwise the upper midgap
+    vector is not a meaningful object and a RuntimeError reports the
+    separation-to-gap ratio. At every displaced point the doublet must split
+    by less than its separation from the bands, or a RuntimeError names that
+    eta. When the doublet at either displaced point splits by at most 64
+    floors, the overlap falls back to the principal angle between the
+    two-dimensional midgap subspaces. All 2*len(delta_grid) displaced rings
+    are solved in one ring_stack pass, and each keeps only its four central
+    levels and two midgap vectors. Arithmetic out of double range is a
+    RuntimeError too.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64)
     if deltas.size == 0 or not (deltas > 0.0).all():
@@ -619,14 +615,19 @@ def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid
         )
 
     def doublet(chunk):
-        # the midgap levels and vectors of each ring; the chunk's full eigenbasis dies with the call
+        # the four central levels and two midgap vectors of each ring; the chunk's eigenbasis dies with the call
         w, v = np.linalg.eigh(chunk)
-        return w[:, N // 2 - 1 : N // 2 + 1].copy(), v[:, :, N // 2 - 1 : N // 2 + 1].copy()
+        return w[:, N // 2 - 2 : N // 2 + 2].copy(), v[:, :, N // 2 - 1 : N // 2 + 1].copy()
 
     levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi))))
+    for eta, w in zip(etas, levels):
+        split, separation = w[2] - w[1], min(w[3] - w[2], w[1] - w[0])
+        if not split < separation:
+            raise RuntimeError(f"midgap doublet not isolable from the bands at eta={eta:.6g}: "
+                               f"it splits by {split:.6g}, not below its separation {separation:.6g}")
     f_exact = np.empty(deltas.size)
     for i in range(deltas.size):
-        (w1, w2), (u1, u2) = levels[[i, deltas.size + i]], vectors[[i, deltas.size + i]]  # eta_center -+ delta
+        (w1, w2), (u1, u2) = levels[[i, deltas.size + i], 1:3], vectors[[i, deltas.size + i]]  # eta_center -+ delta
         if min(w1[1] - w1[0], w2[1] - w2[0]) <= 64.0 * floor:
             singvals = np.linalg.svd(u1.conj().T @ u2, compute_uv=False)
             f_exact[i] = float(singvals[-1])

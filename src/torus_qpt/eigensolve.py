@@ -5,16 +5,14 @@ the uniform ring, in units of the hopping t and at lambda = 0, at the two
 boundary endpoints eta = 1 (plane waves picking up the flux phase) and
 eta = 0 (open-chain standing waves). Its gauge is `blocks.ring_stack`'s:
 sites j = 1..N, bonds -1, and the flux on the boundary bond -eta*e^{i phi}
-at (N, 1). `square_ring_closed_form` is its sorted levels shifted by
--lambda, so the package has one closed form of the square ring.
+at (N, 1). It is the package's one closed form of the square ring.
 
 The validate suite checks the ring builder through the eigenpairs: for a
 Hermitian H and a unitary U, Hoffman and Wielandt (Duke Math. J. 20, 37
 (1953)) bound the distance between the sorted levels of H and the sorted
 eps by the residual ||H U - U diag(eps)||_F = ||H - U diag(eps) U^H||_F,
 so matrix products replace eigensolves (Parlett, The Symmetric Eigenvalue
-Problem, ch. 11). The acceptance tests hold dense solves against
-`square_ring_closed_form`. Every dense solve for ring levels goes through
+Problem, ch. 11). Every dense solve for ring levels goes through
 `blocks.ring_levels`.
 """
 
@@ -46,9 +44,3 @@ def square_ring_modes(N: int, phi: float, eta) -> tuple[np.ndarray, np.ndarray]:
         sines = np.sin(np.pi * np.arange(2 * (N + 1)) / (N + 1))
         return -2.0 * np.cos(np.pi * sites / (N + 1)), np.sqrt(2.0 / (N + 1)) * sines[products % (2 * (N + 1))]
     raise ValueError(f"closed forms exist only for eta in {{0, 1}}, got eta={eta!r}")
-
-
-def square_ring_closed_form(N: int, phi: float, lam2k: float, eta) -> np.ndarray:
-    """Analytic spectrum of the uniform flux ring at eta = 0 or 1, sorted:
-    square_ring_modes' levels minus lam2k."""
-    return np.sort(square_ring_modes(N, phi, eta)[0]) - lam2k

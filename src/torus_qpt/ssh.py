@@ -18,8 +18,9 @@ energy is in units of the hopping t.
 
 Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
 open alternating ring (bonds -lambda within cells, +1 between cells:
-minus the bands of `blocks.peierls_ring`) plus a corner compensation
-entry c at (1,N)/(N,1). The ring block of `blocks.ring_stack` equals
+minus the bands of `blocks.peierls_ring`, made dense by the package's one
+chain fill, `blocks._open_rings`) plus a corner compensation entry c at
+(1,N)/(N,1). The ring block of `blocks.ring_stack` equals
 -(h0 + h'), where h' holds only the corner remainders
 eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). Every closed
 form here reads the physical corner c = lambda^(N/2), which makes h0
@@ -35,7 +36,7 @@ import math
 
 import numpy as np
 
-from .blocks import critical_modes, peierls_ring, ring_lams, sin_cos
+from .blocks import _open_rings, critical_modes, peierls_ring, ring_lams, sin_cos
 from .models import ModelSpec, Record
 
 
@@ -82,12 +83,11 @@ def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_h0(lam: float, N: int) -> np.ndarray:
-    """The reference matrix h0: minus the open ring's bonds (-lam
-    within cells, +1 between cells) and the corner compensation c at (1,N)
-    and (N,1)."""
-    h0 = np.zeros(N * N)  # row-major: (i, i + 1) is entry 1 + i*(N + 1), (i + 1, i) is N + i*(N + 1)
-    h0[1 :: N + 1] = h0[N :: N + 1] = -peierls_ring(lam, N)[1]  # checks N
-    h0 = h0.reshape(N, N)
+    """The reference matrix h0, a writable (N, N) array: minus the open
+    ring's bonds (-lam within cells, +1 between cells), filled by
+    blocks._open_rings, and the corner compensation c at (1,N) and (N,1)."""
+    diagonal, bonds = peierls_ring(lam, N)  # checks N
+    h0 = _open_rings(diagonal[None], -bonds[None], np.float64)[0]
     c = corner_coupling(lam, N)
     h0[0, N - 1] = c
     h0[N - 1, 0] = c

@@ -1,17 +1,27 @@
 """Reference computations that only the tests read: the dense ground
 energies the spectral-shift engine is held against, the full-lattice
 ground energy, the closed-form curvature evaluated one eta at a time
-from its formula alone (nothing here comes from torus_qpt's closed forms),
-the closed-form perturbative fidelity at the gap minimum, and a
+from its formula alone (nothing of it comes from torus_qpt's closed forms),
+the closed-form perturbative fidelity at the gap minimum, a
 golden-section minimizer that compares values only (none of the package's
-derivatives)."""
+derivatives), and the sorted square-ring spectrum the dense solves are
+held against."""
 
 import cmath
 import math
 
 import numpy as np
 
-from torus_qpt import ModelSpec, build_lattice, corner_coupling, critical_modes, omega_factor, ring_lams, ring_levels
+from torus_qpt import (
+    ModelSpec,
+    build_lattice,
+    corner_coupling,
+    critical_modes,
+    omega_factor,
+    ring_lams,
+    ring_levels,
+    square_ring_modes,
+)
 
 
 def ground_energies(spec: ModelSpec, etas) -> np.ndarray:
@@ -96,3 +106,9 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-12) -> float:
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return 0.5 * (a + b)
+
+
+def square_ring_closed_form(N: int, phi: float, lam2k: float, eta) -> np.ndarray:
+    """Analytic spectrum of the uniform flux ring at eta = 0 or 1, sorted:
+    square_ring_modes' levels minus lam2k."""
+    return np.sort(square_ring_modes(N, phi, eta)[0]) - lam2k

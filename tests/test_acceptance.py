@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import dense_ring, record_criterion
-from oracles import d2_analytic, fidelity_at_minimum, golden_section_min
+from oracles import d2_analytic, fidelity_at_minimum, golden_section_min, square_ring_closed_form
 from torus_qpt import (
     ModelSpec,
     build_h0,
@@ -150,8 +150,6 @@ def test_criterion_04_extremum_and_curvature():
 
 
 def test_criterion_05_square_closed_forms():
-    from torus_qpt import square_ring_closed_form
-
     worst = 0.0
     for N in range(2, 65):
         for phi in (0.0, PHI, math.pi / 2):

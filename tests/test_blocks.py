@@ -135,12 +135,14 @@ def test_ring_stack_reads_the_flux_through_sin_cos(quarters):
 
 
 def test_ring_stack_chunks_split_eta_rows():
-    # 40 rings of 20 sites fill a chunk; 13 etas x 7 lambdas = 91 rings,
-    # so chunk edges fall inside an eta's row of lambdas
+    # CHUNK_ENTRIES // 400 rings of 20 sites fill a chunk, not a whole number of rows of 7 lambdas,
+    # so of 13 etas x 7 lambdas = 91 rings the chunk edges fall inside an eta's row of lambdas
     lams = [0.5, -0.5, 0.2, 1.5, -1.9, 0.0, 0.9]
     etas = np.linspace(0.0, 0.4, 13)
+    size = CHUNK_ENTRIES // (20 * 20)
+    assert size < 91 and size % 7 and 91 % size
     chunks = list(ring_stack("honeycomb", lams, 20, etas, math.pi / 3))
-    assert [len(c) for c in chunks] == [40, 40, 11]
+    assert [len(c) for c in chunks] == [size] * (91 // size) + [91 % size]
     stack = np.concatenate(chunks).reshape(13, 7, 20, 20)
     assert _same_bits(stack[5, 5], _written_ring("honeycomb", 0.0, 20, etas[5], math.pi / 3))
     assert _same_bits(stack[12, 6], _written_ring("honeycomb", 0.9, 20, etas[12], math.pi / 3))
@@ -158,11 +160,13 @@ def test_ring_stack_drops_each_chunk_before_building_the_next():
 
 
 @pytest.mark.parametrize(
-    "kind,N,n_etas,chunks", [("honeycomb", 20, 13, 3), ("square", 12, 20, 2), ("square", 2, 3, 1)]
+    "kind,N,n_etas,edges", [("honeycomb", 20, 13, True), ("square", 12, 20, True), ("square", 2, 3, False)]
 )
-def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, chunks):
-    # 7 lambdas per eta; a chunk holds 40 honeycomb rings of 20 sites or 113 square rings of 12
+def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, edges):
+    # 7 lambdas per eta; a chunk holds CHUNK_ENTRIES // N^2 rings, and the first two stacks straddle chunk edges
     lams, etas, phi = ring_lams(kind, 7), np.linspace(0.0, 0.4, n_etas), math.pi / 3
+    chunks = -(-7 * n_etas // (CHUNK_ENTRIES // (N * N)))
+    assert (chunks > 1) == edges
     assert len(list(ring_stack(kind, lams, N, etas, phi))) == chunks
     levels = ring_levels(kind, lams, N, etas, phi)
     assert levels.shape == (n_etas, 7, N)
@@ -172,7 +176,8 @@ def test_ring_levels_equal_per_ring_solves_across_chunk_edges(kind, N, n_etas, c
 
 
 def test_ring_levels_solves_one_chunk_at_a_time():
-    # 400 rings of 20 sites fill 10 chunks; only one of them, and the levels, may be alive at once
+    # 400 rings of 20 sites fill 400 // (CHUNK_ENTRIES // 400) chunks; only one of them, and the levels,
+    # may be alive at once
     etas = np.linspace(0.0, 0.4, 200)
     tracemalloc.start()
     try:

@@ -15,7 +15,6 @@ from torus_qpt import ModelSpec, blocks, scaling_scan
 from torus_qpt.cli import (
     COMMANDS,
     OPTIONS,
-    ConfigError,
     build_parser,
     integer,
     main,
@@ -118,14 +117,14 @@ def test_atomic_write_removes_its_temporary_on_failure(tmp_path, monkeypatch):
 
 
 def test_parse_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config("sweep", {"bogus": 1})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config("validate", {"M": 7})
 
 
 def test_parse_config_rejects_both_phi_forms():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config("sweep", {"phi": 0.1, "phi_over_pi": 0.5})
 
 
@@ -322,7 +321,7 @@ def test_accepted_config_keys_per_command(command):
     for key in sorted(set().union(*ACCEPTED_KEYS.values()) | {"config", "bogus"}):
         try:
             parse_config(command, {key: 1})
-        except ConfigError as exc:
+        except ValueError as exc:
             assert "keys not used" in str(exc), (key, str(exc))
         else:
             accepted.add(key)

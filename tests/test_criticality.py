@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from torus_qpt import (
     sweep,
     sweep_to_csv,
 )
-from torus_qpt import criticality, ssh
+from torus_qpt import blocks, criticality, ssh
 from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands, sin_cos
 from torus_qpt.criticality import (
     MAX_ETA,
@@ -385,16 +386,36 @@ def test_shift_engine_is_deterministic():
     ids=["honeycomb-M7-N20", "square-M5-N12", "honeycomb-M31-N64"],
 )
 def test_sweep_outputs_do_not_depend_on_the_block_size(monkeypatch, spec, bounds):
-    # the Chebyshev build and the eta rows are chunked into blocks of _BLOCK_ENTRIES
-    # entries; every block size, one row per block or all rows in one, gives the same bits
+    # every stacked temporary (the Chebyshev build, the eta rows and the dense rings of E_g(0)) is cut
+    # into blocks of blocks.CHUNK_ENTRIES entries; every block size, one row per block or all rows in
+    # one, gives the same bits
     def outputs():
         res = sweep(spec, **bounds)
         return [res.e_g_curve.tobytes(), res.d2_numeric.tobytes(), res.eta_m, res.peak, res.flags]
 
     default = outputs()
     for entries in (1, 2**20):
-        monkeypatch.setattr(criticality, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(blocks, "CHUNK_ENTRIES", entries)
         assert outputs() == default
+
+
+def test_shifted_energies_memory_is_bounded_by_the_block_rule():
+    # every (eta, node) temporary lives one block of at most blocks.CHUNK_ENTRIES entries at a time, so
+    # 10x the etas grows the peak by the two output arrays alone; 1 KiB covers the allocator's bookkeeping,
+    # while one block for all etas would add megabytes
+    for spec, eta_max in ((ModelSpec("honeycomb", 7, 20, phi=PHI), 0.7), (ModelSpec("square", 5, 12, phi=0.7), 1.0)):
+        table = _shift_table(spec, eta_max)
+        _shifted_energies(table, np.linspace(0.0, eta_max, 257))
+        peaks = []
+        for n in (257, 2570):
+            etas = np.linspace(0.0, eta_max, n)
+            tracemalloc.start()
+            try:
+                _shifted_energies(table, etas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * (2570 - 257) * np.dtype(np.float64).itemsize + 1024, spec
 
 
 @pytest.mark.parametrize("N", [4, 20, 392, 872])
@@ -854,12 +875,13 @@ def test_fidelity_exact_keeps_the_order_of_its_deltas():
 
 
 def test_fidelity_exact_solves_all_rings_in_one_stack_bit_for_bit():
-    # 25 deltas are 50 rings of 400 entries: two ring_stack chunks of 40. Each pair's f_exact equals
-    # a dense eigh of its two rings, read with the same vdot/SVD rule, to the last bit.
+    # 25 deltas are 50 rings of 400 entries, more than one ring_stack chunk of CHUNK_ENTRIES // 400.
+    # Each pair's f_exact equals a dense eigh of its two rings, read with the same vdot/SVD rule, to
+    # the last bit.
     lam, N = 0.5, 20
     c = corner_coupling(lam, N)
     deltas = np.geomspace(c / 100.0, 10.0 * c, 25)
-    assert 2 * deltas.size > CHUNK_ENTRIES // (N * N) >= deltas.size
+    assert 2 * deltas.size > CHUNK_ENTRIES // (N * N)
     f_exact = fidelity_exact(lam, N, PHI, c * math.cos(PHI), deltas)
     floor = np.finfo(np.float64).eps * (1.0 + abs(lam))
     want = []
@@ -905,6 +927,14 @@ def test_fidelity_exact_requires_isolated_doublet():
     c = corner_coupling(0.5, 100)
     with pytest.raises(RuntimeError, match="below double resolution"):
         fidelity_exact(0.5, 100, PHI, c * math.cos(PHI), [c])
+
+
+def test_fidelity_exact_requires_an_isolated_doublet_at_every_displaced_point():
+    # at eta = c*cos(phi) - 1 the exact "doublet" splits by 1.05 and the bands lie 0.044 away: the
+    # upper midgap vector belongs to no doublet (f_exact read 0.609 against f_perturbative's 6.9e-4)
+    c = corner_coupling(0.5, 20)
+    with pytest.raises(RuntimeError, match=r"not isolable from the bands at eta=-0\.999309: it splits by 1\.05"):
+        fidelity_exact(0.5, 20, PHI, c * math.cos(PHI), np.geomspace(1.0, 1e6, 25))
 
 
 def test_fidelity_exact_checks_the_resolution_of_each_point():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
-from torus_qpt import square_ring_closed_form, square_ring_modes
+from oracles import square_ring_closed_form
+from torus_qpt import square_ring_modes
 
 # open 4-site alternating chain at lam = 1: +/- golden ratio levels
 GOLDEN = (-1.618033988749895, -0.6180339887498949, 0.6180339887498949, 1.618033988749895)
