@@ -48,7 +48,6 @@ try:
     from .ssh import (
         MidgapSolution,
         analytic_curvature,
-        build_h0,
         corner_coupling,
         fidelity_perturbative,
         midgap_perturbation,
@@ -71,7 +70,6 @@ __all__ = [
     "__version__",
     "analytic_curvature",
     "blocks_to_csv",
-    "build_h0",
     "build_lattice",
     "corner_coupling",
     "critical_modes",

@@ -14,15 +14,14 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 down. Every momentum block is an open real tridiagonal chain closed by
 one boundary bond: `peierls_ring` and `square_ring` return that chain's
 bands (diagonal, bonds), and `ring_bands` stacks them, one builder call
-per lambda. The shift engine reads the bands; `_open_rings` alone makes
-them a dense chain (for `ring_stack`, `ring_levels` and `ssh.build_h0`),
-and `ring_stack` alone adds the boundary bond, in chunks. The one dense
-ring-solve path, `ring_levels`, solves those chunks for every ring level
-of the package (spectrum, ground energies, validate); when no ring has a
-boundary bond it builds real open rings from the bands instead, and
-solves them in real arithmetic. `row_blocks` cuts every stacked temporary
-(these chunks, the shift engine's rows) into blocks of at most
-CHUNK_ENTRIES entries. `blocks_to_csv` writes ring_stack's rings out.
+per lambda. The shift engine reads the bands; `ring_stack` alone makes
+them dense rings, in chunks, and alone adds the boundary bond: its chunks
+are real when no ring has one (every eta 0), complex otherwise. The one
+dense ring-solve path, `ring_levels`, solves those chunks for every ring
+level of the package (spectrum, ground energies, validate). `row_blocks`
+cuts every stacked temporary (these chunks, the shift engine's rows)
+into blocks of at most CHUNK_ENTRIES entries. `blocks_to_csv` writes
+ring_stack's rings out, as complex entries at every eta.
 `sin_cos` is the one reader of the flux phi: `ring_stack`'s boundary
 phase and every closed form of `ssh` take sin(phi) and cos(phi) from it.
 
@@ -102,57 +101,45 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
 
     The full stack has shape (len(etas), len(lams), N, N); it is yielded
     flattened over its first two axes (eta-major, lambda in the given
-    order) in chunks of shape (n, N, N) holding at most CHUNK_ENTRIES
-    complex entries (one ring when a single ring is larger). The generator
-    drops each chunk before it builds the next, so a consumer that keeps
-    no reference (ring_levels) has one chunk alive at a time.
+    order) in chunks of shape (n, N, N) cut by row_blocks (one ring when
+    a single ring is larger). The generator drops each chunk before it
+    builds the next, so a consumer that keeps no reference (ring_levels)
+    has one chunk alive at a time.
 
-    Each lambda's bands (ring_bands) go into its dense open ring once, with
-    a corner of exactly +0.0 (the bond -1 for a two-site square ring).
-    Every chunk copies open rings and adds the boundary bond
-    -eta*e^{i phi} at (N,1) and its conjugate at (1,N), its phase from
-    sin_cos; this is the one place a ring gets its boundary bond.
+    This is the package's one dense fill of a ring: each chunk is filled
+    from ring_bands, every other entry +0.0 (the corner too, but for a
+    two-site square ring's bond -1). With every eta 0 no ring has a
+    boundary bond and the chunks are real (float64). Otherwise they are
+    complex, and each ring gets the boundary bond -eta*e^{i phi} at (N,1)
+    and its conjugate at (1,N), its phase from sin_cos.
     """
     diagonals, bonds = ring_bands(kind, lams, N)
-    rings = _open_rings(diagonals, bonds, np.complex128)
+    closed = np.any(etas)
     sin_phi, cos_phi = sin_cos(phi)
     phase = complex(cos_phi, sin_phi)
     boundary = np.array([-eta * phase for eta in etas], dtype=np.complex128)
-    pairs = np.arange(len(boundary) * len(rings))
+    pairs = np.arange(len(boundary) * len(diagonals))
     for part in row_blocks(len(pairs), N * N):
         index = pairs[part]
-        chunk = rings[index % len(rings)]
-        bond = boundary[index // len(rings)]
-        chunk[:, N - 1, 0] += bond
-        chunk[:, 0, N - 1] += bond.conj()
+        rows = index % len(diagonals)
+        chunk = np.zeros((len(index), N * N), dtype=np.complex128 if closed else np.float64)
+        # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
+        chunk[:, :: N + 1] = diagonals[rows]
+        chunk[:, 1 :: N + 1] = chunk[:, N :: N + 1] = bonds[rows]
+        chunk = chunk.reshape(-1, N, N)
+        if closed:
+            bond = boundary[index // len(diagonals)]
+            chunk[:, N - 1, 0] += bond
+            chunk[:, 0, N - 1] += bond.conj()
         yield chunk
         del chunk  # freed before the next chunk is built, unless the consumer holds it
 
 
-def _open_rings(diagonals: np.ndarray, bonds: np.ndarray, dtype) -> np.ndarray:
-    """The dense open rings of stacked bands, shape (len(diagonals), N, N),
-    every other entry +0.0: the one dense fill of a chain."""
-    n, N = diagonals.shape
-    rings = np.zeros((n, N * N), dtype=dtype)
-    # row-major, (i, i) is entry i*(N + 1), (i, i + 1) is 1 + i*(N + 1) and (i + 1, i) is N + i*(N + 1)
-    rings[:, :: N + 1] = diagonals
-    rings[:, 1 :: N + 1] = rings[:, N :: N + 1] = bonds
-    return rings.reshape(n, N, N)
-
-
 def ring_levels(kind: str, lams, N: int, etas, phi: float) -> np.ndarray:
     """Sorted levels of every ring of ring_stack, shape (len(etas), len(lams), N):
-    one eigvalsh call per chunk, and map keeps no chunk once it is solved.
-    With every eta 0 no ring has a boundary bond: each chunk of open rings
-    is built real from ring_bands, and solved in real arithmetic."""
-    if np.any(etas):
-        chunks = ring_stack(kind, lams, N, etas, phi)
-    else:
-        diagonals, bonds = ring_bands(kind, lams, N)
-        rows = np.arange(len(etas) * len(diagonals)) % len(diagonals)
-        chunks = (_open_rings(diagonals[rows[part]], bonds[rows[part]], np.float64)
-                  for part in row_blocks(len(rows), N * N))
-    levels = map(np.linalg.eigvalsh, chunks)
+    one eigvalsh call per chunk (in real arithmetic when every eta is 0), and
+    map keeps no chunk once it is solved."""
+    levels = map(np.linalg.eigvalsh, ring_stack(kind, lams, N, etas, phi))
     return np.concatenate(list(levels)).reshape(len(etas), -1, N)
 
 
@@ -187,7 +174,8 @@ def blocks_to_csv(spec: ModelSpec) -> str:
         for j in range(1, N + 1):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     lams = ring_lams(spec.kind, M)
-    rings = np.concatenate(list(ring_stack(spec.kind, lams, N, [spec.eta], spec.phi)))
+    stack = ring_stack(spec.kind, lams, N, [spec.eta], spec.phi)
+    rings = np.concatenate(list(stack)).astype(np.complex128, copy=False)  # real at eta = 0
     # complex rings viewed as float64 list Re, Im of each entry in row-major order
     entries = rings.view(np.float64)
     rows = [[2.0 * math.pi * m / M, lam, *ring.ravel()] for m, lam, ring in zip(range(1, M + 1), lams, entries)]

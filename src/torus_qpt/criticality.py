@@ -83,7 +83,7 @@ import math
 
 import numpy as np
 
-from .blocks import ring_bands, ring_lams, ring_levels, ring_stack, row_blocks, sin_cos
+from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack, row_blocks, sin_cos
 from .models import ModelSpec, Record
 from .output import csv_text
 from .ssh import _refine_peak, critical_doublets, midgap_perturbation
@@ -95,7 +95,7 @@ MIN_STEPS = 64
 MAX_ETA = 100.0  # largest eta a sweep accepts: the engine's error bound is verified up to it
 
 # Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
-# panels of s = ln(y), from y = _Y_LO to at least _Y_HI*(4 + max eta).
+# panels of s = ln(y), from y = y_lo <= _Y_LO to at least _Y_HI*(4 + max eta).
 _GAUSS_POINTS = 10
 # Chebyshev samples of the near-node sums on [0, eta_max]; error O(rho^-K), rho = 3 + sqrt(8).
 _CHEB_POINTS = 33
@@ -211,7 +211,7 @@ class _ShiftTable(Record):
         self._set_fields(*fields)
 
 
-def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO) -> _ShiftTable:
+def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
     """Everything a sweep needs for E_g(eta) = E_g(0) + dE(eta) and its
     curvature at 0 <= eta <= eta_max: E_g(0) and the quadrature terms of
     ln|q(y, eta)|, where q = 1 + A*eta + B*eta^2 = det(1 - G0(iy) V) on the
@@ -226,15 +226,18 @@ def _shift_table(spec: ModelSpec, eta_max: float, y_lo: float = _Y_LO) -> _Shift
     where q nears 0 (a level crossing zero). The near nodes' weighted sums
     are analytic in eta for |eta| < 2*eta_max, so they are kept only at
     _CHEB_POINTS Chebyshev points and interpolated; `lowest` marks the far
-    nodes whose sign of Re q the level-crossing check reads."""
-    s_lo = math.log(y_lo)
+    nodes whose sign of Re q the level-crossing check reads. The lower cut
+    y_lo = min(_Y_LO, 1e-4*min_k |c_k*sin(phi)|/Omega_k) lies below every
+    midgap gap (ssh.critical_doublets)."""
+    sin_phi, cos_phi = sin_cos(spec.phi)
+    gaps = [abs(c * sin_phi) / om for c, om in critical_doublets(spec)]
+    s_lo = math.log(min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
     panels = math.ceil(math.log(_Y_HI * (4.0 + eta_max)) - s_lo)
     x, w = _gauss_legendre()
     s = np.concatenate(([s_lo], (s_lo + np.arange(panels)[:, None] + x).ravel(), [s_lo + panels]))
     y = np.exp(s)
     # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
-    sin_phi, cos_phi = sin_cos(spec.phi)
     s2, M, kind = sin_phi ** 2, spec.M, spec.kind
     modes = [*range(1, M // 2 + 1), M]
     diagonals, bonds = ring_bands(kind, ring_lams(kind, M, modes), spec.N)
@@ -402,15 +405,15 @@ def sweep(
     MIN_STEPS and 0 <= eta_min < eta_max <= MAX_ETA.
 
     E_g and d2E_g/deta2 come from one spectral-shift table (see the module
-    docstring), whose lower cut y_lo = min(1e-14, 1e-4*min_k
-    |c_k*sin(phi)|/Omega_k) is below every midgap gap. The peak is the
-    interior grid argmax of |d2_numeric|, refined within one step to the
-    zero of the curvature's exact third derivative (Newton steps, see
-    ssh._refine_peak), so eta_m does not depend on the grid; `peak` is the
-    curvature there. An argmax on the first or last interior point is
-    flagged 'peak-not-bracketed' and left unrefined; sin(phi) = 0 on the
-    honeycomb lattice marks the sweep 'first-order-crossing' (the spike is
-    a level crossing, a kink of E_g) and also skips refinement. A phi
+    docstring and _shift_table), whose lower cut is below every midgap
+    gap. The peak is the interior grid argmax of |d2_numeric|, refined
+    within one step to the zero of the curvature's exact third derivative
+    (Newton steps, see ssh._refine_peak), so eta_m does not depend on the
+    grid; `peak` is the curvature there. An argmax on the first or last
+    interior point is flagged 'peak-not-bracketed' and left unrefined;
+    sin(phi) = 0 on the honeycomb lattice marks the sweep
+    'first-order-crossing' (the spike is a level crossing, a kink of E_g)
+    and also skips refinement. A phi
     within one ulp of a multiple of pi/2 counts as exactly that multiple
     (sin and cos are exactly 0 or +-1).
     'level-crossing' reports that some ring level crosses zero between two
@@ -436,8 +439,7 @@ def sweep(
     if not 0.0 <= lo < hi <= MAX_ETA:
         raise ValueError(f"need finite 0 <= eta_min < eta_max <= {MAX_ETA:g}, got [{lo}, {hi}]")
 
-    gaps = [abs(c * sin_phi) / om for c, om in doublets]
-    table = _shift_table(spec, hi, min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
+    table = _shift_table(spec, hi)
     grid = np.linspace(lo, hi, steps + 1)
     h = (hi - lo) / steps
     e_curve, d2_num = _shifted_energies(table, grid)
@@ -512,9 +514,10 @@ def scaling_scan(
 
     ValueError rejects the input before any sweep: sin(phi) = 0 (phi within
     one ulp of a multiple of pi counts), fewer than two distinct ring
-    lengths, or an (M, N) that ModelSpec rejects (every spec is built
-    first). RuntimeError reports a sweep whose curvature peak is not
-    bracketed by its grid (M = 11 at N = 8, say).
+    lengths, an (M, N) that ModelSpec rejects (every spec is built first),
+    or an M none of whose critical modes has lambda != 0 (M = 3, 4 and 6:
+    no peak to fit at any N). RuntimeError reports a sweep whose curvature
+    peak is not bracketed by its grid (M = 11 at N = 8, say).
     """
     if sin_cos(phi)[0] == 0.0:
         raise ValueError("scaling scan needs sin(phi) != 0 (otherwise the transition is first order)")
@@ -522,6 +525,8 @@ def scaling_scan(
     if len(n_values) < 2:
         raise ValueError(f"a scaling fit needs at least two distinct ring lengths, got {n_values}")
     specs = [ModelSpec("honeycomb", M, n, 0.0, phi) for n in n_values]
+    if not any(ring_lams("honeycomb", M, critical_modes(M))):
+        raise ValueError(f"scaling scan needs a critical mode with lambda != 0; M={M} has none")
 
     eta_ms = []
     peaks = []

@@ -16,13 +16,14 @@ places that sum's extremum, the sweep's peak and `validate`'s gap minimum.
 Every closed form here reads the flux through `blocks.sin_cos`, and every
 energy is in units of the hopping t.
 
-Conventions. The dimensionless reference matrix h0 (`build_h0`) is the
-open alternating ring (bonds -lambda within cells, +1 between cells:
-minus the bands of `blocks.peierls_ring`, made dense by the package's one
-chain fill, `blocks._open_rings`) plus a corner compensation entry c at
-(1,N)/(N,1). The ring block of `blocks.ring_stack` equals
+Conventions. The dimensionless reference matrix h0 is the open
+alternating ring (bonds -lambda within cells, +1 between cells: minus
+the bands of `blocks.peierls_ring`) plus a corner compensation entry c
+at (1,N)/(N,1). The ring block of `blocks.ring_stack` equals
 -(h0 + h'), where h' holds only the corner remainders
-eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N). Every closed
+eta*e^{i phi} - c at (N,1) and eta*e^{-i phi} - c at (1,N); so the ring
+that ring_stack closes with the bond eta = c at phi = 0 is -h0, entry for
+entry, and `validate`'s zero-mode check reads h0 from there. Every closed
 form here reads the physical corner c = lambda^(N/2), which makes h0
 annihilate the zero-mode vectors exactly. `validate --convention sites`
 evaluates them on the 2N-site ring, whose physical corner lambda^N is the
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .blocks import _open_rings, critical_modes, peierls_ring, ring_lams, sin_cos
+from .blocks import critical_modes, ring_lams, sin_cos
 from .models import ModelSpec, Record
 
 
@@ -80,18 +81,6 @@ def zero_modes(lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     for vector in pair:
         vector.setflags(write=False)
     return pair
-
-
-def build_h0(lam: float, N: int) -> np.ndarray:
-    """The reference matrix h0, a writable (N, N) array: minus the open
-    ring's bonds (-lam within cells, +1 between cells), filled by
-    blocks._open_rings, and the corner compensation c at (1,N) and (N,1)."""
-    diagonal, bonds = peierls_ring(lam, N)  # checks N
-    h0 = _open_rings(diagonal[None], -bonds[None], np.float64)[0]
-    c = corner_coupling(lam, N)
-    h0[0, N - 1] = c
-    h0[N - 1, 0] = c
-    return h0
 
 
 class MidgapSolution(Record):

@@ -6,7 +6,10 @@ property for both lattices, exact zero-mode annihilation, the square
 closed-form spectra, perturbation theory against dense diagonalization,
 the gap-minimum location (Newton on the exact gap's Hellmann-Feynman
 slope, one eigh per step), curvature consistency, and the fidelity
-relations. Each tolerance is fixed in CHECKS.
+relations. Each tolerance is fixed in CHECKS. Every ring a check reads
+comes from `blocks.ring_stack`, the zero-mode check's h0 too: the ring
+closed by the bond eta = c at phi = 0 is -h0 (see `ssh`), with c the
+convention's corner.
 
 The corner convention is the suite's one knob. 'cells' is the physical
 corner c = lambda^(N/2) that every closed form of `ssh` reads. 'sites'
@@ -37,7 +40,7 @@ from .blocks import ring_lams, ring_levels, ring_stack, sin_cos
 from .criticality import fidelity_exact
 from .eigensolve import square_ring_modes
 from .models import ModelSpec, build_lattice
-from .ssh import _refine_peak, build_h0, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
+from .ssh import _refine_peak, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
 
 CONVENTIONS = ("cells", "sites")
 
@@ -75,19 +78,15 @@ def check_block_union_square(convention: str) -> float:
     return _union_deviation(specs)
 
 
-def _reference_h0(lam: float, n: int, convention: str) -> np.ndarray:
-    """`ssh.build_h0` with the convention's corner in its two corner entries."""
-    h0 = build_h0(lam, n)
-    h0[0, n - 1] = h0[n - 1, 0] = corner_coupling(lam, _corner_length(n, convention))
-    return h0
-
-
 def check_zero_mode_residual(convention: str) -> float:
+    # ring_stack's ring closed by the bond eta = c at phi = 0 is -h0 (see ssh), and the norm does
+    # not see the sign; a contiguous real copy keeps the product one BLAS dgemv
     worst = 0.0
     for lam in (0.2, -0.2, 0.5, -0.5, 0.9, -0.9):
         for n in (4, 8, 12, 20, 40):
-            h0 = _reference_h0(lam, n, convention)
-            worst = max(worst, *(float(np.linalg.norm(h0 @ a)) for a in zero_modes(lam, n)))
+            c = corner_coupling(lam, _corner_length(n, convention))
+            ring = next(ring_stack("honeycomb", [lam], n, [c], 0.0))[0].real.copy()
+            worst = max(worst, *(float(np.linalg.norm(ring @ a)) for a in zero_modes(lam, n)))
     return worst
 
 

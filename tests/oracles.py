@@ -1,7 +1,9 @@
-"""Reference computations that only the tests read: the dense ground
-energies the spectral-shift engine is held against, the full-lattice
-ground energy, the closed-form curvature evaluated one eta at a time
-from its formula alone (nothing of it comes from torus_qpt's closed forms),
+"""Reference computations that only the tests read: the reference matrix
+h0 of ssh's split, filled entry by entry (the package builds no h0: its
+zero-mode check reads the ring blocks.ring_stack closes at eta = c), the
+dense ground energies the spectral-shift engine is held against, the
+full-lattice ground energy, the closed-form curvature evaluated one eta at
+a time from its formula alone (nothing of it comes from torus_qpt's closed forms),
 the closed-form perturbative fidelity at the gap minimum, a
 golden-section minimizer that compares values only (none of the package's
 derivatives), and the sorted square-ring spectrum the dense solves are
@@ -22,6 +24,17 @@ from torus_qpt import (
     ring_levels,
     square_ring_modes,
 )
+
+
+def build_h0(lam: float, N: int) -> np.ndarray:
+    """The reference matrix h0 of an even N-site ring, a writable (N, N) float64
+    array: -lam on the within-cell bonds (1,2), (3,4), ..., +1 on the between-cell
+    bonds, and the corner compensation c = lambda^(N/2) at (1,N) and (N,1)."""
+    h0 = np.zeros((N, N))
+    for i in range(N - 1):
+        h0[i, i + 1] = h0[i + 1, i] = -lam if i % 2 == 0 else 1.0
+    h0[0, N - 1] = h0[N - 1, 0] = corner_coupling(lam, N)
+    return h0
 
 
 def ground_energies(spec: ModelSpec, etas) -> np.ndarray:

@@ -10,10 +10,9 @@ import time
 import numpy as np
 
 from conftest import dense_ring, record_criterion
-from oracles import d2_analytic, fidelity_at_minimum, golden_section_min, square_ring_closed_form
+from oracles import build_h0, d2_analytic, fidelity_at_minimum, golden_section_min, square_ring_closed_form
 from torus_qpt import (
     ModelSpec,
-    build_h0,
     build_lattice,
     corner_coupling,
     fidelity_exact,

@@ -190,18 +190,21 @@ def test_ring_levels_solves_one_chunk_at_a_time():
 
 
 def test_open_rings_are_solved_in_real_arithmetic_to_the_same_bits(monkeypatch):
-    # with every eta 0 no ring has a boundary bond: ring_levels hands eigvalsh the real parts of the
-    # rings, and their levels are the complex solve's, bit for bit
+    # with every eta 0 no ring has a boundary bond: ring_stack yields real rings, ring_levels hands
+    # them to eigvalsh, and their levels are the solve of the same rings cast complex, bit for bit
     cases = [("square", (-2.0, 0.0, 1.0), N) for N in range(2, 65)]
     cases += [("honeycomb", ring_lams("honeycomb", M), N) for M in (3, 7, 31) for N in (8, 20, 64)]
     solve, dtypes = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda rings: dtypes.append(rings.dtype) or solve(rings))
     for kind, lams, N in cases:
-        complex_levels = np.concatenate([solve(chunk) for chunk in ring_stack(kind, lams, N, [0.0], math.pi / 3)])
+        chunks = list(ring_stack(kind, lams, N, [0.0], math.pi / 3))
+        assert {chunk.dtype for chunk in chunks} == {np.dtype(np.float64)}
+        complex_levels = np.concatenate([solve(chunk.astype(np.complex128)) for chunk in chunks])
         assert ring_levels(kind, lams, N, [0.0], math.pi / 3)[0].tobytes() == complex_levels.tobytes(), (kind, N)
     assert set(dtypes) == {np.dtype(np.float64)}
     ring_levels("square", [0.0], 4, [0.0, 0.5], math.pi / 3)  # one ring with a boundary bond: complex
     assert dtypes[-1] == np.complex128
+    assert next(ring_stack("square", [0.0], 4, [0.0, 0.5], math.pi / 3)).dtype == np.complex128
 
 
 def test_honeycomb_block_lambdas():

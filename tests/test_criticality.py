@@ -575,7 +575,7 @@ def test_sweep_exact_outputs_do_not_read_the_convention(M, N):
     # so no public callable of ssh takes a convention
     public = [value for name, value in vars(ssh).items()
               if callable(value) and not name.startswith("_") and value.__module__ == ssh.__name__]
-    assert {"corner_coupling", "omega_factor", "build_h0", "midgap_perturbation"} <= {f.__name__ for f in public}
+    assert {"corner_coupling", "omega_factor", "midgap_perturbation"} <= {f.__name__ for f in public}
     for function in (sweep, fidelity_exact, *public):
         assert "convention" not in inspect.signature(function).parameters, function.__name__
     assert list(inspect.signature(SweepResult).parameters) == [
@@ -829,6 +829,10 @@ def test_scaling_scan_dedupes_and_sorts():
     "kwargs",
     [
         dict(M=2, phi=PHI, n_list=[8, 12], steps=128),
+        # no critical mode has lambda != 0: the window is empty at M = 3, its one lambda is 0 at M = 4 and 6
+        dict(M=3, phi=PHI, n_list=[4, 8, 12], steps=128),
+        dict(M=4, phi=PHI, n_list=[8, 12], steps=128),
+        dict(M=6, phi=PHI, n_list=[8, 12, 16], steps=128),
         dict(M=7.0, phi=PHI, n_list=[8, 12], steps=128),
         dict(M=7, phi=0.0, n_list=[8], steps=128),
         dict(M=7, phi=PHI, n_list=[], steps=128),

