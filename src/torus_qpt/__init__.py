@@ -31,7 +31,6 @@ try:
         critical_modes,
         peierls_ring,
         ring_lams,
-        ring_levels,
         ring_stack,
         square_ring,
     )
@@ -43,7 +42,7 @@ try:
         sweep,
         sweep_to_csv,
     )
-    from .eigensolve import square_ring_modes
+    from .eigensolve import ring_levels, square_ring_modes
     from .models import ModelSpec, build_lattice
     from .ssh import (
         MidgapSolution,

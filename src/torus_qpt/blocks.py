@@ -14,14 +14,13 @@ blocks, one per momentum k = 2*pi*m/M with m = 1..M:
 down. Every momentum block is an open real tridiagonal chain closed by
 one boundary bond: `peierls_ring` and `square_ring` return that chain's
 bands (diagonal, bonds), and `ring_bands` stacks them, one builder call
-per lambda. The shift engine reads the bands; `ring_stack` alone makes
-them dense rings, in chunks, and alone adds the boundary bond: its chunks
-are real when no ring has one (every eta 0), complex otherwise. The one
-dense ring-solve path, `ring_levels`, solves those chunks for every ring
-level of the package (spectrum, ground energies, validate). `row_blocks`
-cuts every stacked temporary (these chunks, the shift engine's rows)
-into blocks of at most CHUNK_ENTRIES entries. `blocks_to_csv` writes
-ring_stack's rings out, as complex entries at every eta.
+per lambda. `ring_stack` alone makes them dense rings, in chunks, and
+alone adds the boundary bond: its chunks are real when no ring has one
+(every eta 0), complex otherwise. `row_blocks` cuts every stacked
+temporary (these chunks, the shift engine's rows) into blocks of at most
+CHUNK_ENTRIES entries. `blocks_to_csv` writes ring_stack's rings out, as
+complex entries at every eta. `eigensolve` computes each ring's
+spectral data from these bands and rings.
 `sin_cos` is the one reader of the flux phi: `ring_stack`'s boundary
 phase and every closed form of `ssh` take sin(phi) and cos(phi) from it.
 
@@ -79,7 +78,7 @@ def ring_bands(kind: str, lams, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The open rings' bands stacked over `lams`, shapes (len(lams), N) and
     (len(lams), N - 1): one peierls_ring (honeycomb) or square_ring (any
     other kind) call per lambda. Every row of both bands reads the same
-    backwards, which lets criticality._boundary_green take G_11 as G_NN."""
+    backwards, which lets eigensolve.boundary_green take G_11 as G_NN."""
     build = peierls_ring if kind == "honeycomb" else square_ring
     diagonals, bonds = zip(*(build(lam, N) for lam in lams))
     return np.stack(diagonals), np.stack(bonds)
@@ -103,7 +102,7 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
     flattened over its first two axes (eta-major, lambda in the given
     order) in chunks of shape (n, N, N) cut by row_blocks (one ring when
     a single ring is larger). The generator drops each chunk before it
-    builds the next, so a consumer that keeps no reference (ring_levels)
+    builds the next, so a consumer that keeps no reference (eigensolve's)
     has one chunk alive at a time.
 
     This is the package's one dense fill of a ring: each chunk is filled
@@ -133,14 +132,6 @@ def ring_stack(kind: str, lams, N: int, etas, phi: float):
             chunk[:, 0, N - 1] += bond.conj()
         yield chunk
         del chunk  # freed before the next chunk is built, unless the consumer holds it
-
-
-def ring_levels(kind: str, lams, N: int, etas, phi: float) -> np.ndarray:
-    """Sorted levels of every ring of ring_stack, shape (len(etas), len(lams), N):
-    one eigvalsh call per chunk (in real arithmetic when every eta is 0), and
-    map keeps no chunk once it is solved."""
-    levels = map(np.linalg.eigvalsh, ring_stack(kind, lams, N, etas, phi))
-    return np.concatenate(list(levels)).reshape(len(etas), -1, N)
 
 
 def ring_lams(kind: str, M: int, modes=None) -> list[float]:

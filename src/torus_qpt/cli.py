@@ -32,8 +32,9 @@ import sys
 
 import numpy as np
 
-from .blocks import blocks_to_csv, ring_lams, ring_levels, sin_cos
+from .blocks import blocks_to_csv, ring_lams, sin_cos
 from .criticality import fidelity_exact, scaling_scan, sweep, sweep_to_csv
+from .eigensolve import ring_levels
 from .models import KINDS, ModelSpec
 from .output import atomic_write_text, csv_text, fmt_float, json_text
 from .ssh import analytic_curvature, corner_coupling, fidelity_perturbative

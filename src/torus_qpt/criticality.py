@@ -14,15 +14,8 @@ one extremum finder, `_refine_peak`.
 
 Energies along sweeps are assembled from the momentum blocks, which
 carry the same multiset spectrum as the full lattice (block-union
-property, validated to 1e-10). Every ring coupling comes from
-`blocks.ring_lams`, every open ring's bands from `blocks.ring_bands`,
-every dense ring (boundary bond included) from `blocks.ring_stack`, and
-every dense ring level from `blocks.ring_levels`, the one dense
-ring-level path, and every block of a stacked temporary (the engine's
-eta rows and Chebyshev rows) from `blocks.row_blocks`, the one block
-rule. `fidelity_exact` takes its eigenvectors from one `ring_stack` pass
-over all its displaced rings (one eigh per chunk) and its doublet
-splitting scale from `ssh.midgap_perturbation`.
+property, validated to 1e-10). Every level, vector and resolvent entry
+of a ring comes from `eigensolve`.
 
 Every energy is in units of the hopping t. In both entry points (`sweep`
 and `fidelity_exact`) NumPy raises on overflow, invalid values and
@@ -39,14 +32,9 @@ with A = 2*cos(phi)*G_1N and B = G_1N^2 - G_11*G_NN from the
 boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
 the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
 with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
-E_g(0) sums the dense levels of the open rings. Every open ring's bands
-are palindromic (blocks.ring_bands), so G_11 = G_NN bit for bit, and the
-two G0 entries G_NN and G_1N come from one O(N) continued fraction over
-H0's bands, once per distinct mode (m and M - m share them) on one node
-set, and serve every eta of the sweep. A honeycomb ring's diagonal is
-zero, so at z = iy its fraction is real: gamma_j = 1/(y + b^2*gamma_(j-1)),
-G_NN = -i*gamma and G_1N = (-i)^N * prod(b*gamma): the complex fraction's
-values, rounded the same way, in real arithmetic.
+E_g(0) sums the dense levels of the open rings. G_1N and G_NN^2 =
+G_11*G_NN come from eigensolve.boundary_green once per distinct mode (m
+and M - m share them) on one node set, and serve every eta of the sweep.
 The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y)
 over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
 gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
@@ -83,7 +71,8 @@ import math
 
 import numpy as np
 
-from .blocks import critical_modes, ring_bands, ring_lams, ring_levels, ring_stack, row_blocks, sin_cos
+from .blocks import critical_modes, ring_lams, row_blocks, sin_cos
+from .eigensolve import boundary_green, midgap_doublets, ring_levels
 from .models import ModelSpec, Record
 from .output import csv_text
 from .ssh import _refine_peak, critical_doublets, midgap_perturbation
@@ -166,38 +155,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _boundary_green(diag: np.ndarray, bonds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G_NN and G_1N of (z - H0)^-1, one row per open ring of a stack of
-    bands (blocks.ring_bands: diag (rings, N), bonds (rings, N - 1)) and one
-    column per z, by a continued fraction over the sites. The bands are
-    palindromic, so the backward fraction for G_11 would repeat this one's
-    operations exactly: G_11 is G_NN.
-
-    Each running value is a resolvent entry of a sub-chain, so at z = iy
-    none exceeds 1/y in size."""
-    a = diag.T[:, :, None]
-    b = bonds.T[:, :, None]
-    g = 1.0 / (z - a[0])
-    g1n = g
-    for j in range(1, len(a)):
-        g = 1.0 / (z - a[j] - b[j - 1] * b[j - 1] * g)
-        g1n = g1n * b[j - 1] * g
-    return g, g1n
-
-
-def _honeycomb_green(bonds: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma and p of honeycomb rings at z = iy, in real arithmetic: G_NN =
-    -i*gamma and G_1N = (-i)^N * p, which is p itself as N % 4 == 0. The
-    diagonal is zero, so _boundary_green's fraction is gamma_j = 1/(y +
-    b^2*gamma_(j-1)), and these are its nonzero parts, rounded alike (a
-    product that underflows may give a zero of the other sign)."""
-    g = g1n = 1.0 / y
-    for b in bonds.T[:, :, None]:
-        g = 1.0 / (y + b * b * g)
-        g1n = g1n * b * g
-    return g, g1n
-
-
 class _ShiftTable(Record):
     """A sweep's spectral-shift table (see _shift_table): the lattice kind,
     E_g(0), the Chebyshev points on [0, eta_max], their barycentric weights
@@ -240,13 +197,7 @@ def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
     weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
     s2, M, kind = sin_phi ** 2, spec.M, spec.kind
     modes = [*range(1, M // 2 + 1), M]
-    diagonals, bonds = ring_bands(kind, ring_lams(kind, M, modes), spec.N)
-    if kind == "honeycomb":
-        gamma, g1n = (g.ravel() for g in _honeycomb_green(bonds, y))
-        gnn2 = -(gamma * gamma)  # G_NN^2, real as G_1N: A, B and d4 are real
-    else:
-        gnn, g1n = (g.ravel() for g in _boundary_green(diagonals, bonds, 1j * y))
-        gnn2 = gnn * gnn
+    g1n, gnn2 = (g.ravel() for g in boundary_green(kind, ring_lams(kind, M, modes), spec.N, y))  # real on honeycomb
     a = 2.0 * cos_phi * g1n
     b = g1n * g1n - gnn2  # G_11 = G_NN
     d4 = gnn2 - s2 * g1n * g1n  # (A^2 - 4B)/4, formed without cancellation
@@ -590,10 +541,9 @@ def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid
     by less than its separation from the bands, or a RuntimeError names that
     eta. When the doublet at either displaced point splits by at most 64
     floors, the overlap falls back to the principal angle between the
-    two-dimensional midgap subspaces. All 2*len(delta_grid) displaced rings
-    are solved in one ring_stack pass, and each keeps only its four central
-    levels and two midgap vectors. Arithmetic out of double range is a
-    RuntimeError too.
+    two-dimensional midgap subspaces. The centre and every displaced ring
+    are solved in one pass (eigensolve.midgap_doublets). Arithmetic out of
+    double range is a RuntimeError too.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64)
     if deltas.size == 0 or not (deltas > 0.0).all():
@@ -610,21 +560,15 @@ def fidelity_exact(lam: float, N: int, phi: float, eta_center: float, delta_grid
                 f"2(t/Omega)|eta*e^(i phi) - c| = {split:.3g} is {split / floor:.3g} x eps*(1 + |lambda|)*t, "
                 f"below 1e3 (lambda={lam:g}, N={N})"
             )
-    evals = ring_levels("honeycomb", [lam], N, [eta_center], phi)[0, 0]
-    band_sep = float(min(evals[N // 2 + 1] - evals[N // 2], evals[N // 2 - 1] - evals[N // 2 - 2]))
+    levels, vectors = midgap_doublets(lam, N, [eta_center, *etas], phi)
+    w, levels, vectors = levels[0], levels[1:], vectors[1:]  # the centre ring's levels, then the displaced rings
+    band_sep = float(min(w[3] - w[2], w[1] - w[0]))
     if band_sep < 10.0 * center.gap_min:
         raise RuntimeError(
             "midgap doublet not isolable from the bands: "
             f"separation {band_sep:.6g} < 10*gap_min = {10.0 * center.gap_min:.6g} "
             f"(separation/gap_min = {band_sep / center.gap_min:.3g})"
         )
-
-    def doublet(chunk):
-        # the four central levels and two midgap vectors of each ring; the chunk's eigenbasis dies with the call
-        w, v = np.linalg.eigh(chunk)
-        return w[:, N // 2 - 2 : N // 2 + 2].copy(), v[:, :, N // 2 - 1 : N // 2 + 1].copy()
-
-    levels, vectors = map(np.concatenate, zip(*map(doublet, ring_stack("honeycomb", [lam], N, etas, phi))))
     for eta, w in zip(etas, levels):
         split, separation = w[2] - w[1], min(w[3] - w[2], w[1] - w[0])
         if not split < separation:

@@ -36,9 +36,9 @@ import time
 
 import numpy as np
 
-from .blocks import ring_lams, ring_levels, ring_stack, sin_cos
+from .blocks import ring_lams, ring_stack, sin_cos
 from .criticality import fidelity_exact
-from .eigensolve import square_ring_modes
+from .eigensolve import ring_levels, square_ring_modes
 from .models import ModelSpec, build_lattice
 from .ssh import _refine_peak, corner_coupling, fidelity_perturbative, midgap_perturbation, zero_modes
 

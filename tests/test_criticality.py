@@ -30,16 +30,15 @@ from torus_qpt import blocks, criticality, ssh
 from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands, sin_cos
 from torus_qpt.criticality import (
     MAX_ETA,
-    _boundary_green,
     _factor,
     _far_nodes,
-    _honeycomb_green,
     _level_crossing,
     _near_nodes,
     _node_slopes,
     _shift_table,
     _shifted_energies,
 )
+from torus_qpt.eigensolve import _boundary_green, _honeycomb_green
 from torus_qpt.ssh import _d2_sum, critical_doublets
 
 PHI = math.pi / 4

@@ -1,11 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import dense_ring
 from oracles import square_ring_closed_form
-from torus_qpt import square_ring_modes
+from outputs import read_table
+from torus_qpt import ring_lams, ring_stack, square_ring_modes
+from torus_qpt.cli import main
+from torus_qpt.eigensolve import boundary_green
 
 # open 4-site alternating chain at lam = 1: +/- golden ratio levels
 GOLDEN = (-1.618033988749895, -0.6180339887498949, 0.6180339887498949, 1.618033988749895)
@@ -82,3 +86,41 @@ def test_residual_equals_the_eigenpair_residual():
 def test_square_ring_modes_rejects_what_has_no_closed_form(N, eta):
     with pytest.raises(ValueError):
         square_ring_modes(N, 0.0, eta)
+
+
+@pytest.mark.parametrize("kind,M,N", [("honeycomb", M, N) for M in (7, 31) for N in (4, 8, 20, 40)]
+                         + [("square", M, N) for M in (2, 5, 7) for N in (2, 12, 33)])
+def test_boundary_green_is_the_corner_of_the_dense_resolvent(kind, M, N):
+    # the continued fraction's G_1N and G_NN^2 against inv(iy - H0), H0 ring_stack's open ring of every mode;
+    # G_11^2 is held against G_NN^2 too, as the shift engine reads one for the other (worst seen: 1.1e-14)
+    lams, y = ring_lams(kind, M), np.geomspace(1e-3, 1e3, 25)
+    g1n, gnn2 = boundary_green(kind, lams, N, y)
+    assert g1n.shape == gnn2.shape == (M, len(y))
+    rings = np.concatenate(list(ring_stack(kind, lams, N, [0.0], 0.0)))
+    dense = np.moveaxis(np.linalg.inv(1j * y[:, None, None, None] * np.eye(N) - rings), 0, 1)  # (rings, y, N, N)
+    for got, want in ((g1n, dense[..., 0, N - 1]), (gnn2, dense[..., N - 1, N - 1] ** 2), (gnn2, dense[..., 0, 0] ** 2)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_every_lapack_call_of_the_readme_lines_comes_from_eigensolve(monkeypatch, tmp_path, capsys):
+    # as the benchmark tracer's NumPy boundary does, each eigvalsh/eigh call is attributed to the module and
+    # function of the frame that makes it; only validate's two oracles solve outside eigensolve
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def recorded(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            caller = sys._getframe(1)
+            calls.append((_name, caller.f_globals["__name__"], caller.f_code.co_name))
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    by_command = {}
+    for row in read_table("readme"):
+        calls.clear()
+        assert main([*row.args, "--out", str(tmp_path / row.name)]) == row.exit, row.line
+        by_command.setdefault(row.args[0], set()).update(calls)
+    capsys.readouterr()
+    oracles = {("torus_qpt.validate", "_union_deviation"), ("torus_qpt.validate", "_gap_slopes")}
+    callers = {(module, function) for command in by_command.values() for _, module, function in command}
+    assert {module for module, _ in callers - oracles} == {"torus_qpt.eigensolve"}
+    assert oracles <= callers
+    assert {name for name, _, _ in by_command["fidelity"]} == {"eigh"}
