@@ -35,16 +35,21 @@ with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
 E_g(0) sums the dense levels of the open rings. G_1N and G_NN^2 =
 G_11*G_NN come from eigensolve.boundary_green once per distinct mode (m
 and M - m share them) on one node set, and serve every eta of the sweep.
-The quadrature is 10-point Gauss-Legendre on unit panels of s = ln(y)
-over [ln y_lo, ln(1e5*(4 + max eta))], y_lo <= 1e-14 below every midgap
-gap, plus the end terms y*f(y) at both cuts (the tail falls like 1/y^2).
+The quadrature places its two ends by the spectrum's own scales. Below
+y_lo, where no level lies within 16*y_lo of zero (the honeycomb lattice's
+level floor sigma, `_level_floor`), one 6-point Gauss-Legendre rule in y
+covers [0, y_lo]; elsewhere y_lo <= 1e-14 lies below every midgap gap and a
+2-point rule covers it. Above y_top >= 8*(4 + max eta), past every level,
+one 8-point rule in t = 1/y covers the tail. Between them, 10-point rules
+run on unit panels of s = ln(y) (_shift_table gives the convergence
+argument). At M = 7, phi = pi/4 and N = 8..32 a table has 496 to 856 nodes.
 
 The nodes come in two kinds. A near node has |A|*max eta + |B|*(max
 eta)^2 <= 1/4, so |q - 1| <= 1/4 for every eta of the range, and ln|q| is
-log1p(q - 1). Near nodes are most of the table (85 % at M = 7, N = 8..32),
-and their summed ln|q| and curvature are analytic in eta on |eta| < 2*max
-eta. So the table keeps those two sums only at 33 Chebyshev points of
-[0, max eta], each computed exactly, and an eta reads them back by
+log1p(q - 1). Near nodes are most of the table (89 to 94 % at M = 7, N =
+8..32), and their summed ln|q| and curvature are analytic in eta on |eta|
+< 2*max eta. So the table keeps those two sums only at 33 Chebyshev
+points of [0, max eta], each computed exactly, and an eta reads them back by
 barycentric interpolation (relative error below 1e-15). A far node's
 ln|q| comes from the factored q, so neither large y nor a level crossing
 zero loses digits, and it is evaluated at every eta. A sweep therefore
@@ -83,13 +88,13 @@ MIN_STEPS = 64
 
 MAX_ETA = 100.0  # largest eta a sweep accepts: the engine's error bound is verified up to it
 
-# Spectral-shift quadrature: _GAUSS_POINTS-point Gauss-Legendre on unit
-# panels of s = ln(y), from y = y_lo <= _Y_LO to at least _Y_HI*(4 + max eta).
+# Spectral-shift quadrature (see _shift_table): _GAUSS_POINTS-point Gauss-Legendre
+# on unit panels of s = ln(y) between the two end rules; _Y_LO caps the lower
+# cut where no level bound holds.
 _GAUSS_POINTS = 10
 # Chebyshev samples of the near-node sums on [0, eta_max]; error O(rho^-K), rho = 3 + sqrt(8).
 _CHEB_POINTS = 33
 _Y_LO = 1e-14
-_Y_HI = 1e5
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +142,9 @@ def _open_ground_energy(spec: ModelSpec) -> float:
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """_GAUSS_POINTS-point Gauss-Legendre nodes and weights on [0, 1], by
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes (ascending) and weights on [0, 1], by
     Newton's method on the Legendre three-term recurrence."""
-    n = _GAUSS_POINTS
     x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):
         p0, p1 = np.ones(n), x
@@ -160,12 +164,38 @@ class _ShiftTable(Record):
     E_g(0), the Chebyshev points on [0, eta_max], their barycentric weights
     and the near-node sums of ln|q| and d2 ln|q| there; the near nodes'
     weights and (A, B); the far nodes' weights and factored q; the far
-    positions of the modes' nodes y = y_lo."""
+    positions of each mode's lowest node."""
 
     __slots__ = ("kind", "e0", "points", "bary", "near", "w_near", "near_ab", "w_far", "far", "lowest")
 
     def __init__(self, *fields) -> None:
         self._set_fields(*fields)
+
+
+def _level_floor(spec: ModelSpec) -> float:
+    """sigma = min over every mode k of |c_k*sin(phi)|/Omega_k, with c_k =
+    lambda_k^(N/2) and Omega_k = sum_{j < N/2} lambda_k^(2j) (ssh's corner
+    and norm): half the avoided-crossing gap of mode k's doublet. On the
+    honeycomb lattice with no lambda_k = 0 and sin(phi) != 0, no level of
+    any closed or open ring, at any eta, lies closer to zero than sigma.
+
+    Formed in logs, with a = |2*ln|lambda_k|| and G = expm1(-a*N/2)/expm1(-a)
+    in [1, N/2] (N/2 at a = 0): ln(|c_k|/Omega_k) = -a*(N/4 - [|lambda_k| >
+    1]) - ln G, so no power of lambda_k overflows and a |lambda_k| = 1 up to
+    rounding divides by no rounding-sized 1 - lambda_k^2. 0.0 on the square
+    lattice, at sin(phi) = 0, where some lambda_k = 0, and where sigma
+    underflows."""
+    sin_phi = sin_cos(spec.phi)[0]
+    lams = ring_lams(spec.kind, spec.M)
+    if spec.kind != "honeycomb" or sin_phi == 0.0 or 0.0 in lams:
+        return 0.0
+    cells = spec.N // 2
+    logs = []
+    for lam in lams:
+        a = abs(2.0 * math.log(abs(lam)))
+        geometric = cells if a == 0.0 else math.expm1(-cells * a) / math.expm1(-a)
+        logs.append(-a * (0.5 * cells - (abs(lam) > 1.0)) - math.log(geometric))
+    return math.exp(math.log(abs(sin_phi)) + min(logs))
 
 
 def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
@@ -177,24 +207,54 @@ def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
     -lambda is the gauge diag(+1,-1,-1,+1,...), which fixes both boundary
     sites as N % 4 == 0), so the weights count each other mode twice.
 
+    Every mode has the same nodes, on three pieces of y. The integrand
+    ln|q| is the real part of the sum of ln(iy - eps) over the closed
+    ring's levels minus that over the open ring's, so its singularities lie
+    at y = -i*eps; an n-point Gauss-Legendre rule on an interval errs by
+    O(rho^(-2n)), rho the largest Bernstein ellipse of the interval on which
+    the integrand is analytic (Trefethen, SIAM Rev. 50, 67 (2008)).
+
+    * Bottom, [0, y_lo]. Where _level_floor gives sigma > 0, no level is
+      within sigma of zero, so ln|q| is analytic on |y| < sigma = 16*y_lo:
+      rho >= 62, and 6 points err by 62^-12 < 1e-21 of the piece.
+      Elsewhere (the square lattice, a lambda = 0 ring, sin(phi) = 0, or
+      an underflowed sigma) y_lo = min(_Y_LO, 1e-4*min_k gap_k) lies below
+      every midgap gap (ssh.critical_doublets), the piece holds a share of
+      order y_lo of the integral, and 2 points keep y off 0, where a lambda
+      = 0 ring's ln|q| has its log singularity.
+    * Middle. _GAUSS_POINTS-point rules on unit panels of s = ln(y), from
+      ln(y_lo) to the first panel end y_top >= 8*(4 + eta_max): every
+      singularity lies pi/2 off the real s axis, so rho = pi + sqrt(pi^2 +
+      1) = 6.4, and 10 points err by 6.4^-20 < 1e-16 of a panel.
+    * Top, y > y_top. Every ring level lies within 4 + eta_max of zero
+      (Gershgorin), and V has a zero diagonal, so with t = 1/y the
+      integrand ln|q(1/t)|/t^2 is analytic on |t| < 1/(4 + eta_max), 8
+      times the piece's [0, 1/y_top]: rho >= 30, and 8 points err by
+      30^-16 < 1e-23 of the piece (weights w/t^2).
+
     The nodes split in two. Where |A|*eta_max + |B|*eta_max^2 <= 1/4,
     |q - 1| <= 1/4 for every eta in range and ln|q| is log1p(q - 1);
     elsewhere it comes from a factored q, which keeps its relative accuracy
     where q nears 0 (a level crossing zero). The near nodes' weighted sums
     are analytic in eta for |eta| < 2*eta_max, so they are kept only at
     _CHEB_POINTS Chebyshev points and interpolated; `lowest` marks the far
-    nodes whose sign of Re q the level-crossing check reads. The lower cut
-    y_lo = min(_Y_LO, 1e-4*min_k |c_k*sin(phi)|/Omega_k) lies below every
-    midgap gap (ssh.critical_doublets)."""
+    nodes whose sign of Re q the level-crossing check reads, each mode's
+    lowest node."""
     sin_phi, cos_phi = sin_cos(spec.phi)
-    gaps = [abs(c * sin_phi) / om for c, om in critical_doublets(spec)]
-    s_lo = math.log(min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]))
-    panels = math.ceil(math.log(_Y_HI * (4.0 + eta_max)) - s_lo)
-    x, w = _gauss_legendre()
-    s = np.concatenate(([s_lo], (s_lo + np.arange(panels)[:, None] + x).ravel(), [s_lo + panels]))
-    y = np.exp(s)
-    # end terms: int_0^y_lo f ~ y_lo*f(y_lo); the tail f ~ C/y^2 integrates to y_hi*f(y_hi)
-    weights = y * np.concatenate(([1.0], np.tile(w, panels), [1.0]))
+    sigma = _level_floor(spec)
+    if sigma > 0.0:
+        y_lo, bottom = sigma / 16.0, _gauss_legendre(6)
+    else:
+        gaps = [abs(c * sin_phi) / om for c, om in critical_doublets(spec)]
+        y_lo, bottom = min([_Y_LO] + [1e-4 * gap for gap in gaps if gap > 0.0]), _gauss_legendre(2)
+    s_lo = math.log(y_lo)
+    panels = math.ceil(math.log(8.0 * (4.0 + eta_max)) - s_lo)
+    x, w = _gauss_legendre(_GAUSS_POINTS)
+    t, w_top = _gauss_legendre(8)
+    y_mid = np.exp((s_lo + np.arange(panels)[:, None] + x).ravel())
+    y_top = math.exp(s_lo + panels) / t  # t = 1/y on [0, 1/y_top], dy = dt/t^2
+    y = np.concatenate((y_lo * bottom[0], y_mid, y_top))
+    weights = np.concatenate((y_lo * bottom[1], y_mid * np.tile(w, panels), y_top * w_top / t))
     s2, M, kind = sin_phi ** 2, spec.M, spec.kind
     modes = [*range(1, M // 2 + 1), M]
     g1n, gnn2 = (g.ravel() for g in boundary_green(kind, ring_lams(kind, M, modes), spec.N, y))  # real on honeycomb
@@ -213,7 +273,7 @@ def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
     for part in row_blocks(_CHEB_POINTS, len(w_near)):
         for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
             sums[i, part] = (value * w_near).sum(axis=1)
-    lowest = np.flatnonzero(np.arange(len(a))[far] % len(y) == 0)  # each mode's node y = y_lo
+    lowest = np.flatnonzero(np.arange(len(a))[far] % len(y) == 0)  # each mode's lowest node
     return _ShiftTable(kind, _open_ground_energy(spec), points, bary, sums, w_near, (a_near, b_near), weights[far],
                        _factor(kind, a[far], b[far], d4[far]), lowest)
 
@@ -308,7 +368,7 @@ def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_crossing(table: _ShiftTable, grid: np.ndarray) -> bool:
-    """Whether Re q at some mode's node y = y_lo changes sign between
+    """Whether Re q at some mode's lowest node changes sign between
     adjacent etas of the grid: a ring level crossing zero there. A near node
     keeps Re q >= 3/4, and a honeycomb ring's q = B*(eta - R)^2 + J stays
     positive, so only the square lattice's far nodes are read."""
@@ -368,7 +428,7 @@ def sweep(
     within one ulp of a multiple of pi/2 counts as exactly that multiple
     (sin and cos are exactly 0 or +-1).
     'level-crossing' reports that some ring level crosses zero between two
-    grid points (Re q changes sign at a mode's node y = y_lo): E_g has a
+    grid points (Re q changes sign at a mode's lowest node): E_g has a
     kink there, whose delta-function curvature d2_numeric does not hold. It
     does not change the refinement.
 

@@ -4,6 +4,8 @@ zero-mode check reads the ring blocks.ring_stack closes at eta = c), the
 dense ground energies the spectral-shift engine is held against, the
 full-lattice ground energy, the closed-form curvature evaluated one eta at
 a time from its formula alone (nothing of it comes from torus_qpt's closed forms),
+the honeycomb rings' smallest levels and the dense sum-over-states curvature,
+both from the rings' bipartite blocks,
 the closed-form perturbative fidelity at the gap minimum, a
 golden-section minimizer that compares values only (none of the package's
 derivatives), and the sorted square-ring spectrum the dense solves are
@@ -76,6 +78,67 @@ def d2_analytic(spec: ModelSpec, eta: float, modes=None) -> float:
         if c != 0.0:
             z = abs(eta * cmath.exp(1j * spec.phi) - c)
             total -= 1.0 / omega_factor(lam, spec.N) * (c * math.sin(spec.phi) / z) ** 2 / z
+    return total
+
+
+def bipartite_blocks(lam: float, N: int, etas, phi: float) -> np.ndarray:
+    """The block C = H[odd sites, even sites] of the honeycomb ring of coupling
+    lam at each eta, shape (len(etas), N/2, N/2): lam on the diagonal (the
+    within-cell bonds), -1 below it (the between-cell bonds) and the boundary
+    bond -eta*e^{-i phi} at (1, N/2). The ring is [[0, C], [C^H, 0]] over its
+    odd then even sites, so its levels are +-the singular values of C, and
+    det C = lam^(N/2) - eta*e^{-i phi}: the diagonal's product plus the cycle's."""
+    n = N // 2
+    blocks = np.zeros((len(etas), n, n), dtype=np.complex128)
+    sites = np.arange(n)
+    blocks[:, sites, sites] = lam
+    blocks[:, sites[1:], sites[:-1]] = -1.0
+    blocks[:, 0, n - 1] = -np.asarray(etas, dtype=np.float64) * cmath.exp(-1j * phi)
+    return blocks
+
+
+def _block_det(lam: float, N: int, blocks: np.ndarray) -> np.ndarray:
+    """det C of bipartite_blocks, in closed form: a dense determinant or SVD
+    has an absolute error of eps*||C||, far above a midgap level."""
+    return lam ** (N // 2) + blocks[:, 0, -1]
+
+
+def lowest_levels(lam: float, N: int, etas, phi: float) -> np.ndarray:
+    """The smallest |level| of the honeycomb ring of coupling lam at each eta:
+    the smallest singular value of its bipartite block C, as |det C| over the
+    product of the others, which a dense SVD gets to eps relative (they are
+    the band levels, far from zero)."""
+    blocks = bipartite_blocks(lam, N, etas, phi)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return np.abs(_block_det(lam, N, blocks)) / np.prod(s[:, :-1], axis=-1)
+
+
+def curvature_sum_over_states(spec: ModelSpec, eta: float) -> float:
+    """d2E_g/deta2 of a honeycomb spec at one eta by second-order perturbation
+    theory on every ring's dense eigenpairs, rings added in ascending mode
+    order: 2*sum over occupied n and empty m of |<m|dH/deta|n>|^2/(eps_n - eps_m),
+    dH/deta the boundary bond -e^{i phi} at (N, 1) and its conjugate at (1, N).
+
+    With C = U diag(s) V^H (bipartite_blocks), the ring's eigenpairs are -s_n,
+    (u_n, -v_n)/sqrt(2) (occupied) and s_m, (u_m, v_m)/sqrt(2) (empty). A dense
+    SVD gets the smallest s, a midgap level, and the phase of its u relative
+    to its v only to eps*||C|| over that level; det C = det(U)*prod(s)*det(V^H)
+    holds exactly and det C is exact in closed form, so both come from it."""
+    if spec.kind != "honeycomb":
+        raise ValueError("the sum-over-states oracle is defined for honeycomb specs only")
+    n = spec.N // 2
+    bond = -cmath.exp(-1j * spec.phi)  # d/deta of C's (1, N/2) entry
+    total = 0.0
+    for lam in ring_lams(spec.kind, spec.M):
+        blocks = bipartite_blocks(lam, spec.N, [eta], spec.phi)
+        u, s, vh = (x[0] for x in np.linalg.svd(blocks))
+        w = _block_det(lam, spec.N, blocks)[0] / (np.linalg.det(u) * np.linalg.det(vh) * np.prod(s[:-1]))
+        s[-1] = abs(w)
+        u[:, -1] *= w / abs(w)
+        a, b = u[0], vh[:, n - 1].conj()  # <site 1|u_i> and <site N|v_i>
+        # <m, empty|dH/deta|n, occupied> = (-conj(a_m)*bond*b_n + a_n*conj(bond)*conj(b_m))/2
+        element = 0.5 * (a[None, :] * bond.conjugate() * b.conj()[:, None] - a.conj()[:, None] * bond * b[None, :])
+        total -= 2.0 * float((np.abs(element) ** 2 / (s[:, None] + s[None, :])).sum())
     return total
 
 

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import dense_ring
-from oracles import d2_analytic, golden_section_min, ground_energies, ground_energy_exact
+from oracles import (
+    curvature_sum_over_states,
+    d2_analytic,
+    golden_section_min,
+    ground_energies,
+    ground_energy_exact,
+    lowest_levels,
+)
 from torus_qpt import (
     ModelSpec,
     SweepResult,
@@ -32,7 +39,9 @@ from torus_qpt.criticality import (
     MAX_ETA,
     _factor,
     _far_nodes,
+    _gauss_legendre,
     _level_crossing,
+    _level_floor,
     _near_nodes,
     _node_slopes,
     _shift_table,
@@ -258,6 +267,12 @@ def _assert_dense_close(spec, etas, e_g):
         (ModelSpec("honeycomb", 7, 80, phi=PHI), np.linspace(0.0, 1e-9, 11)),
         # the upper quadrature cut grows with the largest eta
         (ModelSpec("honeycomb", 7, 20, phi=PHI), [0.0, 0.5, 3.0, 10.0, 100.0, 1e3]),
+        # mode 2's ring (lambda = 1.247) comes within the level floor of zero at eta = 9.089
+        (ModelSpec("honeycomb", 7, 20, phi=0.01), np.linspace(8.0, 10.0, 41)),
+        # the lambda = 0 ring leaves sites 1 and N isolated: ln|q| is log-singular at y = 0
+        (ModelSpec("honeycomb", 10, 24, phi=PHI), np.linspace(0.0, 1.0, 21)),
+        # modes 3 and 6 have |lambda| = 1 up to rounding
+        (ModelSpec("honeycomb", 9, 24, phi=PHI), np.linspace(0.0, 1.0, 21)),
         # at N = 2 the boundary bond stacks on the -t bond
         *[
             (ModelSpec("square", 5, N, phi=phi), np.linspace(0.0, 1.0, 21))
@@ -275,6 +290,76 @@ def _assert_dense_close(spec, etas, e_g):
 def test_shift_engine_matches_dense_energies(spec, etas):
     table = _shift_table(spec, float(np.max(etas)))
     _assert_dense_close(spec, etas, _shifted_energies(table, etas)[0])
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 10])
+def test_gauss_legendre_integrates_polynomials_exactly(n):
+    # the n-point rule on [0, 1] is exact up to degree 2n - 1, with ascending nodes inside the interval
+    x, w = _gauss_legendre(n)
+    assert 0.0 < x[0] and x[-1] < 1.0 and (np.diff(x) > 0.0).all()
+    for k in range(2 * n):
+        assert (w * x**k).sum() == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    assert _gauss_legendre(n) is _gauss_legendre(n)
+
+
+@pytest.mark.parametrize("M", [5, 7, 9, 11, 13])
+def test_level_floor_bounds_every_ring_level(M):
+    # no level of any ring, closed at any eta or open, lies closer to zero than _level_floor's sigma; mode
+    # k's ring comes down to its own bound near eta = |c_k|*cos(phi) (|lambda_k| < 1, to rounding) or
+    # |c_k|/cos(phi) (|lambda_k| > 1), which the grid holds
+    lams = ring_lams("honeycomb", M, [*range(1, M // 2 + 1), M])  # modes M - m repeat mode m's levels
+    for N in (8, 16, 24, 40):
+        for phi in (0.01, PHI, 1.2):
+            sigma = _level_floor(ModelSpec("honeycomb", M, N, phi=phi))
+            corners = [abs(lam) ** (N // 2) for lam in lams]
+            minima = [eta for c in corners for eta in (c * math.cos(phi), c / math.cos(phi)) if eta <= MAX_ETA]
+            etas = np.union1d(np.linspace(0.0, MAX_ETA, 2001), minima)
+            floor = min(lowest_levels(lam, N, etas, phi).min() for lam in lams)
+            assert 0.0 < sigma <= floor * (1.0 + 1e-12), (N, phi)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("honeycomb", 10, 24, phi=PHI),  # an exact lambda = 0 ring
+        ModelSpec("square", 5, 12, phi=0.7),
+        ModelSpec("honeycomb", 7, 20, phi=0.0),
+        ModelSpec("honeycomb", 7, 20, phi=math.pi),
+        # every bound underflows; formed from lambda_k^(N/2), mode 1's corner 1.8^2000 overflowed
+        ModelSpec("honeycomb", 7, 4000, phi=PHI),
+    ],
+)
+def test_level_floor_falls_back_where_no_bound_holds(spec):
+    assert _level_floor(spec) == 0.0
+
+
+def test_level_floor_is_the_doublet_half_gap():
+    # away from the fallbacks sigma is the smallest |c_k*sin(phi)|/Omega_k over every mode
+    spec = ModelSpec("honeycomb", 7, 20, phi=0.01)
+    half_gaps = [abs(corner_coupling(lam, 20) * math.sin(0.01)) / ssh.omega_factor(lam, 20)
+                 for lam in ring_lams("honeycomb", 7)]
+    assert _level_floor(spec) == pytest.approx(min(half_gaps), rel=1e-13)
+
+
+def test_shift_table_nodes_per_sweep():
+    # M = 7, phi = pi/4 at each sweep's own range: the end rules leave at most 900 nodes per table
+    counts = []
+    for N in range(8, 33, 4):
+        spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+        c = max(abs(c) for c, _ in critical_doublets(spec))
+        table = _shift_table(spec, min(3.0 * c * math.cos(PHI), 1.0))  # the sweep's default range
+        counts.append(len(table.w_near) + len(table.w_far))
+    assert max(counts) <= 900, counts
+
+
+@pytest.mark.parametrize("N", [56, 72])
+def test_peak_matches_the_sum_over_states(N):
+    # the dense sum-over-states curvature at the sweep's own eta_m; an end term
+    # y_lo*f(y_lo) at the lower cut biased |peak| low by 4.3e-13 here
+    spec = ModelSpec("honeycomb", 7, N, phi=PHI)
+    res = sweep(spec)
+    reference = curvature_sum_over_states(spec, res.eta_m)
+    assert abs(res.peak - reference) <= 2e-13 * abs(reference)
 
 
 NODE_CASES = [
