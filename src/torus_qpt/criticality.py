@@ -29,44 +29,47 @@ Proc. Phys. Soc. 90, 207 (1967); Krein's spectral shift) each block adds
     q = det(1 - G0(iy) V) = 1 + A*eta + B*eta^2,
 
 with A = 2*cos(phi)*G_1N and B = G_1N^2 - G_11*G_NN from the
-boundary entries of G0(iy) = (iy - H0)^-1. The curvature d2E/deta2 is
-the same integral over d2/deta2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2],
-with no finite difference. E_g(eta) = E_g(0) + sum_k dE_k(eta), where
-E_g(0) sums the dense levels of the open rings. G_1N and G_NN^2 =
-G_11*G_NN come from eigensolve.boundary_green once per distinct mode (m
-and M - m share them) on one node set, and serve every eta of the sweep.
-The quadrature places its two ends by the spectrum's own scales. Below
-y_lo, where no level lies within 16*y_lo of zero (the honeycomb lattice's
-level floor sigma, `_level_floor`), one 6-point Gauss-Legendre rule in y
-covers [0, y_lo]; elsewhere y_lo <= 1e-14 lies below every midgap gap and a
-2-point rule covers it. Above y_top >= 8*(4 + max eta), past every level,
-one 8-point rule in t = 1/y covers the tail. Between them, 10-point rules
-run on unit panels of s = ln(y) (_shift_table gives the convergence
-argument). At M = 7, phi = pi/4 and N = 8..32 a table has 496 to 856 nodes.
+boundary entries of G0(iy) = (iy - H0)^-1. E_g(eta) = E_g(0) + sum_k
+dE_k(eta), where E_g(0) sums the dense levels of the open rings
+(`_open_ground_energy`, one `ring_levels` call at eta = 0). G_1N and
+G_NN^2 = G_11*G_NN come from eigensolve.boundary_green once per distinct
+mode (m and M - m share them) on one node set, and serve every eta of the
+sweep. `_shift_table` places the nodes in y and gives the quadrature's
+convergence argument; at M = 7, phi = pi/4 and N = 8..32 a table has 496
+to 856 nodes.
 
-The nodes come in two kinds. A near node has |A|*max eta + |B|*(max
-eta)^2 <= 1/4, so |q - 1| <= 1/4 for every eta of the range, and ln|q| is
-log1p(q - 1). Near nodes are most of the table (89 to 94 % at M = 7, N =
-8..32), and their summed ln|q| and curvature are analytic in eta on |eta|
-< 2*max eta. So the table keeps those two sums only at 33 Chebyshev
-points of [0, max eta], each computed exactly, and an eta reads them back by
-barycentric interpolation (relative error below 1e-15). A far node's
-ln|q| comes from the factored q, so neither large y nor a level crossing
-zero loses digits, and it is evaluated at every eta. A sweep therefore
-costs O(near nodes * 33 + far nodes * etas) instead of one O(N^3)
-eigensolve per eta. Against the dense sums, |E_g - dense| <= 1e-14 *
-sum|eps| on every tested case (honeycomb and square, M = 2..31, N =
-2..80, eta up to MAX_ETA = 100, exact crossings at phi = 0).
-`_open_ground_energy`, one `ring_levels` call at eta = 0, gives E_g(0).
-One immutable record, `_ShiftTable`, holds the table and its lattice kind:
-`_shift_table` builds it whole, `_shifted_energies` evaluates it, and
-`_node_slopes` and `_level_crossing` read it.
+One rule gives every eta-derivative of ln|q|. At an eta, each node gives
+ln|q| and the pair (s, t), s = q'/q and t = 2B/q (' = d/deta): d2 = Re(t -
+s^2) (`_d2`), d3 = Re s*(2s^2 - 3t) and d4 = -3*Re(2s^4 - 4t*s^2 + t^2)
+(`_slopes`, from h*s and h^2*t, h a step that keeps the powers in range).
+No power of q is formed, so a node whose q reaches 1e155 (M = 7, N = 440)
+stays in double range. The curvature d2E/deta2 is the same integral over
+d2, with no finite difference.
+
+The nodes come in two kinds, each with its own arithmetic. A near node has
+|A|*max eta + |B|*(max eta)^2 <= 1/4, so |q - 1| <= 1/4 for every eta of
+the range: with p = q - 1, ln|q| = log1p(2*Re p + |p|^2)/2. Near nodes are
+most of the table (89 to 94 % at M = 7, N = 8..32), and their summed ln|q|
+and curvature are analytic in eta on |eta| < 2*max eta. So the table keeps
+those two sums only at 33 Chebyshev points of [0, max eta], each computed
+exactly, and an eta reads them back by barycentric interpolation (relative
+error below 1e-15). A far node reads the factored q: the real q = B*(eta -
+R)^2 + J of a honeycomb ring, and q = (B*eta - Q)(Q*eta - 1)/Q of a square
+ring, whose s = u + v and t = 2*u*v with u = B/(B*eta - Q) and v = Q/(Q*eta
+- 1). So neither large y nor a level crossing zero loses digits; a far node
+is evaluated at every eta. A sweep therefore costs O(near nodes * 33 + far
+nodes * etas) instead of one O(N^3) eigensolve per eta. Against the dense
+sums, |E_g - dense| <= 1e-14 * sum|eps| on every tested case (honeycomb and
+square, M = 2..31, N = 2..80, eta up to MAX_ETA = 100, exact crossings at
+phi = 0). One immutable record, `_ShiftTable`, holds the table and its
+lattice kind: `_shift_table` builds it whole, `_shifted_energies` evaluates
+it, and `_node_slopes` and `_level_crossing` read it.
 
 The peak eta_m is a zero of the curvature's slope -D3/pi, D3 = sum
-w*d3/deta3 ln|q|: ssh._refine_peak's Newton steps with D4 = sum w*d4/deta4
-ln|q| evaluate every node exactly at one eta (the near nodes too, whose
-Chebyshev samples hold no derivative beyond the second), so the root is
-located to D3's roundoff, not to the sqrt(eps) of a search by values.
+w*d3: ssh._refine_peak's Newton steps with D4 = sum w*d4 evaluate every
+node exactly at one eta (the near nodes too, whose Chebyshev samples hold
+no derivative beyond the second), so the root is located to D3's
+roundoff, not to the sqrt(eps) of a search by values.
 """
 
 from __future__ import annotations
@@ -271,8 +274,8 @@ def _shift_table(spec: ModelSpec, eta_max: float) -> _ShiftTable:
     w_near, a_near, b_near = weights[near], a[near], b[near]
     sums = np.empty((2, _CHEB_POINTS))
     for part in row_blocks(_CHEB_POINTS, len(w_near)):
-        for i, value in enumerate(_near_nodes(kind, a_near, b_near, points[part, None])):
-            sums[i, part] = (value * w_near).sum(axis=1)
+        ln, s, t = _near_nodes(a_near, b_near, points[part, None])
+        sums[:, part] = (ln * w_near).sum(axis=1), (_d2(s, t) * w_near).sum(axis=1)
     lowest = np.flatnonzero(np.arange(len(a))[far] % len(y) == 0)  # each mode's lowest node
     return _ShiftTable(kind, _open_ground_energy(spec), points, bary, sums, w_near, (a_near, b_near), weights[far],
                        _factor(kind, a[far], b[far], d4[far]), lowest)
@@ -292,29 +295,38 @@ def _factor(kind: str, a: np.ndarray, b: np.ndarray, d4: np.ndarray) -> tuple:
     return b, big, np.log(np.abs(big))
 
 
-def _near_nodes(kind: str, a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln|q| = log1p(q - 1) and its exact second eta-derivative
-    Re[(2B*q - (A + 2B*eta)^2)/q^2] at each node, for a column of etas."""
-    p = eta * (a + b * eta)  # q - 1
-    q, slope = 1.0 + p, a + 2.0 * b * eta
-    d2 = (2.0 * b * q - slope * slope) / (q * q)
-    if kind == "honeycomb":
-        return np.log1p(p), d2
-    return 0.5 * np.log1p(2.0 * p.real + (p.real * p.real + p.imag * p.imag)), d2.real
+def _near_nodes(a: np.ndarray, b: np.ndarray, eta) -> tuple:
+    """ln|q| = log1p(2*Re p + |p|^2)/2 with p = q - 1, s = q'/q and t = 2B/q
+    at each node, for a column of etas or one eta."""
+    p = eta * (a + b * eta)
+    q = 1.0 + p
+    return 0.5 * np.log1p((p * (2.0 + p.conj())).real), (a + 2.0 * b * eta) / q, 2.0 * b / q
 
 
-def _far_nodes(kind: str, factored: tuple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln|q| and its exact second eta-derivative at each node from the
-    factored q, for a column of etas."""
+def _far_nodes(kind: str, factored: tuple, eta) -> tuple:
+    """ln|q|, s and t at each node from the factored q, for a column of
+    etas or one eta."""
     f0, f1, f2 = factored
-    if kind == "honeycomb":
+    if kind == "honeycomb":  # q = B*(eta - R)^2 + J is real and positive
         d = eta - f0
-        bd2 = f1 * (d * d)
-        q = bd2 + f2
-        return np.log(q), 2.0 * f1 * (f2 - bd2) / q**2
-    x1, x2 = f0 * eta - f1, f1 * eta - 1.0
+        q = f1 * (d * d) + f2
+        t = (2.0 * f1) / q
+        return np.log(q), t * d, t
+    x1, x2 = f0 * eta - f1, f1 * eta - 1.0  # q = x1*x2/Q: s = u + v, t = 2*u*v
     u, v = f0 / x1, f1 / x2
-    return np.log(np.abs(x1 * x2)) - f2, -(u * u + v * v).real
+    return np.log(np.abs(x1 * x2)) - f2, u + v, 2.0 * u * v
+
+
+def _d2(s, t) -> np.ndarray:
+    """d2 ln|q| = Re(t - s^2), from a node's s and t."""
+    return (t - s * s).real
+
+
+def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
+    """h^3*d3 ln|q| = Re s*(2s^2 - 3t) and h^4*d4 ln|q| = -3*Re(2s^4 - 4t*s^2
+    + t^2), from a node's h*s and h^2*t."""
+    s2 = hs * hs
+    return (hs * (2.0 * s2 - 3.0 * ht)).real, (-3.0 * (s2 * (2.0 * s2 - 4.0 * ht) + ht * ht)).real
 
 
 def _shifted_energies(table: _ShiftTable, etas) -> tuple[np.ndarray, np.ndarray]:
@@ -334,37 +346,20 @@ def _shifted_energies(table: _ShiftTable, etas) -> tuple[np.ndarray, np.ndarray]
         scale = c.sum(axis=1)
         near_ln, near_d2 = ((c * values).sum(axis=1) / scale for values in table.near)
         near_ln[row], near_d2[row] = table.near[:, col]
-        far_ln, far_d2 = _far_nodes(table.kind, table.far, eta)
+        far_ln, s, t = _far_nodes(table.kind, table.far, eta)
         shift[part] = near_ln + (far_ln * table.w_far).sum(axis=1)
-        curvature[part] = near_d2 + (far_d2 * table.w_far).sum(axis=1)
-        del d, c, far_ln, far_d2  # so the next block's temporaries do not add to this block's in the peak
+        curvature[part] = near_d2 + (_d2(s, t) * table.w_far).sum(axis=1)
+        del d, c, far_ln, s, t  # so the next block's temporaries do not add to this block's in the peak
     return table.e0 - shift / math.pi, -curvature / math.pi
 
 
 def _node_slopes(table: _ShiftTable, eta: float, h: float):
     """h^3 and h^4 times the exact third and fourth eta-derivatives of ln|q|
-    at one eta, for the near nodes and then the far nodes. Per node, with s
-    = q'/q and t = 2B/q, d3 ln q = s*(2s^2 - 3t) and d4 ln q = -3*(2s^4 -
-    4t*s^2 + t^2); a square far node's factors add u = B/(B*eta - Q) and v
-    = Q/(Q*eta - 1), d3 = 2*Re(u^3 + v^3) and d4 = -6*Re(u^4 + v^4). The
+    at one eta (_slopes), for the near nodes and then the far nodes. The
     powers of h keep s^4 in range where the peak is narrow (N = 600)."""
-    a, b = table.near_ab
-    q = 1.0 + eta * (a + b * eta)
-    near = _slopes(h * (a + 2.0 * b * eta) / q, (2.0 * h * h) * b / q)
-    f0, f1, f2 = table.far
-    if table.kind == "honeycomb":
-        d = eta - f0
-        hb = h * f1 / (f1 * (d * d) + f2)
-        return near, _slopes(2.0 * hb * d, 2.0 * hb * h)
-    hu, hv = h * f0 / (f0 * eta - f1), h * f1 / (f1 * eta - 1.0)
-    hu2, hv2 = hu * hu, hv * hv
-    return near, (2.0 * (hu2 * hu + hv2 * hv).real, -6.0 * (hu2 * hu2 + hv2 * hv2).real)
-
-
-def _slopes(hs, ht) -> tuple[np.ndarray, np.ndarray]:
-    """h^3*d3 ln q and h^4*d4 ln q from hs = h*q'/q and ht = h^2*2B/q (their real parts)."""
-    s2 = hs * hs
-    return (hs * (2.0 * s2 - 3.0 * ht)).real, (-3.0 * (s2 * (2.0 * s2 - 4.0 * ht) + ht * ht)).real
+    _, s, t = _near_nodes(*table.near_ab, eta)
+    _, s_far, t_far = _far_nodes(table.kind, table.far, eta)
+    return _slopes(h * s, (h * h) * t), _slopes(h * s_far, (h * h) * t_far)
 
 
 def _level_crossing(table: _ShiftTable, grid: np.ndarray) -> bool:
@@ -432,7 +427,7 @@ def sweep(
     kink there, whose delta-function curvature d2_numeric does not hold. It
     does not change the refinement.
 
-    RuntimeError when the engine leaves double range (M = 61, N = 128): its
+    RuntimeError when the engine leaves double range (M = 7, N = 880): its
     array arithmetic overflows, divides by zero or turns invalid, where
     NumPy raises instead of warning.
     """

@@ -37,6 +37,7 @@ from torus_qpt import blocks, criticality, ssh
 from torus_qpt.blocks import CHUNK_ENTRIES, ring_bands, sin_cos
 from torus_qpt.criticality import (
     MAX_ETA,
+    _d2,
     _factor,
     _far_nodes,
     _gauss_legendre,
@@ -362,56 +363,104 @@ def test_peak_matches_the_sum_over_states(N):
     assert abs(res.peak - reference) <= 2e-13 * abs(reference)
 
 
+@pytest.mark.parametrize(
+    "M,N,bounds,flags",
+    [(31, 256, dict(steps=400), ()), (61, 128, {}, ("peak-not-bracketed",)),
+     (7, 800, dict(eta_min=0.99, eta_max=1.01), ("peak-not-bracketed",))],
+)
+def test_sweeps_past_the_old_curvature_overflow_match_the_sum_over_states(M, N, bounds, flags):
+    # each far node's d2 = Re(t - s^2) forms no q^2, which overflowed in these
+    # three sweeps of the CLI table (a far node's q reaches 1e155)
+    spec = ModelSpec("honeycomb", M, N, phi=PHI)
+    res = sweep(spec, **bounds)
+    assert res.flags == flags
+    reference = curvature_sum_over_states(spec, res.eta_m)
+    assert abs(res.peak - reference) <= 1e-12 * abs(reference)
+
+
+def test_first_order_sweep_matches_the_sum_over_states():
+    # at sin(phi) = 0 the doublet's terms of size 1/(Omega*|eta - c|) (~4e5 against a
+    # curvature of -2.6) nearly cancel, so the peak is only good to about 1e-9 relative
+    # (6.9e-10 here); the sweep keeps its flag
+    spec = ModelSpec("honeycomb", 7, 20, phi=2.0 * math.pi)
+    res = sweep(spec)
+    assert "first-order-crossing" in res.flags
+    reference = curvature_sum_over_states(spec, res.eta_m)
+    assert abs(res.peak - reference) <= 2e-9 * abs(reference)
+
+
 NODE_CASES = [
     # real A and B > A^2/4, as on the bipartite honeycomb ring
     ("honeycomb", [0.01, 0.3, -0.3, -2.0, 5.0], [0.01, 0.5, 0.5, 1.5, 7.0]),
     # B = 0 with A of either sign, and A = B = 0 (q = 1)
     ("square", [0.01j, 1.0, -0.7, 0.3 + 0.4j, -2.0 - 1.0j, 0.0], [0.01, 0.0, 0.0, 0.2 - 0.1j, 1.5 + 0.5j, 0.0]),
+    # next to an ordinary node, the lowest node of M = 7, N = 440, phi = pi/4 on [0, 1]: q
+    # reaches 1e155, so q^2 leaves double range; the engine keeps such a node far (|B| > 1e100)
+    ("honeycomb", [0.3, -3.1792354165514507e77], [0.5, 5.053780170364318e154]),
 ]
 
 
-@pytest.mark.parametrize("kind,a,b", NODE_CASES)
-def test_node_slopes_are_derivatives_of_the_curvature(kind, a, b):
-    # the refinement's d3 and d4 of ln|q|, from q and from the factored q, against
-    # central differences of the exact d2 and d3 at step 1e-4 (error below 1e-6 relative)
+def _node_arrays(kind, a, b):
+    """A and B as the engine holds them (real on the honeycomb lattice), the
+    far-form mask (Q != 0), the near-form mask (|B| < 1e100) and the factored q."""
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     if kind == "honeycomb":
         a, b = a.real, b.real
     far = (a != 0.0) | (b != 0.0)
-    factored = _factor(kind, a[far], b[far], 0.25 * a[far] ** 2 - b[far])
-    table = criticality._ShiftTable(kind, None, None, None, None, None, (a, b), None, factored, None)
-    delta, h = 1e-4, 0.5
-    for eta in (0.1, 0.6, 1.1, 1.7):
-        (n3, n4), (f3, f4) = _node_slopes(table, eta, h)
-        d2 = [_near_nodes(kind, a, b, np.array([[eta + k * delta]]))[1][0] for k in (-1, 1)]
-        assert n3 == pytest.approx((d2[1] - d2[0]) / (2.0 * delta) * h**3, rel=1e-6, abs=1e-9)
-        assert f3 == pytest.approx(n3[far], rel=1e-12, abs=1e-12)
-        d3 = [_node_slopes(table, eta + k * delta, h)[0][0] for k in (-1, 1)]
-        assert n4 == pytest.approx((d3[1] - d3[0]) / (2.0 * delta) * h, rel=1e-6, abs=1e-9)
-        assert f4 == pytest.approx(n4[far], rel=1e-12, abs=1e-12)
+    d4 = 0.25 * a[far] ** 2 - b[far]  # (A^2 - 4B)/4, real on the honeycomb lattice
+    return a, b, far, np.abs(b) < 1e100, _factor(kind, a[far], b[far], d4)
+
+
+@pytest.mark.parametrize("kind,a,b", NODE_CASES)
+def test_node_slopes_are_derivatives_of_the_curvature(kind, a, b):
+    # the refinement's d3 and d4 of ln|q|, from the near and the far forms' (s, t),
+    # against central differences of the exact d2 and d3 at step 1e-5 (error below
+    # 1e-6 relative); no term leaves double range
+    a, b, far, near, factored = _node_arrays(kind, a, b)
+    table = criticality._ShiftTable(kind, None, None, None, None, None, (a[near], b[near]), None, factored, None)
+    delta, h = 1e-5, 0.5
+
+    def d2(eta):  # the near and the far forms' exact d2
+        return _d2(*_near_nodes(a[near], b[near], eta)[1:]), _d2(*_far_nodes(kind, factored, eta)[1:])
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for eta in (0.1, 0.6, 1.1, 1.7):
+            slopes = _node_slopes(table, eta, h)
+            d2_lo, d2_hi = d2(eta - delta), d2(eta + delta)
+            d3_lo, d3_hi = (_node_slopes(table, eta + k * delta, h) for k in (-1, 1))
+            for form in (0, 1):  # near, far
+                d3, d4 = slopes[form]
+                assert d3 == pytest.approx((d2_hi[form] - d2_lo[form]) / (2.0 * delta) * h**3, rel=1e-6, abs=1e-9)
+                assert d4 == pytest.approx((d3_hi[form][0] - d3_lo[form][0]) / (2.0 * delta) * h, rel=1e-6, abs=1e-9)
+            for n, f in zip(*slopes):
+                assert f[near[far]] == pytest.approx(n[far[near]], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,a,b", NODE_CASES)
 def test_mode_shift_is_ln_abs_q(kind, a, b):
     # the per-node forms the table sums: log1p(q - 1) where |q - 1| <= 1/4
     # (near), and the factored q (far) wherever Q != 0, against ln|q| and
-    # d^2/deta^2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2]
-    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    # d^2/deta^2 ln|q| = Re[(2B*q - (A + 2B*eta)^2)/q^2]; the reference is
+    # formed in q/C, C = max(1, |B|), so that none of its terms leaves double range
+    a, b, far, near_form, factored = _node_arrays(kind, a, b)
+    c = np.maximum(1.0, np.abs(b))
     etas = np.linspace(0.0, 2.0, 9)[:, None]
-    q = 1.0 + a * etas + b * etas**2
-    ln_q, d2_ln_q = np.log(np.abs(q)), ((2.0 * b * q - (a + 2.0 * b * etas) ** 2) / q**2).real
-    if kind == "honeycomb":  # the engine keeps the real parts of a bipartite ring's A and B
-        a, b = a.real, b.real
-    near = np.abs(q - 1.0) <= 0.25
-    assert near.any() and not near.all()
-    ln, d2 = _near_nodes(kind, a, b, etas)
-    assert np.allclose(ln[near], ln_q[near], rtol=0.0, atol=1e-14)
-    assert np.allclose(d2[near], d2_ln_q[near], rtol=1e-13, atol=1e-13)
-    far = (a != 0.0) | (b != 0.0)
-    d4 = 0.25 * a[far] ** 2 - b[far]  # (A^2 - 4B)/4, real on the honeycomb lattice
-    ln, d2 = _far_nodes(kind, _factor(kind, a[far], b[far], d4), etas)
-    assert np.allclose(ln, ln_q[:, far], rtol=0.0, atol=1e-14)
-    assert np.allclose(d2, d2_ln_q[:, far], rtol=1e-13, atol=1e-13)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        q = 1.0 / c + (a / c) * etas + (b / c) * etas**2
+        ln_q = np.log(np.abs(q)) + np.log(c)
+        d2_ln_q = ((2.0 * (b / c) * q - ((a + 2.0 * b * etas) / c) ** 2) / q**2).real
+        near = (np.abs(q - 1.0 / c) <= 0.25 / c) & near_form
+        assert near.any() and not near.all()
+        rows, cols = np.nonzero(near)
+        ln, s, t = _near_nodes(a[cols], b[cols], etas[rows, 0])
+        assert np.allclose(ln, ln_q[near], rtol=0.0, atol=1e-14)
+        assert np.allclose(_d2(s, t), d2_ln_q[near], rtol=1e-13, atol=1e-13)
+        ln, s, t = _far_nodes(kind, factored, etas)
+        assert (np.abs(ln - ln_q[:, far]) <= 1e-14 * np.maximum(1.0, 0.1 * np.abs(ln_q[:, far]))).all()
+        # at eta = 0 the large node's d2 = 2B - A^2 is 4.5e5 times smaller than either
+        # term, so rounding its inputs moves it by 1e-10 relative, the reference's too
+        checked = (np.abs(b[far]) < 1e100) | (etas > 0.0)
+        assert np.allclose(_d2(s, t)[checked], d2_ln_q[:, far][checked], rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -441,7 +490,8 @@ def test_near_sums_interpolate_the_exact_sums(spec, eta_max):
     near_only = criticality._ShiftTable(table.kind, 0.0, table.points, table.bary, table.near, weights, (a, b),
                                         table.w_far[:0], tuple(f[:0] for f in table.far), table.lowest[:0])
     etas = np.linspace(0.0, eta_max, 97)
-    exact = [-(value * weights).sum(axis=1) / math.pi for value in _near_nodes(spec.kind, a, b, etas[:, None])]
+    ln, s, t = _near_nodes(a, b, etas[:, None])
+    exact = [-(value * weights).sum(axis=1) / math.pi for value in (ln, _d2(s, t))]
     for got, want in zip(_shifted_energies(near_only, etas), exact):
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
